@@ -10,31 +10,24 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import sys
 from pathlib import Path
 
 from . import formats
-from .config import EngineConfig, load_config, save_config
+from .config import load_config, save_config
 from .errors import EngineError
 from .metrics import evaluate
 from .model import empty_graph, validate_graph
-from .query import QueryConfig, extract_subgraph, ground_command
-from .replay import build_graph, commands_from_scenario, format_suite, run_suite
+from .query import extract_subgraph, ground_command
+from .replay import commands_from_scenario, format_suite, run_suite
 from .sim import FAMILIES, generate_stream, make_scenario, noise_preset
 from .store import ingest_sequence
-
-log = logging.getLogger("stovsg")
-
-
-def _config_from(path: str | None) -> EngineConfig:
-    return load_config(path)
 
 
 def _query_setup(args) -> tuple:
     graph = formats.read_graph(args.graph)
     command = formats.read_command(args.command)
-    config = _config_from(args.config)
+    config = load_config(args.config)
     as_of = args.as_of if args.as_of is not None else command.arrival_time
     return graph, command, config, as_of
 
@@ -66,7 +59,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_build(args) -> int:
-    config = _config_from(args.config)
+    config = load_config(args.config)
     _, inputs = formats.parse_stream(args.stream)
     graph = ingest_sequence(empty_graph(), inputs, config)
     problems = validate_graph(graph)
@@ -93,10 +86,10 @@ def cmd_query(args) -> int:
         "track_id": result.track_id,
         "aligned_node_id": result.aligned_node.node_id,
         "score": result.score,
-        "current_node_id": None if result.current_node is None else result.current_node.node_id,
+        "current_node_id": result.current_node.node_id,
         "label": result.aligned_node.label,
-        "centroid": None if result.centroid is None else result.centroid.tolist(),
-        "size": None if result.size is None else result.size.tolist(),
+        "centroid": result.centroid.tolist(),
+        "size": result.size.tolist(),
     }
     text = formats.dumps(payload)
     if args.out:
@@ -118,7 +111,7 @@ def cmd_export(args) -> int:
 
 
 def cmd_score(args) -> int:
-    config = _config_from(args.config)
+    config = load_config(args.config)
     graph = formats.read_graph(args.graph)
     truth = formats.read_truth(args.truth)
     commands = None
@@ -135,7 +128,7 @@ def cmd_score(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    config = _config_from(args.config)
+    config = load_config(args.config)
     families = tuple(args.families.split(",")) if args.families else FAMILIES
     for family in families:
         if family not in FAMILIES:
@@ -156,7 +149,7 @@ def cmd_replay(args) -> int:
 
 
 def cmd_config(args) -> int:
-    save_config(_config_from(args.config), args.out)
+    save_config(load_config(args.config), args.out)
     print(f"wrote config to {args.out}")
     return 0
 
@@ -166,7 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="stovsg",
         description="Latency-aware 4-D scene graphs for delayed teleoperation streams.",
     )
-    parser.add_argument("-v", "--verbose", action="store_true", help="enable info logging")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("simulate", help="generate a scenario, its detection stream, and truth")
@@ -228,10 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
     try:
         return args.func(args)
     except EngineError as exc:

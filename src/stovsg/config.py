@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .errors import FormatError
@@ -12,6 +12,19 @@ from .spatial import SpatialWeights
 from .temporal import MOTION_CONSTANT_VELOCITY, MOTION_LAST, TemporalWeights
 
 CONFIG_SCHEMA = "stovsg-config/1"
+
+# sections written as nested objects; the remaining fields form "engine"
+_SECTIONS = {"spatial": SpatialWeights, "temporal": TemporalWeights, "query": QueryConfig}
+
+
+def _section(data: dict, name: str, keys) -> dict:
+    raw = data.get(name, {})
+    if not isinstance(raw, dict):
+        raise FormatError(f"config section {name!r} must be an object")
+    bad = set(raw) - set(keys)
+    if bad:
+        raise FormatError(f"unknown keys in config section {name!r}: {sorted(bad)}")
+    return raw
 
 
 @dataclass(frozen=True)
@@ -26,41 +39,12 @@ class EngineConfig:
     motion_model: str = MOTION_LAST
     descriptor_alpha: float = 0.3  # appearance EMA mixing factor
     fallback_to_earliest: bool = False  # pre-arrival queries use the first frame
-    fifo_channel: bool = False  # force in-order delivery on simulated channels
     centroid_tol: float = 0.05  # metres; node-accuracy gate for scoring
 
     def to_dict(self) -> dict:
-        return {
-            "schema": CONFIG_SCHEMA,
-            "spatial": {
-                "w_iou": self.spatial.w_iou,
-                "w_area": self.spatial.w_area,
-                "w_ctr": self.spatial.w_ctr,
-            },
-            "temporal": {
-                "w_pos": self.temporal.w_pos,
-                "w_vis": self.temporal.w_vis,
-                "delta_cls": self.temporal.delta_cls,
-                "d_max": self.temporal.d_max,
-                "eta": self.temporal.eta,
-                "grace_period": self.temporal.grace_period,
-            },
-            "query": {
-                "beta": self.query.beta,
-                "top_k": self.query.top_k,
-                "neighbor_hops": self.query.neighbor_hops,
-                "history_depth": self.query.history_depth,
-            },
-            "engine": {
-                "max_points": self.max_points,
-                "max_frames": self.max_frames,
-                "motion_model": self.motion_model,
-                "descriptor_alpha": self.descriptor_alpha,
-                "fallback_to_earliest": self.fallback_to_earliest,
-                "fifo_channel": self.fifo_channel,
-                "centroid_tol": self.centroid_tol,
-            },
-        }
+        sections = {name: asdict(getattr(self, name)) for name in _SECTIONS}
+        engine = {key: getattr(self, key) for key in _ENGINE_KEYS}
+        return {"schema": CONFIG_SCHEMA, **sections, "engine": engine}
 
     @staticmethod
     def from_dict(data: dict) -> "EngineConfig":
@@ -69,41 +53,14 @@ class EngineConfig:
         schema = data.get("schema", CONFIG_SCHEMA)
         if schema != CONFIG_SCHEMA:
             raise FormatError(f"unsupported config schema {schema!r}")
-        known = {"schema", "spatial", "temporal", "query", "engine"}
-        unknown = set(data) - known
+        unknown = set(data) - {"schema", "engine", *_SECTIONS}
         if unknown:
             raise FormatError(f"unknown config keys: {sorted(unknown)}")
-
-        def section(name: str, fields: set[str]) -> dict:
-            raw = data.get(name, {})
-            if not isinstance(raw, dict):
-                raise FormatError(f"config section {name!r} must be an object")
-            bad = set(raw) - fields
-            if bad:
-                raise FormatError(f"unknown keys in config section {name!r}: {sorted(bad)}")
-            return raw
-
-        sp = section("spatial", {"w_iou", "w_area", "w_ctr"})
-        tp = section("temporal", {"w_pos", "w_vis", "delta_cls", "d_max", "eta", "grace_period"})
-        qy = section("query", {"beta", "top_k", "neighbor_hops", "history_depth"})
-        en = section(
-            "engine",
-            {
-                "max_points",
-                "max_frames",
-                "motion_model",
-                "descriptor_alpha",
-                "fallback_to_earliest",
-                "fifo_channel",
-                "centroid_tol",
-            },
-        )
-        cfg = EngineConfig(
-            spatial=SpatialWeights(**sp),
-            temporal=TemporalWeights(**tp),
-            query=QueryConfig(**qy),
-            **en,
-        )
+        sections = {
+            name: cls(**_section(data, name, [f.name for f in fields(cls)]))
+            for name, cls in _SECTIONS.items()
+        }
+        cfg = EngineConfig(**sections, **_section(data, "engine", _ENGINE_KEYS))
         cfg.validate()
         return cfg
 
@@ -137,19 +94,18 @@ class EngineConfig:
             raise FormatError(f"engine.centroid_tol must be positive, got {self.centroid_tol}")
 
 
+_ENGINE_KEYS = tuple(f.name for f in fields(EngineConfig) if f.name not in _SECTIONS)
+
+
 def load_config(path: str | Path | None) -> EngineConfig:
     """Read a config file; ``None`` returns the built-in defaults."""
     if path is None:
         return EngineConfig()
     try:
-        data = json.loads(Path(path).read_text())
+        return EngineConfig.from_dict(json.loads(Path(path).read_text()))
     except json.JSONDecodeError as exc:
         raise FormatError(f"config file {path} is not valid JSON: {exc}") from exc
-    except TypeError as exc:
-        raise FormatError(f"config file {path}: {exc}") from exc
-    try:
-        return EngineConfig.from_dict(data)
-    except TypeError as exc:  # unexpected kwarg types from **section
+    except TypeError as exc:  # a value of the wrong type fails a validation comparison
         raise FormatError(f"config file {path}: {exc}") from exc
 
 

@@ -7,16 +7,22 @@ reproduces a canonical file ``x`` exactly.  The planner-facing subgraph
 payload is the one exception to full precision: its floats are printed
 with six significant digits, and serializing a parsed payload is a fixed
 point at the byte level.
+
+Each record type is written and read through one table of
+``(JSON key, attribute, value codec)`` rows in written key order (see
+:func:`record`), so the tables below are the format specification.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import struct
-from pathlib import Path
+from functools import partial
+from pathlib import Path, PurePosixPath
 from types import MappingProxyType
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -57,7 +63,6 @@ GRAPH_SCHEMA = "stovsg-graph/1"
 SCENARIO_SCHEMA = "stovsg-scenario/1"
 SUBGRAPH_SCHEMA = "stovsg-subgraph/1"
 TRUTH_SCHEMA = "stovsg-truth/1"
-METRICS_SCHEMA = "stovsg-metrics/1"
 COMMAND_SCHEMA = "stovsg-command/1"
 
 
@@ -66,37 +71,7 @@ def dumps(obj: Any) -> str:
     return json.dumps(obj, separators=(",", ":"), allow_nan=False)
 
 
-def _require(data: Mapping, key: str, where: str):
-    if key not in data:
-        raise FormatError(f"{where}: missing key {key!r}")
-    return data[key]
-
-
-def _check_schema(data: Mapping, expected: str, where: str) -> None:
-    schema = _require(data, "schema", where)
-    if schema != expected:
-        raise FormatError(f"{where}: expected schema {expected!r}, got {schema!r}")
-
-
-def _floats(values, where: str) -> list[float]:
-    try:
-        out = [float(v) for v in values]
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"{where}: expected a number array: {exc}") from exc
-    if not all(math.isfinite(v) for v in out):
-        raise FormatError(f"{where}: non-finite number")
-    return out
-
-
 # --- six-significant-digit canonical writer (subgraph payloads) -----------
-
-
-def _fmt6(x: float) -> str:
-    if not math.isfinite(x):
-        raise FormatError(f"cannot serialize non-finite float {x}")
-    if x == 0.0:
-        return "0"  # "-0" would reparse as the int 0 and break idempotence
-    return f"{x:.6g}"
 
 
 def canonical_dumps(obj: Any) -> str:
@@ -105,41 +80,172 @@ def canonical_dumps(obj: Any) -> str:
     Formatting is idempotent: parsing the output and serializing again
     yields identical bytes.
     """
-    parts: list[str] = []
+    return _canonical(obj)
 
-    def write(o: Any) -> None:
-        if o is None:
-            parts.append("null")
-        elif isinstance(o, bool):
-            parts.append("true" if o else "false")
-        elif isinstance(o, (int, np.integer)):
-            parts.append(str(int(o)))
-        elif isinstance(o, (float, np.floating)):
-            parts.append(_fmt6(float(o)))
-        elif isinstance(o, str):
-            parts.append(json.dumps(o))
-        elif isinstance(o, Mapping):
-            parts.append("{")
-            for i, (k, v) in enumerate(o.items()):
-                if i:
-                    parts.append(",")
-                parts.append(json.dumps(str(k)))
-                parts.append(":")
-                write(v)
-            parts.append("}")
-        elif isinstance(o, (list, tuple, np.ndarray)):
-            seq = o.tolist() if isinstance(o, np.ndarray) else o
-            parts.append("[")
-            for i, v in enumerate(seq):
-                if i:
-                    parts.append(",")
-                write(v)
-            parts.append("]")
-        else:
-            raise FormatError(f"cannot serialize {type(o).__name__} canonically")
 
-    write(obj)
-    return "".join(parts)
+def _canonical(o: Any) -> str:
+    if isinstance(o, (float, np.floating)):
+        if not math.isfinite(o):
+            raise FormatError(f"cannot serialize non-finite float {o}")
+        return "0" if o == 0.0 else f"{float(o):.6g}"  # "-0" would reparse as the int 0
+    if isinstance(o, (list, tuple, np.ndarray)):
+        return f"[{','.join([_canonical(v) for v in (o.tolist() if isinstance(o, np.ndarray) else o)])}]"
+    if isinstance(o, (dict, Mapping)):
+        return "{" + ",".join([f"{json.dumps(str(k))}:{_canonical(v)}" for k, v in o.items()]) + "}"
+    if o is None or isinstance(o, (bool, str)):
+        return json.dumps(o)
+    if isinstance(o, (int, np.integer)):
+        return str(int(o))
+    raise FormatError(f"cannot serialize {type(o).__name__} canonically")
+
+
+# --- the record codec -------------------------------------------------------
+
+
+class _Invalid(FormatError):
+    """A decoding failure; ``path`` holds the keys and indices that lead to it."""
+
+    path: tuple[str | int, ...] = ()
+
+    def located(self, where: str) -> FormatError:
+        steps = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in self.path)
+        return FormatError(f"{where}: {steps.lstrip('.') + ': ' if steps else ''}{self.args[0]}")
+
+
+def _reject(expected: str, raw: Any) -> NoReturn:
+    raise _Invalid(f"expected {expected}, got {'null' if raw is None else type(raw).__name__}")
+
+
+class Codec(NamedTuple):
+    """How one value is written (``None``: as it is) and read back with its type checked."""
+
+    encode: Callable[[Any], Any] | None
+    decode: Callable[[Any], Any]
+
+
+def _decode_float(raw: Any) -> float:
+    if (type(raw) is float or (type(raw) is int and abs(raw) < 1e308)) and math.isfinite(raw):
+        return float(raw)
+    _reject("a finite number", raw)
+
+
+FLOAT = Codec(None, _decode_float)
+INT = Codec(None, lambda raw: raw if type(raw) is int else _reject("an integer", raw))
+STR = Codec(None, lambda raw: raw if type(raw) is str else _reject("a string", raw))
+
+
+def _array(ndim: int) -> Codec:
+    """Finite numbers nested ``ndim`` deep, read as a float64 array."""
+
+    def decode(raw: Any) -> np.ndarray:
+        try:
+            arr = np.array(raw if type(raw) is list else None)
+        except ValueError:  # ragged nesting
+            arr = None
+        if arr is None or arr.dtype.kind not in "if" or arr.ndim != ndim or not np.isfinite(arr).all():
+            _reject(f"an array of finite numbers nested {ndim} deep", raw)
+        return arr.astype(np.float64, copy=False)
+
+    return Codec(np.ndarray.tolist, decode)
+
+
+VECTOR = _array(1)
+MATRIX = _array(2)
+# N x 3 world points; an empty list keeps the three columns
+POINTS = Codec(np.ndarray.tolist, lambda raw: np.zeros((0, 3)) if raw == [] else MATRIX.decode(raw))
+
+
+def list_of(item: Codec) -> Codec:
+    """A JSON array of ``item`` values, read as a tuple."""
+    encode_item, decode_item = item
+
+    def decode(raw: Any) -> tuple:
+        if type(raw) is not list:
+            _reject("an array", raw)
+        out: list = []
+        try:
+            for value in raw:
+                out.append(decode_item(value))
+        except _Invalid as exc:
+            exc.path = (len(out), *exc.path)
+            raise
+        return tuple(out)
+
+    return Codec(list if encode_item is None else lambda values: [encode_item(v) for v in values], decode)
+
+
+def tuple_of(*items: Codec) -> Codec:
+    """A fixed-length JSON array with one codec per position, read as a tuple."""
+
+    def encode(values) -> list:
+        return [v if c.encode is None else c.encode(v) for c, v in zip(items, values)]
+
+    def decode(raw: Any) -> tuple:
+        if type(raw) is not list or len(raw) != len(items):
+            _reject(f"an array of {len(items)} values", raw)
+        return tuple([c.decode(v) for c, v in zip(items, raw)])
+
+    return Codec(encode, decode)
+
+
+def optional(value: Codec) -> Codec:
+    """``value`` or JSON ``null``."""
+    encode, decode = value
+    write = None if encode is None else lambda v: None if v is None else encode(v)
+    return Codec(write, lambda raw: None if raw is None else decode(raw))
+
+
+def record(cls: type, *rows: tuple[str, str, Codec], schema: str | None = None) -> Codec:
+    """The codec of a dataclass written as a JSON object.
+
+    ``rows`` are ``(JSON key, attribute, value codec)`` in written key
+    order and must name exactly the class's init fields, so no field can
+    be left out of a file.  A ``schema`` is written first and checked on
+    reading.
+    """
+    attrs = [attr for _, attr, _ in rows]
+    fields = [f.name for f in dataclasses.fields(cls) if f.init]
+    if sorted(attrs) != sorted(fields):
+        raise TypeError(f"{cls.__name__} rows name {attrs}, but its fields are {fields}")
+
+    def encode(obj) -> dict:
+        out: dict = {"schema": schema} if schema else {}
+        for key, attr, (enc, _) in rows:
+            value = getattr(obj, attr)
+            out[key] = value if enc is None else enc(value)
+        return out
+
+    def decode(data: Any):
+        if not isinstance(data, dict):
+            _reject("an object", data)
+        if schema and data.get("schema") != schema:
+            raise _Invalid(f"expected schema {schema!r}, got {data.get('schema')!r}")
+        values = {}
+        try:
+            for key, attr, (_, dec) in rows:
+                values[attr] = dec(data[key])
+        except KeyError:
+            raise _Invalid(f"missing key {key!r}") from None
+        except _Invalid as exc:
+            exc.path = (key, *exc.path)
+            raise
+        return cls(**values)
+
+    return Codec(encode, decode)
+
+
+def _decode(codec: Codec, data: Any, where: str):
+    try:
+        return codec.decode(data)
+    except _Invalid as exc:
+        raise exc.located(where) from None
+
+
+def _load(path: str | Path, what: str) -> Any:
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{what} {path}: {exc}") from exc
 
 
 # --- run-length mask codec -------------------------------------------------
@@ -150,29 +256,251 @@ def encode_mask(mask: PixelMask) -> list[list[int]]:
     if len(mask) == 0:
         return []
     arr = mask.pixels
-    order = np.lexsort((arr[:, 0], arr[:, 1]))
-    p = arr[order]
-    runs: list[list[int]] = []
-    start = 0
-    for i in range(1, len(p) + 1):
-        if i == len(p) or p[i, 1] != p[start, 1] or p[i, 0] != p[i - 1, 0] + 1:
-            runs.append([int(p[start, 1]), int(p[start, 0]), i - start])
-            start = i
-    return runs
+    p = arr[np.lexsort((arr[:, 0], arr[:, 1]))]
+    u, v = p[:, 0], p[:, 1]
+    starts = np.flatnonzero(np.concatenate(([True], (np.diff(v) != 0) | (np.diff(u) != 1))))
+    lengths = np.diff(np.append(starts, len(p)))
+    return np.stack([v[starts], u[starts], lengths], axis=1).tolist()
 
 
 def decode_mask(runs: Sequence, where: str = "mask") -> PixelMask:
-    pixels = []
-    for run in runs:
-        if len(run) != 3:
-            raise FormatError(f"{where}: run must be [row, col, length], got {run}")
-        v, u0, n = (int(x) for x in run)
-        if n <= 0:
-            raise FormatError(f"{where}: non-positive run length {n}")
-        pixels.append(np.stack([np.arange(u0, u0 + n), np.full(n, v)], axis=1))
-    if not pixels:
+    if type(runs) is not list:
+        _reject("an array of runs", runs)
+    if not runs:
         return PixelMask.from_pixels(np.zeros((0, 2), dtype=np.int64))
-    return PixelMask.from_pixels(np.concatenate(pixels))
+    try:
+        arr = np.array(runs)
+    except ValueError:
+        arr = None
+    if arr is None or arr.dtype.kind != "i" or arr.ndim != 2 or arr.shape[1] != 3:
+        raise _Invalid(f"{where}: runs must be [row, col, length] integers")
+    v, u0, n = arr[:, 0], arr[:, 1], arr[:, 2]
+    if (n <= 0).any():
+        raise _Invalid(f"{where}: non-positive run length {int(n.min())}")
+    offsets = np.arange(int(n.sum())) - np.repeat(np.cumsum(n) - n, n)
+    return PixelMask.from_pixels(np.stack([np.repeat(u0, n) + offsets, np.repeat(v, n)], axis=1))
+
+
+MASK = Codec(encode_mask, decode_mask)
+
+
+# --- value codecs for special shapes ------------------------------------------
+
+_BOX = tuple_of(FLOAT, FLOAT, FLOAT, FLOAT)
+BOX = Codec(lambda box: list(box.as_tuple()), lambda raw: BoundingBox2D(*_BOX.decode(raw)))
+_STATUSES = [status.value for status in TrackStatus]
+STATUS = Codec(
+    lambda status: status.value,
+    lambda raw: TrackStatus(raw) if raw in _STATUSES else _reject("a track status", raw),
+)
+# an unbounded visibility window ends at JSON null
+UNBOUNDED = Codec(
+    lambda end: None if math.isinf(end) else end,
+    lambda raw: math.inf if raw is None else _decode_float(raw),
+)
+_STEPS = list_of(tuple_of(FLOAT, FLOAT))
+PROFILE = Codec(lambda profile: _STEPS.encode(profile.steps), lambda raw: LatencyProfile(_STEPS.decode(raw)))
+
+
+# --- record tables ------------------------------------------------------------
+
+CAMERA = record(
+    CameraModel,
+    ("fx", "fx", FLOAT),
+    ("fy", "fy", FLOAT),
+    ("cx", "cx", FLOAT),
+    ("cy", "cy", FLOAT),
+    ("rotation", "rotation", MATRIX),
+    ("translation", "translation", VECTOR),
+)
+TAG = record(
+    LatencyTag,
+    ("capture_time", "capture_time", FLOAT),
+    ("transmission_latency", "transmission_latency", FLOAT),
+)
+DETECTION = record(
+    Detection,
+    ("box", "box", BOX),
+    ("mask_rle", "mask", MASK),
+    ("label", "label", STR),
+    ("f_img", "f_img", VECTOR),
+    ("f_txt", "f_txt", VECTOR),
+)
+CANDIDATE = record(
+    RelationCandidate,
+    ("src", "src", INT),
+    ("dst", "dst", INT),
+    ("relation", "relation", STR),
+    ("zone", "zone", BOX),
+)
+NODE = record(
+    ObjectNode,
+    ("node_id", "node_id", INT),
+    ("frame_index", "frame_index", INT),
+    ("box", "box", BOX),
+    ("mask_rle", "mask", MASK),
+    ("label", "label", STR),
+    ("f_img", "f_img", VECTOR),
+    ("f_txt", "f_txt", VECTOR),
+    ("centroid", "centroid", VECTOR),
+    ("size", "size", VECTOR),
+    ("points", "points", POINTS),
+    ("obs_time", "obs_time", FLOAT),
+)
+SPATIAL_EDGE = record(
+    SpatialEdge,
+    ("src", "src", INT),
+    ("dst", "dst", INT),
+    ("relation", "relation", STR),
+    ("cost", "cost", FLOAT),
+)
+FRAME = record(
+    FrameGraph,
+    ("frame_index", "frame_index", INT),
+    ("latency_tag", "latency_tag", TAG),
+    ("image_width", "image_width", INT),
+    ("image_height", "image_height", INT),
+    ("nodes", "nodes", list_of(NODE)),
+    ("spatial_edges", "spatial_edges", list_of(SPATIAL_EDGE)),
+)
+TEMPORAL_EDGE = record(
+    TemporalEdge,
+    ("relation", "relation", STR),
+    ("track_id", "track_id", INT),
+    ("event_frame", "event_frame", INT),
+    ("src_node", "src_node", optional(INT)),
+    ("src_frame", "src_frame", optional(INT)),
+    ("dst_node", "dst_node", optional(INT)),
+    ("dst_frame", "dst_frame", optional(INT)),
+)
+TRACK = record(
+    Track,
+    ("track_id", "track_id", INT),
+    ("centroid", "centroid", VECTOR),
+    ("descriptor", "descriptor", VECTOR),
+    ("label", "label", STR),
+    ("last_seen_time", "last_seen_time", FLOAT),
+    ("status", "status", STATUS),
+    ("history", "history", list_of(INT)),
+    ("velocity", "velocity", VECTOR),
+)
+_TRACK_LIST = list_of(TRACK)
+# tracks are written as a list sorted by track id
+TRACKS = Codec(
+    lambda tracks: [TRACK.encode(t) for _, t in sorted(tracks.items())],
+    lambda raw: MappingProxyType({t.track_id: t for t in _TRACK_LIST.decode(raw)}),
+)
+GRAPH = record(
+    SceneGraph4D,
+    ("camera", "camera", optional(CAMERA)),
+    ("next_node_id", "next_node_id", INT),
+    ("next_track_id", "next_track_id", INT),
+    ("frames_dropped", "frames_dropped", INT),
+    ("frames", "frames", list_of(FRAME)),
+    ("temporal_edges", "temporal_edges", list_of(TEMPORAL_EDGE)),
+    ("tracks", "tracks", TRACKS),
+    schema=GRAPH_SCHEMA,
+)
+NOISE = record(
+    NoiseModel,
+    ("centroid_sigma", "centroid_sigma", FLOAT),
+    ("feature_sigma", "feature_sigma", FLOAT),
+    ("dropout_prob", "dropout_prob", FLOAT),
+    ("label_flip_prob", "label_flip_prob", FLOAT),
+)
+SIM_OBJECT = record(
+    SimObject,
+    ("true_id", "true_id", INT),
+    ("label", "label", STR),
+    ("size", "size", list_of(FLOAT)),
+    ("txt_archetype", "txt_archetype", VECTOR),
+    ("img_archetype", "img_archetype", VECTOR),
+    ("waypoints", "waypoints", list_of(tuple_of(FLOAT, VECTOR))),
+    ("visibility", "visibility", list_of(tuple_of(FLOAT, UNBOUNDED))),
+)
+SIM_COMMAND = record(
+    SimCommand,
+    ("text", "text", STR),
+    ("embedding", "embedding", VECTOR),
+    ("intended_id", "intended_id", INT),
+    ("issue_time", "issue_time", FLOAT),
+)
+SCENARIO = record(
+    ScenarioSpec,
+    ("family", "family", STR),
+    ("seed", "seed", INT),
+    ("duration", "duration", FLOAT),
+    ("frame_rate", "frame_rate", FLOAT),
+    ("image_width", "image_width", INT),
+    ("image_height", "image_height", INT),
+    ("feature_dim", "feature_dim", INT),
+    ("camera", "camera", CAMERA),
+    ("noise", "noise", NOISE),
+    ("uplink", "uplink", PROFILE),
+    ("downlink", "downlink", PROFILE),
+    ("near_threshold", "near_threshold", FLOAT),
+    ("objects", "objects", list_of(SIM_OBJECT)),
+    ("commands", "commands", list_of(SIM_COMMAND)),
+    schema=SCENARIO_SCHEMA,
+)
+DETECTION_TRUTH = record(
+    DetectionTruth,
+    ("true_id", "true_id", INT),
+    ("label", "label", STR),
+    ("centroid", "centroid", VECTOR),
+)
+FRAME_TRUTH = record(
+    FrameTruth,
+    ("frame_index", "frame_index", INT),
+    ("capture_time", "capture_time", FLOAT),
+    ("detections", "detections", list_of(DETECTION_TRUTH)),
+    ("relations", "relations", list_of(tuple_of(INT, INT, STR))),
+)
+COMMAND_TRUTH = record(
+    CommandTruth,
+    ("intended_id", "intended_id", INT),
+    ("issue_time", "issue_time", FLOAT),
+    ("arrival_time", "arrival_time", FLOAT),
+    ("centroid_at_issue", "centroid_at_issue", VECTOR),
+    ("centroid_at_arrival", "centroid_at_arrival", VECTOR),
+)
+TRUTH = record(
+    GroundTruthLog,
+    ("frames", "frames", list_of(FRAME_TRUTH)),
+    ("commands", "commands", list_of(COMMAND_TRUTH)),
+    schema=TRUTH_SCHEMA,
+)
+COMMAND = record(
+    Command,
+    ("text", "text", STR),
+    ("embedding", "embedding", VECTOR),
+    ("issue_time", "issue_time", FLOAT),
+    ("latency", "latency", FLOAT),
+    schema=COMMAND_SCHEMA,
+)
+
+
+@dataclasses.dataclass(frozen=True)
+class _StreamLine:
+    """One frame line of a stream file; its depth lives in a sidecar file."""
+
+    frame_index: int
+    latency_tag: LatencyTag
+    camera: CameraModel
+    detections: tuple[Detection, ...]
+    relation_candidates: tuple[RelationCandidate, ...]
+    depth_ref: str | None
+
+
+STREAM_LINE = record(
+    _StreamLine,
+    ("frame_index", "frame_index", INT),
+    ("latency_tag", "latency_tag", TAG),
+    ("camera", "camera", CAMERA),
+    ("detections", "detections", list_of(DETECTION)),
+    ("relation_candidates", "relation_candidates", list_of(CANDIDATE)),
+    ("depth_ref", "depth_ref", optional(STR)),
+)
 
 
 # --- binary depth files ----------------------------------------------------
@@ -199,64 +527,11 @@ def read_depth_file(path: str | Path) -> DepthImage:
     return DepthImage(values)
 
 
-# --- camera / box / tag helpers -------------------------------------------
-
-
-def camera_to_dict(camera: CameraModel) -> dict:
-    return {
-        "fx": camera.fx,
-        "fy": camera.fy,
-        "cx": camera.cx,
-        "cy": camera.cy,
-        "rotation": camera.rotation.tolist(),
-        "translation": camera.translation.tolist(),
-    }
-
-
-def camera_from_dict(data: Mapping, where: str = "camera") -> CameraModel:
-    try:
-        return CameraModel(
-            fx=float(_require(data, "fx", where)),
-            fy=float(_require(data, "fy", where)),
-            cx=float(_require(data, "cx", where)),
-            cy=float(_require(data, "cy", where)),
-            rotation=np.array(_require(data, "rotation", where), dtype=np.float64),
-            translation=np.array(_require(data, "translation", where), dtype=np.float64),
-        )
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"{where}: {exc}") from exc
-
-
-def _box_to_list(box: BoundingBox2D) -> list[float]:
-    return [box.x_min, box.y_min, box.x_max, box.y_max]
-
-
-def _box_from_list(values, where: str) -> BoundingBox2D:
-    vals = _floats(values, where)
-    if len(vals) != 4:
-        raise FormatError(f"{where}: box needs 4 numbers, got {len(vals)}")
-    return BoundingBox2D(*vals)
-
-
-def _tag_to_dict(tag: LatencyTag) -> dict:
-    return {"capture_time": tag.capture_time, "transmission_latency": tag.transmission_latency}
-
-
-def _tag_from_dict(data: Mapping, where: str) -> LatencyTag:
-    return LatencyTag(
-        capture_time=float(_require(data, "capture_time", where)),
-        transmission_latency=float(_require(data, "transmission_latency", where)),
-    )
-
-
 # --- detection stream (line-delimited JSON + depth sidecars) ----------------
 
 
 def _depth_dir_name(stream_path: Path) -> str:
-    stem = stream_path.name
-    if stem.endswith(".jsonl"):
-        stem = stem[: -len(".jsonl")]
-    return f"{stem}_depth"
+    return f"{stream_path.name.removesuffix('.jsonl')}_depth"
 
 
 def write_stream(inputs: Sequence[FrameInput], path: str | Path) -> None:
@@ -268,276 +543,77 @@ def write_stream(inputs: Sequence[FrameInput], path: str | Path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     depth_dir = _depth_dir_name(path)
-    feature_dim = None
-    for frame in inputs:
-        if frame.detections:
-            feature_dim = int(frame.detections[0].f_img.shape[0])
-            break
-    width = inputs[0].depth.width if inputs else 0
-    height = inputs[0].depth.height if inputs else 0
+    feature_dim = next((int(f.detections[0].f_img.shape[0]) for f in inputs if f.detections), None)
+    width, height = (inputs[0].depth.width, inputs[0].depth.height) if inputs else (0, 0)
 
-    lines = [
-        dumps(
-            {
-                "schema": STREAM_SCHEMA,
-                "feature_dim": feature_dim,
-                "image_width": width,
-                "image_height": height,
-            }
-        )
-    ]
+    header = {
+        "schema": STREAM_SCHEMA,
+        "feature_dim": feature_dim,
+        "image_width": width,
+        "image_height": height,
+    }
+    lines = [dumps(header)]
     for k, frame in enumerate(inputs, start=1):
         depth_ref = f"{depth_dir}/frame_{k:06d}.bin"
         write_depth_file(frame.depth, path.parent / depth_ref)
-        record = {
-            "frame_index": k,
-            "latency_tag": _tag_to_dict(frame.latency_tag),
-            "camera": camera_to_dict(frame.camera),
-            "detections": [
-                {
-                    "box": _box_to_list(det.box),
-                    "mask_rle": encode_mask(det.mask),
-                    "label": det.label,
-                    "f_img": det.f_img.tolist(),
-                    "f_txt": det.f_txt.tolist(),
-                }
-                for det in frame.detections
-            ],
-            "relation_candidates": [
-                {
-                    "src": cand.src,
-                    "dst": cand.dst,
-                    "relation": cand.relation,
-                    "zone": _box_to_list(cand.zone),
-                }
-                for cand in frame.relation_candidates
-            ],
-            "depth_ref": depth_ref,
-        }
-        lines.append(dumps(record))
+        line = _StreamLine(
+            k, frame.latency_tag, frame.camera, frame.detections, frame.relation_candidates, depth_ref
+        )
+        lines.append(dumps(STREAM_LINE.encode(line)))
     path.write_text("\n".join(lines) + "\n")
+
+
+def _read_frame(raw: Any, index: int, folder: Path, width: int, height: int) -> FrameInput:
+    if isinstance(raw, dict):  # a frame record may leave out its candidates and its depth
+        raw = {"relation_candidates": [], "depth_ref": None, **raw}
+    line = STREAM_LINE.decode(raw)
+    if line.frame_index != index:
+        raise _Invalid(f"frame_index {line.frame_index} out of order (expected {index})")
+    if line.depth_ref is None:
+        depth = DepthImage(np.zeros((height, width), dtype=np.float32))
+    else:
+        ref = PurePosixPath(line.depth_ref)
+        if ref.is_absolute() or ".." in ref.parts:
+            raise _Invalid(f"depth_ref {line.depth_ref!r} leaves the stream's directory")
+        depth = read_depth_file(folder / ref)
+    return FrameInput(line.latency_tag, line.camera, depth, line.detections, line.relation_candidates)
 
 
 def parse_stream(path: str | Path) -> tuple[dict, list[FrameInput]]:
     """Read a stream file back into frame inputs (header dict, frames)."""
     path = Path(path)
-    text = path.read_text()
-    lines = [line for line in text.split("\n") if line.strip()]
+    lines = [line for line in path.read_text().split("\n") if line.strip()]
     if not lines:
         raise FormatError(f"stream {path}: empty file")
     try:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise FormatError(f"stream {path}: bad header: {exc}") from exc
-    _check_schema(header, STREAM_SCHEMA, f"stream {path}")
-    width = int(_require(header, "image_width", "stream header"))
-    height = int(_require(header, "image_height", "stream header"))
+    if not isinstance(header, dict) or header.get("schema") != STREAM_SCHEMA:
+        raise FormatError(f"stream {path}: expected schema {STREAM_SCHEMA!r}")
+    width = _decode(INT, header.get("image_width"), f"stream {path} header image_width")
+    height = _decode(INT, header.get("image_height"), f"stream {path} header image_height")
 
     frames: list[FrameInput] = []
     for lineno, line in enumerate(lines[1:], start=2):
-        where = f"stream {path}:{lineno}"
         try:
-            record = json.loads(line)
+            frames.append(_read_frame(json.loads(line), lineno - 1, path.parent, width, height))
         except json.JSONDecodeError as exc:
-            raise FormatError(f"{where}: {exc}") from exc
-        index = int(_require(record, "frame_index", where))
-        if index != lineno - 1:
-            raise FormatError(f"{where}: frame_index {index} out of order (expected {lineno - 1})")
-        tag = _tag_from_dict(_require(record, "latency_tag", where), where)
-        camera = camera_from_dict(_require(record, "camera", where), where)
-        depth_ref = record.get("depth_ref")
-        if depth_ref is None:
-            depth = DepthImage(np.zeros((height, width), dtype=np.float32))
-        else:
-            depth = read_depth_file(path.parent / depth_ref)
-        detections = []
-        for d, det in enumerate(_require(record, "detections", where)):
-            dwhere = f"{where} detection {d}"
-            detections.append(
-                Detection(
-                    box=_box_from_list(_require(det, "box", dwhere), dwhere),
-                    mask=decode_mask(_require(det, "mask_rle", dwhere), dwhere),
-                    label=str(_require(det, "label", dwhere)),
-                    f_img=np.array(_floats(_require(det, "f_img", dwhere), dwhere)),
-                    f_txt=np.array(_floats(_require(det, "f_txt", dwhere), dwhere)),
-                )
-            )
-        candidates = []
-        for c, cand in enumerate(record.get("relation_candidates", [])):
-            cwhere = f"{where} candidate {c}"
-            candidates.append(
-                RelationCandidate(
-                    src=int(_require(cand, "src", cwhere)),
-                    dst=int(_require(cand, "dst", cwhere)),
-                    relation=str(_require(cand, "relation", cwhere)),
-                    zone=_box_from_list(_require(cand, "zone", cwhere), cwhere),
-                )
-            )
-        frames.append(
-            FrameInput(
-                latency_tag=tag,
-                camera=camera,
-                depth=depth,
-                detections=tuple(detections),
-                relation_candidates=tuple(candidates),
-            )
-        )
+            raise FormatError(f"stream {path}:{lineno}: {exc}") from exc
+        except _Invalid as exc:
+            raise exc.located(f"stream {path}:{lineno}") from None
     return header, frames
 
 
-# --- graph export / import --------------------------------------------------
+# --- graph, scenario, truth and command files ------------------------------
 
-
-def _node_to_dict(node: ObjectNode) -> dict:
-    return {
-        "node_id": node.node_id,
-        "frame_index": node.frame_index,
-        "box": _box_to_list(node.box),
-        "mask_rle": encode_mask(node.mask),
-        "label": node.label,
-        "f_img": node.f_img.tolist(),
-        "f_txt": node.f_txt.tolist(),
-        "centroid": node.centroid.tolist(),
-        "size": node.size.tolist(),
-        "points": node.points.tolist(),
-        "obs_time": node.obs_time,
-    }
-
-
-def _node_from_dict(data: Mapping, where: str) -> ObjectNode:
-    return ObjectNode(
-        node_id=int(_require(data, "node_id", where)),
-        frame_index=int(_require(data, "frame_index", where)),
-        box=_box_from_list(_require(data, "box", where), where),
-        mask=decode_mask(_require(data, "mask_rle", where), where),
-        label=str(_require(data, "label", where)),
-        f_img=np.array(_floats(_require(data, "f_img", where), where)),
-        f_txt=np.array(_floats(_require(data, "f_txt", where), where)),
-        centroid=np.array(_floats(_require(data, "centroid", where), where)),
-        size=np.array(_floats(_require(data, "size", where), where)),
-        points=np.array(_require(data, "points", where), dtype=np.float64).reshape(-1, 3),
-        obs_time=float(_require(data, "obs_time", where)),
-    )
-
-
-def graph_to_dict(graph: SceneGraph4D) -> dict:
-    return {
-        "schema": GRAPH_SCHEMA,
-        "camera": camera_to_dict(graph.camera) if graph.camera is not None else None,
-        "next_node_id": graph.next_node_id,
-        "next_track_id": graph.next_track_id,
-        "frames_dropped": graph.frames_dropped,
-        "frames": [
-            {
-                "frame_index": fg.frame_index,
-                "latency_tag": _tag_to_dict(fg.latency_tag),
-                "image_width": fg.image_width,
-                "image_height": fg.image_height,
-                "nodes": [_node_to_dict(n) for n in fg.nodes],
-                "spatial_edges": [
-                    {"src": e.src, "dst": e.dst, "relation": e.relation, "cost": e.cost}
-                    for e in fg.spatial_edges
-                ],
-            }
-            for fg in graph.frames
-        ],
-        "temporal_edges": [
-            {
-                "relation": e.relation,
-                "track_id": e.track_id,
-                "event_frame": e.event_frame,
-                "src_node": e.src_node,
-                "src_frame": e.src_frame,
-                "dst_node": e.dst_node,
-                "dst_frame": e.dst_frame,
-            }
-            for e in graph.temporal_edges
-        ],
-        "tracks": [
-            {
-                "track_id": t.track_id,
-                "centroid": t.centroid.tolist(),
-                "descriptor": t.descriptor.tolist(),
-                "label": t.label,
-                "last_seen_time": t.last_seen_time,
-                "status": t.status.value,
-                "history": list(t.history),
-                "velocity": t.velocity.tolist(),
-            }
-            for _, t in sorted(graph.tracks.items())
-        ],
-    }
-
-
-def graph_from_dict(data: Mapping) -> SceneGraph4D:
-    where = "graph"
-    _check_schema(data, GRAPH_SCHEMA, where)
-    camera_raw = _require(data, "camera", where)
-    camera = camera_from_dict(camera_raw) if camera_raw is not None else None
-    frames = []
-    for fdata in _require(data, "frames", where):
-        fwhere = f"graph frame {fdata.get('frame_index')}"
-        frames.append(
-            FrameGraph(
-                frame_index=int(_require(fdata, "frame_index", fwhere)),
-                latency_tag=_tag_from_dict(_require(fdata, "latency_tag", fwhere), fwhere),
-                nodes=tuple(
-                    _node_from_dict(n, f"{fwhere} node") for n in _require(fdata, "nodes", fwhere)
-                ),
-                spatial_edges=tuple(
-                    SpatialEdge(
-                        src=int(_require(e, "src", fwhere)),
-                        dst=int(_require(e, "dst", fwhere)),
-                        relation=str(_require(e, "relation", fwhere)),
-                        cost=float(_require(e, "cost", fwhere)),
-                    )
-                    for e in _require(fdata, "spatial_edges", fwhere)
-                ),
-                image_width=int(_require(fdata, "image_width", fwhere)),
-                image_height=int(_require(fdata, "image_height", fwhere)),
-            )
-        )
-    edges = []
-    for edata in _require(data, "temporal_edges", where):
-        ewhere = "graph temporal edge"
-        edges.append(
-            TemporalEdge(
-                relation=str(_require(edata, "relation", ewhere)),
-                track_id=int(_require(edata, "track_id", ewhere)),
-                event_frame=int(_require(edata, "event_frame", ewhere)),
-                src_node=None if edata.get("src_node") is None else int(edata["src_node"]),
-                src_frame=None if edata.get("src_frame") is None else int(edata["src_frame"]),
-                dst_node=None if edata.get("dst_node") is None else int(edata["dst_node"]),
-                dst_frame=None if edata.get("dst_frame") is None else int(edata["dst_frame"]),
-            )
-        )
-    tracks: dict[int, Track] = {}
-    for tdata in _require(data, "tracks", where):
-        twhere = f"graph track {tdata.get('track_id')}"
-        try:
-            status = TrackStatus(_require(tdata, "status", twhere))
-        except ValueError as exc:
-            raise FormatError(f"{twhere}: {exc}") from exc
-        track = Track(
-            track_id=int(_require(tdata, "track_id", twhere)),
-            centroid=np.array(_floats(_require(tdata, "centroid", twhere), twhere)),
-            descriptor=np.array(_floats(_require(tdata, "descriptor", twhere), twhere)),
-            label=str(_require(tdata, "label", twhere)),
-            last_seen_time=float(_require(tdata, "last_seen_time", twhere)),
-            status=status,
-            history=tuple(int(n) for n in _require(tdata, "history", twhere)),
-            velocity=np.array(_floats(_require(tdata, "velocity", twhere), twhere)),
-        )
-        tracks[track.track_id] = track
-    return SceneGraph4D(
-        frames=tuple(frames),
-        temporal_edges=tuple(edges),
-        tracks=MappingProxyType(tracks),
-        camera=camera,
-        next_node_id=int(_require(data, "next_node_id", where)),
-        next_track_id=int(_require(data, "next_track_id", where)),
-        frames_dropped=int(_require(data, "frames_dropped", where)),
-    )
+graph_to_dict = GRAPH.encode
+graph_from_dict = partial(_decode, GRAPH, where="graph")
+scenario_to_dict = SCENARIO.encode
+scenario_from_dict = partial(_decode, SCENARIO, where="scenario")
+truth_to_dict = TRUTH.encode
+truth_from_dict = partial(_decode, TRUTH, where="truth")
+command_to_dict = COMMAND.encode
 
 
 def write_graph(graph: SceneGraph4D, path: str | Path) -> None:
@@ -545,122 +621,7 @@ def write_graph(graph: SceneGraph4D, path: str | Path) -> None:
 
 
 def read_graph(path: str | Path) -> SceneGraph4D:
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"graph {path}: {exc}") from exc
-    return graph_from_dict(data)
-
-
-# --- scenario files ---------------------------------------------------------
-
-
-def _interval_to_list(interval: tuple[float, float]) -> list:
-    start, end = interval
-    return [start, None if math.isinf(end) else end]
-
-
-def scenario_to_dict(spec: ScenarioSpec) -> dict:
-    return {
-        "schema": SCENARIO_SCHEMA,
-        "family": spec.family,
-        "seed": spec.seed,
-        "duration": spec.duration,
-        "frame_rate": spec.frame_rate,
-        "image_width": spec.image_width,
-        "image_height": spec.image_height,
-        "feature_dim": spec.feature_dim,
-        "camera": camera_to_dict(spec.camera),
-        "noise": {
-            "centroid_sigma": spec.noise.centroid_sigma,
-            "feature_sigma": spec.noise.feature_sigma,
-            "dropout_prob": spec.noise.dropout_prob,
-            "label_flip_prob": spec.noise.label_flip_prob,
-        },
-        "uplink": [list(step) for step in spec.uplink.steps],
-        "downlink": [list(step) for step in spec.downlink.steps],
-        "near_threshold": spec.near_threshold,
-        "objects": [
-            {
-                "true_id": obj.true_id,
-                "label": obj.label,
-                "size": list(obj.size),
-                "txt_archetype": obj.txt_archetype.tolist(),
-                "img_archetype": obj.img_archetype.tolist(),
-                "waypoints": [[t, p.tolist()] for t, p in obj.waypoints],
-                "visibility": [_interval_to_list(iv) for iv in obj.visibility],
-            }
-            for obj in spec.objects
-        ],
-        "commands": [
-            {
-                "text": cmd.text,
-                "embedding": cmd.embedding.tolist(),
-                "intended_id": cmd.intended_id,
-                "issue_time": cmd.issue_time,
-            }
-            for cmd in spec.commands
-        ],
-    }
-
-
-def scenario_from_dict(data: Mapping) -> ScenarioSpec:
-    where = "scenario"
-    _check_schema(data, SCENARIO_SCHEMA, where)
-    objects = []
-    for odata in _require(data, "objects", where):
-        owhere = f"scenario object {odata.get('true_id')}"
-        visibility = []
-        for iv in _require(odata, "visibility", owhere):
-            if len(iv) != 2:
-                raise FormatError(f"{owhere}: visibility interval needs 2 entries")
-            end = math.inf if iv[1] is None else float(iv[1])
-            visibility.append((float(iv[0]), end))
-        objects.append(
-            SimObject(
-                true_id=int(_require(odata, "true_id", owhere)),
-                label=str(_require(odata, "label", owhere)),
-                size=tuple(_floats(_require(odata, "size", owhere), owhere)),
-                txt_archetype=np.array(_floats(_require(odata, "txt_archetype", owhere), owhere)),
-                img_archetype=np.array(_floats(_require(odata, "img_archetype", owhere), owhere)),
-                waypoints=tuple(
-                    (float(t), np.array(_floats(p, owhere)))
-                    for t, p in _require(odata, "waypoints", owhere)
-                ),
-                visibility=tuple(visibility),
-            )
-        )
-    noise_raw = _require(data, "noise", where)
-    commands = tuple(
-        SimCommand(
-            text=str(_require(c, "text", "scenario command")),
-            embedding=np.array(_floats(_require(c, "embedding", "scenario command"), "scenario command")),
-            intended_id=int(_require(c, "intended_id", "scenario command")),
-            issue_time=float(_require(c, "issue_time", "scenario command")),
-        )
-        for c in _require(data, "commands", where)
-    )
-    return ScenarioSpec(
-        family=str(_require(data, "family", where)),
-        seed=int(_require(data, "seed", where)),
-        duration=float(_require(data, "duration", where)),
-        frame_rate=float(_require(data, "frame_rate", where)),
-        image_width=int(_require(data, "image_width", where)),
-        image_height=int(_require(data, "image_height", where)),
-        feature_dim=int(_require(data, "feature_dim", where)),
-        camera=camera_from_dict(_require(data, "camera", where)),
-        objects=tuple(objects),
-        noise=NoiseModel(
-            centroid_sigma=float(_require(noise_raw, "centroid_sigma", where)),
-            feature_sigma=float(_require(noise_raw, "feature_sigma", where)),
-            dropout_prob=float(_require(noise_raw, "dropout_prob", where)),
-            label_flip_prob=float(_require(noise_raw, "label_flip_prob", where)),
-        ),
-        uplink=LatencyProfile(tuple((float(t), float(d)) for t, d in _require(data, "uplink", where))),
-        downlink=LatencyProfile(tuple((float(t), float(d)) for t, d in _require(data, "downlink", where))),
-        near_threshold=float(_require(data, "near_threshold", where)),
-        commands=commands,
-    )
+    return graph_from_dict(_load(path, "graph"))
 
 
 def write_scenario(spec: ScenarioSpec, path: str | Path) -> None:
@@ -668,76 +629,7 @@ def write_scenario(spec: ScenarioSpec, path: str | Path) -> None:
 
 
 def read_scenario(path: str | Path) -> ScenarioSpec:
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"scenario {path}: {exc}") from exc
-    return scenario_from_dict(data)
-
-
-# --- ground-truth log -------------------------------------------------------
-
-
-def truth_to_dict(truth: GroundTruthLog) -> dict:
-    return {
-        "schema": TRUTH_SCHEMA,
-        "frames": [
-            {
-                "frame_index": ft.frame_index,
-                "capture_time": ft.capture_time,
-                "detections": [
-                    {"true_id": dt.true_id, "label": dt.label, "centroid": dt.centroid.tolist()}
-                    for dt in ft.detections
-                ],
-                "relations": [list(rel) for rel in ft.relations],
-            }
-            for ft in truth.frames
-        ],
-        "commands": [
-            {
-                "intended_id": ct.intended_id,
-                "issue_time": ct.issue_time,
-                "arrival_time": ct.arrival_time,
-                "centroid_at_issue": ct.centroid_at_issue.tolist(),
-                "centroid_at_arrival": ct.centroid_at_arrival.tolist(),
-            }
-            for ct in truth.commands
-        ],
-    }
-
-
-def truth_from_dict(data: Mapping) -> GroundTruthLog:
-    where = "truth"
-    _check_schema(data, TRUTH_SCHEMA, where)
-    frames = tuple(
-        FrameTruth(
-            frame_index=int(_require(f, "frame_index", where)),
-            capture_time=float(_require(f, "capture_time", where)),
-            detections=tuple(
-                DetectionTruth(
-                    true_id=int(_require(d, "true_id", where)),
-                    label=str(_require(d, "label", where)),
-                    centroid=np.array(_floats(_require(d, "centroid", where), where)),
-                )
-                for d in _require(f, "detections", where)
-            ),
-            relations=tuple(
-                (int(a), int(b), str(rel)) for a, b, rel in _require(f, "relations", where)
-            ),
-        )
-        for f in _require(data, "frames", where)
-    )
-    commands = tuple(
-        CommandTruth(
-            intended_id=int(_require(c, "intended_id", where)),
-            issue_time=float(_require(c, "issue_time", where)),
-            arrival_time=float(_require(c, "arrival_time", where)),
-            centroid_at_issue=np.array(_floats(_require(c, "centroid_at_issue", where), where)),
-            centroid_at_arrival=np.array(_floats(_require(c, "centroid_at_arrival", where), where)),
-        )
-        for c in _require(data, "commands", where)
-    )
-    return GroundTruthLog(frames=frames, commands=commands)
+    return scenario_from_dict(_load(path, "scenario"))
 
 
 def write_truth(truth: GroundTruthLog, path: str | Path) -> None:
@@ -745,53 +637,27 @@ def write_truth(truth: GroundTruthLog, path: str | Path) -> None:
 
 
 def read_truth(path: str | Path) -> GroundTruthLog:
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"truth {path}: {exc}") from exc
-    return truth_from_dict(data)
-
-
-# --- command files ----------------------------------------------------------
-
-
-def command_to_dict(command: Command) -> dict:
-    return {
-        "schema": COMMAND_SCHEMA,
-        "text": command.text,
-        "embedding": command.embedding.tolist(),
-        "issue_time": command.issue_time,
-        "latency": command.latency,
-    }
+    return truth_from_dict(_load(path, "truth"))
 
 
 def command_from_dict(data: Mapping, where: str = "command") -> Command:
-    if "schema" in data and data["schema"] != COMMAND_SCHEMA:
-        raise FormatError(f"{where}: expected schema {COMMAND_SCHEMA!r}, got {data['schema']!r}")
-    return Command(
-        text=str(_require(data, "text", where)),
-        embedding=np.array(_floats(_require(data, "embedding", where), where)),
-        issue_time=float(_require(data, "issue_time", where)),
-        latency=float(data.get("latency", 0.0)),
-    )
+    """A command may leave out its schema and its latency (0.0)."""
+    if isinstance(data, dict):
+        data = {"schema": COMMAND_SCHEMA, "latency": 0.0, **data}
+    return _decode(COMMAND, data, where)
 
 
 def read_command(path: str | Path) -> Command:
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"command {path}: {exc}") from exc
-    return command_from_dict(data, where=f"command {path}")
+    return command_from_dict(_load(path, "command"), where=f"command {path}")
 
 
 def read_commands(path: str | Path) -> list[Command]:
     """A command file holds either one command object or {"commands": [...]}."""
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"commands {path}: {exc}") from exc
-    if isinstance(data, Mapping) and "commands" in data:
-        return [command_from_dict(c, f"commands {path}") for c in data["commands"]]
+    data = _load(path, "commands")
+    if isinstance(data, dict) and "commands" in data:
+        if type(data["commands"]) is not list:
+            raise FormatError(f"commands {path}: 'commands' must be an array")
+        return [command_from_dict(c, f"commands {path}[{i}]") for i, c in enumerate(data["commands"])]
     return [command_from_dict(data, f"command {path}")]
 
 
@@ -824,7 +690,7 @@ def subgraph_payload(sub: TaskSubgraph) -> dict:
         "command_text": sub.command.text,
         "aligned_frame_index": sub.aligned_frame_index,
         "aligned_frame_time": sub.aligned_capture_time,
-        "latency_tag": _tag_to_dict(sub.latency_tag),
+        "latency_tag": TAG.encode(sub.latency_tag),
         "nodes": nodes,
         "scene_dynamics": [
             {"time": t, "track_id": tid, "event": event} for t, tid, event in sub.dynamics
@@ -845,5 +711,6 @@ def parse_subgraph(text: str) -> dict:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"subgraph: {exc}") from exc
-    _check_schema(data, SUBGRAPH_SCHEMA, "subgraph")
+    if not isinstance(data, dict) or data.get("schema") != SUBGRAPH_SCHEMA:
+        raise FormatError(f"subgraph: expected schema {SUBGRAPH_SCHEMA!r}")
     return data

@@ -9,7 +9,7 @@ is reported as an error rather than silently skewing the metrics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -26,11 +26,12 @@ METRICS_SCHEMA = "stovsg-metrics/1"
 class GroundingRecord:
     command_text: str
     intended_id: int
-    grounded_true_id: int | None
+    grounded_true_id: int
     success: bool
     status: str
     issue_time: float
     arrival_time: float
+    pose_error: float  # metres from the execution-time pose to the truth at arrival
 
 
 @dataclass(frozen=True)
@@ -180,9 +181,7 @@ def score_grounding(
             latency_aware=latency_aware,
             as_of=ct.arrival_time,
         )
-        grounded = None
-        if result.current_node is not None:
-            grounded = mapping[result.current_node.node_id].true_id
+        grounded = mapping[result.current_node.node_id].true_id
         records.append(
             GroundingRecord(
                 command_text=command.text,
@@ -192,6 +191,7 @@ def score_grounding(
                 status=result.status,
                 issue_time=ct.issue_time,
                 arrival_time=ct.arrival_time,
+                pose_error=float(np.linalg.norm(result.centroid - ct.centroid_at_arrival)),
             )
         )
     return tuple(records)
@@ -210,12 +210,4 @@ def evaluate(
     if not commands:
         return report
     records = score_grounding(graph, truth, commands, config, latency_aware=latency_aware)
-    return MetricsReport(
-        nodes_total=report.nodes_total,
-        nodes_correct=report.nodes_correct,
-        spatial_total=report.spatial_total,
-        spatial_correct=report.spatial_correct,
-        temporal_total=report.temporal_total,
-        temporal_correct=report.temporal_correct,
-        grounding=records,
-    )
+    return replace(report, grounding=records)

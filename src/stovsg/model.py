@@ -380,8 +380,8 @@ def validate_graph(graph: SceneGraph4D) -> list[str]:
         if not fg.capture_time > prev_capture:
             out.append(f"{tag}: capture time {fg.capture_time} not after previous {prev_capture}")
         prev_capture = fg.capture_time
-        if fg.latency_tag.transmission_latency < 0:
-            out.append(f"{tag}: negative transmission latency {fg.latency_tag.transmission_latency}")
+        if not fg.latency_tag.transmission_latency >= 0:
+            out.append(f"{tag}: transmission latency {fg.latency_tag.transmission_latency} is negative or NaN")
 
         frame_ids = set()
         for node in fg.nodes:

@@ -98,6 +98,34 @@ def _view_until(graph: SceneGraph4D, frames: tuple[FrameGraph, ...]) -> SceneGra
     return graph if len(frames) == len(graph.frames) else replace(graph, frames=frames)
 
 
+def _align(
+    graph: SceneGraph4D,
+    command: Command,
+    cfg: QueryConfig,
+    as_of: float | None,
+    latency_aware: bool,
+    fallback_to_earliest: bool,
+) -> tuple[FrameGraph, FrameGraph, list[tuple[int, float]]]:
+    """The anchor frame, the newest frame up to ``as_of``, and the anchor's ranked nodes.
+
+    Latency-aware mode anchors on the frame the operator saw at issue time;
+    naive mode anchors on the newest frame.
+    """
+    frames = _frames_until(graph, as_of)
+    if not frames:
+        raise NoAlignedFrame("graph has no frames")
+    newest = frames[-1]
+    if latency_aware:
+        aligned = frame_at_operator_time(
+            _view_until(graph, frames),
+            command.issue_time,
+            fallback_to_earliest=fallback_to_earliest,
+        )
+    else:
+        aligned = newest
+    return aligned, newest, score_nodes(aligned, command, cfg)
+
+
 def _track_of_node(graph: SceneGraph4D, node_id: int) -> Track | None:
     for track in graph.tracks.values():
         if node_id in track.history:
@@ -139,18 +167,7 @@ def extract_subgraph(
     newest one.  The result is closed: every edge endpoint is included.
     Without latency awareness the anchor is simply the newest frame.
     """
-    frames = _frames_until(graph, as_of)
-    if not frames:
-        raise NoAlignedFrame("graph has no frames")
-    if latency_aware:
-        aligned = frame_at_operator_time(
-            _view_until(graph, frames),
-            command.issue_time,
-            fallback_to_earliest=fallback_to_earliest,
-        )
-    else:
-        aligned = frames[-1]
-    ranked = score_nodes(aligned, command, cfg)
+    aligned, newest, ranked = _align(graph, command, cfg, as_of, latency_aware, fallback_to_earliest)
     scores = dict(ranked)
     seeds = [nid for nid, _ in ranked[: max(cfg.top_k, 0)]]
 
@@ -173,7 +190,6 @@ def extract_subgraph(
     edges = tuple(
         e for e in aligned.spatial_edges if e.src in included and e.dst in included
     )
-    newest = frames[-1]
     history = {
         nid: _node_history(graph, nid, cfg, cutoff_frame=newest.frame_index) for nid in picked
     }
@@ -207,20 +223,7 @@ def ground_command(
     track is gone from the newest frame the result reports ``target-lost``
     with the last-known pose.  Naive mode scores the newest frame directly.
     """
-    frames = _frames_until(graph, as_of)
-    if not frames:
-        raise NoAlignedFrame("graph has no frames")
-    newest = frames[-1]
-
-    if latency_aware:
-        aligned = frame_at_operator_time(
-            _view_until(graph, frames),
-            command.issue_time,
-            fallback_to_earliest=fallback_to_earliest,
-        )
-    else:
-        aligned = newest
-    ranked = score_nodes(aligned, command, cfg)
+    aligned, newest, ranked = _align(graph, command, cfg, as_of, latency_aware, fallback_to_earliest)
     if not ranked:
         raise NotFound(f"frame {aligned.frame_index} has no nodes to ground against")
     best_id, best_score = ranked[0]

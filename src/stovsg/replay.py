@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .config import EngineConfig
 from .metrics import MetricsReport, evaluate, node_truth_map
 from .model import Command, SceneGraph4D, empty_graph
@@ -79,17 +77,6 @@ def run_trial(
     graph, truth = build_graph(spec, config)
     commands = commands_from_scenario(spec)
     report = evaluate(graph, truth, commands, config, latency_aware=latency_aware)
-
-    pose_matches = []
-    for command, ct in zip(commands, truth.commands):
-        result = ground_command(
-            graph, command, config.query, latency_aware=latency_aware, as_of=ct.arrival_time
-        )
-        ok = False
-        if result.centroid is not None:
-            ok = float(np.linalg.norm(result.centroid - ct.centroid_at_arrival)) <= config.centroid_tol
-        pose_matches.append(ok)
-
     if delay is None:
         delay = spec.uplink.delay_at(0.0)
     return TrialResult(
@@ -98,7 +85,7 @@ def run_trial(
         delay=delay,
         latency_aware=latency_aware,
         report=report,
-        pose_matches=tuple(pose_matches),
+        pose_matches=tuple(g.pose_error <= config.centroid_tol for g in report.grounding),
     )
 
 
@@ -199,7 +186,7 @@ def format_suite(suite: SuiteResult) -> str:
 
 def grounded_true_ids(
     graph: SceneGraph4D, truth: GroundTruthLog, commands: list[Command], config: EngineConfig
-) -> list[tuple[int | None, int | None]]:
+) -> list[tuple[int, int]]:
     """(latency-aware, naive) grounded true ids per command, for comparisons."""
     mapping = node_truth_map(graph, truth)
     out = []
@@ -209,9 +196,6 @@ def grounded_true_ids(
             result = ground_command(
                 graph, command, config.query, latency_aware=aware, as_of=ct.arrival_time
             )
-            if result.current_node is None:
-                pair.append(None)
-            else:
-                pair.append(mapping[result.current_node.node_id].true_id)
+            pair.append(mapping[result.current_node.node_id].true_id)
         out.append((pair[0], pair[1]))
     return out

@@ -85,8 +85,8 @@ def ingest_frame(graph: SceneGraph4D, frame_input: FrameInput, config: "EngineCo
     grounded in 3D).
     """
     tag = frame_input.latency_tag
-    if tag.transmission_latency < 0:
-        raise InputRejected(f"negative transmission latency {tag.transmission_latency}")
+    if not tag.transmission_latency >= 0:
+        raise InputRejected(f"transmission latency {tag.transmission_latency} is negative or NaN")
     last = graph.frames[-1].capture_time if graph.frames else -float("inf")
     if not tag.capture_time > last:
         raise InputRejected(

@@ -190,7 +190,7 @@ def test_config_subcommand_writes_defaults(tmp_path):
 
 def test_config_subcommand_echoes_custom_file(tmp_path):
     tuned = tmp_path / "tuned.json"
-    cfg = dataclasses.replace(EngineConfig(), max_points=99, fifo_channel=True)
+    cfg = dataclasses.replace(EngineConfig(), max_points=99, fallback_to_earliest=True)
     save_config(cfg, tuned)
     out = tmp_path / "echo.json"
     proc = run_cli("config", "--config", tuned, "--out", out)

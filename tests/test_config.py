@@ -31,7 +31,6 @@ def test_defaults_match_component_defaults():
     assert cfg.motion_model == "last"
     assert cfg.descriptor_alpha == 0.3
     assert cfg.fallback_to_earliest is False
-    assert cfg.fifo_channel is False
     assert cfg.centroid_tol == 0.05
     cfg.validate()  # defaults are always valid
 
@@ -51,7 +50,6 @@ def test_round_trip_preserves_every_field(tmp_path):
         motion_model=MOTION_CONSTANT_VELOCITY,
         descriptor_alpha=0.5,
         fallback_to_earliest=True,
-        fifo_channel=True,
         centroid_tol=0.2,
     )
     path = tmp_path / "tuned.json"

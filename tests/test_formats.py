@@ -9,12 +9,14 @@ import pytest
 from stovsg import (
     Command,
     DepthImage,
+    EngineConfig,
     FormatError,
     PixelMask,
     QueryConfig,
     SUBGRAPH_SCHEMA,
     canonical_dumps,
     command_to_dict,
+    commands_from_scenario,
     decode_mask,
     dumps,
     empty_graph,
@@ -34,6 +36,7 @@ from stovsg import (
     read_graph,
     read_scenario,
     read_truth,
+    save_config,
     scenario_to_dict,
     serialize_subgraph,
     subgraph_payload,
@@ -45,6 +48,8 @@ from stovsg import (
     write_stream,
     write_truth,
 )
+
+from stovsg.cli import main as cli_main
 
 from conftest import axis, make_detection, make_frame_input
 
@@ -76,6 +81,33 @@ def test_mask_codec_rejects_malformed_runs():
         decode_mask([[1, 2, 0]])
     with pytest.raises(FormatError):
         decode_mask([[1, 2, -3]])
+
+
+def _loop_runs(mask):
+    """The per-pixel loop that the vectorized run-length encoder replaced."""
+    p = mask.pixels[np.lexsort((mask.pixels[:, 0], mask.pixels[:, 1]))]
+    runs, start = [], 0
+    for i in range(1, len(p) + 1):
+        if i == len(p) or p[i, 1] != p[start, 1] or p[i, 0] != p[i - 1, 0] + 1:
+            runs.append([int(p[start, 1]), int(p[start, 0]), i - start])
+            start = i
+    return runs
+
+
+def _loop_pixels(runs):
+    """The per-run loop that the vectorized run-length decoder replaced."""
+    return np.concatenate([np.stack([np.arange(u0, u0 + n), np.full(n, v)], axis=1) for v, u0, n in runs])
+
+
+def test_mask_codec_matches_the_loop_reference():
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        mask = PixelMask.from_pixels(rng.integers(0, 12, size=(int(rng.integers(1, 80)), 2)))
+        assert encode_mask(mask) == _loop_runs(mask)
+        # hand-written runs may overlap; both decoders leave the dedup to PixelMask
+        runs = [[int(v), int(u), int(n)] for v, u, n in rng.integers(1, 6, size=(int(rng.integers(1, 9)), 3))]
+        expected = PixelMask.from_pixels(_loop_pixels(runs))
+        np.testing.assert_array_equal(decode_mask(runs).pixels, expected.pixels)
 
 
 def test_depth_file_round_trip(tmp_path):
@@ -332,3 +364,203 @@ def test_parse_subgraph_rejects_other_documents():
 def test_dumps_refuses_non_finite():
     with pytest.raises(ValueError):
         dumps({"x": float("nan")})
+
+
+def _stream_with_line(tmp_path, mutate):
+    """Write a stream, apply ``mutate`` to a frame record with detections, return its path."""
+    spec = make_scenario("moved_reference", {"seed": 0, "delay": 0.5})
+    inputs, _ = generate_stream(spec)
+    path = tmp_path / "run" / "stream.jsonl"
+    write_stream(inputs[:3], path)
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[1])
+    assert record["detections"] and record["relation_candidates"]
+    mutate(record)
+    lines[1] = json.dumps(record)  # json.dumps, not dumps: the record may hold NaN
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _set(*keys, value):
+    def mutate(record):
+        target = record
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        _set("detections", value=5),
+        _set("latency_tag", value=None),
+        _set("detections", 0, "label", value=[1]),
+        _set("latency_tag", "transmission_latency", value=float("nan")),
+        _set("latency_tag", "capture_time", value=float("inf")),
+        _set("latency_tag", "capture_time", value=10**400),
+        _set("depth_ref", value="../outside.bin"),
+        _set("depth_ref", value="/etc/outside.bin"),
+        _set("frame_index", value="1"),
+        _set("camera", value=[]),
+        _set("camera", "rotation", value=[[1, 0], [0, 1, 0]]),
+        _set("detections", 0, "f_img", value=["0.5"]),
+        _set("detections", 0, "box", value=[1, 2, 3]),
+        _set("detections", 0, "mask_rle", value=[[1, 2]]),
+        _set("detections", 0, "mask_rle", value={"row": 1}),
+        _set("relation_candidates", 0, "src", value=1.5),
+        lambda record: record["detections"][0].pop("f_txt"),
+        lambda record: record.update(detections=[7]),
+    ],
+    ids=[
+        "detections-number",
+        "latency-tag-null",
+        "label-list",
+        "latency-nan",
+        "capture-time-inf",
+        "capture-time-huge-int",
+        "depth-ref-parent",
+        "depth-ref-absolute",
+        "frame-index-string",
+        "camera-list",
+        "rotation-ragged",
+        "feature-strings",
+        "box-three-numbers",
+        "mask-short-run",
+        "mask-object",
+        "candidate-src-float",
+        "f-txt-missing",
+        "detection-number",
+    ],
+)
+def test_malformed_stream_records_give_format_errors(tmp_path, capsys, mutate):
+    path = _stream_with_line(tmp_path, mutate)
+    write_depth_file(DepthImage(np.ones((120, 160), dtype=np.float32)), tmp_path / "outside.bin")
+    with pytest.raises(FormatError, match=f"stream {path}:2: "):
+        parse_stream(path)
+    assert cli_main(["build", "--stream", str(path), "--out", str(tmp_path / "g.json")]) == 1
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "format-error"
+    assert not (tmp_path / "g.json").exists()
+
+
+def test_format_errors_name_the_key_path(tmp_path):
+    path = _stream_with_line(tmp_path, _set("detections", 0, "label", value=[1]))
+    with pytest.raises(FormatError, match=r"detections\[0\]\.label: expected a string, got list"):
+        parse_stream(path)
+
+
+def _key_paths(doc) -> list[str]:
+    """Every key path of a JSON document in order of first appearance; [] marks array items."""
+    seen: dict[str, None] = {}
+
+    def walk(value, prefix):
+        if isinstance(value, dict):
+            for key, item in value.items():
+                path = f"{prefix}.{key}" if prefix else key
+                seen.setdefault(path, None)
+                walk(item, path)
+        elif isinstance(value, list):
+            for item in value:
+                walk(item, prefix + "[]")
+
+    walk(doc, "")
+    return list(seen)
+
+
+# Key order of every written file, captured from the hand-written writers that
+# preceded the record tables (minus the removed engine.fifo_channel).  Round
+# trips cannot catch a reordered table, since the writer and reader share it.
+KEY_PATHS = {
+    "graph": """
+        schema camera
+        camera.fx camera.fy camera.cx camera.cy camera.rotation camera.translation
+        next_node_id next_track_id frames_dropped frames
+        frames[].frame_index frames[].latency_tag
+        frames[].latency_tag.capture_time frames[].latency_tag.transmission_latency
+        frames[].image_width frames[].image_height frames[].nodes
+        frames[].nodes[].node_id frames[].nodes[].frame_index frames[].nodes[].box
+        frames[].nodes[].mask_rle frames[].nodes[].label frames[].nodes[].f_img
+        frames[].nodes[].f_txt frames[].nodes[].centroid frames[].nodes[].size
+        frames[].nodes[].points frames[].nodes[].obs_time
+        frames[].spatial_edges
+        frames[].spatial_edges[].src frames[].spatial_edges[].dst
+        frames[].spatial_edges[].relation frames[].spatial_edges[].cost
+        temporal_edges
+        temporal_edges[].relation temporal_edges[].track_id temporal_edges[].event_frame
+        temporal_edges[].src_node temporal_edges[].src_frame temporal_edges[].dst_node
+        temporal_edges[].dst_frame
+        tracks
+        tracks[].track_id tracks[].centroid tracks[].descriptor tracks[].label
+        tracks[].last_seen_time tracks[].status tracks[].history tracks[].velocity
+    """.split(),
+    "stream": """
+        frame_index latency_tag
+        latency_tag.capture_time latency_tag.transmission_latency
+        camera
+        camera.fx camera.fy camera.cx camera.cy camera.rotation camera.translation
+        detections
+        detections[].box detections[].mask_rle detections[].label detections[].f_img
+        detections[].f_txt
+        relation_candidates
+        relation_candidates[].src relation_candidates[].dst relation_candidates[].relation
+        relation_candidates[].zone
+        depth_ref
+    """.split(),
+    "scenario": """
+        schema family seed duration frame_rate image_width image_height feature_dim camera
+        camera.fx camera.fy camera.cx camera.cy camera.rotation camera.translation
+        noise
+        noise.centroid_sigma noise.feature_sigma noise.dropout_prob noise.label_flip_prob
+        uplink downlink near_threshold objects
+        objects[].true_id objects[].label objects[].size objects[].txt_archetype
+        objects[].img_archetype objects[].waypoints objects[].visibility
+        commands
+        commands[].text commands[].embedding commands[].intended_id commands[].issue_time
+    """.split(),
+    "truth": """
+        schema frames
+        frames[].frame_index frames[].capture_time frames[].detections
+        frames[].detections[].true_id frames[].detections[].label
+        frames[].detections[].centroid
+        frames[].relations
+        commands
+        commands[].intended_id commands[].issue_time commands[].arrival_time
+        commands[].centroid_at_issue commands[].centroid_at_arrival
+    """.split(),
+    "command": """
+        schema text embedding issue_time latency
+    """.split(),
+    "config": """
+        schema spatial
+        spatial.w_iou spatial.w_area spatial.w_ctr
+        temporal
+        temporal.w_pos temporal.w_vis temporal.delta_cls temporal.d_max temporal.eta
+        temporal.grace_period
+        query
+        query.beta query.top_k query.neighbor_hops query.history_depth
+        engine
+        engine.max_points engine.max_frames engine.motion_model engine.descriptor_alpha
+        engine.fallback_to_earliest engine.centroid_tol
+    """.split(),
+}
+
+
+def test_written_files_keep_their_key_order(tmp_path):
+    spec = make_scenario("moved_reference", {"seed": 0, "delay": 0.5})
+    inputs, truth = generate_stream(spec)
+    write_scenario(spec, tmp_path / "scenario.json")
+    write_stream(inputs, tmp_path / "stream.jsonl")
+    write_truth(truth, tmp_path / "truth.json")
+    write_graph(ingest_sequence(empty_graph(), inputs, EngineConfig()), tmp_path / "graph.json")
+    command = commands_from_scenario(spec)[0]
+    (tmp_path / "command.json").write_text(dumps(command_to_dict(command)))
+    save_config(EngineConfig(), tmp_path / "config.json")
+    docs = {
+        name: json.loads((tmp_path / f"{name}.json").read_text())
+        for name in ("graph", "scenario", "truth", "command", "config")
+    }
+    docs["stream"] = json.loads((tmp_path / "stream.jsonl").read_text().splitlines()[1])
+    for name, expected in KEY_PATHS.items():
+        assert _key_paths(docs[name]) == expected, name

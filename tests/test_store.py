@@ -292,3 +292,14 @@ def test_empty_frames_are_allowed(config):
     assert len(graph.frames) == 2
     assert graph.tracks == {}
     assert validate_graph(graph) == []
+
+
+def test_nan_transmission_latency_is_rejected(config):
+    frame = make_frame_input(1.0, latency=float("nan"), detections=(make_detection(),))
+    with pytest.raises(InputRejected, match="NaN"):
+        ingest_frame(empty_graph(), frame, config)
+    graph = ingest_frame(empty_graph(), make_frame_input(1.0, detections=(make_detection(),)), config)
+    fg = graph.frames[0]
+    bad = replace(fg, latency_tag=replace(fg.latency_tag, transmission_latency=float("nan")))
+    problems = validate_graph(replace(graph, frames=(bad,)))
+    assert any("transmission latency nan" in p for p in problems)
