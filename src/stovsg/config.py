@@ -7,24 +7,42 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .errors import FormatError
+from .formats import FLOAT, INT, Codec, optional
 from .query import QueryConfig
 from .spatial import SpatialWeights
-from .temporal import MOTION_CONSTANT_VELOCITY, MOTION_LAST, TemporalWeights
+from .temporal import TemporalWeights
 
 CONFIG_SCHEMA = "stovsg-config/1"
 
 # sections written as nested objects; the remaining fields form "engine"
 _SECTIONS = {"spatial": SpatialWeights, "temporal": TemporalWeights, "query": QueryConfig}
+# the value codec of each field annotation that occurs in a section
+_ANNOTATION_CODECS = {"float": FLOAT, "int": INT, "int | None": optional(INT)}
 
 
-def _section(data: dict, name: str, keys) -> dict:
+def _codecs(cls: type) -> dict[str, Codec]:
+    """The value codec of each field of ``cls`` that is not a section."""
+    return {f.name: _ANNOTATION_CODECS[f.type] for f in fields(cls) if f.name not in _SECTIONS}
+
+
+def _section(data: dict, name: str, codecs: dict[str, Codec]) -> dict:
+    """The section's values, each checked against its field's type."""
     raw = data.get(name, {})
     if not isinstance(raw, dict):
         raise FormatError(f"config section {name!r} must be an object")
-    bad = set(raw) - set(keys)
+    bad = set(raw) - set(codecs)
     if bad:
         raise FormatError(f"unknown keys in config section {name!r}: {sorted(bad)}")
-    return raw
+    values = {}
+    for key, value in raw.items():
+        try:
+            values[key] = codecs[key].decode(value)
+        except FormatError as exc:
+            raise FormatError(f"config section {name!r}: {key}: {exc}") from None
+    return values
+
+
+_SECTION_CODECS = {name: _codecs(cls) for name, cls in _SECTIONS.items()}
 
 
 @dataclass(frozen=True)
@@ -34,16 +52,13 @@ class EngineConfig:
     spatial: SpatialWeights = field(default_factory=SpatialWeights)
     temporal: TemporalWeights = field(default_factory=TemporalWeights)
     query: QueryConfig = field(default_factory=QueryConfig)
-    max_points: int = 2048  # per-node point cap at ingestion
     max_frames: int | None = None  # optional frame retention window
-    motion_model: str = MOTION_LAST
     descriptor_alpha: float = 0.3  # appearance EMA mixing factor
-    fallback_to_earliest: bool = False  # pre-arrival queries use the first frame
     centroid_tol: float = 0.05  # metres; node-accuracy gate for scoring
 
     def to_dict(self) -> dict:
         sections = {name: asdict(getattr(self, name)) for name in _SECTIONS}
-        engine = {key: getattr(self, key) for key in _ENGINE_KEYS}
+        engine = {key: getattr(self, key) for key in _ENGINE_CODECS}
         return {"schema": CONFIG_SCHEMA, **sections, "engine": engine}
 
     @staticmethod
@@ -57,10 +72,10 @@ class EngineConfig:
         if unknown:
             raise FormatError(f"unknown config keys: {sorted(unknown)}")
         sections = {
-            name: cls(**_section(data, name, [f.name for f in fields(cls)]))
+            name: cls(**_section(data, name, _SECTION_CODECS[name]))
             for name, cls in _SECTIONS.items()
         }
-        cfg = EngineConfig(**sections, **_section(data, "engine", _ENGINE_KEYS))
+        cfg = EngineConfig(**sections, **_section(data, "engine", _ENGINE_CODECS))
         cfg.validate()
         return cfg
 
@@ -82,19 +97,15 @@ class EngineConfig:
             raise FormatError(f"query.neighbor_hops must be non-negative, got {self.query.neighbor_hops}")
         if self.query.history_depth is not None and self.query.history_depth < 0:
             raise FormatError("query.history_depth must be non-negative or null")
-        if self.motion_model not in (MOTION_LAST, MOTION_CONSTANT_VELOCITY):
-            raise FormatError(f"unknown engine.motion_model {self.motion_model!r}")
         if not 0 < self.descriptor_alpha <= 1:
             raise FormatError(f"engine.descriptor_alpha must be in (0, 1], got {self.descriptor_alpha}")
-        if self.max_points < 1:
-            raise FormatError(f"engine.max_points must be at least 1, got {self.max_points}")
         if self.max_frames is not None and self.max_frames < 1:
             raise FormatError("engine.max_frames must be at least 1 or null")
         if self.centroid_tol <= 0:
             raise FormatError(f"engine.centroid_tol must be positive, got {self.centroid_tol}")
 
 
-_ENGINE_KEYS = tuple(f.name for f in fields(EngineConfig) if f.name not in _SECTIONS)
+_ENGINE_CODECS = _codecs(EngineConfig)
 
 
 def load_config(path: str | Path | None) -> EngineConfig:
@@ -105,8 +116,6 @@ def load_config(path: str | Path | None) -> EngineConfig:
         return EngineConfig.from_dict(json.loads(Path(path).read_text()))
     except json.JSONDecodeError as exc:
         raise FormatError(f"config file {path} is not valid JSON: {exc}") from exc
-    except TypeError as exc:  # a value of the wrong type fails a validation comparison
-        raise FormatError(f"config file {path}: {exc}") from exc
 
 
 def save_config(config: EngineConfig, path: str | Path) -> None:

@@ -20,6 +20,7 @@ import json
 import math
 import struct
 from functools import partial
+from itertools import chain
 from pathlib import Path, PurePosixPath
 from types import MappingProxyType
 from typing import Any, Callable, Mapping, NamedTuple, NoReturn, Sequence
@@ -59,7 +60,7 @@ from .sim import (
 from .store import FrameInput
 
 STREAM_SCHEMA = "stovsg-stream/1"
-GRAPH_SCHEMA = "stovsg-graph/1"
+GRAPH_SCHEMA = "stovsg-graph/2"
 SCENARIO_SCHEMA = "stovsg-scenario/1"
 SUBGRAPH_SCHEMA = "stovsg-subgraph/1"
 TRUTH_SCHEMA = "stovsg-truth/1"
@@ -132,19 +133,29 @@ def _decode_float(raw: Any) -> float:
 FLOAT = Codec(None, _decode_float)
 INT = Codec(None, lambda raw: raw if type(raw) is int else _reject("an integer", raw))
 STR = Codec(None, lambda raw: raw if type(raw) is str else _reject("a string", raw))
+_NUMBERS = {float, int}
 
 
 def _array(ndim: int) -> Codec:
-    """Finite numbers nested ``ndim`` deep, read as a float64 array."""
+    """Finite numbers nested ``ndim`` (1 or 2) deep, read as a float64 array.
+
+    Every number's type is checked, since NumPy reads a JSON boolean among
+    numbers as 0 or 1.
+    """
 
     def decode(raw: Any) -> np.ndarray:
-        try:
-            arr = np.array(raw if type(raw) is list else None)
-        except ValueError:  # ragged nesting
-            arr = None
-        if arr is None or arr.dtype.kind not in "if" or arr.ndim != ndim or not np.isfinite(arr).all():
+        rows = raw if ndim == 2 else [raw]
+        arr = None
+        if type(raw) is list and rows and set(map(type, rows)) == {list} and len(set(map(len, rows))) == 1:
+            items = raw if ndim == 1 else list(chain.from_iterable(rows))
+            if _NUMBERS.issuperset(map(type, items)):
+                try:
+                    arr = np.array(items, dtype=np.float64)
+                except OverflowError:  # an integer beyond the float range
+                    pass
+        if arr is None or not np.isfinite(arr).all():
             _reject(f"an array of finite numbers nested {ndim} deep", raw)
-        return arr.astype(np.float64, copy=False)
+        return arr.reshape(len(rows), -1) if ndim == 2 else arr
 
     return Codec(np.ndarray.tolist, decode)
 
@@ -382,7 +393,6 @@ TRACK = record(
     ("last_seen_time", "last_seen_time", FLOAT),
     ("status", "status", STATUS),
     ("history", "history", list_of(INT)),
-    ("velocity", "velocity", VECTOR),
 )
 _TRACK_LIST = list_of(TRACK)
 # tracks are written as a list sorted by track id

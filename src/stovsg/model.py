@@ -253,12 +253,10 @@ class Track:
     last_seen_time: float  # operator-visible time of the newest observation
     status: TrackStatus
     history: tuple[int, ...]  # node ids, oldest first
-    velocity: np.ndarray = field(default_factory=lambda: freeze_array(np.zeros(3)))
 
     def __post_init__(self):
         object.__setattr__(self, "centroid", freeze_array(self.centroid))
         object.__setattr__(self, "descriptor", freeze_array(self.descriptor))
-        object.__setattr__(self, "velocity", freeze_array(self.velocity))
 
 
 @dataclass(frozen=True, eq=False)

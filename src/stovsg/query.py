@@ -104,7 +104,6 @@ def _align(
     cfg: QueryConfig,
     as_of: float | None,
     latency_aware: bool,
-    fallback_to_earliest: bool,
 ) -> tuple[FrameGraph, FrameGraph, list[tuple[int, float]]]:
     """The anchor frame, the newest frame up to ``as_of``, and the anchor's ranked nodes.
 
@@ -116,11 +115,7 @@ def _align(
         raise NoAlignedFrame("graph has no frames")
     newest = frames[-1]
     if latency_aware:
-        aligned = frame_at_operator_time(
-            _view_until(graph, frames),
-            command.issue_time,
-            fallback_to_earliest=fallback_to_earliest,
-        )
+        aligned = frame_at_operator_time(_view_until(graph, frames), command.issue_time)
     else:
         aligned = newest
     return aligned, newest, score_nodes(aligned, command, cfg)
@@ -157,7 +152,6 @@ def extract_subgraph(
     cfg: QueryConfig = QueryConfig(),
     as_of: float | None = None,
     latency_aware: bool = True,
-    fallback_to_earliest: bool = False,
 ) -> TaskSubgraph:
     """Build the task subgraph for a command.
 
@@ -167,7 +161,7 @@ def extract_subgraph(
     newest one.  The result is closed: every edge endpoint is included.
     Without latency awareness the anchor is simply the newest frame.
     """
-    aligned, newest, ranked = _align(graph, command, cfg, as_of, latency_aware, fallback_to_earliest)
+    aligned, newest, ranked = _align(graph, command, cfg, as_of, latency_aware)
     scores = dict(ranked)
     seeds = [nid for nid, _ in ranked[: max(cfg.top_k, 0)]]
 
@@ -213,7 +207,6 @@ def ground_command(
     cfg: QueryConfig = QueryConfig(),
     as_of: float | None = None,
     latency_aware: bool = True,
-    fallback_to_earliest: bool = False,
 ) -> GroundingResult:
     """Resolve a command to a target node and an execution-time pose.
 
@@ -223,7 +216,7 @@ def ground_command(
     track is gone from the newest frame the result reports ``target-lost``
     with the last-known pose.  Naive mode scores the newest frame directly.
     """
-    aligned, newest, ranked = _align(graph, command, cfg, as_of, latency_aware, fallback_to_earliest)
+    aligned, newest, ranked = _align(graph, command, cfg, as_of, latency_aware)
     if not ranked:
         raise NotFound(f"frame {aligned.frame_index} has no nodes to ground against")
     best_id, best_score = ranked[0]

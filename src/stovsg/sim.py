@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -358,29 +357,6 @@ def generate_stream(spec: ScenarioSpec) -> tuple[list[FrameInput], GroundTruthLo
         )
 
     return inputs, GroundTruthLog(frames=tuple(truth_frames), commands=tuple(command_truths))
-
-
-def latency_channel(
-    events: Iterable[tuple[float, object]], profile: LatencyProfile, fifo: bool = False
-) -> list[tuple[float, float, object]]:
-    """Timestamp message deliveries across a delayed link.
-
-    Takes (send_time, payload) pairs and returns (delivery_time, send_time,
-    payload) sorted by delivery time; simultaneous deliveries keep send
-    order.  With ``fifo`` enabled a message can never overtake an earlier
-    one, so delivery times are clamped to be non-decreasing in send order.
-    """
-    ordered = sorted(enumerate(events), key=lambda item: (item[1][0], item[0]))
-    out = []
-    floor_time = -math.inf
-    for idx, (send_time, payload) in ordered:
-        delivery = send_time + profile.delay_at(send_time)
-        if fifo:
-            delivery = max(delivery, floor_time)
-            floor_time = delivery
-        out.append((idx, delivery, send_time, payload))
-    out.sort(key=lambda item: (item[1], item[0]))
-    return [(delivery, send, payload) for _, delivery, send, payload in out]
 
 
 # --- scenario construction ------------------------------------------------

@@ -34,7 +34,6 @@ from .model import (
     Track,
     TrackStatus,
     AssociationOutcome,
-    freeze_array,
     normalize_label,
 )
 from .spatial import resolve_ambiguous
@@ -59,12 +58,15 @@ class FrameInput:
     relation_candidates: tuple[RelationCandidate, ...] = ()
 
 
-def _subsample(points: np.ndarray, cap: int) -> np.ndarray:
-    """Uniform stride subsample keeping at most ``cap`` points."""
+MAX_POINTS = 2048  # per-node point cap at ingestion
+
+
+def _subsample(points: np.ndarray) -> np.ndarray:
+    """Uniform stride subsample keeping at most ``MAX_POINTS`` points."""
     n = len(points)
-    if cap <= 0 or n <= cap:
+    if n <= MAX_POINTS:
         return points
-    idx = np.arange(cap) * n // cap
+    idx = np.arange(MAX_POINTS) * n // MAX_POINTS
     return points[idx]
 
 
@@ -128,7 +130,7 @@ def ingest_frame(graph: SceneGraph4D, frame_input: FrameInput, config: "EngineCo
         points = lift_mask(depth, det.mask, frame_input.camera)
         if len(points) == 0:
             continue  # no depth evidence anywhere under the mask
-        points = _subsample(points, config.max_points)
+        points = _subsample(points)
         centroid, size = centroid_and_size(points)
         node_id_of_det[det_index] = next_node_id
         nodes.append(
@@ -173,7 +175,7 @@ def ingest_frame(graph: SceneGraph4D, frame_input: FrameInput, config: "EngineCo
         image_width=width,
         image_height=height,
     )
-    outcome = associate(graph.tracks, nodes, config.temporal, now=obs_time, motion_model=config.motion_model)
+    outcome = associate(graph.tracks, nodes, config.temporal, now=obs_time)
     updated = apply_outcome(graph, outcome, frame, config)
     updated = replace(updated, camera=frame_input.camera, next_node_id=next_node_id)
     if config.max_frames is not None and len(updated.frames) > config.max_frames:
@@ -225,8 +227,6 @@ def apply_outcome(
         blended = (1.0 - alpha) * track.descriptor + alpha * node.f_img
         norm = float(np.linalg.norm(blended))
         descriptor = blended / norm if norm > 0 else _unit(node.f_img)
-        dt = node.obs_time - track.last_seen_time
-        velocity = (node.centroid - track.centroid) / dt if dt > 0 else track.velocity
         tracks[track_id] = Track(
             track_id=track_id,
             centroid=node.centroid,
@@ -235,7 +235,6 @@ def apply_outcome(
             last_seen_time=node.obs_time,
             status=TrackStatus.ACTIVE,
             history=track.history + (node.node_id,),
-            velocity=velocity,
         )
 
     for node_id in outcome.new_nodes:
@@ -250,7 +249,6 @@ def apply_outcome(
             last_seen_time=node.obs_time,
             status=TrackStatus.ACTIVE,
             history=(node.node_id,),
-            velocity=freeze_array(np.zeros(3)),
         )
         new_edges.append(
             TemporalEdge(
@@ -333,16 +331,13 @@ def ingest_sequence(
     return graph
 
 
-def frame_at_operator_time(
-    graph: SceneGraph4D, query_time: float, fallback_to_earliest: bool = False
-) -> FrameGraph:
+def frame_at_operator_time(graph: SceneGraph4D, query_time: float) -> FrameGraph:
     """The frame the operator was seeing at ``query_time``.
 
     That is the newest capture whose tagged arrival time (capture plus
     transmission latency) is at or before the query time; every node in the
     returned frame was therefore operator-visible by then.  When nothing
-    had arrived yet this raises, unless ``fallback_to_earliest`` opts into
-    returning the first frame.
+    had arrived yet this raises.
     """
     if not graph.frames:
         raise NoAlignedFrame("graph has no frames")
@@ -350,11 +345,9 @@ def frame_at_operator_time(
     for fg in graph.frames:
         if fg.obs_time <= query_time:
             chosen = fg
-    if chosen is not None:
-        return chosen
-    if fallback_to_earliest:
-        return graph.frames[0]
-    raise NoAlignedFrame(f"no frame was operator-visible at time {query_time}")
+    if chosen is None:
+        raise NoAlignedFrame(f"no frame was operator-visible at time {query_time}")
+    return chosen
 
 
 def track_history(graph: SceneGraph4D, track_id: int) -> list[ObjectNode]:

@@ -2,7 +2,7 @@
 
 Each new frame's nodes are matched against the live tracks (active ones,
 plus recently disappeared ones still inside the reappearance grace period)
-by a cost mixing 3D motion, appearance, and label agreement.  A globally
+by a cost mixing 3D position, appearance, and label agreement.  A globally
 optimal one-to-one assignment is solved, then gated: only pairs under the
 acceptance threshold hold; everything else either spawns a new track or
 marks a disappearance.
@@ -19,10 +19,6 @@ from .assignment import min_cost_assignment
 from .errors import InputRejected
 from .model import AssociationOutcome, ObjectNode, Track, TrackStatus, cosine
 
-MOTION_LAST = "last"
-MOTION_CONSTANT_VELOCITY = "constant_velocity"
-
-
 @dataclass(frozen=True)
 class TemporalWeights:
     """Cost weights and gating for cross-frame identity matching."""
@@ -30,7 +26,7 @@ class TemporalWeights:
     w_pos: float = 0.4
     w_vis: float = 0.4
     delta_cls: float = 0.2
-    d_max: float = 1.0  # metres; motion term saturates here
+    d_max: float = 1.0  # metres; position term saturates here
     eta: float = 0.5  # accept a pair only when its cost is strictly below
     grace_period: float = 10.0  # seconds a disappeared track stays matchable
 
@@ -44,33 +40,21 @@ class CostMatrix:
     node_ids: tuple[int, ...]
 
 
-def predicted_centroid(track: Track, now: float, motion_model: str = MOTION_LAST) -> np.ndarray:
-    """Where we expect the track now; optionally extrapolates at constant velocity."""
-    if motion_model == MOTION_LAST:
-        return track.centroid
-    if motion_model == MOTION_CONSTANT_VELOCITY:
-        dt = now - track.last_seen_time
-        return track.centroid + track.velocity * max(dt, 0.0)
-    raise InputRejected(f"unknown motion model {motion_model!r}")
-
-
 def temporal_cost(
     track: Track,
     node: ObjectNode,
     w: TemporalWeights = TemporalWeights(),
-    expected_centroid: np.ndarray | None = None,
 ) -> float:
     """Matching cost between one track and one candidate node.
 
-    Motion is the centroid gap normalized by ``d_max`` and clamped to 1, so
+    Position is the centroid gap normalized by ``d_max`` and clamped to 1, so
     a far-off candidate is penalized no worse than ``w_pos``; appearance is
     one minus the cosine between the track descriptor and the node's image
     feature; a flat ``delta_cls`` is added when labels disagree.
     """
     if w.d_max <= 0:
         raise InputRejected(f"d_max must be positive, got {w.d_max}")
-    ref = track.centroid if expected_centroid is None else np.asarray(expected_centroid, dtype=np.float64)
-    gap = float(np.linalg.norm(ref - node.centroid))
+    gap = float(np.linalg.norm(track.centroid - node.centroid))
     pos = w.w_pos * min(gap / w.d_max, 1.0)
     vis = w.w_vis * (1.0 - cosine(track.descriptor, node.f_img))
     cls = w.delta_cls if track.label != node.label else 0.0
@@ -94,7 +78,6 @@ def build_cost_matrix(
     nodes: Sequence[ObjectNode],
     w: TemporalWeights,
     now: float,
-    motion_model: str = MOTION_LAST,
 ) -> CostMatrix:
     """Pairwise costs between matchable tracks (rows) and frame nodes (cols).
 
@@ -107,9 +90,8 @@ def build_cost_matrix(
         rows = sorted(tracks, key=lambda t: t.track_id)
     values = np.zeros((len(rows), len(nodes)), dtype=np.float64)
     for i, track in enumerate(rows):
-        ref = predicted_centroid(track, now, motion_model)
         for j, node in enumerate(nodes):
-            values[i, j] = temporal_cost(track, node, w, expected_centroid=ref)
+            values[i, j] = temporal_cost(track, node, w)
     return CostMatrix(
         values=values,
         track_ids=tuple(t.track_id for t in rows),
@@ -133,7 +115,6 @@ def associate(
     nodes: Sequence[ObjectNode],
     w: TemporalWeights,
     now: float,
-    motion_model: str = MOTION_LAST,
 ) -> AssociationOutcome:
     """Match a frame's nodes against live tracks and gate by threshold.
 
@@ -141,7 +122,7 @@ def associate(
     ``disappeared``, and every node in exactly one of ``accepted`` or
     ``new_nodes``; assignment pairs at or above ``eta`` are rejected.
     """
-    matrix = build_cost_matrix(tracks, nodes, w, now, motion_model)
+    matrix = build_cost_matrix(tracks, nodes, w, now)
     pairs = solve_assignment(matrix)
 
     accepted: list[tuple[int, int, float]] = []

@@ -168,9 +168,7 @@ def test_criterion_04_association_partitions_nodes_and_tracks():
             graph = ingest_frame(graph, frame_input, config)
             frame = graph.frames[-1]
             now = frame.latency_tag.observed_time
-            outcome = associate(
-                before, frame.nodes, config.temporal, now=now, motion_model=config.motion_model
-            )
+            outcome = associate(before, frame.nodes, config.temporal, now=now)
             eligible = {t.track_id for t in eligible_tracks(before, config.temporal, now)}
             matched_t = [tid for tid, _, _ in outcome.accepted]
             matched_n = [nid for _, nid, _ in outcome.accepted]

@@ -190,7 +190,7 @@ def test_config_subcommand_writes_defaults(tmp_path):
 
 def test_config_subcommand_echoes_custom_file(tmp_path):
     tuned = tmp_path / "tuned.json"
-    cfg = dataclasses.replace(EngineConfig(), max_points=99, fallback_to_earliest=True)
+    cfg = dataclasses.replace(EngineConfig(), max_frames=99, descriptor_alpha=0.5)
     save_config(cfg, tuned)
     out = tmp_path / "echo.json"
     proc = run_cli("config", "--config", tuned, "--out", out)
@@ -220,6 +220,23 @@ def test_bad_config_file_reports_format_error(tmp_path):
     proc = run_cli("config", "--config", bad, "--out", tmp_path / "out.json")
     assert proc.returncode == 1
     assert json.loads(proc.stderr)["error"] == "format-error"
+
+
+def test_mistyped_config_value_reports_format_error(tmp_path):
+    sim_dir = simulate(tmp_path)
+    graph_path = tmp_path / "graph.json"
+    assert run_cli("build", "--stream", sim_dir / "stream.jsonl", "--out", graph_path).returncode == 0
+    command_path = tmp_path / "command.json"
+    write_command_file(sim_dir / "scenario.json", command_path)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"schema": "stovsg-config/1", "query": {"top_k": 2.5}}))
+    proc = run_cli(
+        "export", "--graph", graph_path, "--command", command_path, "--config", config_path
+    )
+    assert proc.returncode == 1
+    error = json.loads(proc.stderr)
+    assert error["error"] == "format-error"
+    assert "top_k" in error["message"]
 
 
 def test_unknown_simulate_family_is_an_argparse_error(tmp_path):

@@ -1,5 +1,6 @@
 """Engine configuration: defaults, JSON round trips, and validation."""
 
+import ast
 import dataclasses
 import json
 from pathlib import Path
@@ -10,7 +11,6 @@ from stovsg import (
     CONFIG_SCHEMA,
     EngineConfig,
     FormatError,
-    MOTION_CONSTANT_VELOCITY,
     QueryConfig,
     SpatialWeights,
     TemporalWeights,
@@ -26,11 +26,8 @@ def test_defaults_match_component_defaults():
     assert cfg.spatial == SpatialWeights()
     assert cfg.temporal == TemporalWeights()
     assert cfg.query == QueryConfig()
-    assert cfg.max_points == 2048
     assert cfg.max_frames is None
-    assert cfg.motion_model == "last"
     assert cfg.descriptor_alpha == 0.3
-    assert cfg.fallback_to_earliest is False
     assert cfg.centroid_tol == 0.05
     cfg.validate()  # defaults are always valid
 
@@ -45,11 +42,8 @@ def test_round_trip_preserves_every_field(tmp_path):
         spatial=SpatialWeights(w_iou=2.0, w_area=0.25, w_ctr=1.5),
         temporal=TemporalWeights(w_pos=0.3, w_vis=0.5, delta_cls=0.1, d_max=2.0, eta=0.7, grace_period=4.0),
         query=QueryConfig(beta=0.9, top_k=3, neighbor_hops=2, history_depth=6),
-        max_points=64,
         max_frames=12,
-        motion_model=MOTION_CONSTANT_VELOCITY,
         descriptor_alpha=0.5,
-        fallback_to_earliest=True,
         centroid_tol=0.2,
     )
     path = tmp_path / "tuned.json"
@@ -81,6 +75,9 @@ def test_from_dict_rejects_unknown_top_level_key():
         ("temporal", "w_velocity"),
         ("query", "beam_width"),
         ("engine", "threads"),
+        ("engine", "motion_model"),
+        ("engine", "fallback_to_earliest"),
+        ("engine", "max_points"),
     ],
 )
 def test_from_dict_rejects_unknown_section_key(section, key):
@@ -108,12 +105,15 @@ def test_from_dict_rejects_wrong_schema_and_shape():
         ({"query": {"top_k": 0}}, "top_k must be at least 1"),
         ({"query": {"neighbor_hops": -1}}, "neighbor_hops must be non-negative"),
         ({"query": {"history_depth": -3}}, "history_depth"),
-        ({"engine": {"motion_model": "kalman"}}, "motion_model"),
+        # removed options are refused, even at their former defaults
+        ({"engine": {"motion_model": "last"}}, "motion_model"),
         ({"engine": {"descriptor_alpha": 0.0}}, "descriptor_alpha"),
         ({"engine": {"descriptor_alpha": 1.5}}, "descriptor_alpha"),
-        ({"engine": {"max_points": 0}}, "max_points"),
+        ({"engine": {"max_points": 2048}}, "max_points"),
         ({"engine": {"max_frames": 0}}, "max_frames"),
         ({"engine": {"centroid_tol": 0.0}}, "centroid_tol"),
+        ({"query": {"top_k": 2.5}}, "top_k: expected an integer, got float"),
+        ({"engine": {"max_frames": True}}, "max_frames: expected an integer, got bool"),
     ],
 )
 def test_from_dict_rejects_invalid_values(overrides, message):
@@ -123,8 +123,8 @@ def test_from_dict_rejects_invalid_values(overrides, message):
 
 
 def test_validate_catches_directly_constructed_invalid_config():
-    cfg = dataclasses.replace(EngineConfig(), motion_model="drift")
-    with pytest.raises(FormatError, match="motion_model"):
+    cfg = dataclasses.replace(EngineConfig(), descriptor_alpha=2.0)
+    with pytest.raises(FormatError, match="descriptor_alpha"):
         cfg.validate()
 
 
@@ -140,3 +140,20 @@ def test_load_config_rejects_non_numeric_weight(tmp_path):
     path.write_text(json.dumps({"schema": CONFIG_SCHEMA, "temporal": {"w_pos": "heavy"}}))
     with pytest.raises(FormatError):
         load_config(path)
+
+
+def test_every_config_field_is_read_outside_the_config_module():
+    """A field that no engine code reads is a knob that does nothing when set."""
+    read = {
+        node.attr
+        for path in (REPO_ROOT / "src" / "stovsg").glob("*.py")
+        if path.name != "config.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    declared = {
+        f.name
+        for cls in (EngineConfig, SpatialWeights, TemporalWeights, QueryConfig)
+        for f in dataclasses.fields(cls)
+    }
+    assert sorted(declared - read) == []

@@ -218,6 +218,17 @@ def test_graph_from_dict_matches_file_reader(tmp_path, config):
     assert graph_to_dict(from_text) == graph_to_dict(read_graph(path))
 
 
+def test_previous_graph_schema_is_refused(tmp_path, config):
+    data = graph_to_dict(occluded_graph(config))
+    data["schema"] = "stovsg-graph/1"
+    for track in data["tracks"]:
+        track["velocity"] = [0.0, 0.0, 0.0]
+    path = tmp_path / "graph.json"
+    path.write_text(dumps(data))
+    with pytest.raises(FormatError, match="stovsg-graph/2"):
+        read_graph(path)
+
+
 def test_scenario_round_trips(tmp_path):
     for family in ("occlusion_after_command", "target_moved", "same_class_distractor", "moved_reference"):
         spec = make_scenario(family, {"seed": 3, "delay": 2.0})
@@ -406,6 +417,7 @@ def _set(*keys, value):
         _set("camera", value=[]),
         _set("camera", "rotation", value=[[1, 0], [0, 1, 0]]),
         _set("detections", 0, "f_img", value=["0.5"]),
+        _set("detections", 0, "f_img", 0, value=True),
         _set("detections", 0, "box", value=[1, 2, 3]),
         _set("detections", 0, "mask_rle", value=[[1, 2]]),
         _set("detections", 0, "mask_rle", value={"row": 1}),
@@ -426,6 +438,7 @@ def _set(*keys, value):
         "camera-list",
         "rotation-ragged",
         "feature-strings",
+        "feature-bool",
         "box-three-numbers",
         "mask-short-run",
         "mask-object",
@@ -470,8 +483,9 @@ def _key_paths(doc) -> list[str]:
 
 
 # Key order of every written file, captured from the hand-written writers that
-# preceded the record tables (minus the removed engine.fifo_channel).  Round
-# trips cannot catch a reordered table, since the writer and reader share it.
+# preceded the record tables, minus the removed engine options and track
+# velocity.  Round trips cannot catch a reordered table, since the writer and
+# reader share it.
 KEY_PATHS = {
     "graph": """
         schema camera
@@ -493,7 +507,7 @@ KEY_PATHS = {
         temporal_edges[].dst_frame
         tracks
         tracks[].track_id tracks[].centroid tracks[].descriptor tracks[].label
-        tracks[].last_seen_time tracks[].status tracks[].history tracks[].velocity
+        tracks[].last_seen_time tracks[].status tracks[].history
     """.split(),
     "stream": """
         frame_index latency_tag
@@ -541,8 +555,7 @@ KEY_PATHS = {
         query
         query.beta query.top_k query.neighbor_hops query.history_depth
         engine
-        engine.max_points engine.max_frames engine.motion_model engine.descriptor_alpha
-        engine.fallback_to_earliest engine.centroid_tol
+        engine.max_frames engine.descriptor_alpha engine.centroid_tol
     """.split(),
 }
 

@@ -168,8 +168,8 @@ def test_alignment_failure_and_fallback(config):
     early = mug_command(1.0)  # before any frame reached the operator
     with pytest.raises(NoAlignedFrame):
         ground_command(graph, early)
-    result = ground_command(graph, early, fallback_to_earliest=True)
-    assert result.aligned_frame_index == 1
+    with pytest.raises(NoAlignedFrame):
+        extract_subgraph(graph, early)
     with pytest.raises(NoAlignedFrame):
         ground_command(empty_graph(), early)
     empty_frames = ingest_sequence(

@@ -16,7 +16,6 @@ from stovsg import (
     NoiseModel,
     SimObject,
     generate_stream,
-    latency_channel,
     make_random_scenario,
     make_scenario,
     noise_preset,
@@ -86,17 +85,6 @@ def test_latency_profile_is_piecewise_constant():
         LatencyProfile(steps=()).delay_at(0.0)
     with pytest.raises(InputRejected):
         LatencyProfile(steps=((0.0, -1.0),)).delay_at(0.0)
-
-
-def test_latency_channel_ordering_and_fifo_clamp():
-    # the delay drops from 2 s to 0.1 s, so a later send can overtake
-    profile = LatencyProfile(steps=((0.0, 2.0), (1.0, 0.1)))
-    events = [(0.0, "a"), (1.5, "b")]
-    free = latency_channel(events, profile)
-    assert [(d, p) for d, _, p in free] == [(1.6, "b"), (2.0, "a")]
-    fifo = latency_channel(events, profile, fifo=True)
-    assert [(d, p) for d, _, p in fifo] == [(2.0, "a"), (2.0, "b")]
-    assert [s for _, s, _ in fifo] == [0.0, 1.5]  # simultaneous keeps send order
 
 
 def test_stream_is_deterministic():

@@ -13,7 +13,6 @@ from stovsg import (
     associate,
     build_cost_matrix,
     eligible_tracks,
-    predicted_centroid,
     solve_assignment,
     temporal_cost,
 )
@@ -85,21 +84,6 @@ def test_cost_matches_oracle_on_random_inputs():
         node = make_node(5, centroid=nc, f_img=nf, label=nl)
         want = temporal_cost_oracle(tc, td, tl, nc, nf, nl, W.w_pos, W.w_vis, W.delta_cls, W.d_max)
         assert math.isclose(temporal_cost(track, node, W), want, rel_tol=1e-12)
-
-
-def test_predicted_centroid_models():
-    track = make_track(1, centroid=(1.0, 0.0, 0.0), last_seen_time=2.0)
-    track = type(track)(**{**track.__dict__, "velocity": np.array([0.5, 0.0, 0.0])})
-    np.testing.assert_allclose(predicted_centroid(track, 4.0, "last"), [1.0, 0.0, 0.0])
-    np.testing.assert_allclose(
-        predicted_centroid(track, 4.0, "constant_velocity"), [2.0, 0.0, 0.0]
-    )
-    # stale queries never extrapolate backwards
-    np.testing.assert_allclose(
-        predicted_centroid(track, 1.0, "constant_velocity"), [1.0, 0.0, 0.0]
-    )
-    with pytest.raises(InputRejected):
-        predicted_centroid(track, 4.0, "kalman")
 
 
 def test_matrix_matches_independent_cost_calls():
