@@ -80,6 +80,9 @@ class EngineConfig:
         return cfg
 
     def validate(self) -> None:
+        data = self.to_dict()  # every value must read back as its field's type
+        for name, codecs in {**_SECTION_CODECS, "engine": _ENGINE_CODECS}.items():
+            _section(data, name, codecs)
         t = self.temporal
         if t.d_max <= 0:
             raise FormatError(f"temporal.d_max must be positive, got {t.d_max}")

@@ -60,7 +60,7 @@ from .sim import (
 from .store import FrameInput
 
 STREAM_SCHEMA = "stovsg-stream/1"
-GRAPH_SCHEMA = "stovsg-graph/2"
+GRAPH_SCHEMA = "stovsg-graph/3"
 SCENARIO_SCHEMA = "stovsg-scenario/1"
 SUBGRAPH_SCHEMA = "stovsg-subgraph/1"
 TRUTH_SCHEMA = "stovsg-truth/1"
@@ -348,8 +348,6 @@ NODE = record(
     ObjectNode,
     ("node_id", "node_id", INT),
     ("frame_index", "frame_index", INT),
-    ("box", "box", BOX),
-    ("mask_rle", "mask", MASK),
     ("label", "label", STR),
     ("f_img", "f_img", VECTOR),
     ("f_txt", "f_txt", VECTOR),
@@ -369,8 +367,6 @@ FRAME = record(
     FrameGraph,
     ("frame_index", "frame_index", INT),
     ("latency_tag", "latency_tag", TAG),
-    ("image_width", "image_width", INT),
-    ("image_height", "image_height", INT),
     ("nodes", "nodes", list_of(NODE)),
     ("spatial_edges", "spatial_edges", list_of(SPATIAL_EDGE)),
 )
@@ -402,7 +398,6 @@ TRACKS = Codec(
 )
 GRAPH = record(
     SceneGraph4D,
-    ("camera", "camera", optional(CAMERA)),
     ("next_node_id", "next_node_id", INT),
     ("next_track_id", "next_track_id", INT),
     ("frames_dropped", "frames_dropped", INT),

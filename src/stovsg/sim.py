@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -251,6 +251,9 @@ def generate_stream(spec: ScenarioSpec) -> tuple[list[FrameInput], GroundTruthLo
     The same spec always yields the same stream, bit for bit.  Detections
     follow the object declaration order; relations propose a ``near`` pair
     for emitted detections whose true positions are within the threshold.
+    Each pixel shows the nearest object covering it (ties: the later
+    declared), a mask keeps only its object's visible pixels, and an object
+    hidden entirely behind nearer ones is not detected.
     """
     rng = np.random.default_rng(spec.seed)
     n_frames = int(math.floor(spec.duration * spec.frame_rate + 1e-9))
@@ -263,11 +266,10 @@ def generate_stream(spec: ScenarioSpec) -> tuple[list[FrameInput], GroundTruthLo
     for k in range(1, n_frames + 1):
         t = k / spec.frame_rate
         tag = LatencyTag(capture_time=t, transmission_latency=spec.uplink.delay_at(t))
-        depth = np.zeros((height, width), dtype=np.float32)
+        z_buffer = np.full((height, width), np.inf)
+        owner = np.full((height, width), -1)  # index of the detection each pixel shows
         detections: list[Detection] = []
         det_truths: list[DetectionTruth] = []
-        det_positions: list[np.ndarray] = []
-        det_ids: list[int] = []
 
         for obj in spec.objects:
             if not obj.visible_at(t):
@@ -290,7 +292,10 @@ def generate_stream(spec: ScenarioSpec) -> tuple[list[FrameInput], GroundTruthLo
             mask = _mask_from_box(box, width, height)
             if mask is None:
                 continue
-            depth[mask.pixels[:, 1], mask.pixels[:, 0]] = z_center
+            u, v = mask.pixels[:, 0], mask.pixels[:, 1]
+            nearer = z_center <= z_buffer[v, u]
+            z_buffer[v[nearer], u[nearer]] = z_center
+            owner[v[nearer], u[nearer]] = len(detections)
 
             label = obj.label
             txt_archetype = obj.txt_archetype
@@ -303,14 +308,23 @@ def generate_stream(spec: ScenarioSpec) -> tuple[list[FrameInput], GroundTruthLo
             det_truths.append(
                 DetectionTruth(true_id=obj.true_id, label=normalize_label(obj.label), centroid=true_pos)
             )
-            det_positions.append(true_pos)
-            det_ids.append(obj.true_id)
+
+        visible = []
+        for i, (det, det_truth) in enumerate(zip(detections, det_truths)):
+            shown = owner[det.mask.pixels[:, 1], det.mask.pixels[:, 0]] == i
+            if not shown.all():
+                if not shown.any():
+                    continue  # hidden behind nearer objects
+                det = replace(det, mask=PixelMask.from_pixels(det.mask.pixels[shown]))
+            visible.append((det, det_truth))
+        detections = [det for det, _ in visible]
+        det_truths = [truth for _, truth in visible]
 
         candidates: list[RelationCandidate] = []
         relations: list[tuple[int, int, str]] = []
         for i in range(len(detections)):
             for j in range(i + 1, len(detections)):
-                if np.linalg.norm(det_positions[i] - det_positions[j]) <= spec.near_threshold:
+                if np.linalg.norm(det_truths[i].centroid - det_truths[j].centroid) <= spec.near_threshold:
                     candidates.append(
                         RelationCandidate(
                             src=i,
@@ -319,13 +333,13 @@ def generate_stream(spec: ScenarioSpec) -> tuple[list[FrameInput], GroundTruthLo
                             zone=union_box(detections[i].box, detections[j].box),
                         )
                     )
-                    relations.append((det_ids[i], det_ids[j], NEAR))
+                    relations.append((det_truths[i].true_id, det_truths[j].true_id, NEAR))
 
         inputs.append(
             FrameInput(
                 latency_tag=tag,
                 camera=spec.camera,
-                depth=DepthImage(depth),
+                depth=DepthImage(np.where(owner >= 0, z_buffer, 0.0)),
                 detections=tuple(detections),
                 relation_candidates=tuple(candidates),
             )

@@ -106,6 +106,7 @@ def ingest_frame(graph: SceneGraph4D, frame_input: FrameInput, config: "EngineCo
     obs_time = tag.observed_time
     nodes: list[ObjectNode] = []
     node_id_of_det: dict[int, int] = {}
+    node_boxes: dict[int, BoundingBox2D] = {}
     next_node_id = graph.next_node_id
     for det_index, det in enumerate(frame_input.detections):
         where = f"detection {det_index}"
@@ -133,12 +134,11 @@ def ingest_frame(graph: SceneGraph4D, frame_input: FrameInput, config: "EngineCo
         points = _subsample(points)
         centroid, size = centroid_and_size(points)
         node_id_of_det[det_index] = next_node_id
+        node_boxes[next_node_id] = det.box
         nodes.append(
             ObjectNode(
                 node_id=next_node_id,
                 frame_index=frame_index,
-                box=det.box,
-                mask=det.mask,
                 label=label,
                 f_img=det.f_img,
                 f_txt=det.f_txt,
@@ -164,7 +164,6 @@ def ingest_frame(graph: SceneGraph4D, frame_input: FrameInput, config: "EngineCo
                 zone=cand.zone,
             )
         )
-    node_boxes = {node.node_id: node.box for node in nodes}
     edges = resolve_ambiguous(candidates, node_boxes, config.spatial)
 
     frame = FrameGraph(
@@ -172,12 +171,10 @@ def ingest_frame(graph: SceneGraph4D, frame_input: FrameInput, config: "EngineCo
         latency_tag=tag,
         nodes=tuple(nodes),
         spatial_edges=tuple(edges),
-        image_width=width,
-        image_height=height,
     )
     outcome = associate(graph.tracks, nodes, config.temporal, now=obs_time)
     updated = apply_outcome(graph, outcome, frame, config)
-    updated = replace(updated, camera=frame_input.camera, next_node_id=next_node_id)
+    updated = replace(updated, next_node_id=next_node_id)
     if config.max_frames is not None and len(updated.frames) > config.max_frames:
         updated = _drop_oldest(updated, len(updated.frames) - config.max_frames)
     return updated
@@ -287,7 +284,6 @@ def apply_outcome(
         frames=graph.frames + (frame,),
         temporal_edges=graph.temporal_edges + tuple(new_edges),
         tracks=MappingProxyType(tracks),
-        camera=graph.camera,
         next_node_id=graph.next_node_id,
         next_track_id=next_track_id,
         frames_dropped=graph.frames_dropped,
@@ -315,7 +311,6 @@ def _drop_oldest(graph: SceneGraph4D, count: int) -> SceneGraph4D:
         frames=kept,
         temporal_edges=edges,
         tracks=MappingProxyType(tracks),
-        camera=graph.camera,
         next_node_id=graph.next_node_id,
         next_track_id=graph.next_track_id,
         frames_dropped=graph.frames_dropped + count,

@@ -96,8 +96,6 @@ def make_node(
     return ObjectNode(
         node_id=node_id,
         frame_index=frame_index,
-        box=BoundingBox2D(0.0, 0.0, 4.0, 4.0),
-        mask=rect_mask(0, 0, 4, 4),
         label=label,
         f_img=f_img if f_img is not None else axis(1),
         f_txt=f_txt if f_txt is not None else axis(0),

@@ -123,9 +123,14 @@ def test_from_dict_rejects_invalid_values(overrides, message):
 
 
 def test_validate_catches_directly_constructed_invalid_config():
-    cfg = dataclasses.replace(EngineConfig(), descriptor_alpha=2.0)
-    with pytest.raises(FormatError, match="descriptor_alpha"):
-        cfg.validate()
+    cases = [
+        (dataclasses.replace(EngineConfig(), descriptor_alpha=2.0), "descriptor_alpha"),
+        (EngineConfig(query=QueryConfig(top_k=2.5)), "top_k"),
+        (EngineConfig(max_frames=True), "max_frames"),
+    ]
+    for cfg, key in cases:
+        with pytest.raises(FormatError, match=key):
+            cfg.validate()
 
 
 def test_load_config_rejects_broken_file(tmp_path):

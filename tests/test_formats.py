@@ -219,13 +219,14 @@ def test_graph_from_dict_matches_file_reader(tmp_path, config):
 
 
 def test_previous_graph_schema_is_refused(tmp_path, config):
-    data = graph_to_dict(occluded_graph(config))
-    data["schema"] = "stovsg-graph/1"
-    for track in data["tracks"]:
-        track["velocity"] = [0.0, 0.0, 0.0]
+    data = {**graph_to_dict(occluded_graph(config)), "schema": "stovsg-graph/2", "camera": None}
+    for frame in data["frames"]:
+        frame.update(image_width=128, image_height=96)
+        for node in frame["nodes"]:
+            node.update(box=[0.0, 0.0, 4.0, 4.0], mask_rle=[[0, 0, 4]])
     path = tmp_path / "graph.json"
     path.write_text(dumps(data))
-    with pytest.raises(FormatError, match="stovsg-graph/2"):
+    with pytest.raises(FormatError, match="stovsg-graph/3"):
         read_graph(path)
 
 
@@ -483,19 +484,17 @@ def _key_paths(doc) -> list[str]:
 
 
 # Key order of every written file, captured from the hand-written writers that
-# preceded the record tables, minus the removed engine options and track
-# velocity.  Round trips cannot catch a reordered table, since the writer and
-# reader share it.
+# preceded the record tables, minus the removed engine options, track velocity,
+# node boxes and masks, frame image sizes and the graph camera.  Round trips
+# cannot catch a reordered table, since the writer and reader share it.
 KEY_PATHS = {
     "graph": """
-        schema camera
-        camera.fx camera.fy camera.cx camera.cy camera.rotation camera.translation
-        next_node_id next_track_id frames_dropped frames
+        schema next_node_id next_track_id frames_dropped frames
         frames[].frame_index frames[].latency_tag
         frames[].latency_tag.capture_time frames[].latency_tag.transmission_latency
-        frames[].image_width frames[].image_height frames[].nodes
-        frames[].nodes[].node_id frames[].nodes[].frame_index frames[].nodes[].box
-        frames[].nodes[].mask_rle frames[].nodes[].label frames[].nodes[].f_img
+        frames[].nodes
+        frames[].nodes[].node_id frames[].nodes[].frame_index frames[].nodes[].label
+        frames[].nodes[].f_img
         frames[].nodes[].f_txt frames[].nodes[].centroid frames[].nodes[].size
         frames[].nodes[].points frames[].nodes[].obs_time
         frames[].spatial_edges

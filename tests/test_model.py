@@ -46,6 +46,19 @@ def test_pixel_mask_dedup_keeps_first_occurrence_order():
     assert len(mask) == 3
 
 
+def test_pixel_mask_matches_the_dedup_reference_on_ordered_and_extreme_pixels():
+    rng = np.random.default_rng(11)
+    lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+    cases = [np.array([[hi, lo], [lo, hi]]), np.array([[lo, 0], [hi, 0], [lo, 1]]), np.zeros((1, 2))]
+    for _ in range(40):
+        arr = rng.integers(-3, 4, size=(int(rng.integers(1, 12)), 2))
+        ordered = np.unique(arr, axis=0)[:, ::-1]  # unique pixels, ascending in (v, u) order
+        cases += [arr, ordered, ordered[::-1]]
+    for arr in cases:
+        _, first = np.unique(arr, axis=0, return_index=True)
+        assert PixelMask.from_pixels(arr).pixels.tolist() == arr[np.sort(first)].tolist()
+
+
 def test_pixel_mask_bounds_and_shape():
     mask = PixelMask.from_pixels([[0, 0], [4, 3]])
     assert mask.in_bounds(5, 4)
@@ -144,6 +157,27 @@ def test_validate_graph_flags_non_monotone_capture(config):
     )
     problems = validate_graph(replace(graph, frames=(f0, swapped)))
     assert any("capture time" in p for p in problems)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"f_img": np.full(8, np.nan)}, "non-finite f_img"),
+        ({"f_txt": np.ones(5)}, "f_txt dimension 5 != 8"),
+        ({"label": "Red  Mug"}, "label 'Red  Mug' not normalized"),
+        ({"centroid": np.zeros(2)}, "bad centroid"),
+        ({"size": np.array([0.1, -0.1, 0.0])}, "bad size"),
+        ({"points": np.zeros((0, 3))}, "points must be non-empty (N, 3)"),
+        ({"points": np.full((2, 3), 5.0)}, "centroid outside point bounds"),
+        ({"obs_time": 0.5}, "obs_time 0.5 before capture 1.0"),
+    ],
+    ids=["feature", "dimension", "label", "centroid", "size", "points", "bounds", "obs-time"],
+)
+def test_validate_graph_flags_each_node_violation(config, change, message):
+    graph = _two_frame_graph(config)
+    f0, f1 = graph.frames
+    broken = replace(f0, nodes=(replace(f0.nodes[0], **change),))
+    assert validate_graph(replace(graph, frames=(broken, f1))) == [f"frame 1 node 1: {message}"]
 
 
 def test_validate_graph_flags_dangling_temporal_edge(config):

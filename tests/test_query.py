@@ -85,8 +85,6 @@ def test_score_matches_oracle_on_random_features(config):
         latency_tag=LatencyTag(capture_time=1.0, transmission_latency=0.5),
         nodes=nodes,
         spatial_edges=(),
-        image_width=128,
-        image_height=96,
     )
     emb = rng.normal(size=8)
     command = Command(text="x", embedding=emb, issue_time=2.0)

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from stovsg import (
+    CameraModel,
+    EngineConfig,
     FAMILIES,
     FAMILY_DISTRACTOR,
     FAMILY_MOVED_REFERENCE,
@@ -14,11 +16,14 @@ from stovsg import (
     InputRejected,
     LatencyProfile,
     NoiseModel,
+    ScenarioSpec,
     SimObject,
+    build_graph,
     generate_stream,
     make_random_scenario,
     make_scenario,
     noise_preset,
+    score_graph,
 )
 
 
@@ -210,3 +215,45 @@ def test_command_targeting_unknown_object_rejects():
     bad = type(spec)(**{**spec.__dict__, "commands": (bad_cmd,)})
     with pytest.raises(InputRejected):
         generate_stream(bad)
+
+
+def on_axis(true_id: int, label: str, size: float, z: float) -> SimObject:
+    """A cube of edge ``size`` straight ahead of the camera, ``z`` metres away."""
+    return simple_object(
+        true_id=true_id,
+        label=label,
+        size=(size, size, size),
+        txt_archetype=np.eye(8)[2 * true_id - 2],
+        img_archetype=np.eye(8)[2 * true_id - 1],
+        waypoints=((0.0, np.array([0.0, 0.0, z])),),
+    )
+
+
+def stacked_spec(*objects: SimObject) -> ScenarioSpec:
+    return ScenarioSpec(
+        family="handmade",
+        seed=0,
+        duration=1.0,
+        frame_rate=10.0,
+        image_width=160,
+        image_height=120,
+        feature_dim=8,
+        camera=CameraModel(fx=130.0, fy=130.0, cx=80.0, cy=60.0),
+        objects=objects,
+    )
+
+
+@pytest.mark.parametrize("mug_first", [True, False])
+def test_nearer_object_hides_the_one_behind_it(mug_first):
+    mug = on_axis(1, "red mug", 0.12, 1.5)
+    box = on_axis(2, "box", 0.3, 2.5)
+    config = EngineConfig()
+    graph, truth = build_graph(stacked_spec(*((mug, box) if mug_first else (box, mug))), config)
+    assert score_graph(graph, truth, centroid_tol=config.centroid_tol).node_accuracy == 1.0
+
+
+def test_object_hidden_entirely_is_not_detected():
+    inputs, truth = generate_stream(stacked_spec(on_axis(1, "box", 0.3, 1.5), on_axis(2, "red mug", 0.12, 2.5)))
+    for frame, frame_truth in zip(inputs, truth.frames):
+        assert [d.label for d in frame.detections] == ["box"]
+        assert [d.true_id for d in frame_truth.detections] == [1]
