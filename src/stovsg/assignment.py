@@ -1,14 +1,16 @@
 """Minimum-cost linear assignment with deterministic tie-breaking.
 
-The solver is the classic Hungarian algorithm with row/column potentials
-(O(n^3)).  Rectangular inputs are padded to square with a dummy cost
-strictly above every real entry, so exactly ``min(rows, cols)`` real pairs
-come back.  Because several assignments can share the optimal total, the
-result is then canonicalized: complementary slackness says every optimal
-assignment uses only *tight* edges (zero reduced cost under the final
-potentials), and among the perfect matchings of that tight-edge graph we
-return the lexicographically smallest one (lowest row index first, then
-lowest column index).
+The solver is the shortest-augmenting-path Hungarian algorithm of Jonker &
+Volgenant (1987) with row/column potentials (O(k^2 n) for k <= n).  It
+searches only the real rows of the shorter side, transposing tall inputs,
+so exactly ``min(rows, cols)`` real pairs come back.  Because several
+assignments can share the optimal total, the result is then canonicalized
+on the input padded to square with a dummy cost strictly above every real
+entry: complementary slackness says every optimal assignment uses only
+*tight* edges (zero reduced cost under the final potentials), and among
+the perfect matchings of that tight-edge graph we return the
+lexicographically smallest one (lowest row index first, then lowest column
+index).
 """
 
 from __future__ import annotations
@@ -18,57 +20,61 @@ import numpy as np
 from .errors import InputRejected
 
 
-def _hungarian_square(a: np.ndarray) -> tuple[list[int], list[float], list[float]]:
-    """Potentials-based Hungarian on a square matrix.
+def _shortest_augmenting_paths(rows: list[list[float]], m: int) -> tuple[list[int], list[float], list[float]]:
+    """Match each of ``k <= m`` rows to its own column at minimum total cost.
 
-    Returns (col_of_row, u, v) where ``u``/``v`` are dual potentials with
-    ``a[i, j] - u[i] - v[j] >= 0`` (up to float noise) for all cells and
-    equality on matched cells.
+    Jonker-Volgenant shortest augmenting paths: one Dijkstra-like search per
+    row over the ``m`` columns.  Returns (col_of_row, u, v) with dual
+    potentials such that ``rows[i][j] - u[i] - v[j] >= 0`` (up to float
+    noise) on every cell and ``== 0`` on matched cells.  A column only gets
+    a nonzero potential once it is matched, so every column left free keeps
+    ``v[j] == 0``.
     """
-    n = a.shape[0]
+    k = len(rows)
     INF = float("inf")
-    u = [0.0] * (n + 1)
-    v = [0.0] * (n + 1)
-    p = [0] * (n + 1)  # p[j] = 1-based row matched to column j; p[0] is scratch
-    way = [0] * (n + 1)
-    for i in range(1, n + 1):
-        p[0] = i
-        j0 = 0
-        minv = [INF] * (n + 1)
-        used = [False] * (n + 1)
+    u = [0.0] * k
+    v = [0.0] * (m + 1)  # v[m] belongs to the virtual start column
+    p = [-1] * (m + 1)  # p[j] = row matched to column j; p[m] is the row being added
+    way = [0] * m
+    for i in range(k):
+        p[m] = i
+        j0 = m
+        minv = [INF] * m
+        free = list(range(m))  # columns outside the search tree, ascending
+        tree = [m]
         while True:
-            used[j0] = True
             i0 = p[j0]
+            row = rows[i0]
+            ui = u[i0]
             delta = INF
-            j1 = 0
-            row = a[i0 - 1]
-            for j in range(1, n + 1):
-                if used[j]:
-                    continue
-                cur = row[j - 1] - u[i0] - v[j]
+            j1 = -1
+            for j in free:
+                cur = row[j] - ui - v[j]
                 if cur < minv[j]:
                     minv[j] = cur
                     way[j] = j0
                 if minv[j] < delta:
                     delta = minv[j]
                     j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[p[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
+            for j in tree:
+                u[p[j]] += delta
+                v[j] -= delta
+            for j in free:
+                minv[j] -= delta
             j0 = j1
-            if p[j0] == 0:
+            if p[j0] == -1:
                 break
-        while j0:
+            free.remove(j0)
+            tree.append(j0)
+        while j0 != m:
             j1 = way[j0]
             p[j0] = p[j1]
             j0 = j1
-    col_of_row = [0] * n
-    for j in range(1, n + 1):
-        col_of_row[p[j] - 1] = j - 1
-    return col_of_row, u[1:], v[1:]
+    col_of_row = [0] * k
+    for j in range(m):
+        if p[j] != -1:
+            col_of_row[p[j]] = j
+    return col_of_row, u, v[:m]
 
 
 def _lex_min_perfect_matching(adj: list[list[int]], initial: list[int]) -> list[int]:
@@ -132,17 +138,33 @@ def min_cost_assignment(cost: np.ndarray) -> list[tuple[int, int]]:
     if not np.isfinite(a).all():
         raise InputRejected("cost matrix contains non-finite entries")
 
+    # Search the real rows of the shorter side only; a padded row has
+    # nothing but pad columns free, so searching it walks every real column.
     n = max(r, c)
     pad = float(a.max()) + 1.0
+    flip = r > c
+    col_of, u_small, v_small = _shortest_augmenting_paths((a.T if flip else a).tolist(), n)
+    # Each pad row takes a column left free at potential ``pad``: that column
+    # kept v == 0, so the pad cell is tight and the duals stay feasible.
+    taken = set(col_of)
+    col_of += [j for j in range(n) if j not in taken]
+    u_small += [pad] * (n - len(u_small))
+    if flip:
+        col_of_row = [0] * n
+        for j, i in enumerate(col_of):
+            col_of_row[i] = j
+        u, v = v_small, u_small
+    else:
+        col_of_row, u, v = col_of, u_small, v_small
+
     sq = np.full((n, n), pad, dtype=np.float64)
     sq[:r, :c] = a
-
-    col_of_row, u, v = _hungarian_square(sq)
-
     # Edges with zero reduced cost carry every optimal assignment.
     tol = 1e-9 * (1.0 + float(np.abs(sq).max()))
-    reduced = sq - np.asarray(u)[:, None] - np.asarray(v)[None, :]
-    adj = [list(np.nonzero(reduced[i] <= tol)[0]) for i in range(n)]
+    tight = sq - np.array(u)[:, None] - np.array(v)[None, :] <= tol
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for i, j in zip(*(idx.tolist() for idx in np.nonzero(tight))):
+        adj[i].append(j)
     col_of_row = _lex_min_perfect_matching(adj, col_of_row)
 
     return [(i, col_of_row[i]) for i in range(r) if col_of_row[i] < c]

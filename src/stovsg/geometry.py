@@ -33,7 +33,7 @@ class DepthImage:
 
 
 def _check_camera(camera: CameraModel) -> None:
-    bad = camera.violations()
+    bad = camera.violations
     if bad:
         raise InputRejected("; ".join(bad))
 

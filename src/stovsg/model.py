@@ -133,7 +133,12 @@ class CameraModel:
             dtype=np.float64,
         )
 
-    def violations(self) -> list[str]:
+    @cached_property
+    def violations(self) -> tuple[str, ...]:
+        """Why this camera cannot be used; empty when it can.
+
+        Computed once per camera: a frame's detections all share it.
+        """
         out = []
         if not (self.fx > 0 and self.fy > 0):
             out.append(f"camera focal lengths must be positive (fx={self.fx}, fy={self.fy})")
@@ -145,7 +150,7 @@ class CameraModel:
                 out.append(f"camera rotation not orthonormal (|R^T R - I| = {err:.3e})")
         if self.translation.shape != (3,):
             out.append(f"camera translation must be length 3, got {self.translation.shape}")
-        return out
+        return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ marks a disappearance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -82,21 +82,59 @@ def build_cost_matrix(
     """Pairwise costs between matchable tracks (rows) and frame nodes (cols).
 
     Rows are ordered by ascending track id, columns follow the frame's node
-    order; a mapping input is filtered to matchable tracks first.
+    order; a mapping input is filtered to matchable tracks first.  Each
+    cell is :func:`temporal_cost` of its pair, computed for the whole block
+    at once; a block with cells raises what the first failing pair would.
     """
     if isinstance(tracks, Mapping):
         rows = eligible_tracks(tracks, w, now)
     else:
         rows = sorted(tracks, key=lambda t: t.track_id)
-    values = np.zeros((len(rows), len(nodes)), dtype=np.float64)
-    for i, track in enumerate(rows):
-        for j, node in enumerate(nodes):
-            values[i, j] = temporal_cost(track, node, w)
+    if rows and nodes:
+        values = _cost_block(rows, nodes, w)
+    else:
+        values = np.zeros((len(rows), len(nodes)), dtype=np.float64)
     return CostMatrix(
         values=values,
         track_ids=tuple(t.track_id for t in rows),
         node_ids=tuple(n.node_id for n in nodes),
     )
+
+
+def _cost_block(rows: Sequence[Track], nodes: Sequence[ObjectNode], w: TemporalWeights) -> np.ndarray:
+    """:func:`temporal_cost` over every (track, node) pair as one broadcast."""
+    dim = nodes[0].f_img.shape
+    if (
+        w.d_max <= 0
+        or any(t.descriptor.shape != dim for t in rows)
+        or any(n.f_img.shape != dim for n in nodes)
+    ):
+        _raise_first_failing_pair(rows, nodes, w)
+    k = len(rows)
+    feats = np.array([t.descriptor for t in rows] + [n.f_img for n in nodes])
+    norms = np.linalg.norm(feats, axis=1)
+    if not norms.all():
+        _raise_first_failing_pair(rows, nodes, w)
+    # clamped like ``cosine``: rounding can leave [-1, 1] by a hair
+    cos = np.minimum(np.maximum(feats[:k] @ feats[k:].T / np.outer(norms[:k], norms[k:]), -1.0), 1.0)
+    centroids = np.array([t.centroid for t in rows] + [n.centroid for n in nodes])
+    gap = np.linalg.norm(centroids[:k, None] - centroids[k:], axis=2)
+    # integer codes compare labels as Python strings do (NumPy's fixed-width
+    # strings would ignore trailing NULs)
+    codes: dict[str, int] = {}
+    labels = np.array([codes.setdefault(x.label, len(codes)) for x in (*rows, *nodes)])
+    pos = w.w_pos * np.minimum(gap / w.d_max, 1.0)
+    vis = w.w_vis * (1.0 - cos)
+    cls = w.delta_cls * (labels[:k, None] != labels[k:])
+    return pos + vis + cls
+
+
+def _raise_first_failing_pair(rows: Sequence[Track], nodes: Sequence[ObjectNode], w: TemporalWeights) -> NoReturn:
+    """Raise what :func:`temporal_cost` raises for the first failing pair in row order."""
+    for track in rows:
+        for node in nodes:
+            temporal_cost(track, node, w)
+    raise AssertionError("a failing cost block had no failing pair")
 
 
 def solve_assignment(matrix: CostMatrix) -> list[tuple[int, int]]:

@@ -53,6 +53,137 @@ def brute_force_assignment(cost) -> tuple[list[tuple[int, int]], float]:
     return pairs, float(sum(a[i, j] for i, j in pairs))
 
 
+def _hungarian_square(a: np.ndarray) -> tuple[list[int], list[float], list[float]]:
+    """Potentials-based Hungarian on a square matrix.
+
+    Returns (col_of_row, u, v) where ``u``/``v`` are dual potentials with
+    ``a[i, j] - u[i] - v[j] >= 0`` (up to float noise) for all cells and
+    equality on matched cells.
+    """
+    n = a.shape[0]
+    INF = float("inf")
+    u = [0.0] * (n + 1)
+    v = [0.0] * (n + 1)
+    p = [0] * (n + 1)  # p[j] = 1-based row matched to column j; p[0] is scratch
+    way = [0] * (n + 1)
+    for i in range(1, n + 1):
+        p[0] = i
+        j0 = 0
+        minv = [INF] * (n + 1)
+        used = [False] * (n + 1)
+        while True:
+            used[j0] = True
+            i0 = p[j0]
+            delta = INF
+            j1 = 0
+            row = a[i0 - 1]
+            for j in range(1, n + 1):
+                if used[j]:
+                    continue
+                cur = row[j - 1] - u[i0] - v[j]
+                if cur < minv[j]:
+                    minv[j] = cur
+                    way[j] = j0
+                if minv[j] < delta:
+                    delta = minv[j]
+                    j1 = j
+            for j in range(n + 1):
+                if used[j]:
+                    u[p[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+            if p[j0] == 0:
+                break
+        while j0:
+            j1 = way[j0]
+            p[j0] = p[j1]
+            j0 = j1
+    col_of_row = [0] * n
+    for j in range(1, n + 1):
+        col_of_row[p[j] - 1] = j - 1
+    return col_of_row, u[1:], v[1:]
+
+
+def _lex_min_perfect_matching(adj: list[list[int]], initial: list[int]) -> list[int]:
+    """Lexicographically smallest perfect matching of a bipartite graph.
+
+    ``adj[i]`` lists row i's columns in ascending order and ``initial`` is
+    any perfect matching.  Rows are fixed in order; for each row the
+    smallest column that still leaves the remaining rows matchable wins.
+    """
+    n = len(adj)
+    row_to_col = list(initial)
+    col_to_row = [0] * n
+    for i, j in enumerate(row_to_col):
+        col_to_row[j] = i
+    fixed_cols: set[int] = set()
+
+    def try_augment(r: int, banned: set[int]) -> bool:
+        for j in adj[r]:
+            if j in fixed_cols or j in banned:
+                continue
+            banned.add(j)
+            owner = col_to_row[j]
+            if owner == -1 or try_augment(owner, banned):
+                row_to_col[r] = j
+                col_to_row[j] = r
+                return True
+        return False
+
+    for i in range(n):
+        for j in adj[i]:
+            if j in fixed_cols:
+                continue
+            if j == row_to_col[i]:
+                break  # already the smallest feasible column
+            owner = col_to_row[j]
+            saved = (list(row_to_col), list(col_to_row))
+            col_to_row[row_to_col[i]] = -1
+            row_to_col[i] = j
+            col_to_row[j] = i
+            row_to_col[owner] = -1
+            if try_augment(owner, {j}):
+                break
+            row_to_col, col_to_row = saved  # infeasible, try next column
+        fixed_cols.add(row_to_col[i])
+    return row_to_col
+
+
+def padded_hungarian_assignment(cost) -> list[tuple[int, int]]:
+    """Square-padded Hungarian assignment: the reference for tie-breaking.
+
+    This is the engine's earlier solver.  It pads to square with a cost
+    above every entry, runs the scalar potentials Hungarian over every
+    padded row (pad rows included), then takes the lexicographically
+    smallest perfect matching of the tight-edge graph.
+    """
+    a = np.asarray(cost, dtype=np.float64)
+    if a.ndim != 2:
+        raise ValueError(f"cost matrix must be 2-D, got shape {a.shape}")
+    r, c = a.shape
+    if r == 0 or c == 0:
+        return []
+    if not np.isfinite(a).all():
+        raise ValueError("cost matrix contains non-finite entries")
+
+    n = max(r, c)
+    pad = float(a.max()) + 1.0
+    sq = np.full((n, n), pad, dtype=np.float64)
+    sq[:r, :c] = a
+
+    col_of_row, u, v = _hungarian_square(sq)
+
+    # Edges with zero reduced cost carry every optimal assignment.
+    tol = 1e-9 * (1.0 + float(np.abs(sq).max()))
+    reduced = sq - np.asarray(u)[:, None] - np.asarray(v)[None, :]
+    adj = [list(np.nonzero(reduced[i] <= tol)[0]) for i in range(n)]
+    col_of_row = _lex_min_perfect_matching(adj, col_of_row)
+
+    return [(i, col_of_row[i]) for i in range(r) if col_of_row[i] < c]
+
+
 def lift_pixel_oracle(u: float, v: float, depth: float, camera) -> np.ndarray:
     """Back-projection via an explicit inverse intrinsics matrix."""
     k = np.array(

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from stovsg import InputRejected, min_cost_assignment
 
-from oracles import brute_force_assignment
+from oracles import brute_force_assignment, padded_hungarian_assignment
 
 
 def total(cost: np.ndarray, pairs) -> float:
@@ -108,3 +108,35 @@ def test_solution_shape_and_optimality_property(rows, cols, seed):
     assert pairs == sorted(pairs)
     _, want_total = brute_force_assignment(cost)
     assert total(cost, pairs) <= want_total + 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.integers(1, 40),
+    cols=st.integers(1, 30),
+    levels=st.integers(1, 6),
+    transpose=st.booleans(),
+    seed=st.integers(0, 2**31),
+)
+def test_matches_padded_reference_on_tie_heavy_rectangles(rows, cols, levels, transpose, seed):
+    # few quarter-integer levels make most optimal totals shared by many
+    # assignments, so the pairs check the tie-break, not just the optimum
+    rng = np.random.default_rng(seed)
+    cost = rng.integers(0, levels, size=(rows, cols)) * 0.25
+    if transpose:
+        cost = cost.T
+    assert min_cost_assignment(cost) == padded_hungarian_assignment(cost)
+
+
+def test_tie_heavy_200_square_reaches_the_scipy_optimum():
+    linear_sum_assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
+    rng = np.random.default_rng(2026)
+    # row and column offsets add the same amount to every assignment, so
+    # whole families of assignments tie; quarter-integers keep sums exact
+    n = 200
+    cost = 0.25 * (rng.integers(0, 8, (n, 1)) + rng.integers(0, 8, (1, n)) + rng.integers(0, 4, (n, n)))
+    pairs = min_cost_assignment(cost)
+    rows, cols = linear_sum_assignment(cost)
+    assert [i for i, _ in pairs] == list(range(n))
+    assert sorted(j for _, j in pairs) == list(range(n))
+    assert total(cost, pairs) == float(cost[rows, cols].sum())

@@ -122,6 +122,25 @@ def test_lift_mask_rejects_out_of_bounds_mask():
         lift_mask(depth, mask, camera)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [dict(rotation=np.eye(3) * 2.0), dict(fx=0.0), dict(translation=np.zeros(2))],
+    ids=["not-orthonormal", "zero-focal", "short-translation"],
+)
+def test_lift_calls_reject_a_bad_camera_on_every_call(bad):
+    # the camera check is computed once per camera; repeated direct calls
+    # must still refuse it
+    camera = make_camera(**bad)
+    depth = DepthImage(np.ones((10, 10), dtype=np.float32))
+    mask = rect_mask(2, 2, 2, 2)
+    for _ in range(2):
+        with pytest.raises(InputRejected):
+            lift_mask(depth, mask, camera)
+        with pytest.raises(InputRejected):
+            lift_pixel(2.0, 2.0, 1.0, camera)
+    assert camera.violations is camera.violations
+
+
 def test_lift_mask_empty_result_when_no_depth():
     camera = make_camera()
     depth = DepthImage(np.zeros((10, 10), dtype=np.float32))

@@ -119,11 +119,11 @@ def test_freeze_array_is_read_only():
 
 
 def test_camera_violations():
-    assert make_camera().violations() == []
+    assert make_camera().violations == ()
     bad_rot = make_camera(rotation=np.eye(3) * 2.0)
-    assert any("orthonormal" in v for v in bad_rot.violations())
+    assert any("orthonormal" in v for v in bad_rot.violations)
     bad_focal = make_camera(fx=-1.0)
-    assert any("focal" in v for v in bad_focal.violations())
+    assert any("focal" in v for v in bad_focal.violations)
 
 
 def _two_frame_graph(config):

@@ -106,6 +106,76 @@ def test_matrix_matches_independent_cost_calls():
 def test_matrix_empty_sides():
     assert build_cost_matrix({}, [make_node(1)], W, now=0.0).values.shape == (0, 1)
     assert build_cost_matrix({1: make_track(1)}, [], W, now=0.0).values.shape == (1, 0)
+    # the cost checks run per cell, so a block without cells passes them
+    bad = TemporalWeights(d_max=0.0)
+    zero = make_track(1, descriptor=np.zeros(DIM))
+    assert build_cost_matrix({}, [], bad, now=0.0).values.shape == (0, 0)
+    assert build_cost_matrix([], [make_node(1), make_node(2)], bad, now=0.0).values.shape == (0, 2)
+    assert build_cost_matrix([zero, make_track(2)], [], bad, now=0.0).values.shape == (2, 0)
+
+
+def _random_block(rng, n_tracks, n_nodes):
+    labels = ("red mug", "apple", "yellow block")
+    tracks = [
+        make_track(
+            tid,
+            centroid=rng.uniform(-1, 1, 3),
+            descriptor=rng.normal(size=DIM),
+            label=labels[rng.integers(3)],
+        )
+        for tid in range(1, n_tracks + 1)
+    ]
+    nodes = [
+        make_node(
+            100 + j,
+            centroid=rng.uniform(-1, 1, 3),
+            f_img=rng.normal(size=DIM),
+            label=labels[rng.integers(3)],
+        )
+        for j in range(n_nodes)
+    ]
+    return tracks, nodes
+
+
+def test_matrix_cells_agree_with_cost_calls_on_random_features():
+    # dense random features and centroids, so every term takes the general
+    # path; the block's sums run in another order than the per-pair ones
+    rng = np.random.default_rng(606)
+    for n_tracks, n_nodes in ((1, 1), (3, 5), (7, 2), (12, 12)):
+        for _ in range(10):
+            tracks, nodes = _random_block(rng, n_tracks, n_nodes)
+            matrix = build_cost_matrix(tracks, nodes, W, now=0.0)
+            assert matrix.values.shape == (n_tracks, n_nodes)
+            for i, track in enumerate(tracks):
+                for j, node in enumerate(nodes):
+                    assert abs(matrix.values[i, j] - temporal_cost(track, node, W)) <= 1e-15
+
+
+@pytest.mark.parametrize("where", ["track", "node"])
+@pytest.mark.parametrize("fault", ["zero-norm", "dimension"])
+def test_one_bad_vector_in_a_block_is_rejected(where, fault):
+    rng = np.random.default_rng(77)
+    tracks, nodes = _random_block(rng, 4, 5)
+    bad = np.zeros(DIM) if fault == "zero-norm" else np.ones(DIM + 1)
+    if where == "track":
+        tracks[2] = make_track(3, descriptor=bad)
+    else:
+        nodes[3] = make_node(103, f_img=bad)
+    with pytest.raises(InputRejected) as got:
+        build_cost_matrix(tracks, nodes, W, now=0.0)
+    with pytest.raises(InputRejected) as want:  # the first failing pair in row order
+        for track in tracks:
+            for node in nodes:
+                temporal_cost(track, node, W)
+    assert str(got.value) == str(want.value)
+
+
+def test_non_positive_d_max_rejects_a_block_with_cells():
+    rng = np.random.default_rng(78)
+    tracks, nodes = _random_block(rng, 3, 3)
+    for d_max in (0.0, -1.0):
+        with pytest.raises(InputRejected, match="d_max"):
+            build_cost_matrix(tracks, nodes, TemporalWeights(d_max=d_max), now=0.0)
 
 
 def test_eligibility_honors_grace_period_boundary():
