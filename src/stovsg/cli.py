@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import formats
 from .config import load_config, save_config
-from .errors import EngineError
+from .errors import EngineError, InputRejected
 from .metrics import evaluate
 from .model import empty_graph, validate_graph
 from .query import extract_subgraph, ground_command
@@ -45,9 +45,9 @@ def cmd_simulate(args) -> int:
                 "noise": noise_preset(args.noise),
             },
         )
+    inputs, truth = generate_stream(spec)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    inputs, truth = generate_stream(spec)
     formats.write_scenario(spec, out_dir / "scenario.json")
     formats.write_stream(inputs, out_dir / "stream.jsonl")
     formats.write_truth(truth, out_dir / "truth.json")
@@ -133,7 +133,10 @@ def cmd_replay(args) -> int:
     for family in families:
         if family not in FAMILIES:
             raise EngineError(f"unknown family {family!r}; choose from {', '.join(FAMILIES)}")
-    delays = tuple(float(d) for d in args.delays.split(","))
+    try:
+        delays = tuple(float(d) for d in args.delays.split(","))
+    except ValueError:
+        raise InputRejected(f"--delays must be comma-separated numbers, got {args.delays!r}") from None
     suite = run_suite(
         families=families,
         delays=delays,

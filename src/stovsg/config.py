@@ -7,7 +7,7 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .errors import FormatError
-from .formats import FLOAT, INT, Codec, optional
+from .formats import FLOAT, INT, Codec
 from .query import QueryConfig
 from .spatial import SpatialWeights
 from .temporal import TemporalWeights
@@ -17,7 +17,7 @@ CONFIG_SCHEMA = "stovsg-config/1"
 # sections written as nested objects; the remaining fields form "engine"
 _SECTIONS = {"spatial": SpatialWeights, "temporal": TemporalWeights, "query": QueryConfig}
 # the value codec of each field annotation that occurs in a section
-_ANNOTATION_CODECS = {"float": FLOAT, "int": INT, "int | None": optional(INT)}
+_ANNOTATION_CODECS = {"float": FLOAT, "int": INT}
 
 
 def _codecs(cls: type) -> dict[str, Codec]:
@@ -52,7 +52,6 @@ class EngineConfig:
     spatial: SpatialWeights = field(default_factory=SpatialWeights)
     temporal: TemporalWeights = field(default_factory=TemporalWeights)
     query: QueryConfig = field(default_factory=QueryConfig)
-    max_frames: int | None = None  # optional frame retention window
     descriptor_alpha: float = 0.3  # appearance EMA mixing factor
     centroid_tol: float = 0.05  # metres; node-accuracy gate for scoring
 
@@ -98,12 +97,8 @@ class EngineConfig:
             raise FormatError(f"query.top_k must be at least 1, got {self.query.top_k}")
         if self.query.neighbor_hops < 0:
             raise FormatError(f"query.neighbor_hops must be non-negative, got {self.query.neighbor_hops}")
-        if self.query.history_depth is not None and self.query.history_depth < 0:
-            raise FormatError("query.history_depth must be non-negative or null")
         if not 0 < self.descriptor_alpha <= 1:
             raise FormatError(f"engine.descriptor_alpha must be in (0, 1], got {self.descriptor_alpha}")
-        if self.max_frames is not None and self.max_frames < 1:
-            raise FormatError("engine.max_frames must be at least 1 or null")
         if self.centroid_tol <= 0:
             raise FormatError(f"engine.centroid_tol must be positive, got {self.centroid_tol}")
 

@@ -111,19 +111,41 @@ def _require_valid(*boxes: BoundingBox2D) -> None:
             raise InputRejected(f"invalid box {b.as_tuple()}")
 
 
+# Unchecked formulas: callers validate the boxes first, once each.
+def _area(box: BoundingBox2D) -> float:
+    return (box.x_max - box.x_min) * (box.y_max - box.y_min)
+
+
+def _center(box: BoundingBox2D) -> tuple[float, float]:
+    return (box.x_min + box.x_max) / 2.0, (box.y_min + box.y_max) / 2.0
+
+
+def _diagonal(box: BoundingBox2D) -> float:
+    return math.hypot(box.x_max - box.x_min, box.y_max - box.y_min)
+
+
+def _iou(a: BoundingBox2D, b: BoundingBox2D) -> float:
+    iw = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
+    ih = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
+    if iw <= 0 or ih <= 0:
+        return 0.0
+    inter = iw * ih
+    return inter / (_area(a) + _area(b) - inter)
+
+
 def area(box: BoundingBox2D) -> float:
     _require_valid(box)
-    return (box.x_max - box.x_min) * (box.y_max - box.y_min)
+    return _area(box)
 
 
 def center(box: BoundingBox2D) -> np.ndarray:
     _require_valid(box)
-    return np.array([(box.x_min + box.x_max) / 2.0, (box.y_min + box.y_max) / 2.0])
+    return np.array(_center(box))
 
 
 def diagonal(box: BoundingBox2D) -> float:
     _require_valid(box)
-    return math.hypot(box.x_max - box.x_min, box.y_max - box.y_min)
+    return _diagonal(box)
 
 
 def union_box(a: BoundingBox2D, b: BoundingBox2D) -> BoundingBox2D:
@@ -140,9 +162,4 @@ def union_box(a: BoundingBox2D, b: BoundingBox2D) -> BoundingBox2D:
 def iou(a: BoundingBox2D, b: BoundingBox2D) -> float:
     """Intersection over union of two valid boxes."""
     _require_valid(a, b)
-    iw = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
-    ih = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
-    if iw <= 0 or ih <= 0:
-        return 0.0
-    inter = iw * ih
-    return inter / (area(a) + area(b) - inter)
+    return _iou(a, b)

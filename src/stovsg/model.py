@@ -422,6 +422,7 @@ def validate_graph(graph: SceneGraph4D) -> list[str]:
 
     index = graph.node_index
     frame_of = {nid: n.frame_index for nid, n in index.items()}
+    stored_frames = {fg.frame_index for fg in graph.frames}
     for edge in graph.temporal_edges:
         etag = f"temporal edge ({edge.relation}, track {edge.track_id})"
         if edge.relation not in _TEMPORAL_RELATIONS:
@@ -429,6 +430,8 @@ def validate_graph(graph: SceneGraph4D) -> list[str]:
             continue
         if edge.track_id not in graph.tracks:
             out.append(f"{etag}: unknown track")
+        if edge.event_frame not in stored_frames:
+            out.append(f"{etag}: event frame {edge.event_frame} not in graph")
         if edge.relation == SAME_INSTANCE:
             if edge.src_node is None or edge.dst_node is None:
                 out.append(f"{etag}: same-instance edge needs both endpoints")

@@ -22,10 +22,9 @@ from .model import (
     ObjectNode,
     SceneGraph4D,
     SpatialEdge,
-    Track,
     cosine,
 )
-from .store import frame_at_operator_time, lifecycle_events
+from .store import frame_at_operator_time, lifecycle_events, track_history
 
 STATUS_LIVE = "live"
 STATUS_LOST = "target-lost"
@@ -38,7 +37,6 @@ class QueryConfig:
     beta: float = 0.5  # weight of the image-feature term
     top_k: int = 5
     neighbor_hops: int = 1
-    history_depth: int | None = None  # None keeps the whole track history
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,7 +62,7 @@ class GroundingResult:
     aligned_frame_index: int
     aligned_node: ObjectNode
     score: float
-    track_id: int | None
+    track_id: int
     status: str  # "live" or "target-lost"
     current_node: ObjectNode  # newest observation of the target
     centroid: np.ndarray  # execution-time (or last-known) position
@@ -87,17 +85,6 @@ def score_nodes(frame: FrameGraph, command: Command, cfg: QueryConfig = QueryCon
     return scored
 
 
-def _frames_until(graph: SceneGraph4D, as_of: float | None) -> tuple[FrameGraph, ...]:
-    if as_of is None:
-        return graph.frames
-    return tuple(fg for fg in graph.frames if fg.capture_time <= as_of)
-
-
-def _view_until(graph: SceneGraph4D, frames: tuple[FrameGraph, ...]) -> SceneGraph4D:
-    """The graph restricted to ``frames``, so alignment respects the cutoff."""
-    return graph if len(frames) == len(graph.frames) else replace(graph, frames=frames)
-
-
 def _align(
     graph: SceneGraph4D,
     command: Command,
@@ -110,40 +97,30 @@ def _align(
     Latency-aware mode anchors on the frame the operator saw at issue time;
     naive mode anchors on the newest frame.
     """
-    frames = _frames_until(graph, as_of)
+    frames = graph.frames
+    if as_of is not None:
+        frames = tuple(fg for fg in frames if fg.capture_time <= as_of)
     if not frames:
-        raise NoAlignedFrame("graph has no frames")
+        cutoff = "" if as_of is None else f" captured by the cutoff as_of={as_of}"
+        raise NoAlignedFrame(f"graph has no frames{cutoff}")
     newest = frames[-1]
     if latency_aware:
-        aligned = frame_at_operator_time(_view_until(graph, frames), command.issue_time)
+        # alignment sees only the frames captured by the cutoff
+        view = graph if len(frames) == len(graph.frames) else replace(graph, frames=frames)
+        aligned = frame_at_operator_time(view, command.issue_time)
     else:
         aligned = newest
     return aligned, newest, score_nodes(aligned, command, cfg)
 
 
-def _track_of_node(graph: SceneGraph4D, node_id: int) -> Track | None:
-    for track in graph.tracks.values():
+def _track_until(graph: SceneGraph4D, node_id: int, newest: FrameGraph) -> tuple[int, list[ObjectNode]]:
+    """The id of the track holding ``node_id`` and its observations up to ``newest``, oldest first."""
+    for track_id, track in graph.tracks.items():
         if node_id in track.history:
-            return track
-    return None
-
-
-def _node_history(
-    graph: SceneGraph4D, node_id: int, cfg: QueryConfig, cutoff_frame: int
-) -> tuple[tuple[float, np.ndarray], ...]:
-    track = _track_of_node(graph, node_id)
-    if track is None:
-        node = graph.node(node_id)
-        entries = [(node.obs_time, node.centroid)]
-    else:
-        entries = []
-        for nid in track.history:
-            node = graph.node(nid)
-            if node.frame_index <= cutoff_frame:
-                entries.append((node.obs_time, node.centroid))
-    if cfg.history_depth is not None:
-        entries = entries[-cfg.history_depth :] if cfg.history_depth > 0 else []
-    return tuple(entries)
+            return track_id, [
+                node for node in track_history(graph, track_id) if node.frame_index <= newest.frame_index
+            ]
+    raise NotFound(f"node {node_id} is on no track")
 
 
 def extract_subgraph(
@@ -185,7 +162,8 @@ def extract_subgraph(
         e for e in aligned.spatial_edges if e.src in included and e.dst in included
     )
     history = {
-        nid: _node_history(graph, nid, cfg, cutoff_frame=newest.frame_index) for nid in picked
+        nid: tuple((node.obs_time, node.centroid) for node in _track_until(graph, nid, newest)[1])
+        for nid in picked
     }
     dynamics = lifecycle_events(graph, aligned.capture_time, newest.capture_time)
     return TaskSubgraph(
@@ -222,15 +200,8 @@ def ground_command(
     best_id, best_score = ranked[0]
     aligned_node = graph.node(best_id)
 
-    track = _track_of_node(graph, best_id)
-    if track is None:
-        # node never entered a track (shouldn't happen for ingested frames)
-        current = aligned_node
-        track_id = None
-    else:
-        visible = [nid for nid in track.history if graph.node(nid).frame_index <= newest.frame_index]
-        current = graph.node(visible[-1]) if visible else aligned_node
-        track_id = track.track_id
+    track_id, observed = _track_until(graph, best_id, newest)
+    current = observed[-1]
     # a target is live exactly when it was observed in the newest visible frame
     status = STATUS_LIVE if current.frame_index == newest.frame_index else STATUS_LOST
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .config import EngineConfig
+from .errors import InputRejected
 from .metrics import MetricsReport, evaluate, node_truth_map
 from .model import Command, SceneGraph4D, empty_graph
 from .query import ground_command
@@ -132,6 +133,10 @@ def run_suite(
     latency_aware: bool = True,
 ) -> SuiteResult:
     """Sweep family x delay, averaging the per-trial rates."""
+    if trials < 1:
+        raise InputRejected(f"trials must be at least 1, got {trials}")
+    if base_seed < 0:
+        raise InputRejected(f"seed must be non-negative, got {base_seed}")
     config = config if config is not None else EngineConfig()
     rows = []
     for fi, family in enumerate(families):

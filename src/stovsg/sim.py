@@ -255,6 +255,8 @@ def generate_stream(spec: ScenarioSpec) -> tuple[list[FrameInput], GroundTruthLo
     declared), a mask keeps only its object's visible pixels, and an object
     hidden entirely behind nearer ones is not detected.
     """
+    if spec.seed < 0:
+        raise InputRejected(f"seed must be non-negative, got {spec.seed}")
     rng = np.random.default_rng(spec.seed)
     n_frames = int(math.floor(spec.duration * spec.frame_rate + 1e-9))
     if n_frames < 1:
@@ -404,10 +406,10 @@ def _grid(params: dict, delay: float) -> tuple[float, float, float, int]:
     so a latency-aligned query always has a frame to land on.
     """
     rate = float(params.get("frame_rate", 10.0))
-    if rate <= 0:
-        raise InputRejected(f"frame_rate must be positive, got {rate}")
-    if delay <= 0:
-        raise InputRejected(f"delay must be positive, got {delay}")
+    if not 0 < rate < math.inf:
+        raise InputRejected(f"frame_rate must be positive and finite, got {rate}")
+    if not 0 < delay < math.inf:
+        raise InputRejected(f"delay must be positive and finite, got {delay}")
     k0 = int(math.ceil((1.0 + delay) * rate))
     issue = (k0 + 0.5) / rate
     return issue, issue + delay, rate, k0

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import InputRejected
-from .geometry import area, center, diagonal, iou, union_box
+from .geometry import _area, _center, _diagonal, _iou, _require_valid, union_box
 from .model import BoundingBox2D, RelationCandidate, SpatialEdge
 
 
@@ -33,14 +33,13 @@ def spatial_cost(u: BoundingBox2D, z: BoundingBox2D, w: SpatialWeights = Spatial
     Sum of three penalties: overlap mismatch ``1 - IoU``, absolute log area
     ratio, and center offset normalized by the zone diagonal.
     """
-    overlap = iou(u, z)  # also validates both boxes
-    au, az = area(u), area(z)
-    cu, cz = center(u), center(z)
+    _require_valid(u, z)
+    cu, cz = _center(u), _center(z)
     offset = math.hypot(cu[0] - cz[0], cu[1] - cz[1])
     return (
-        w.w_iou * (1.0 - overlap)
-        + w.w_area * abs(math.log(au / az))
-        + w.w_ctr * offset / diagonal(z)
+        w.w_iou * (1.0 - _iou(u, z))
+        + w.w_area * abs(math.log(_area(u) / _area(z)))
+        + w.w_ctr * offset / _diagonal(z)
     )
 
 

@@ -5,7 +5,8 @@ returns a *new* :class:`~stovsg.model.SceneGraph4D` that shares structure
 with its predecessor, so a reader holding any snapshot keeps a consistent
 view.  Ingestion is atomic — all validation and lifting happen before the
 new graph is assembled, so a rejected frame leaves the caller's graph
-untouched.
+untouched.  The graph only grows: every frame stays, so a command can be
+grounded on any frame the operator saw however old.
 """
 
 from __future__ import annotations
@@ -174,10 +175,7 @@ def ingest_frame(graph: SceneGraph4D, frame_input: FrameInput, config: "EngineCo
     )
     outcome = associate(graph.tracks, nodes, config.temporal, now=obs_time)
     updated = apply_outcome(graph, outcome, frame, config)
-    updated = replace(updated, next_node_id=next_node_id)
-    if config.max_frames is not None and len(updated.frames) > config.max_frames:
-        updated = _drop_oldest(updated, len(updated.frames) - config.max_frames)
-    return updated
+    return replace(updated, next_node_id=next_node_id)
 
 
 def apply_outcome(
@@ -290,33 +288,6 @@ def apply_outcome(
     )
 
 
-def _drop_oldest(graph: SceneGraph4D, count: int) -> SceneGraph4D:
-    """Retire the oldest frames, keeping whatever track state still resolves."""
-    kept = graph.frames[count:]
-    first_kept = kept[0].frame_index if kept else graph.frames_dropped + count + 1
-    surviving = {node.node_id for fg in kept for node in fg.nodes}
-    edges = tuple(
-        e
-        for e in graph.temporal_edges
-        if (e.src_node is None or e.src_node in surviving)
-        and (e.dst_node is None or e.dst_node in surviving)
-        and e.event_frame >= first_kept
-    )
-    tracks: dict[int, Track] = {}
-    for track_id, track in graph.tracks.items():
-        history = tuple(nid for nid in track.history if nid in surviving)
-        if history:
-            tracks[track_id] = replace(track, history=history)
-    return SceneGraph4D(
-        frames=kept,
-        temporal_edges=edges,
-        tracks=MappingProxyType(tracks),
-        next_node_id=graph.next_node_id,
-        next_track_id=graph.next_track_id,
-        frames_dropped=graph.frames_dropped + count,
-    )
-
-
 def ingest_sequence(
     graph: SceneGraph4D, inputs: Iterable[FrameInput], config: "EngineConfig"
 ) -> SceneGraph4D:
@@ -360,10 +331,7 @@ def lifecycle_events(
     for edge in graph.temporal_edges:
         if edge.relation == SAME_INSTANCE:
             continue
-        try:
-            when = graph.frame(edge.event_frame).capture_time
-        except NotFound:
-            continue  # event frame was pruned
+        when = graph.frame(edge.event_frame).capture_time
         if start <= when <= end:
             events.append((when, edge.track_id, edge.relation))
     events.sort(key=lambda item: (item[0], item[1], item[2]))

@@ -5,6 +5,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from stovsg import (
     EngineConfig,
     command_to_dict,
@@ -12,12 +14,14 @@ from stovsg import (
     dumps,
     ground_command,
     load_config,
+    make_scenario,
     parse_subgraph,
     read_graph,
     read_scenario,
     save_config,
     serialize_subgraph,
     validate_graph,
+    write_scenario,
 )
 
 
@@ -190,7 +194,7 @@ def test_config_subcommand_writes_defaults(tmp_path):
 
 def test_config_subcommand_echoes_custom_file(tmp_path):
     tuned = tmp_path / "tuned.json"
-    cfg = dataclasses.replace(EngineConfig(), max_frames=99, descriptor_alpha=0.5)
+    cfg = dataclasses.replace(EngineConfig(), descriptor_alpha=0.5, centroid_tol=0.1)
     save_config(cfg, tuned)
     out = tmp_path / "echo.json"
     proc = run_cli("config", "--config", tuned, "--out", out)
@@ -243,3 +247,28 @@ def test_unknown_simulate_family_is_an_argparse_error(tmp_path):
     proc = run_cli("simulate", "--family", "poltergeist", "--out-dir", tmp_path)
     assert proc.returncode == 2
     assert "invalid choice" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("simulate", "--seed", "-1"), "seed must be non-negative, got -1"),
+        (("simulate", "--scenario", "SCENARIO"), "seed must be non-negative, got -1"),
+        (("simulate", "--frame-rate", "nan"), "frame_rate must be positive and finite, got nan"),
+        (("simulate", "--delay", "inf"), "delay must be positive and finite, got inf"),
+        (("replay", "--trials", "0"), "trials must be at least 1, got 0"),
+        (("replay", "--delays", "abc"), "--delays must be comma-separated numbers, got 'abc'"),
+        (("replay", "--seed", "-5"), "seed must be non-negative, got -5"),
+    ],
+    ids=["seed", "scenario-seed", "frame-rate", "delay", "trials", "delays", "replay-seed"],
+)
+def test_bad_numbers_are_refused_as_one_json_error(tmp_path, args, message):
+    scenario = tmp_path / "scenario.json"
+    write_scenario(dataclasses.replace(make_scenario("target_moved"), seed=-1), scenario)
+    out_dir = tmp_path / "out"
+    if args[0] == "simulate":
+        args += ("--out-dir", out_dir)
+    proc = run_cli(*(scenario if arg == "SCENARIO" else arg for arg in args))
+    assert proc.returncode == 1
+    assert json.loads(proc.stderr) == {"error": "input-rejected", "message": message}
+    assert not out_dir.exists()

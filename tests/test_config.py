@@ -17,6 +17,7 @@ from stovsg import (
     load_config,
     save_config,
 )
+from stovsg.config import _ANNOTATION_CODECS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -26,7 +27,6 @@ def test_defaults_match_component_defaults():
     assert cfg.spatial == SpatialWeights()
     assert cfg.temporal == TemporalWeights()
     assert cfg.query == QueryConfig()
-    assert cfg.max_frames is None
     assert cfg.descriptor_alpha == 0.3
     assert cfg.centroid_tol == 0.05
     cfg.validate()  # defaults are always valid
@@ -41,8 +41,7 @@ def test_round_trip_preserves_every_field(tmp_path):
     cfg = EngineConfig(
         spatial=SpatialWeights(w_iou=2.0, w_area=0.25, w_ctr=1.5),
         temporal=TemporalWeights(w_pos=0.3, w_vis=0.5, delta_cls=0.1, d_max=2.0, eta=0.7, grace_period=4.0),
-        query=QueryConfig(beta=0.9, top_k=3, neighbor_hops=2, history_depth=6),
-        max_frames=12,
+        query=QueryConfig(beta=0.9, top_k=3, neighbor_hops=2),
         descriptor_alpha=0.5,
         centroid_tol=0.2,
     )
@@ -78,6 +77,8 @@ def test_from_dict_rejects_unknown_top_level_key():
         ("engine", "motion_model"),
         ("engine", "fallback_to_earliest"),
         ("engine", "max_points"),
+        ("engine", "max_frames"),
+        ("query", "history_depth"),
     ],
 )
 def test_from_dict_rejects_unknown_section_key(section, key):
@@ -104,16 +105,16 @@ def test_from_dict_rejects_wrong_schema_and_shape():
         ({"query": {"beta": -0.5}}, "beta must be non-negative"),
         ({"query": {"top_k": 0}}, "top_k must be at least 1"),
         ({"query": {"neighbor_hops": -1}}, "neighbor_hops must be non-negative"),
-        ({"query": {"history_depth": -3}}, "history_depth"),
         # removed options are refused, even at their former defaults
+        ({"query": {"history_depth": None}}, "history_depth"),
         ({"engine": {"motion_model": "last"}}, "motion_model"),
         ({"engine": {"descriptor_alpha": 0.0}}, "descriptor_alpha"),
         ({"engine": {"descriptor_alpha": 1.5}}, "descriptor_alpha"),
         ({"engine": {"max_points": 2048}}, "max_points"),
-        ({"engine": {"max_frames": 0}}, "max_frames"),
+        ({"engine": {"max_frames": None}}, "max_frames"),
         ({"engine": {"centroid_tol": 0.0}}, "centroid_tol"),
         ({"query": {"top_k": 2.5}}, "top_k: expected an integer, got float"),
-        ({"engine": {"max_frames": True}}, "max_frames: expected an integer, got bool"),
+        ({"query": {"top_k": True}}, "top_k: expected an integer, got bool"),
     ],
 )
 def test_from_dict_rejects_invalid_values(overrides, message):
@@ -126,7 +127,7 @@ def test_validate_catches_directly_constructed_invalid_config():
     cases = [
         (dataclasses.replace(EngineConfig(), descriptor_alpha=2.0), "descriptor_alpha"),
         (EngineConfig(query=QueryConfig(top_k=2.5)), "top_k"),
-        (EngineConfig(max_frames=True), "max_frames"),
+        (EngineConfig(query=QueryConfig(top_k=True)), "top_k"),
     ]
     for cfg, key in cases:
         with pytest.raises(FormatError, match=key):
@@ -148,7 +149,10 @@ def test_load_config_rejects_non_numeric_weight(tmp_path):
 
 
 def test_every_config_field_is_read_outside_the_config_module():
-    """A field that no engine code reads is a knob that does nothing when set."""
+    """A field that no engine code reads is a knob that does nothing when set.
+
+    Likewise a value codec that no field's annotation selects is dead code.
+    """
     read = {
         node.attr
         for path in (REPO_ROOT / "src" / "stovsg").glob("*.py")
@@ -162,3 +166,9 @@ def test_every_config_field_is_read_outside_the_config_module():
         for f in dataclasses.fields(cls)
     }
     assert sorted(declared - read) == []
+    annotations = {
+        f.type
+        for cls in (EngineConfig, SpatialWeights, TemporalWeights, QueryConfig)
+        for f in dataclasses.fields(cls)
+    }
+    assert sorted(set(_ANNOTATION_CODECS) - annotations) == []

@@ -552,9 +552,9 @@ KEY_PATHS = {
         temporal.w_pos temporal.w_vis temporal.delta_cls temporal.d_max temporal.eta
         temporal.grace_period
         query
-        query.beta query.top_k query.neighbor_hops query.history_depth
+        query.beta query.top_k query.neighbor_hops
         engine
-        engine.max_frames engine.descriptor_alpha engine.centroid_tol
+        engine.descriptor_alpha engine.centroid_tol
     """.split(),
 }
 

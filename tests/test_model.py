@@ -18,6 +18,7 @@ from stovsg import (
     cosine,
     empty_graph,
     ingest_sequence,
+    lifecycle_events,
     normalize_label,
     validate_graph,
 )
@@ -185,6 +186,15 @@ def test_validate_graph_flags_dangling_temporal_edge(config):
     edge = replace(graph.temporal_edges[-1], dst_node=999)
     problems = validate_graph(replace(graph, temporal_edges=(graph.temporal_edges[0], edge)))
     assert problems
+
+
+def test_validate_graph_flags_an_event_frame_that_is_not_stored(config):
+    graph = _two_frame_graph(config)
+    appeared, same = graph.temporal_edges
+    broken = replace(graph, temporal_edges=(replace(appeared, event_frame=7), same))
+    assert validate_graph(broken) == ["temporal edge (appeared, track 1): event frame 7 not in graph"]
+    with pytest.raises(NotFound, match="frame 7"):
+        lifecycle_events(broken, 0.0, 10.0)
 
 
 def test_graph_lookup_helpers(config):

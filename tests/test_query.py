@@ -18,10 +18,13 @@ from stovsg import (
     RelationCandidate,
     STATUS_LIVE,
     STATUS_LOST,
+    commands_from_scenario,
     empty_graph,
     extract_subgraph,
+    generate_stream,
     ground_command,
     ingest_sequence,
+    make_scenario,
     score_nodes,
 )
 
@@ -168,13 +171,39 @@ def test_alignment_failure_and_fallback(config):
         ground_command(graph, early)
     with pytest.raises(NoAlignedFrame):
         extract_subgraph(graph, early)
-    with pytest.raises(NoAlignedFrame):
+    with pytest.raises(NoAlignedFrame, match="^graph has no frames$"):
         ground_command(empty_graph(), early)
     empty_frames = ingest_sequence(
         empty_graph(), [make_frame_input(1.0), make_frame_input(2.0)], config
     )
     with pytest.raises(NotFound):
         ground_command(empty_frames, mug_command(1.6))
+
+
+@pytest.mark.parametrize("as_of", [0.01, 0.99, math.nan])
+def test_a_cutoff_before_the_first_capture_is_named(config, as_of):
+    graph = mug_scene(config)  # first capture at 1.0
+    message = f"^graph has no frames captured by the cutoff as_of={as_of}$"
+    with pytest.raises(NoAlignedFrame, match=message):
+        ground_command(graph, mug_command(1.6), as_of=as_of)
+    with pytest.raises(NoAlignedFrame, match=message):
+        extract_subgraph(graph, mug_command(1.6), as_of=as_of, latency_aware=False)
+
+
+def test_grounded_pose_is_the_newest_history_entry_of_the_aligned_node(config):
+    spec = make_scenario("target_moved", {"seed": 3, "delay": 1.0})
+    inputs, _ = generate_stream(spec)
+    graph = ingest_sequence(empty_graph(), inputs, config)
+    (command,) = commands_from_scenario(spec)
+    currents = []
+    for as_of in (command.issue_time + 0.5, command.arrival_time):
+        result = ground_command(graph, command, as_of=as_of)
+        sub = extract_subgraph(graph, command, as_of=as_of)
+        when, centroid = sub.history[result.aligned_node.node_id][-1]
+        assert when == result.current_node.obs_time
+        assert np.array_equal(centroid, result.current_node.centroid)
+        currents.append(result.current_node.node_id)
+    assert currents[0] != currents[1]  # the later cutoff follows the track further
 
 
 def paired_scene(config):
@@ -237,14 +266,6 @@ def test_subgraph_history_and_dynamics(config):
     xs = [c[0] for _, c in entries]
     assert xs == sorted(xs)
     assert sub.dynamics == ((1.0, 1, "appeared"), (4.0, 1, "disappeared"))
-
-    trimmed = extract_subgraph(graph, command, QueryConfig(history_depth=2))
-    (entries,) = trimmed.history.values()
-    assert [t for t, _ in entries] == [2.5, 3.5]
-
-    none = extract_subgraph(graph, command, QueryConfig(history_depth=0))
-    (entries,) = none.history.values()
-    assert entries == ()
 
 
 def test_subgraph_respects_as_of(config):

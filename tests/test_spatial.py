@@ -67,6 +67,19 @@ BOXES = {
 }
 
 
+def test_each_box_is_checked_once_per_candidate(monkeypatch):
+    checked = []
+    is_valid = BoundingBox2D.is_valid
+    monkeypatch.setattr(BoundingBox2D, "is_valid", lambda box: checked.append(box) or is_valid(box))
+    spatial_cost(U, Z)
+    assert checked == [U, Z]
+    checked.clear()
+    cand = RelationCandidate(src=1, dst=2, relation="next to", zone=Z)
+    resolve_ambiguous([cand], {1: U, 2: BoundingBox2D(2, 0, 3, 1)})
+    # the two node boxes for their union, then the union and the zone
+    assert len(checked) == 4 and checked[-1] is Z
+
+
 def test_shared_zone_keeps_only_cheapest():
     zone = BoundingBox2D(0, 0, 5, 2)  # matches the 1-2 union exactly
     cands = [

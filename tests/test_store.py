@@ -255,36 +255,6 @@ def test_lifecycle_events_window(config):
     assert lifecycle_events(graph, 4.0, 10.0) == ()
 
 
-def test_bounded_memory_drops_oldest_frames(config):
-    bounded = replace(config, max_frames=2)
-    graph = ingest_sequence(
-        empty_graph(),
-        [make_frame_input(float(t), detections=(make_detection(x0=10 + t),)) for t in range(1, 5)],
-        bounded,
-    )
-    assert len(graph.frames) == 2
-    assert graph.frames_dropped == 2
-    assert [fg.frame_index for fg in graph.frames] == [3, 4]  # indices stay stable
-    assert graph.tracks[1].history == (3, 4)  # pruned to surviving nodes
-    with pytest.raises(NotFound):
-        graph.frame(1)
-    with pytest.raises(NotFound):
-        graph.node(1)
-    assert validate_graph(graph) == []
-
-
-def test_ids_keep_advancing_after_pruning(config):
-    bounded = replace(config, max_frames=1)
-    graph = ingest_sequence(
-        empty_graph(),
-        [make_frame_input(float(t), detections=(make_detection(),)) for t in (1, 2, 3)],
-        bounded,
-    )
-    assert graph.next_node_id == 4
-    graph = ingest_frame(graph, make_frame_input(4.0, detections=(make_detection(),)), bounded)
-    assert graph.frames[-1].nodes[0].node_id == 4
-
-
 def test_empty_frames_are_allowed(config):
     graph = ingest_sequence(empty_graph(), [make_frame_input(1.0), make_frame_input(2.0)], config)
     assert len(graph.frames) == 2
