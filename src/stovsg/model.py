@@ -1,6 +1,7 @@
 """Core value types for the 4D scene graph.
 
-Everything here is an immutable record: construction never validates beyond
+Everything here is an immutable record, apart from the append-only
+:class:`GraphLog` that graph snapshots share: construction never validates beyond
 basic shape coercion, so invalid data can be represented and then reported by
 :func:`validate_graph`.  Operations elsewhere in the package raise
 :class:`~stovsg.errors.InputRejected` when handed data that breaks their own
@@ -10,11 +11,12 @@ contracts.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from itertools import islice
 from types import MappingProxyType
-from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -181,7 +183,7 @@ class Detection:
         object.__setattr__(self, "f_txt", as_feature(self.f_txt))
 
 
-@dataclass(frozen=True, eq=False, slots=True)  # slots halve the node index walk of every snapshot
+@dataclass(frozen=True, eq=False, slots=True)  # slots: a long graph holds thousands of nodes
 class ObjectNode:
     """A detection lifted to 3D and anchored in one frame."""
 
@@ -257,7 +259,7 @@ class Track:
     label: str
     last_seen_time: float  # operator-visible time of the newest observation
     status: TrackStatus
-    history: tuple[int, ...]  # node ids, oldest first
+    history: Sequence[int]  # node ids, oldest first
 
     def __post_init__(self):
         object.__setattr__(self, "centroid", freeze_array(self.centroid))
@@ -282,35 +284,191 @@ class FrameGraph:
         return self.latency_tag.observed_time
 
 
+class LogView(Sequence):
+    """The first ``n`` items of a list that only grows at its end.
+
+    Snapshots on one log read it through views of their own length, so
+    appending to the log changes no view already handed out.  A view of a
+    view reads the same list.  Views equal tuples (and views) with the same
+    items, as the tuples they stand in for did.
+    """
+
+    __slots__ = ("_items", "_n")
+
+    def __init__(self, items: Sequence, n: int):
+        self._items = items._items if isinstance(items, LogView) else items
+        self._n = n
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            start, stop, step = k.indices(self._n)
+            if start == 0 and step == 1:
+                return LogView(self._items, stop)
+            return tuple(self._items[i] for i in range(start, stop, step))
+        if k < 0:
+            k += self._n
+        if not 0 <= k < self._n:
+            raise IndexError("log view index out of range")
+        return self._items[k]
+
+    def __iter__(self) -> Iterator:
+        return islice(self._items, self._n)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (LogView, tuple)):
+            return NotImplemented
+        return len(other) == self._n and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
+def view_parts(seq: Sequence) -> tuple[Sequence, int]:
+    """The sequence a view reads and how many of its items it shows; any other sequence is itself.
+
+    Bisecting and slicing that sequence directly keeps indexing in C.
+    """
+    if isinstance(seq, LogView):
+        return seq._items, seq._n
+    return seq, len(seq)
+
+
+def node_tracks(tracks: Mapping[int, Track]) -> dict[int, list[int]]:
+    """Node id -> ids of the tracks whose history holds it, ascending.
+
+    In a consistent graph every node is on exactly one track.
+    """
+    out: dict[int, list[int]] = {}
+    for track_id in sorted(tracks):
+        for node_id in tracks[track_id].history:
+            out.setdefault(node_id, []).append(track_id)
+    return out
+
+
+class GraphLog:
+    """Append-only storage shared by the snapshots along one line of ingests.
+
+    ``frames`` and ``edges`` hold the frames and temporal edges in ingest
+    order and ``histories`` each track's node ids, oldest first.  By node
+    id, ``nodes`` holds the node, ``positions`` the position of its frame
+    and ``track_ids`` the id of its track (``None`` for a node on no
+    track); these hold no container per node, so a long graph gives the
+    garbage collector no more to walk than its nodes.  ``node_counts[k]``
+    is the number of nodes in the first ``k`` frames.  A snapshot sees the
+    first ``len(snapshot.frames)`` frames; only the newest snapshot on a
+    log may append to it.
+    """
+
+    __slots__ = ("frames", "edges", "histories", "nodes", "positions", "track_ids", "node_counts")
+
+    def __init__(self, graph: "SceneGraph4D"):
+        """A log holding exactly ``graph``'s frames, edges and track histories."""
+        self.frames: list[FrameGraph] = list(graph.frames)
+        self.edges: list[TemporalEdge] = list(graph.temporal_edges)
+        self.histories: dict[int, list[int]] = {tid: list(t.history) for tid, t in graph.tracks.items()}
+        self.nodes: dict[int, ObjectNode] = {}
+        self.positions: dict[int, int] = {}
+        self.track_ids: dict[int, int | None] = {}
+        self.node_counts: list[int] = [0]
+        on_tracks = node_tracks(graph.tracks)
+        for pos, fg in enumerate(self.frames):
+            for node in fg.nodes:
+                holders = on_tracks.get(node.node_id)
+                self.nodes[node.node_id] = node
+                self.positions[node.node_id] = pos
+                self.track_ids[node.node_id] = holders[0] if holders else None
+            self.node_counts.append(self.node_counts[-1] + len(fg.nodes))
+
+
+class NodeIndex(Mapping):
+    """Node id -> node over a log, limited to a snapshot's first ``n`` frames.
+
+    Iteration walks the frames, not the shared map, so it stays valid while
+    a newer snapshot appends to the log.
+    """
+
+    __slots__ = ("_log", "_n")
+
+    def __init__(self, log: GraphLog, n: int):
+        self._log = log
+        self._n = n
+
+    def __getitem__(self, node_id: int) -> ObjectNode:
+        if not self._log.positions[node_id] < self._n:
+            raise KeyError(node_id)
+        return self._log.nodes[node_id]
+
+    def __contains__(self, node_id) -> bool:
+        return self._log.positions.get(node_id, self._n) < self._n
+
+    def __len__(self) -> int:
+        return self._log.node_counts[self._n]
+
+    def __iter__(self) -> Iterator[int]:
+        for fg in islice(self._log.frames, self._n):
+            for node in fg.nodes:
+                yield node.node_id
+
+
 @dataclass(frozen=True, eq=False)
 class SceneGraph4D:
     """The full graph: per-frame graphs, temporal edges, and live tracks.
 
-    Instances are persistent values: ingestion returns a new graph sharing
-    structure with the old one, so readers can keep using any snapshot they
-    already hold.
+    Instances are persistent values: ingestion returns a new graph that
+    shares a :class:`GraphLog` with the old one, so readers can keep using
+    any snapshot they already hold.  ``frames``, ``temporal_edges`` and
+    each track's ``history`` are read-only sequences; temporal edges are in
+    event-frame order.  ``dataclasses.replace`` gives a snapshot without a
+    log, which starts its own the first time it is read or ingested into.
     """
 
-    frames: tuple[FrameGraph, ...] = ()
-    temporal_edges: tuple[TemporalEdge, ...] = ()
+    frames: Sequence[FrameGraph] = ()
+    temporal_edges: Sequence[TemporalEdge] = ()
     tracks: Mapping[int, Track] = field(default_factory=lambda: MappingProxyType({}))
     next_node_id: int = 1
     next_track_id: int = 1
     frames_dropped: int = 0
+    log: GraphLog | None = field(default=None, init=False, repr=False)
+
+    @staticmethod
+    def on_log(log: GraphLog, tracks: Mapping[int, Track], next_node_id: int, next_track_id: int,
+               frames_dropped: int) -> "SceneGraph4D":
+        """The snapshot of everything ``log`` holds now."""
+        graph = SceneGraph4D(
+            LogView(log.frames, len(log.frames)),
+            LogView(log.edges, len(log.edges)),
+            tracks,
+            next_node_id,
+            next_track_id,
+            frames_dropped,
+        )
+        object.__setattr__(graph, "log", log)
+        return graph
+
+    def own_log(self) -> GraphLog:
+        """The log this snapshot reads: the one it was ingested on, else one started from its fields."""
+        if self.log is None:
+            object.__setattr__(self, "log", GraphLog(self))
+        return self.log
 
     @cached_property
     def node_index(self) -> Mapping[int, ObjectNode]:
-        index: dict[int, ObjectNode] = {}
-        for fg in self.frames:
-            for node in fg.nodes:
-                index[node.node_id] = node
-        return MappingProxyType(index)
+        return NodeIndex(self.own_log(), len(self.frames))
 
     def node(self, node_id: int) -> ObjectNode:
         try:
             return self.node_index[node_id]
         except KeyError:
             raise NotFound(f"node {node_id} not in graph") from None
+
+    def track_of(self, node_id: int) -> int | None:
+        """Id of the track whose history holds the node; ``None`` when no track does."""
+        if node_id not in self.node_index:
+            raise NotFound(f"node {node_id} not in graph")
+        return self.own_log().track_ids[node_id]
 
     def frame(self, frame_index: int) -> FrameGraph:
         pos = frame_index - self.frames_dropped - 1
@@ -368,6 +526,7 @@ def validate_graph(graph: SceneGraph4D) -> list[str]:
     feature_dim: int | None = None
     prev_capture = -math.inf
     expect_index = graph.frames_dropped + 1
+    on_tracks = node_tracks(graph.tracks)
 
     for fg in graph.frames:
         tag = f"frame {fg.frame_index}"
@@ -412,6 +571,11 @@ def validate_graph(graph: SceneGraph4D) -> list[str]:
                     out.append(f"{ntag}: centroid outside point bounds")
             if node.obs_time < fg.capture_time:
                 out.append(f"{ntag}: obs_time {node.obs_time} before capture {fg.capture_time}")
+            holders = on_tracks.get(node.node_id)
+            if not holders:
+                out.append(f"{ntag}: on no track")
+            elif len(holders) > 1:
+                out.append(f"{ntag}: on tracks {holders}")
 
         for edge in fg.spatial_edges:
             etag = f"{tag} edge {edge.src}->{edge.dst}"

@@ -10,8 +10,9 @@ planner consumes.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -19,12 +20,14 @@ from .errors import InputRejected, NoAlignedFrame, NotFound
 from .model import (
     Command,
     FrameGraph,
+    LogView,
     ObjectNode,
     SceneGraph4D,
     SpatialEdge,
     cosine,
+    view_parts,
 )
-from .store import frame_at_operator_time, lifecycle_events, track_history
+from .store import captured_by, frame_at_operator_time, lifecycle_events
 
 STATUS_LIVE = "live"
 STATUS_LOST = "target-lost"
@@ -99,7 +102,7 @@ def _align(
     """
     frames = graph.frames
     if as_of is not None:
-        frames = tuple(fg for fg in frames if fg.capture_time <= as_of)
+        frames = LogView(frames, captured_by(frames, as_of))
     if not frames:
         cutoff = "" if as_of is None else f" captured by the cutoff as_of={as_of}"
         raise NoAlignedFrame(f"graph has no frames{cutoff}")
@@ -113,14 +116,16 @@ def _align(
     return aligned, newest, score_nodes(aligned, command, cfg)
 
 
-def _track_until(graph: SceneGraph4D, node_id: int, newest: FrameGraph) -> tuple[int, list[ObjectNode]]:
-    """The id of the track holding ``node_id`` and its observations up to ``newest``, oldest first."""
-    for track_id, track in graph.tracks.items():
-        if node_id in track.history:
-            return track_id, [
-                node for node in track_history(graph, track_id) if node.frame_index <= newest.frame_index
-            ]
-    raise NotFound(f"node {node_id} is on no track")
+def _track_until(graph: SceneGraph4D, node_id: int, newest: FrameGraph) -> tuple[int, Sequence[int]]:
+    """The id of the track holding ``node_id`` and its node ids up to ``newest``, oldest first."""
+    track_id = graph.track_of(node_id)
+    if track_id is None:
+        raise NotFound(f"node {node_id} is on no track")
+    history = graph.tracks[track_id].history
+    ids, n = view_parts(history)
+    # a history is in frame order, so the observations up to ``newest`` are a prefix
+    end = bisect_right(ids, newest.frame_index, 0, n, key=lambda nid: graph.node(nid).frame_index)
+    return track_id, LogView(history, end)
 
 
 def extract_subgraph(
@@ -161,10 +166,10 @@ def extract_subgraph(
     edges = tuple(
         e for e in aligned.spatial_edges if e.src in included and e.dst in included
     )
-    history = {
-        nid: tuple((node.obs_time, node.centroid) for node in _track_until(graph, nid, newest)[1])
-        for nid in picked
-    }
+    history = {}
+    for nid in picked:
+        _, observed = _track_until(graph, nid, newest)
+        history[nid] = tuple((node.obs_time, node.centroid) for node in map(graph.node, observed))
     dynamics = lifecycle_events(graph, aligned.capture_time, newest.capture_time)
     return TaskSubgraph(
         command=command,
@@ -201,7 +206,7 @@ def ground_command(
     aligned_node = graph.node(best_id)
 
     track_id, observed = _track_until(graph, best_id, newest)
-    current = observed[-1]
+    current = graph.node(observed[-1])
     # a target is live exactly when it was observed in the newest visible frame
     status = STATUS_LIVE if current.frame_index == newest.frame_index else STATUS_LOST
 

@@ -43,6 +43,8 @@ FAMILY_MOVED_REFERENCE = "moved_reference"
 FAMILIES = (FAMILY_OCCLUSION, FAMILY_TARGET_MOVED, FAMILY_DISTRACTOR, FAMILY_MOVED_REFERENCE)
 
 NEAR = "near"
+# frames one stream may have: each keeps a float32 depth image (77 KB at 160x120)
+MAX_FRAMES = 100_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,10 +259,16 @@ def generate_stream(spec: ScenarioSpec) -> tuple[list[FrameInput], GroundTruthLo
     """
     if spec.seed < 0:
         raise InputRejected(f"seed must be non-negative, got {spec.seed}")
-    rng = np.random.default_rng(spec.seed)
-    n_frames = int(math.floor(spec.duration * spec.frame_rate + 1e-9))
+    span = spec.duration * spec.frame_rate + 1e-9  # frames, before rounding down
+    if not span < MAX_FRAMES + 1:  # refused before anything is rendered
+        raise InputRejected(
+            f"scenario too long: duration {spec.duration} at {spec.frame_rate} fps is more than "
+            f"the {MAX_FRAMES} frames a stream may have"
+        )
+    n_frames = int(math.floor(span))
     if n_frames < 1:
         raise InputRejected(f"scenario too short: duration {spec.duration} at {spec.frame_rate} fps")
+    rng = np.random.default_rng(spec.seed)
     width, height = spec.image_width, spec.image_height
     inputs: list[FrameInput] = []
     truth_frames: list[FrameTruth] = []

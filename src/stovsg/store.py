@@ -7,11 +7,21 @@ view.  Ingestion is atomic — all validation and lifting happen before the
 new graph is assembled, so a rejected frame leaves the caller's graph
 untouched.  The graph only grows: every frame stays, so a command can be
 grounded on any frame the operator saw however old.
+
+Snapshots along one line of ingests share a :class:`~stovsg.model.GraphLog`
+and each sees its own prefix of it.  Ingesting into the newest snapshot
+appends in place, so a frame costs the same however long the graph is;
+ingesting into an older one first copies its prefix into a new log.  Time
+lookups bisect on capture time, which strictly increases with the frame
+index.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -27,7 +37,9 @@ from .model import (
     CameraModel,
     Detection,
     FrameGraph,
+    GraphLog,
     LatencyTag,
+    LogView,
     ObjectNode,
     RelationCandidate,
     SceneGraph4D,
@@ -36,6 +48,7 @@ from .model import (
     TrackStatus,
     AssociationOutcome,
     normalize_label,
+    view_parts,
 )
 from .spatial import resolve_ambiguous
 from .temporal import associate
@@ -97,11 +110,8 @@ def ingest_frame(graph: SceneGraph4D, frame_input: FrameInput, config: "EngineCo
         )
     depth = frame_input.depth
     width, height = depth.width, depth.height
-    feature_dim = None
-    for fg in graph.frames:
-        if fg.nodes:
-            feature_dim = fg.nodes[0].f_img.shape[0]
-            break
+    index = graph.node_index
+    feature_dim = next(iter(index.values())).f_img.shape[0] if index else None
 
     frame_index = graph.frames_dropped + len(graph.frames) + 1
     obs_time = tag.observed_time
@@ -174,8 +184,13 @@ def ingest_frame(graph: SceneGraph4D, frame_input: FrameInput, config: "EngineCo
         spatial_edges=tuple(edges),
     )
     outcome = associate(graph.tracks, nodes, config.temporal, now=obs_time)
-    updated = apply_outcome(graph, outcome, frame, config)
-    return replace(updated, next_node_id=next_node_id)
+    return apply_outcome(graph, outcome, frame, config, next_node_id)
+
+
+def _log_to_extend(graph: SceneGraph4D) -> GraphLog:
+    """The log ``graph`` is the newest snapshot of: its own, or a copy of its prefix."""
+    log = graph.own_log()
+    return log if len(log.frames) == len(graph.frames) else GraphLog(graph)
 
 
 def apply_outcome(
@@ -183,6 +198,7 @@ def apply_outcome(
     outcome: AssociationOutcome,
     frame: FrameGraph,
     config: "EngineConfig",
+    next_node_id: int,
 ) -> SceneGraph4D:
     """Commit one frame plus its association outcome to the graph.
 
@@ -190,14 +206,21 @@ def apply_outcome(
     refreshed descriptor, label correction); unmatched nodes open tracks
     with an appearance edge; unmatched tracks transition to disappeared,
     emitting a disappearance edge only on the first missed frame; tracks
-    disappeared for longer than the grace period retire.  Requires the
-    single-writer contract: ``graph`` must be the newest snapshot.
+    disappeared for longer than the grace period retire.  Everything is
+    checked before the log is appended to, so a refused outcome changes
+    nothing.  ``next_node_id`` is the new graph's.
     """
     by_id = {node.node_id: node for node in frame.nodes}
+    clash = next((node_id for node_id in by_id if node_id in graph.node_index), None)
+    if clash is not None:
+        raise InputRejected(f"node id {clash} is already in the graph")
+    log = _log_to_extend(graph)
     alpha = config.descriptor_alpha
     now = frame.obs_time
     tracks = dict(graph.tracks)
     new_edges: list[TemporalEdge] = []
+    extended: dict[int, int] = {}  # track id -> node id it gains
+    opened: dict[int, list[int]] = {}  # new track id -> its history
     next_track_id = graph.next_track_id
 
     for track_id, node_id, _cost in outcome.accepted:
@@ -205,6 +228,8 @@ def apply_outcome(
             raise InputRejected(f"outcome references unknown track {track_id}")
         if node_id not in by_id:
             raise InputRejected(f"outcome references node {node_id} not in frame")
+        if track_id in extended:
+            raise InputRejected(f"outcome extends track {track_id} twice")
         track = tracks[track_id]
         node = by_id[node_id]
         prev = graph.node(track.history[-1])
@@ -229,13 +254,15 @@ def apply_outcome(
             label=node.label,
             last_seen_time=node.obs_time,
             status=TrackStatus.ACTIVE,
-            history=track.history + (node.node_id,),
+            history=LogView(log.histories[track_id], len(track.history) + 1),
         )
+        extended[track_id] = node.node_id
 
     for node_id in outcome.new_nodes:
         if node_id not in by_id:
             raise InputRejected(f"outcome references node {node_id} not in frame")
         node = by_id[node_id]
+        opened[next_track_id] = [node.node_id]
         tracks[next_track_id] = Track(
             track_id=next_track_id,
             centroid=node.centroid,
@@ -243,7 +270,7 @@ def apply_outcome(
             label=node.label,
             last_seen_time=node.obs_time,
             status=TrackStatus.ACTIVE,
-            history=(node.node_id,),
+            history=LogView(opened[next_track_id], 1),
         )
         new_edges.append(
             TemporalEdge(
@@ -278,14 +305,22 @@ def apply_outcome(
         if track.status is TrackStatus.DISAPPEARED and now - track.last_seen_time > grace:
             tracks[track_id] = replace(track, status=TrackStatus.RETIRED)
 
-    return SceneGraph4D(
-        frames=graph.frames + (frame,),
-        temporal_edges=graph.temporal_edges + tuple(new_edges),
-        tracks=MappingProxyType(tracks),
-        next_node_id=graph.next_node_id,
-        next_track_id=next_track_id,
-        frames_dropped=graph.frames_dropped,
-    )
+    # nothing above touched the log; from here on every step only appends
+    log.frames.append(frame)
+    log.edges.extend(new_edges)
+    pos = len(log.frames) - 1
+    for node in frame.nodes:
+        log.nodes[node.node_id] = node
+        log.positions[node.node_id] = pos
+        log.track_ids[node.node_id] = None
+    for track_id, node_id in extended.items():
+        log.histories[track_id].append(node_id)
+        log.track_ids[node_id] = track_id
+    for track_id, history in opened.items():
+        log.histories[track_id] = history
+        log.track_ids[history[0]] = track_id
+    log.node_counts.append(log.node_counts[-1] + len(frame.nodes))
+    return SceneGraph4D.on_log(log, MappingProxyType(tracks), next_node_id, next_track_id, graph.frames_dropped)
 
 
 def ingest_sequence(
@@ -297,23 +332,35 @@ def ingest_sequence(
     return graph
 
 
+_CAPTURE_TIME = attrgetter("capture_time")
+_EVENT_FRAME = attrgetter("event_frame")
+
+
+def captured_by(frames: Sequence[FrameGraph], time: float) -> int:
+    """How many of ``frames`` (in capture order) were captured at or before ``time``."""
+    items, n = view_parts(frames)
+    return 0 if math.isnan(time) else bisect_right(items, time, 0, n, key=_CAPTURE_TIME)
+
+
 def frame_at_operator_time(graph: SceneGraph4D, query_time: float) -> FrameGraph:
     """The frame the operator was seeing at ``query_time``.
 
     That is the newest capture whose tagged arrival time (capture plus
     transmission latency) is at or before the query time; every node in the
     returned frame was therefore operator-visible by then.  When nothing
-    had arrived yet this raises.
+    had arrived yet this raises.  Only frames captured by the query time
+    can have arrived, so this bisects to them and steps back over those
+    still in flight: O(log frames + frames in flight).
     """
-    if not graph.frames:
+    frames, n = view_parts(graph.frames)
+    if not n:
         raise NoAlignedFrame("graph has no frames")
-    chosen = None
-    for fg in graph.frames:
-        if fg.obs_time <= query_time:
-            chosen = fg
-    if chosen is None:
+    k = captured_by(graph.frames, query_time)
+    while k and frames[k - 1].obs_time > query_time:
+        k -= 1
+    if not k:
         raise NoAlignedFrame(f"no frame was operator-visible at time {query_time}")
-    return chosen
+    return frames[k - 1]
 
 
 def track_history(graph: SceneGraph4D, track_id: int) -> list[ObjectNode]:
@@ -326,9 +373,22 @@ def track_history(graph: SceneGraph4D, track_id: int) -> list[ObjectNode]:
 def lifecycle_events(
     graph: SceneGraph4D, start: float, end: float
 ) -> tuple[tuple[float, int, str], ...]:
-    """Appearance/disappearance events with capture time in [start, end]."""
+    """Appearance/disappearance events with capture time in [start, end].
+
+    Bisects the frames on capture time and the temporal edges, which are in
+    event-frame order, on their event frame, so only the window's edges are
+    read.
+    """
+    frames, n = view_parts(graph.frames)
+    edges, m = view_parts(graph.temporal_edges)
+    lo = bisect_left(frames, start, 0, n, key=_CAPTURE_TIME)
+    hi = captured_by(graph.frames, end)
+    if lo >= hi:
+        return ()
+    first = bisect_left(edges, frames[lo].frame_index, 0, m, key=_EVENT_FRAME)
+    last = bisect_right(edges, frames[hi - 1].frame_index, first, m, key=_EVENT_FRAME)
     events = []
-    for edge in graph.temporal_edges:
+    for edge in edges[first:last]:
         if edge.relation == SAME_INSTANCE:
             continue
         when = graph.frame(edge.event_frame).capture_time

@@ -267,3 +267,31 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
     return q
+
+
+def frames_as_of_oracle(frames, as_of: float) -> tuple:
+    """The frames captured at or before ``as_of``, by a full scan."""
+    return tuple(fg for fg in frames if fg.latency_tag.capture_time <= as_of)
+
+
+def frame_at_operator_time_oracle(frames, query_time: float):
+    """The last frame whose tagged arrival is at or before ``query_time``, by a full scan; None when none."""
+    chosen = None
+    for fg in frames:
+        if fg.latency_tag.capture_time + fg.latency_tag.transmission_latency <= query_time:
+            chosen = fg
+    return chosen
+
+
+def lifecycle_events_oracle(frames, temporal_edges, start: float, end: float) -> tuple:
+    """(capture time, track id, relation) of every appearance or disappearance in [start, end], by a full scan."""
+    capture = {fg.frame_index: fg.latency_tag.capture_time for fg in frames}
+    events = []
+    for edge in temporal_edges:
+        if edge.relation == "same-instance":
+            continue
+        when = capture[edge.event_frame]
+        if start <= when <= end:
+            events.append((when, edge.track_id, edge.relation))
+    events.sort(key=lambda item: (item[0], item[1], item[2]))
+    return tuple(events)

@@ -256,11 +256,15 @@ def test_unknown_simulate_family_is_an_argparse_error(tmp_path):
         (("simulate", "--scenario", "SCENARIO"), "seed must be non-negative, got -1"),
         (("simulate", "--frame-rate", "nan"), "frame_rate must be positive and finite, got nan"),
         (("simulate", "--delay", "inf"), "delay must be positive and finite, got inf"),
+        (
+            ("simulate", "--frame-rate", "1e5"),
+            "scenario too long: duration 4.50001 at 100000.0 fps is more than the 100000 frames a stream may have",
+        ),
         (("replay", "--trials", "0"), "trials must be at least 1, got 0"),
         (("replay", "--delays", "abc"), "--delays must be comma-separated numbers, got 'abc'"),
         (("replay", "--seed", "-5"), "seed must be non-negative, got -5"),
     ],
-    ids=["seed", "scenario-seed", "frame-rate", "delay", "trials", "delays", "replay-seed"],
+    ids=["seed", "scenario-seed", "frame-rate", "delay", "frame-count", "trials", "delays", "replay-seed"],
 )
 def test_bad_numbers_are_refused_as_one_json_error(tmp_path, args, message):
     scenario = tmp_path / "scenario.json"
@@ -272,3 +276,22 @@ def test_bad_numbers_are_refused_as_one_json_error(tmp_path, args, message):
     assert proc.returncode == 1
     assert json.loads(proc.stderr) == {"error": "input-rejected", "message": message}
     assert not out_dir.exists()
+
+
+def test_graph_file_with_edges_out_of_order_is_one_json_error(tmp_path):
+    sim_dir = simulate(tmp_path)
+    graph_path = sim_dir / "graph.json"
+    assert run_cli("build", "--stream", sim_dir / "stream.jsonl", "--out", graph_path).returncode == 0
+    command_path = tmp_path / "command.json"
+    write_command_file(sim_dir / "scenario.json", command_path)
+    data = json.loads(graph_path.read_text())
+    edges = data["temporal_edges"]
+    edges.append(edges.pop(0))  # an event-frame-1 edge after the newest frame's
+    graph_path.write_text(dumps(data) + "\n")
+    for subcommand in ("query", "export"):
+        proc = run_cli(subcommand, "--graph", graph_path, "--command", command_path)
+        assert proc.returncode == 1 and proc.stdout == ""
+        (line,) = proc.stderr.splitlines()
+        error = json.loads(line)
+        assert error["error"] == "format-error"
+        assert "(temporal edges must be in event-frame order)" in error["message"]

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -228,6 +229,55 @@ def test_previous_graph_schema_is_refused(tmp_path, config):
     path.write_text(dumps(data))
     with pytest.raises(FormatError, match="stovsg-graph/3"):
         read_graph(path)
+
+
+def _swap_first_edge_with_a_later_frames(data):
+    edges = data["temporal_edges"]
+    k = next(k for k, edge in enumerate(edges) if edge["event_frame"] > edges[0]["event_frame"])
+    edges[0], edges[k] = edges[k], edges[0]
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (
+            lambda data: data["frames"][1].update(frame_index=5),
+            r"graph: frames\[1\]\.frame_index: expected 2, got 5 \(frame indices must be contiguous\)",
+        ),
+        (
+            lambda data: data["frames"][2]["latency_tag"].update(capture_time=2.0),
+            r"graph: frames\[2\]\.latency_tag\.capture_time: 2\.0 is not after 2\.0 "
+            r"\(capture times must strictly increase\)",
+        ),
+        (
+            lambda data: data["frames"][0]["latency_tag"].update(transmission_latency=-0.25),
+            r"graph: frames\[0\]\.latency_tag\.transmission_latency: -0\.25 is negative",
+        ),
+        (
+            _swap_first_edge_with_a_later_frames,
+            r"graph: temporal_edges\[1\]\.event_frame: 1 is before 2 "
+            r"\(temporal edges must be in event-frame order\)",
+        ),
+    ],
+    ids=["frame-index-gap", "capture-not-increasing", "negative-latency", "edges-out-of-order"],
+)
+def test_graph_files_out_of_time_order_are_format_errors(tmp_path, capsys, config, mutate, message):
+    data = graph_to_dict(occluded_graph(config))
+    mutate(data)
+    path = tmp_path / "graph.json"
+    path.write_text(dumps(data) + "\n")
+    with pytest.raises(FormatError, match=message):
+        read_graph(path)
+    command_path = tmp_path / "command.json"
+    command = Command(text="red mug", embedding=axis(0), issue_time=2.0)
+    command_path.write_text(dumps(command_to_dict(command)) + "\n")
+    for subcommand in ("query", "export"):
+        assert cli_main([subcommand, "--graph", str(path), "--command", str(command_path)]) == 1
+        out, err = capsys.readouterr()
+        (line,) = err.splitlines()
+        error = json.loads(line)
+        assert error["error"] == "format-error" and re.match(message, error["message"])
+        assert out == ""
 
 
 def test_scenario_round_trips(tmp_path):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -11,14 +12,17 @@ from hypothesis import strategies as st
 from stovsg import (
     BoundingBox2D,
     Command,
+    EngineConfig,
     InputRejected,
     LatencyTag,
     NotFound,
     PixelMask,
     cosine,
     empty_graph,
+    generate_stream,
     ingest_sequence,
     lifecycle_events,
+    make_scenario,
     normalize_label,
     validate_graph,
 )
@@ -207,3 +211,20 @@ def test_graph_lookup_helpers(config):
         graph.node(12345)
     with pytest.raises(NotFound):
         graph.frame(3)
+
+
+def _with_history(graph, track_id, history):
+    track = graph.tracks[track_id]
+    return replace(graph, tracks=MappingProxyType({**graph.tracks, track_id: replace(track, history=history)}))
+
+
+def test_validate_graph_flags_a_node_on_no_track_or_on_two():
+    inputs, _ = generate_stream(make_scenario("target_moved", {"seed": 0}))
+    graph = ingest_sequence(empty_graph(), inputs, EngineConfig())
+    assert validate_graph(graph) == []
+    assert graph.track_of(3) == 1 and graph.node(3).frame_index == 2
+    dropped = _with_history(graph, 1, tuple(nid for nid in graph.tracks[1].history if nid != 3))
+    assert validate_graph(dropped) == ["frame 2 node 3: on no track"]
+    assert dropped.track_of(3) is None
+    shared = _with_history(graph, 2, (3,) + tuple(graph.tracks[2].history))
+    assert "frame 2 node 3: on tracks [1, 2]" in validate_graph(shared)

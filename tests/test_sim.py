@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from stovsg import sim
 from stovsg import (
     CameraModel,
     EngineConfig,
@@ -204,6 +205,19 @@ def test_scenario_too_short_to_render_rejects():
     shrunk = type(spec)(**{**spec.__dict__, "duration": 0.01})
     with pytest.raises(InputRejected):
         generate_stream(shrunk)
+
+
+def test_too_many_frames_are_refused_before_any_is_rendered(monkeypatch):
+    def render(*args, **kwargs):
+        raise AssertionError("a frame was rendered")
+
+    monkeypatch.setattr(sim, "LatencyTag", render)  # the first thing each frame builds
+    spec = make_scenario(FAMILY_TARGET_MOVED, {"frame_rate": 1e5})  # 450 000 frames
+    with pytest.raises(InputRejected, match="more than the 100000 frames a stream may have"):
+        generate_stream(spec)
+    monkeypatch.setattr(sim, "MAX_FRAMES", 10)
+    with pytest.raises(InputRejected, match="scenario too long"):
+        generate_stream(make_scenario(FAMILY_TARGET_MOVED))
 
 
 def test_command_targeting_unknown_object_rejects():

@@ -5,29 +5,41 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stovsg import (
     APPEARED,
     DISAPPEARED,
     SAME_INSTANCE,
     BoundingBox2D,
+    Command,
     Detection,
     DepthImage,
+    EngineConfig,
     InputRejected,
     NoAlignedFrame,
     NotFound,
+    QueryConfig,
     RelationCandidate,
     TrackStatus,
+    dumps,
     empty_graph,
     frame_at_operator_time,
+    graph_from_dict,
+    graph_to_dict,
     ingest_frame,
     ingest_sequence,
     lifecycle_events,
     track_history,
     validate_graph,
 )
+from stovsg.model import AssociationOutcome, FrameGraph, LatencyTag
+from stovsg.query import _align
+from stovsg.store import apply_outcome
 
-from conftest import axis, in_plane, make_detection, make_frame_input
+from conftest import axis, in_plane, make_detection, make_frame_input, make_node
+from oracles import frame_at_operator_time_oracle, frames_as_of_oracle, lifecycle_events_oracle
 
 
 def edges_of(graph, relation):
@@ -271,3 +283,150 @@ def test_nan_transmission_latency_is_rejected(config):
     bad = replace(fg, latency_tag=replace(fg.latency_tag, transmission_latency=float("nan")))
     problems = validate_graph(replace(graph, frames=(bad,)))
     assert any("transmission latency nan" in p for p in problems)
+
+
+# --- snapshots on a shared log -------------------------------------------------
+
+
+def _mug(x0=10):
+    return make_detection(x0=x0)
+
+
+def _apple(x0=60):
+    return make_detection(x0=x0, label="apple", f_img=axis(3), f_txt=axis(4))
+
+
+def _scene_inputs(count: int, latencies=None):
+    """A mug seen in every frame and an apple that comes and goes, one frame a second."""
+    latencies = latencies or [0.5] * count
+    return [
+        make_frame_input(
+            float(k + 1),
+            latency=latencies[k],
+            detections=(_mug(10 + k % 3),) + ((_apple(),) if k % 4 < 2 else ()),
+        )
+        for k in range(count)
+    ]
+
+
+def _text(graph) -> str:
+    return dumps(graph_to_dict(graph))
+
+
+def test_older_snapshot_keeps_its_frames_and_bytes(config):
+    inputs = _scene_inputs(11)
+    g10 = ingest_sequence(empty_graph(), inputs[:10], config)
+    before = _text(g10)
+    g11 = ingest_frame(g10, inputs[10], config)
+    assert g11.log is g10.log  # the newest snapshot was extended in place
+    assert len(g10.frames) == 10 and len(g11.frames) == 11
+    assert _text(g10) == before
+    assert validate_graph(g10) == [] and validate_graph(g11) == []
+    newest = g11.frames[-1].nodes[0]
+    assert g11.node(newest.node_id) is newest
+    with pytest.raises(NotFound):
+        g10.node(newest.node_id)
+    with pytest.raises(NotFound):
+        g10.track_of(newest.node_id)
+    assert newest.node_id not in g10.node_index and len(g10.node_index) == len(g11.node_index) - 1
+
+
+def test_branching_from_an_older_snapshot_matches_independent_builds(config):
+    inputs = _scene_inputs(12)
+    other = make_frame_input(11.0, detections=(_apple(),))
+    g10 = ingest_sequence(empty_graph(), inputs[:10], config)
+    g11 = ingest_frame(g10, inputs[10], config)
+    b11 = ingest_frame(g10, other, config)  # g10 is no longer the newest on its log: copies first
+    assert b11.log is not g10.log
+    g12 = ingest_frame(g11, inputs[11], config)
+    b12 = ingest_frame(b11, inputs[11], config)
+    assert _text(g12) == _text(ingest_sequence(empty_graph(), inputs[:12], config))
+    assert _text(b12) == _text(ingest_sequence(empty_graph(), inputs[:10] + [other, inputs[11]], config))
+    assert _text(g11) == _text(ingest_sequence(empty_graph(), inputs[:11], config))
+    assert _text(g10) == _text(ingest_sequence(empty_graph(), inputs[:10], config))
+    assert validate_graph(g12) == [] and validate_graph(b12) == []
+
+
+def test_graphs_without_a_log_start_one_on_first_ingest(config):
+    inputs = _scene_inputs(9)
+    g8 = ingest_sequence(empty_graph(), inputs[:8], config)
+    expected = _text(ingest_frame(g8, inputs[8], config))
+    for start in (graph_from_dict(graph_to_dict(g8)), replace(g8, frames_dropped=0)):
+        assert start.log is None
+        after = ingest_frame(start, inputs[8], config)
+        assert start.log is after.log  # the new log is the start's own, extended in place
+        assert _text(after) == expected
+    assert _text(g8) == _text(ingest_sequence(empty_graph(), inputs[:8], config))
+
+
+def test_rejected_frame_leaves_the_log_to_the_snapshot(config):
+    inputs = _scene_inputs(4)
+    g3 = ingest_sequence(empty_graph(), inputs[:3], config)
+    with pytest.raises(InputRejected):
+        ingest_frame(g3, make_frame_input(3.5, detections=(make_detection(label="  "),)), config)
+    g4 = ingest_frame(g3, inputs[3], config)
+    assert g4.log is g3.log
+    assert _text(g4) == _text(ingest_sequence(empty_graph(), inputs, config))
+
+
+def test_a_node_id_already_in_the_graph_is_refused(config):
+    graph = ingest_sequence(empty_graph(), _scene_inputs(2), config)
+    stale = replace(graph, next_node_id=2)
+    with pytest.raises(InputRejected, match="node id 2 is already in the graph"):
+        ingest_frame(stale, make_frame_input(3.0, detections=(_mug(),)), config)
+
+
+def test_an_outcome_extending_one_track_twice_is_refused(config):
+    graph = ingest_sequence(empty_graph(), _scene_inputs(1), config)
+    frame = FrameGraph(
+        frame_index=2,
+        latency_tag=LatencyTag(capture_time=2.0, transmission_latency=0.5),
+        nodes=(make_node(3, frame_index=2, obs_time=2.5), make_node(4, frame_index=2, obs_time=2.5)),
+        spatial_edges=(),
+    )
+    twice = AssociationOutcome(accepted=((1, 3, 0.1), (1, 4, 0.2)), new_nodes=(), disappeared=())
+    with pytest.raises(InputRejected, match="outcome extends track 1 twice"):
+        apply_outcome(graph, twice, frame, config, 5)
+    once = AssociationOutcome(accepted=((1, 3, 0.1),), new_nodes=(4,), disappeared=(2,))
+    after = apply_outcome(graph, once, frame, config, 5)
+    assert after.log is graph.log and after.tracks[1].history == (1, 3) and after.track_of(4) == 3
+
+
+# --- time lookups against full-scan oracles -----------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(0.0, 3.0), min_size=1, max_size=14), st.data())
+def test_time_lookups_match_the_scanning_oracles(latencies, data):
+    # uplink latency varies frame to frame, so arrival order differs from capture order
+    inputs = _scene_inputs(len(latencies), latencies)
+    snapshots = [empty_graph()]
+    for frame in inputs:
+        snapshots.append(ingest_frame(snapshots[-1], frame, EngineConfig()))
+    graph = data.draw(st.sampled_from(snapshots[1:]), label="snapshot")
+    frames, edges = tuple(graph.frames), tuple(graph.temporal_edges)
+    arrivals = [fg.obs_time for fg in frames] + [fg.capture_time for fg in frames]
+    times = st.one_of(st.floats(-1.0, len(latencies) + 4.0), st.sampled_from(arrivals))
+    command_cfg = QueryConfig()
+    for _ in range(6):
+        t = data.draw(times, label="query time")
+        expected = frame_at_operator_time_oracle(frames, t)
+        if expected is None:
+            with pytest.raises(NoAlignedFrame):
+                frame_at_operator_time(graph, t)
+        else:
+            assert frame_at_operator_time(graph, t) is expected
+
+        as_of = data.draw(times, label="as_of")
+        cut = frames_as_of_oracle(frames, as_of)
+        command = Command(text="mug", embedding=axis(0), issue_time=t)
+        aligned = frame_at_operator_time_oracle(cut, t)
+        if aligned is None:
+            with pytest.raises(NoAlignedFrame):
+                _align(graph, command, command_cfg, as_of, True)
+        else:
+            got_aligned, got_newest, _ = _align(graph, command, command_cfg, as_of, True)
+            assert got_aligned is aligned and got_newest is cut[-1]
+
+        start, end = t, data.draw(times, label="window end")
+        assert lifecycle_events(graph, start, end) == lifecycle_events_oracle(frames, edges, start, end)
