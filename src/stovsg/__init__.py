@@ -103,7 +103,6 @@ from .replay import (
     build_graph,
     commands_from_scenario,
     format_suite,
-    grounded_true_ids,
     run_suite,
     run_trial,
 )
@@ -134,7 +133,6 @@ from .store import (
     ingest_frame,
     ingest_sequence,
     lifecycle_events,
-    track_history,
 )
 from .temporal import (
     CostMatrix,
@@ -147,136 +145,3 @@ from .temporal import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "APPEARED",
-    "COMMAND_SCHEMA",
-    "CONFIG_SCHEMA",
-    "DISAPPEARED",
-    "FAMILIES",
-    "FAMILY_DISTRACTOR",
-    "FAMILY_MOVED_REFERENCE",
-    "FAMILY_OCCLUSION",
-    "FAMILY_TARGET_MOVED",
-    "GRAPH_SCHEMA",
-    "METRICS_SCHEMA",
-    "SAME_INSTANCE",
-    "SCENARIO_SCHEMA",
-    "STATUS_LIVE",
-    "STATUS_LOST",
-    "STREAM_SCHEMA",
-    "SUBGRAPH_SCHEMA",
-    "TRUTH_SCHEMA",
-    "AssociationOutcome",
-    "BoundingBox2D",
-    "CameraModel",
-    "Command",
-    "CommandTruth",
-    "CostMatrix",
-    "DepthImage",
-    "Detection",
-    "DetectionTruth",
-    "EngineConfig",
-    "EngineError",
-    "FormatError",
-    "FrameGraph",
-    "FrameInput",
-    "FrameTruth",
-    "GroundTruthLog",
-    "GroundingRecord",
-    "GroundingResult",
-    "InputRejected",
-    "LatencyProfile",
-    "LatencyTag",
-    "MetricsReport",
-    "NoAlignedFrame",
-    "NoiseModel",
-    "NotFound",
-    "ObjectNode",
-    "PixelMask",
-    "QueryConfig",
-    "RelationCandidate",
-    "ScenarioSpec",
-    "SceneGraph4D",
-    "SimCommand",
-    "SimObject",
-    "SpatialEdge",
-    "SpatialWeights",
-    "SuiteResult",
-    "SuiteRow",
-    "TaskSubgraph",
-    "TemporalEdge",
-    "TemporalWeights",
-    "Track",
-    "TrackStatus",
-    "TrialResult",
-    "associate",
-    "build_cost_matrix",
-    "build_graph",
-    "canonical_dumps",
-    "centroid_and_size",
-    "command_from_dict",
-    "command_to_dict",
-    "commands_from_scenario",
-    "cosine",
-    "decode_mask",
-    "dumps",
-    "eligible_tracks",
-    "empty_graph",
-    "encode_mask",
-    "evaluate",
-    "extract_subgraph",
-    "format_suite",
-    "frame_at_operator_time",
-    "generate_stream",
-    "graph_from_dict",
-    "graph_to_dict",
-    "ground_command",
-    "grounded_true_ids",
-    "ingest_frame",
-    "ingest_sequence",
-    "iou",
-    "lifecycle_events",
-    "lift_mask",
-    "lift_pixel",
-    "load_config",
-    "make_random_scenario",
-    "make_scenario",
-    "min_cost_assignment",
-    "node_truth_map",
-    "noise_preset",
-    "normalize_label",
-    "parse_stream",
-    "parse_subgraph",
-    "project_point",
-    "read_command",
-    "read_commands",
-    "read_depth_file",
-    "read_graph",
-    "read_scenario",
-    "read_truth",
-    "resolve_ambiguous",
-    "run_suite",
-    "run_trial",
-    "save_config",
-    "scenario_from_dict",
-    "scenario_to_dict",
-    "score_graph",
-    "score_grounding",
-    "score_nodes",
-    "serialize_subgraph",
-    "solve_assignment",
-    "spatial_cost",
-    "subgraph_payload",
-    "temporal_cost",
-    "track_history",
-    "truth_from_dict",
-    "truth_to_dict",
-    "union_box",
-    "validate_graph",
-    "write_depth_file",
-    "write_graph",
-    "write_scenario",
-    "write_stream",
-    "write_truth",
-]

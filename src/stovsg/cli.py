@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import formats
@@ -147,7 +148,7 @@ def cmd_replay(args) -> int:
     )
     print(format_suite(suite))
     if args.out:
-        Path(args.out).write_text(formats.dumps(suite.to_dict()) + "\n")
+        Path(args.out).write_text(formats.dumps(asdict(suite)) + "\n")
     return 0
 
 

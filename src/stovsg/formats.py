@@ -27,7 +27,7 @@ from typing import Any, Callable, Mapping, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, InputRejected
 from .geometry import DepthImage
 from .model import (
     BoundingBox2D,
@@ -279,11 +279,12 @@ def decode_mask(runs: Sequence, where: str = "mask") -> PixelMask:
         _reject("an array of runs", runs)
     if not runs:
         return PixelMask.from_pixels(np.zeros((0, 2), dtype=np.int64))
-    try:
-        arr = np.array(runs)
-    except ValueError:
-        arr = None
-    if arr is None or arr.dtype.kind != "i" or arr.ndim != 2 or arr.shape[1] != 3:
+    arr = None
+    # types are checked as in ``_array``: NumPy reads a JSON boolean among integers as 0 or 1
+    if set(map(type, runs)) == {list} and set(map(len, runs)) == {3}:
+        if {int}.issuperset(map(type, chain.from_iterable(runs))):
+            arr = np.array(runs)
+    if arr is None or arr.dtype.kind != "i":  # object dtype: an integer beyond int64
         raise _Invalid(f"{where}: runs must be [row, col, length] integers")
     v, u0, n = arr[:, 0], arr[:, 1], arr[:, 2]
     if (n <= 0).any():
@@ -310,7 +311,17 @@ UNBOUNDED = Codec(
     lambda raw: math.inf if raw is None else _decode_float(raw),
 )
 _STEPS = list_of(tuple_of(FLOAT, FLOAT))
-PROFILE = Codec(lambda profile: _STEPS.encode(profile.steps), lambda raw: LatencyProfile(_STEPS.decode(raw)))
+
+
+def _decode_profile(raw: Any) -> LatencyProfile:
+    steps = _STEPS.decode(raw)
+    try:
+        return LatencyProfile(steps)
+    except InputRejected as exc:
+        raise _Invalid(exc.args[0]) from None
+
+
+PROFILE = Codec(lambda profile: _STEPS.encode(profile.steps), _decode_profile)
 
 
 # --- record tables ------------------------------------------------------------
@@ -587,11 +598,11 @@ def _read_frame(raw: Any, index: int, folder: Path, width: int, height: int) -> 
 def parse_stream(path: str | Path) -> tuple[dict, list[FrameInput]]:
     """Read a stream file back into frame inputs (header dict, frames)."""
     path = Path(path)
-    lines = [line for line in path.read_text().split("\n") if line.strip()]
+    lines = [(lineno, line) for lineno, line in enumerate(path.read_text().split("\n"), start=1) if line.strip()]
     if not lines:
         raise FormatError(f"stream {path}: empty file")
     try:
-        header = json.loads(lines[0])
+        header = json.loads(lines[0][1])
     except json.JSONDecodeError as exc:
         raise FormatError(f"stream {path}: bad header: {exc}") from exc
     if not isinstance(header, dict) or header.get("schema") != STREAM_SCHEMA:
@@ -600,9 +611,9 @@ def parse_stream(path: str | Path) -> tuple[dict, list[FrameInput]]:
     height = _decode(INT, header.get("image_height"), f"stream {path} header image_height")
 
     frames: list[FrameInput] = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         try:
-            frames.append(_read_frame(json.loads(line), lineno - 1, path.parent, width, height))
+            frames.append(_read_frame(json.loads(line), len(frames) + 1, path.parent, width, height))
         except json.JSONDecodeError as exc:
             raise FormatError(f"stream {path}:{lineno}: {exc}") from exc
         except _Invalid as exc:

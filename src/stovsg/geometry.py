@@ -133,21 +133,6 @@ def _iou(a: BoundingBox2D, b: BoundingBox2D) -> float:
     return inter / (_area(a) + _area(b) - inter)
 
 
-def area(box: BoundingBox2D) -> float:
-    _require_valid(box)
-    return _area(box)
-
-
-def center(box: BoundingBox2D) -> np.ndarray:
-    _require_valid(box)
-    return np.array(_center(box))
-
-
-def diagonal(box: BoundingBox2D) -> float:
-    _require_valid(box)
-    return _diagonal(box)
-
-
 def union_box(a: BoundingBox2D, b: BoundingBox2D) -> BoundingBox2D:
     """Smallest box covering both inputs."""
     _require_valid(a, b)

@@ -129,12 +129,6 @@ class CameraModel:
         object.__setattr__(self, "rotation", freeze_array(self.rotation))
         object.__setattr__(self, "translation", freeze_array(self.translation))
 
-    def intrinsics(self) -> np.ndarray:
-        return np.array(
-            [[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]],
-            dtype=np.float64,
-        )
-
     @cached_property
     def violations(self) -> tuple[str, ...]:
         """Why this camera cannot be used; empty when it can.
@@ -475,10 +469,6 @@ class SceneGraph4D:
         if 0 <= pos < len(self.frames) and self.frames[pos].frame_index == frame_index:
             return self.frames[pos]
         raise NotFound(f"frame {frame_index} not in graph")
-
-    @property
-    def newest_frame(self) -> FrameGraph | None:
-        return self.frames[-1] if self.frames else None
 
 
 def empty_graph() -> SceneGraph4D:

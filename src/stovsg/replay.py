@@ -15,11 +15,10 @@ from dataclasses import dataclass
 
 from .config import EngineConfig
 from .errors import InputRejected
-from .metrics import MetricsReport, evaluate, node_truth_map
+from .metrics import MetricsReport, evaluate
 from .model import Command, SceneGraph4D, empty_graph
-from .query import ground_command
 from .sim import FAMILIES, GroundTruthLog, ScenarioSpec, generate_stream, make_scenario
-from .store import ingest_frame
+from .store import ingest_sequence
 
 
 def commands_from_scenario(spec: ScenarioSpec) -> list[Command]:
@@ -38,10 +37,7 @@ def commands_from_scenario(spec: ScenarioSpec) -> list[Command]:
 def build_graph(spec: ScenarioSpec, config: EngineConfig) -> tuple[SceneGraph4D, GroundTruthLog]:
     """Generate the scenario's stream and ingest every frame in order."""
     inputs, truth = generate_stream(spec)
-    graph = empty_graph()
-    for frame in inputs:
-        graph = ingest_frame(graph, frame, config)
-    return graph, truth
+    return ingest_sequence(empty_graph(), inputs, config), truth
 
 
 @dataclass(frozen=True)
@@ -105,23 +101,6 @@ class SuiteRow:
 class SuiteResult:
     latency_aware: bool
     rows: tuple[SuiteRow, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "latency_aware": self.latency_aware,
-            "rows": [
-                {
-                    "family": r.family,
-                    "delay": r.delay,
-                    "trials": r.trials,
-                    "grounding_success_rate": r.grounding_success_rate,
-                    "replay_success_rate": r.replay_success_rate,
-                    "temporal_accuracy": r.temporal_accuracy,
-                    "node_accuracy": r.node_accuracy,
-                }
-                for r in self.rows
-            ],
-        }
 
 
 def run_suite(
@@ -187,20 +166,3 @@ def format_suite(suite: SuiteResult) -> str:
             f"{fmt(r.temporal_accuracy):>6} {fmt(r.node_accuracy):>6}"
         )
     return "\n".join(lines)
-
-
-def grounded_true_ids(
-    graph: SceneGraph4D, truth: GroundTruthLog, commands: list[Command], config: EngineConfig
-) -> list[tuple[int, int]]:
-    """(latency-aware, naive) grounded true ids per command, for comparisons."""
-    mapping = node_truth_map(graph, truth)
-    out = []
-    for command, ct in zip(commands, truth.commands):
-        pair = []
-        for aware in (True, False):
-            result = ground_command(
-                graph, command, config.query, latency_aware=aware, as_of=ct.arrival_time
-            )
-            pair.append(mapping[result.current_node.node_id].true_id)
-        out.append((pair[0], pair[1]))
-    return out

@@ -115,7 +115,12 @@ def noise_preset(level: float) -> NoiseModel:
 class LatencyProfile:
     """Piecewise-constant transmission delay over send time."""
 
-    steps: tuple[tuple[float, float], ...]  # (from_time, delay)
+    steps: tuple[tuple[float, float], ...]  # (from_time, delay), in ascending from_time order
+
+    def __post_init__(self):
+        starts = [start for start, _ in self.steps]
+        if not all(a <= b for a, b in zip(starts, starts[1:])):
+            raise InputRejected(f"latency profile steps must be in ascending from_time order, got {starts}")
 
     @staticmethod
     def constant(delay: float) -> "LatencyProfile":

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .errors import InputRejected, NoAlignedFrame, NotFound
+from .errors import InputRejected, NoAlignedFrame
 from .geometry import DepthImage, centroid_and_size, lift_mask
 from .model import (
     APPEARED,
@@ -361,13 +361,6 @@ def frame_at_operator_time(graph: SceneGraph4D, query_time: float) -> FrameGraph
     if not k:
         raise NoAlignedFrame(f"no frame was operator-visible at time {query_time}")
     return frames[k - 1]
-
-
-def track_history(graph: SceneGraph4D, track_id: int) -> list[ObjectNode]:
-    """All observations of one track, oldest first."""
-    if track_id not in graph.tracks:
-        raise NotFound(f"track {track_id} not in graph")
-    return [graph.node(nid) for nid in graph.tracks[track_id].history]
 
 
 def lifecycle_events(

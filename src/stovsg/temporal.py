@@ -74,22 +74,19 @@ def eligible_tracks(tracks: Mapping[int, Track], w: TemporalWeights, now: float)
 
 
 def build_cost_matrix(
-    tracks: Mapping[int, Track] | Sequence[Track],
+    tracks: Mapping[int, Track],
     nodes: Sequence[ObjectNode],
     w: TemporalWeights,
     now: float,
 ) -> CostMatrix:
     """Pairwise costs between matchable tracks (rows) and frame nodes (cols).
 
-    Rows are ordered by ascending track id, columns follow the frame's node
-    order; a mapping input is filtered to matchable tracks first.  Each
-    cell is :func:`temporal_cost` of its pair, computed for the whole block
-    at once; a block with cells raises what the first failing pair would.
+    Rows are the matchable tracks (:func:`eligible_tracks`) by ascending
+    track id, columns follow the frame's node order.  Each cell is
+    :func:`temporal_cost` of its pair, computed for the whole block at
+    once; a block with cells raises what the first failing pair would.
     """
-    if isinstance(tracks, Mapping):
-        rows = eligible_tracks(tracks, w, now)
-    else:
-        rows = sorted(tracks, key=lambda t: t.track_id)
+    rows = eligible_tracks(tracks, w, now)
     if rows and nodes:
         values = _cost_block(rows, nodes, w)
     else:

@@ -82,6 +82,10 @@ def test_mask_codec_rejects_malformed_runs():
         decode_mask([[1, 2, 0]])
     with pytest.raises(FormatError):
         decode_mask([[1, 2, -3]])
+    # NumPy would read [[true, 0, 3]] as [[1, 0, 3]]
+    for runs in ([[True, 0, 3]], [[1, False, 3]], [[1, 0, True]], [[1, 0, 3], [2, 0, 3.0]], [[1, 0, 2**63]]):
+        with pytest.raises(FormatError, match=r"^mask: runs must be \[row, col, length\] integers$"):
+            decode_mask(runs)
 
 
 def _loop_runs(mask):
@@ -191,6 +195,27 @@ def test_stream_parser_rejects_corruption(tmp_path):
         parse_stream(tmp_path / "garbled.jsonl")
 
 
+def test_stream_errors_give_the_line_number_in_the_file(tmp_path):
+    inputs, _ = generate_stream(make_scenario("moved_reference", {"seed": 0, "delay": 0.5}))
+    path = tmp_path / "stream.jsonl"
+    write_stream(inputs[:4], path)
+    header, *records = path.read_text().splitlines()
+    blank = [header, "", "  "]  # two blank lines, so the third frame sits on line 6
+    path.write_text("\n".join(blank + records) + "\n")
+    _, frames = parse_stream(path)
+    assert len(frames) == 4
+
+    record = json.loads(records[2])
+    record["frame_index"] = 4
+    path.write_text("\n".join(blank + [records[0], records[1], dumps(record), records[3]]) + "\n")
+    message = rf"^stream {re.escape(str(path))}:6: frame_index 4 out of order \(expected 3\)$"
+    with pytest.raises(FormatError, match=message):
+        parse_stream(path)
+    path.write_text("\n".join(blank + [records[0], records[1], "{not json", records[3]]) + "\n")
+    with pytest.raises(FormatError, match=rf"^stream {re.escape(str(path))}:6: "):
+        parse_stream(path)
+
+
 def occluded_graph(config):
     inputs = [
         make_frame_input(1.0, detections=(make_detection(x0=10), make_detection(x0=60, label="apple", f_img=axis(3), f_txt=axis(4)))),
@@ -290,6 +315,21 @@ def test_scenario_round_trips(tmp_path):
     fuzz = make_random_scenario(17)
     write_scenario(fuzz, tmp_path / "fuzz.json")
     assert scenario_to_dict(read_scenario(tmp_path / "fuzz.json")) == scenario_to_dict(fuzz)
+
+
+@pytest.mark.parametrize("link", ["uplink", "downlink"])
+def test_scenario_latency_steps_out_of_order_are_format_errors(tmp_path, capsys, link):
+    data = scenario_to_dict(make_scenario("target_moved", {"seed": 0}))
+    data[link] = [[0.0, 1.0], [5.0, 3.0], [2.0, 9.0]]
+    path = tmp_path / "scenario.json"
+    path.write_text(dumps(data) + "\n")
+    message = rf"^scenario: {link}: latency profile steps must be in ascending from_time order, got \[0.0, 5.0, 2.0\]$"
+    with pytest.raises(FormatError, match=message):
+        read_scenario(path)
+    assert cli_main(["simulate", "--scenario", str(path), "--out-dir", str(tmp_path / "run")]) == 1
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "format-error" and re.match(message, error["message"])
+    assert not (tmp_path / "run").exists()
 
 
 def test_unbounded_visibility_serializes_as_null():
@@ -472,6 +512,7 @@ def _set(*keys, value):
         _set("detections", 0, "box", value=[1, 2, 3]),
         _set("detections", 0, "mask_rle", value=[[1, 2]]),
         _set("detections", 0, "mask_rle", value={"row": 1}),
+        _set("detections", 0, "mask_rle", 0, 0, value=True),
         _set("relation_candidates", 0, "src", value=1.5),
         lambda record: record["detections"][0].pop("f_txt"),
         lambda record: record.update(detections=[7]),
@@ -493,6 +534,7 @@ def _set(*keys, value):
         "box-three-numbers",
         "mask-short-run",
         "mask-object",
+        "mask-bool",
         "candidate-src-float",
         "f-txt-missing",
         "detection-number",

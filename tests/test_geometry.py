@@ -15,9 +15,10 @@ from stovsg import (
     lift_mask,
     lift_pixel,
     project_point,
+    spatial_cost,
     union_box,
 )
-from stovsg.geometry import area, center, diagonal
+from stovsg.geometry import _area, _center, _diagonal
 
 from conftest import make_camera, rect_mask
 from oracles import iou_oracle, lift_pixel_oracle, project_point_oracle, random_rotation
@@ -188,11 +189,11 @@ def test_box_helpers_match_direct_formulas():
         x0, y0 = rng.uniform(0, 50, 2)
         w, h = rng.uniform(0.5, 30, 2)
         box = BoundingBox2D(x0, y0, x0 + w, y0 + h)
-        assert math.isclose(area(box), w * h, rel_tol=1e-12)
-        cx, cy = center(box)
+        assert math.isclose(_area(box), w * h, rel_tol=1e-12)
+        cx, cy = _center(box)
         assert math.isclose(cx, x0 + w / 2, rel_tol=1e-12)
         assert math.isclose(cy, y0 + h / 2, rel_tol=1e-12)
-        assert math.isclose(diagonal(box), math.hypot(w, h), rel_tol=1e-12)
+        assert math.isclose(_diagonal(box), math.hypot(w, h), rel_tol=1e-12)
 
         other = BoundingBox2D(x0 - 1, y0 + 2, x0 + 3, y0 + 4)
         assert math.isclose(iou(box, other), iou_oracle(box, other), rel_tol=1e-12, abs_tol=1e-15)
@@ -203,7 +204,9 @@ def test_box_helpers_match_direct_formulas():
 
 def test_box_helpers_reject_degenerate_boxes():
     with pytest.raises(InputRejected):
-        area(BoundingBox2D(2, 0, 0, 2))
+        union_box(BoundingBox2D(2, 0, 0, 2), BoundingBox2D(0, 0, 1, 1))
+    with pytest.raises(InputRejected):
+        spatial_cost(BoundingBox2D(0, 0, 1, 1), BoundingBox2D(2, 0, 0, 2))
     with pytest.raises(InputRejected):
         iou(BoundingBox2D(0, 0, 1, 1), BoundingBox2D(0, 0, 0, 0))
 

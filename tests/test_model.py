@@ -206,7 +206,6 @@ def test_graph_lookup_helpers(config):
     node = graph.frames[0].nodes[0]
     assert graph.node(node.node_id) is node
     assert graph.frame(2) is graph.frames[1]
-    assert graph.newest_frame is graph.frames[1]
     with pytest.raises(NotFound):
         graph.node(12345)
     with pytest.raises(NotFound):

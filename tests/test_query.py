@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -108,6 +109,17 @@ def test_grounding_follows_the_track_to_the_present(config):
     np.testing.assert_allclose(result.centroid, result.current_node.centroid)
     # the mug drifted right: execution pose differs from the aligned pose
     assert result.centroid[0] > result.aligned_node.centroid[0]
+
+
+def test_a_winner_on_no_track_is_not_found(config):
+    graph = mug_scene(config)
+    mug = graph.tracks[1]
+    assert tuple(mug.history) == (1, 3, 5)
+    orphaned = replace(graph, tracks=MappingProxyType({**graph.tracks, 1: replace(mug, history=(3, 5))}))
+    with pytest.raises(NotFound, match="^'node 1 is on no track'$"):
+        ground_command(orphaned, mug_command(1.6))
+    with pytest.raises(NotFound, match="^'node 1 is on no track'$"):
+        extract_subgraph(orphaned, mug_command(1.6))
 
 
 def test_aware_mode_survives_a_late_arriving_lookalike(config):

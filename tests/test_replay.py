@@ -8,10 +8,10 @@ from stovsg import (
     build_graph,
     commands_from_scenario,
     format_suite,
-    grounded_true_ids,
     make_scenario,
     run_suite,
     run_trial,
+    score_grounding,
     validate_graph,
 )
 
@@ -46,9 +46,10 @@ def test_grounded_true_ids_reports_both_modes(config):
     spec = make_scenario(FAMILY_TARGET_MOVED, {"seed": 2, "delay": 1.0})
     graph, truth = build_graph(spec, config)
     commands = commands_from_scenario(spec)
-    [(aware_id, naive_id)] = grounded_true_ids(graph, truth, commands, config)
-    assert aware_id == 1
-    assert naive_id == 3  # the look-alike parked on the target's old spot
+    [aware] = score_grounding(graph, truth, commands, config, latency_aware=True)
+    [naive] = score_grounding(graph, truth, commands, config, latency_aware=False)
+    assert aware.grounded_true_id == 1
+    assert naive.grounded_true_id == 3  # the look-alike parked on the target's old spot
 
 
 def test_small_suite_is_all_ones(config):
@@ -65,8 +66,6 @@ def test_small_suite_is_all_ones(config):
         assert row.replay_success_rate == 1.0
         assert row.temporal_accuracy == 1.0
         assert row.node_accuracy == 1.0
-    data = suite.to_dict()
-    assert [r["family"] for r in data["rows"]] == [r.family for r in suite.rows]
 
 
 def test_suite_table_lists_every_cell(config):

@@ -91,6 +91,11 @@ def test_latency_profile_is_piecewise_constant():
         LatencyProfile(steps=()).delay_at(0.0)
     with pytest.raises(InputRejected):
         LatencyProfile(steps=((0.0, -1.0),)).delay_at(0.0)
+    # unsorted, the first would read delay_at(3) == 1.0 and delay_at(6) == 9.0
+    for steps in (((0.0, 1.0), (5.0, 3.0), (2.0, 9.0)), ((1.0, 1.0), (math.nan, 2.0))):
+        with pytest.raises(InputRejected, match="ascending from_time order"):
+            LatencyProfile(steps=steps)
+    assert LatencyProfile(steps=((0.0, 1.0), (2.0, 2.0), (2.0, 3.0))).delay_at(2.0) == 3.0
 
 
 def test_stream_is_deterministic():

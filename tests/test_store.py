@@ -31,7 +31,6 @@ from stovsg import (
     ingest_frame,
     ingest_sequence,
     lifecycle_events,
-    track_history,
     validate_graph,
 )
 from stovsg.model import AssociationOutcome, FrameGraph, LatencyTag
@@ -208,7 +207,7 @@ def test_reappearance_within_grace_bridges_the_gap(config):
     assert track.history == (1, 2, 3)
     spans = [(e.src_frame, e.dst_frame) for e in edges_of(graph, SAME_INSTANCE)]
     assert spans == [(1, 2), (2, 4)]  # second link jumps the occluded frame
-    assert [n.frame_index for n in track_history(graph, 1)] == [1, 2, 4]
+    assert [graph.node(nid).frame_index for nid in track.history] == [1, 2, 4]
     assert validate_graph(graph) == []
 
 
@@ -245,11 +244,6 @@ def test_frame_at_operator_time_uses_tagged_arrival(config):
         frame_at_operator_time(graph, 1.49)
     with pytest.raises(NoAlignedFrame):
         frame_at_operator_time(empty_graph(), 1.0)
-
-
-def test_track_history_unknown_track(config):
-    with pytest.raises(NotFound):
-        track_history(empty_graph(), 7)
 
 
 def test_lifecycle_events_window(config):

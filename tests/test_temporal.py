@@ -110,21 +110,21 @@ def test_matrix_empty_sides():
     bad = TemporalWeights(d_max=0.0)
     zero = make_track(1, descriptor=np.zeros(DIM))
     assert build_cost_matrix({}, [], bad, now=0.0).values.shape == (0, 0)
-    assert build_cost_matrix([], [make_node(1), make_node(2)], bad, now=0.0).values.shape == (0, 2)
-    assert build_cost_matrix([zero, make_track(2)], [], bad, now=0.0).values.shape == (2, 0)
+    assert build_cost_matrix({}, [make_node(1), make_node(2)], bad, now=0.0).values.shape == (0, 2)
+    assert build_cost_matrix({1: zero, 2: make_track(2)}, [], bad, now=0.0).values.shape == (2, 0)
 
 
 def _random_block(rng, n_tracks, n_nodes):
     labels = ("red mug", "apple", "yellow block")
-    tracks = [
-        make_track(
+    tracks = {
+        tid: make_track(
             tid,
             centroid=rng.uniform(-1, 1, 3),
             descriptor=rng.normal(size=DIM),
             label=labels[rng.integers(3)],
         )
         for tid in range(1, n_tracks + 1)
-    ]
+    }
     nodes = [
         make_node(
             100 + j,
@@ -146,7 +146,7 @@ def test_matrix_cells_agree_with_cost_calls_on_random_features():
             tracks, nodes = _random_block(rng, n_tracks, n_nodes)
             matrix = build_cost_matrix(tracks, nodes, W, now=0.0)
             assert matrix.values.shape == (n_tracks, n_nodes)
-            for i, track in enumerate(tracks):
+            for i, track in enumerate(tracks.values()):
                 for j, node in enumerate(nodes):
                     assert abs(matrix.values[i, j] - temporal_cost(track, node, W)) <= 1e-15
 
@@ -158,13 +158,13 @@ def test_one_bad_vector_in_a_block_is_rejected(where, fault):
     tracks, nodes = _random_block(rng, 4, 5)
     bad = np.zeros(DIM) if fault == "zero-norm" else np.ones(DIM + 1)
     if where == "track":
-        tracks[2] = make_track(3, descriptor=bad)
+        tracks[3] = make_track(3, descriptor=bad)
     else:
         nodes[3] = make_node(103, f_img=bad)
     with pytest.raises(InputRejected) as got:
         build_cost_matrix(tracks, nodes, W, now=0.0)
     with pytest.raises(InputRejected) as want:  # the first failing pair in row order
-        for track in tracks:
+        for track in tracks.values():
             for node in nodes:
                 temporal_cost(track, node, W)
     assert str(got.value) == str(want.value)
