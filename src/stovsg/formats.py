@@ -62,7 +62,7 @@ from .store import FrameInput
 STREAM_SCHEMA = "stovsg-stream/1"
 GRAPH_SCHEMA = "stovsg-graph/3"
 SCENARIO_SCHEMA = "stovsg-scenario/1"
-SUBGRAPH_SCHEMA = "stovsg-subgraph/1"
+SUBGRAPH_SCHEMA = "stovsg-subgraph/2"
 TRUTH_SCHEMA = "stovsg-truth/1"
 COMMAND_SCHEMA = "stovsg-command/1"
 
@@ -555,12 +555,16 @@ def write_stream(inputs: Sequence[FrameInput], path: str | Path) -> None:
 
     Depth images land in ``<name>_depth/frame_NNNNNN.bin`` next to the
     stream file and are referenced by relative path from each record.
+    The header takes the image size from the first frame, so a stream
+    needs at least one.
     """
+    if not inputs:
+        raise InputRejected("a stream needs at least one frame")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     depth_dir = _depth_dir_name(path)
     feature_dim = next((int(f.detections[0].f_img.shape[0]) for f in inputs if f.detections), None)
-    width, height = (inputs[0].depth.width, inputs[0].depth.height) if inputs else (0, 0)
+    width, height = inputs[0].depth.width, inputs[0].depth.height
 
     header = {
         "schema": STREAM_SCHEMA,
@@ -607,8 +611,13 @@ def parse_stream(path: str | Path) -> tuple[dict, list[FrameInput]]:
         raise FormatError(f"stream {path}: bad header: {exc}") from exc
     if not isinstance(header, dict) or header.get("schema") != STREAM_SCHEMA:
         raise FormatError(f"stream {path}: expected schema {STREAM_SCHEMA!r}")
-    width = _decode(INT, header.get("image_width"), f"stream {path} header image_width")
-    height = _decode(INT, header.get("image_height"), f"stream {path} header image_height")
+    sizes = []
+    for key in ("image_width", "image_height"):  # a frame without depth_ref reads as zeros of this size
+        size = _decode(INT, header.get(key), f"stream {path} header {key}")
+        if size < 1:
+            raise FormatError(f"stream {path} header {key}: expected a positive integer, got {size}")
+        sizes.append(size)
+    width, height = sizes
 
     frames: list[FrameInput] = []
     for lineno, line in lines[1:]:
@@ -729,11 +738,12 @@ def read_commands(path: str | Path) -> list[Command]:
 
 def subgraph_payload(sub: TaskSubgraph) -> dict:
     """Assemble the ordered payload dict for a task subgraph."""
+    edges = sorted(sub.edges, key=lambda e: (e.src, e.dst, e.relation))
     nodes = []
     for node, score in sub.nodes:
         relations = [
             {"relation": e.relation, "subject": e.src, "object": e.dst}
-            for e in sorted(sub.edges, key=lambda e: (e.src, e.dst, e.relation))
+            for e in edges
             if node.node_id in (e.src, e.dst)
         ]
         history = [[t, c.tolist()] for t, c in sub.history.get(node.node_id, ())]

@@ -5,12 +5,16 @@ newest one whose tagged arrival time precedes the issue time.  Grounding
 therefore scores that frame's nodes, picks the winner, and only then walks
 the winner's track forward to the present to recover an execution-time
 pose.  A compact task subgraph around the winner is what a downstream
-planner consumes.
+planner consumes: each of its nodes carries only the motion from its own
+observation in the aligned frame to the newest frame, the same window its
+lifecycle events cover, so an export costs the same late in a long stream
+as early in it.  Frames before the aligned one stay reachable through
+``as_of``.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
@@ -53,7 +57,7 @@ class TaskSubgraph:
     nodes: tuple[tuple[ObjectNode, float], ...]  # (node, score), best first
     seed_ids: tuple[int, ...]  # the top-k node ids before neighbor expansion
     edges: tuple[SpatialEdge, ...]
-    history: Mapping[int, tuple[tuple[float, np.ndarray], ...]]  # node id -> (time, centroid)
+    history: Mapping[int, tuple[tuple[float, np.ndarray], ...]]  # node id -> (time, centroid), aligned frame to newest
     dynamics: tuple[tuple[float, int, str], ...]  # (time, track_id, event)
 
 
@@ -116,16 +120,23 @@ def _align(
     return aligned, newest, score_nodes(aligned, command, cfg)
 
 
-def _track_until(graph: SceneGraph4D, node_id: int, newest: FrameGraph) -> tuple[int, Sequence[int]]:
-    """The id of the track holding ``node_id`` and its node ids up to ``newest``, oldest first."""
+def _track_window(graph: SceneGraph4D, node_id: int, newest: FrameGraph) -> tuple[int, Sequence[int]]:
+    """The id of the track holding ``node_id`` and its node ids from ``node_id`` to ``newest``, oldest first.
+
+    A history is in frame order, so both ends bisect on frame index:
+    O(log track + window).
+    """
     track_id = graph.track_of(node_id)
     if track_id is None:
         raise NotFound(f"node {node_id} is on no track")
-    history = graph.tracks[track_id].history
-    ids, n = view_parts(history)
-    # a history is in frame order, so the observations up to ``newest`` are a prefix
-    end = bisect_right(ids, newest.frame_index, 0, n, key=lambda nid: graph.node(nid).frame_index)
-    return track_id, LogView(history, end)
+    ids, n = view_parts(graph.tracks[track_id].history)
+
+    def frame_of(nid: int) -> int:
+        return graph.node(nid).frame_index
+
+    start = bisect_left(ids, frame_of(node_id), 0, n, key=frame_of)
+    end = bisect_right(ids, newest.frame_index, start, n, key=frame_of)
+    return track_id, ids[start:end]
 
 
 def extract_subgraph(
@@ -138,10 +149,13 @@ def extract_subgraph(
     """Build the task subgraph for a command.
 
     Scores the aligned frame, keeps the top-k nodes, pulls in spatial
-    neighbors up to ``neighbor_hops`` away, attaches per-node motion
-    history and the lifecycle events between the aligned frame and the
-    newest one.  The result is closed: every edge endpoint is included.
-    Without latency awareness the anchor is simply the newest frame.
+    neighbors up to ``neighbor_hops`` away, and attaches, over the window
+    from the aligned frame to the newest one, each node's motion history
+    and the lifecycle events.  A node's history starts with its own
+    (obs_time, centroid) and follows its track to the newest frame.  The
+    result is closed: every edge endpoint is included.  Without latency
+    awareness the anchor is simply the newest frame, so each history is
+    one entry.
     """
     aligned, newest, ranked = _align(graph, command, cfg, as_of, latency_aware)
     scores = dict(ranked)
@@ -168,8 +182,8 @@ def extract_subgraph(
     )
     history = {}
     for nid in picked:
-        _, observed = _track_until(graph, nid, newest)
-        history[nid] = tuple((node.obs_time, node.centroid) for node in map(graph.node, observed))
+        _, window = _track_window(graph, nid, newest)
+        history[nid] = tuple((node.obs_time, node.centroid) for node in map(graph.node, window))
     dynamics = lifecycle_events(graph, aligned.capture_time, newest.capture_time)
     return TaskSubgraph(
         command=command,
@@ -205,8 +219,8 @@ def ground_command(
     best_id, best_score = ranked[0]
     aligned_node = graph.node(best_id)
 
-    track_id, observed = _track_until(graph, best_id, newest)
-    current = graph.node(observed[-1])
+    track_id, window = _track_window(graph, best_id, newest)
+    current = graph.node(window[-1])
     # a target is live exactly when it was observed in the newest visible frame
     status = STATUS_LIVE if current.frame_index == newest.frame_index else STATUS_LOST
 

@@ -295,3 +295,15 @@ def lifecycle_events_oracle(frames, temporal_edges, start: float, end: float) ->
             events.append((when, edge.track_id, edge.relation))
     events.sort(key=lambda item: (item[0], item[1], item[2]))
     return tuple(events)
+
+
+def history_window_oracle(frames, tracks, node_id: int, aligned_index: int, newest_index: int) -> tuple:
+    """(obs time, centroid) of ``node_id``'s track in every frame from ``aligned_index`` to ``newest_index``, by a full scan."""
+    holders = [track for track in tracks.values() if node_id in list(track.history)]
+    assert len(holders) == 1, f"node {node_id} is on {len(holders)} tracks"
+    on_track = set(holders[0].history)
+    window = []
+    for fg in frames:
+        if aligned_index <= fg.frame_index <= newest_index:
+            window.extend((node.obs_time, node.centroid) for node in fg.nodes if node.node_id in on_track)
+    return tuple(window)

@@ -12,6 +12,7 @@ from stovsg import (
     DepthImage,
     EngineConfig,
     FormatError,
+    InputRejected,
     PixelMask,
     QueryConfig,
     SUBGRAPH_SCHEMA,
@@ -423,7 +424,7 @@ def test_golden_subgraph_bytes():
         "scene_dynamics": [{"time": 0.4, "track_id": 2, "event": "appeared"}],
     }
     expected = (
-        '{"schema":"stovsg-subgraph/1","command_text":"pick up the red mug",'
+        '{"schema":"stovsg-subgraph/2","command_text":"pick up the red mug",'
         '"aligned_frame_index":3,"aligned_frame_time":0.3,'
         '"latency_tag":{"capture_time":0.3,"transmission_latency":0.5},'
         '"nodes":[{"id":1,"class":"red mug","centroid":[0.123457,-0.5,1.5],'
@@ -461,6 +462,12 @@ def test_parse_subgraph_rejects_other_documents():
         parse_subgraph('{"schema":"stovsg-graph/1"}')
     with pytest.raises(FormatError):
         parse_subgraph("{broken")
+
+
+def test_parse_subgraph_refuses_a_version_1_payload():
+    # version 1 carried each track's whole history; version 2 only the aligned-to-newest window
+    with pytest.raises(FormatError, match="stovsg-subgraph/2"):
+        parse_subgraph('{"schema":"stovsg-subgraph/1","nodes":[]}')
 
 
 def test_dumps_refuses_non_finite():
@@ -548,6 +555,29 @@ def test_malformed_stream_records_give_format_errors(tmp_path, capsys, mutate):
     assert cli_main(["build", "--stream", str(path), "--out", str(tmp_path / "g.json")]) == 1
     error = json.loads(capsys.readouterr().err)
     assert error["error"] == "format-error"
+    assert not (tmp_path / "g.json").exists()
+
+
+def test_a_stream_without_frames_is_not_written(tmp_path):
+    # its header could give no positive image size for the reader to accept
+    with pytest.raises(InputRejected, match="a stream needs at least one frame"):
+        write_stream([], tmp_path / "stream.jsonl")
+    assert not (tmp_path / "stream.jsonl").exists()
+
+
+@pytest.mark.parametrize("key", ["image_width", "image_height"])
+@pytest.mark.parametrize("size", [-5, 0])
+def test_header_image_sizes_must_be_positive(tmp_path, capsys, key, size):
+    # a record without depth_ref reads as zero depth of the header's size
+    path = _stream_with_line(tmp_path, lambda record: record.pop("depth_ref"))
+    header, *records = path.read_text().splitlines()
+    path.write_text("\n".join([dumps({**json.loads(header), key: size}), *records]) + "\n")
+    with pytest.raises(FormatError, match=f"header {key}: expected a positive integer, got {size}$"):
+        parse_stream(path)
+    assert cli_main(["build", "--stream", str(path), "--out", str(tmp_path / "g.json")]) == 1
+    out, err = capsys.readouterr()
+    (line,) = err.splitlines()
+    assert out == "" and json.loads(line)["error"] == "format-error" and key in json.loads(line)["message"]
     assert not (tmp_path / "g.json").exists()
 
 

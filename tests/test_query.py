@@ -6,10 +6,13 @@ from types import MappingProxyType
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stovsg import (
     BoundingBox2D,
     Command,
+    EngineConfig,
     FrameGraph,
     InputRejected,
     LatencyTag,
@@ -24,13 +27,19 @@ from stovsg import (
     extract_subgraph,
     generate_stream,
     ground_command,
+    ingest_frame,
     ingest_sequence,
     make_scenario,
     score_nodes,
 )
 
 from conftest import axis, in_plane, make_detection, make_frame_input, make_node
-from oracles import node_score_oracle
+from oracles import (
+    frame_at_operator_time_oracle,
+    frames_as_of_oracle,
+    history_window_oracle,
+    node_score_oracle,
+)
 
 MUG_TXT = axis(0)
 APPLE_TXT = axis(4)
@@ -274,10 +283,16 @@ def test_subgraph_history_and_dynamics(config):
     sub = extract_subgraph(graph, command)
     assert sub.aligned_frame_index == 1
     (entries,) = sub.history.values()
-    assert [t for t, _ in entries] == [1.5, 2.5, 3.5]  # full motion history, oldest first
+    assert [t for t, _ in entries] == [1.5, 2.5, 3.5]  # aligned frame to the newest, oldest first
     xs = [c[0] for _, c in entries]
     assert xs == sorted(xs)
     assert sub.dynamics == ((1.0, 1, "appeared"), (4.0, 1, "disappeared"))
+
+    later = extract_subgraph(graph, mug_command(2.6))
+    assert later.aligned_frame_index == 2
+    (entries,) = later.history.values()
+    assert [t for t, _ in entries] == [2.5, 3.5]  # the frame-1 observation is before the window
+    assert later.dynamics == ((4.0, 1, "disappeared"),)
 
 
 def test_subgraph_respects_as_of(config):
@@ -285,3 +300,66 @@ def test_subgraph_respects_as_of(config):
     sub = extract_subgraph(graph, mug_command(1.6), as_of=2.4)
     (mug_entries, _) = (sub.history[nid] for nid in sorted(sub.history))
     assert [t for t, _ in mug_entries] == [1.5, 2.5]  # frame 3 hidden by the cutoff
+
+
+def test_history_starts_at_each_nodes_own_observation(config):
+    graph = mug_scene(config, frames=5)
+    for latency_aware in (True, False):
+        sub = extract_subgraph(graph, mug_command(2.6), latency_aware=latency_aware)
+        assert len(sub.nodes) == 2
+        for node, _ in sub.nodes:
+            when, centroid = sub.history[node.node_id][0]
+            assert when == node.obs_time and np.array_equal(centroid, node.centroid)
+            assert len(sub.history[node.node_id]) == (4 if latency_aware else 1)
+
+
+def test_history_length_does_not_grow_with_the_stream(config):
+    graph = ingest_sequence(empty_graph(), _coming_and_going(40, [0.5] * 40), config)
+    # the same command two frames behind the newest one, early (cut at frame 5) and late (frame 37)
+    early = extract_subgraph(graph, mug_command(3.6), as_of=5.0)
+    late = extract_subgraph(graph, mug_command(35.6), as_of=37.0)
+    assert (early.aligned_frame_index, late.aligned_frame_index) == (3, 35)
+    assert [len(entries) for entries in early.history.values()] == [3]
+    assert [len(entries) for entries in late.history.values()] == [3]
+
+
+def _coming_and_going(count: int, latencies) -> list:
+    """A mug moving every frame and an apple seen two frames in four, one frame a second."""
+    return [
+        make_frame_input(
+            float(k + 1),
+            latency=latencies[k],
+            detections=(make_detection(x0=10 + 2 * (k % 5), f_img=axis(1), f_txt=MUG_TXT),)
+            + ((make_detection(x0=100, label="apple", f_img=axis(3), f_txt=APPLE_TXT),) if k % 4 < 2 else ()),
+        )
+        for k in range(count)
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(0.0, 3.0), min_size=1, max_size=14), st.data())
+def test_subgraph_history_matches_the_scanning_oracle(latencies, data):
+    snapshots = [empty_graph()]
+    for frame in _coming_and_going(len(latencies), latencies):
+        snapshots.append(ingest_frame(snapshots[-1], frame, EngineConfig()))
+    graph = data.draw(st.sampled_from(snapshots[1:]), label="snapshot")
+    frames = tuple(graph.frames)
+    times = st.floats(0.0, len(latencies) + 4.0)
+    for _ in range(4):
+        issue = data.draw(times, label="issue time")
+        as_of = data.draw(st.one_of(st.none(), times), label="as_of")
+        latency_aware = data.draw(st.booleans(), label="latency aware")
+        cut = frames if as_of is None else frames_as_of_oracle(frames, as_of)
+        aligned = frame_at_operator_time_oracle(cut, issue) if latency_aware else (cut[-1] if cut else None)
+        command = mug_command(issue)
+        if aligned is None:
+            with pytest.raises(NoAlignedFrame):
+                extract_subgraph(graph, command, as_of=as_of, latency_aware=latency_aware)
+            continue
+        sub = extract_subgraph(graph, command, as_of=as_of, latency_aware=latency_aware)
+        assert sub.aligned_frame_index == aligned.frame_index
+        assert sorted(sub.history) == sorted(node.node_id for node, _ in sub.nodes)
+        for nid, entries in sub.history.items():
+            want = history_window_oracle(cut, graph.tracks, nid, aligned.frame_index, cut[-1].frame_index)
+            assert [t for t, _ in entries] == [t for t, _ in want]
+            assert all(np.array_equal(got, c) for (_, got), (_, c) in zip(entries, want))
