@@ -19,14 +19,8 @@ from .geometry import (
     union_box,
 )
 from .formats import (
-    COMMAND_SCHEMA,
-    GRAPH_SCHEMA,
-    SCENARIO_SCHEMA,
-    STREAM_SCHEMA,
     SUBGRAPH_SCHEMA,
-    TRUTH_SCHEMA,
     canonical_dumps,
-    command_from_dict,
     command_to_dict,
     decode_mask,
     dumps,
@@ -45,7 +39,6 @@ from .formats import (
     scenario_to_dict,
     serialize_subgraph,
     subgraph_payload,
-    truth_from_dict,
     truth_to_dict,
     write_depth_file,
     write_graph,
@@ -54,8 +47,6 @@ from .formats import (
     write_truth,
 )
 from .metrics import (
-    METRICS_SCHEMA,
-    GroundingRecord,
     MetricsReport,
     evaluate,
     node_truth_map,
@@ -78,7 +69,6 @@ from .model import (
     RelationCandidate,
     SceneGraph4D,
     SpatialEdge,
-    TemporalEdge,
     Track,
     TrackStatus,
     cosine,
@@ -91,15 +81,11 @@ from .query import (
     STATUS_LOST,
     GroundingResult,
     QueryConfig,
-    TaskSubgraph,
     extract_subgraph,
     ground_command,
     score_nodes,
 )
 from .replay import (
-    SuiteResult,
-    SuiteRow,
-    TrialResult,
     build_graph,
     commands_from_scenario,
     format_suite,
@@ -112,9 +98,6 @@ from .sim import (
     FAMILY_MOVED_REFERENCE,
     FAMILY_OCCLUSION,
     FAMILY_TARGET_MOVED,
-    CommandTruth,
-    DetectionTruth,
-    FrameTruth,
     GroundTruthLog,
     LatencyProfile,
     NoiseModel,

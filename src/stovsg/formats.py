@@ -132,6 +132,15 @@ def _decode_float(raw: Any) -> float:
 
 FLOAT = Codec(None, _decode_float)
 INT = Codec(None, lambda raw: raw if type(raw) is int else _reject("an integer", raw))
+
+
+def _decode_positive_int(raw: Any) -> int:
+    if INT.decode(raw) < 1:
+        raise _Invalid(f"expected a positive integer, got {raw}")
+    return raw
+
+
+POSITIVE_INT = Codec(None, _decode_positive_int)
 STR = Codec(None, lambda raw: raw if type(raw) is str else _reject("a string", raw))
 _NUMBERS = {float, int}
 
@@ -240,7 +249,10 @@ def record(cls: type, *rows: tuple[str, str, Codec], schema: str | None = None) 
         except _Invalid as exc:
             exc.path = (key, *exc.path)
             raise
-        return cls(**values)
+        try:
+            return cls(**values)
+        except InputRejected as exc:  # a value the class itself refuses
+            raise _Invalid(exc.args[0]) from None
 
     return Codec(encode, decode)
 
@@ -274,7 +286,7 @@ def encode_mask(mask: PixelMask) -> list[list[int]]:
     return np.stack([v[starts], u[starts], lengths], axis=1).tolist()
 
 
-def decode_mask(runs: Sequence, where: str = "mask") -> PixelMask:
+def decode_mask(runs: Sequence) -> PixelMask:
     if type(runs) is not list:
         _reject("an array of runs", runs)
     if not runs:
@@ -285,10 +297,10 @@ def decode_mask(runs: Sequence, where: str = "mask") -> PixelMask:
         if {int}.issuperset(map(type, chain.from_iterable(runs))):
             arr = np.array(runs)
     if arr is None or arr.dtype.kind != "i":  # object dtype: an integer beyond int64
-        raise _Invalid(f"{where}: runs must be [row, col, length] integers")
+        raise _Invalid("mask: runs must be [row, col, length] integers")
     v, u0, n = arr[:, 0], arr[:, 1], arr[:, 2]
     if (n <= 0).any():
-        raise _Invalid(f"{where}: non-positive run length {int(n.min())}")
+        raise _Invalid(f"mask: non-positive run length {int(n.min())}")
     offsets = np.arange(int(n.sum())) - np.repeat(np.cumsum(n) - n, n)
     return PixelMask.from_pixels(np.stack([np.repeat(u0, n) + offsets, np.repeat(v, n)], axis=1))
 
@@ -447,9 +459,9 @@ SCENARIO = record(
     ("seed", "seed", INT),
     ("duration", "duration", FLOAT),
     ("frame_rate", "frame_rate", FLOAT),
-    ("image_width", "image_width", INT),
-    ("image_height", "image_height", INT),
-    ("feature_dim", "feature_dim", INT),
+    ("image_width", "image_width", POSITIVE_INT),
+    ("image_height", "image_height", POSITIVE_INT),
+    ("feature_dim", "feature_dim", POSITIVE_INT),
     ("camera", "camera", CAMERA),
     ("noise", "noise", NOISE),
     ("uplink", "uplink", PROFILE),
@@ -611,13 +623,11 @@ def parse_stream(path: str | Path) -> tuple[dict, list[FrameInput]]:
         raise FormatError(f"stream {path}: bad header: {exc}") from exc
     if not isinstance(header, dict) or header.get("schema") != STREAM_SCHEMA:
         raise FormatError(f"stream {path}: expected schema {STREAM_SCHEMA!r}")
-    sizes = []
-    for key in ("image_width", "image_height"):  # a frame without depth_ref reads as zeros of this size
-        size = _decode(INT, header.get(key), f"stream {path} header {key}")
-        if size < 1:
-            raise FormatError(f"stream {path} header {key}: expected a positive integer, got {size}")
-        sizes.append(size)
-    width, height = sizes
+    # a frame without depth_ref reads as zeros of this size
+    width, height = (
+        _decode(POSITIVE_INT, header.get(key), f"stream {path} header {key}")
+        for key in ("image_width", "image_height")
+    )
 
     frames: list[FrameInput] = []
     for lineno, line in lines[1:]:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,7 +41,6 @@ FAMILY_OCCLUSION = "occlusion_after_command"
 FAMILY_TARGET_MOVED = "target_moved"
 FAMILY_DISTRACTOR = "same_class_distractor"
 FAMILY_MOVED_REFERENCE = "moved_reference"
-FAMILIES = (FAMILY_OCCLUSION, FAMILY_TARGET_MOVED, FAMILY_DISTRACTOR, FAMILY_MOVED_REFERENCE)
 
 NEAR = "near"
 # frames one stream may have: each keeps a float32 depth image (77 KB at 160x120)
@@ -67,6 +67,13 @@ class SimObject:
             "waypoints",
             tuple((float(t), freeze_array(p)) for t, p in self.waypoints),
         )
+        if len(self.size) != 3:
+            raise InputRejected(f"size: expected 3 numbers, got {len(self.size)}")
+        if not self.waypoints:
+            raise InputRejected("waypoints: expected at least one")
+        for i, (_, position) in enumerate(self.waypoints):
+            if position.shape != (3,):
+                raise InputRejected(f"waypoints[{i}]: expected a position of 3 numbers")
 
     def position_at(self, t: float) -> np.ndarray:
         """Piecewise-linear position; duplicate waypoint times act as steps."""
@@ -169,6 +176,10 @@ class ScenarioSpec:
     downlink: LatencyProfile = field(default_factory=lambda: LatencyProfile.constant(0.5))
     near_threshold: float = 0.25  # metres; closer pairs propose a "near" relation
     commands: tuple[SimCommand, ...] = ()
+
+    def __post_init__(self):
+        if self.camera.violations:  # else no point projects, and _project_box reads that as behind the camera
+            raise InputRejected("; ".join(self.camera.violations))
 
 
 @dataclass(frozen=True, eq=False)
@@ -391,33 +402,53 @@ def generate_stream(spec: ScenarioSpec) -> tuple[list[FrameInput], GroundTruthLo
 # --- scenario construction ------------------------------------------------
 
 _DEG = math.pi / 180.0
+_DIM = 16  # feature dimension of every built scenario
+_SIZE = (0.12, 0.12, 0.12)
+_ALWAYS = ((0.0, math.inf),)
 
 
 def _default_camera() -> CameraModel:
     return CameraModel(fx=130.0, fy=130.0, cx=80.0, cy=60.0)
 
 
-def _axis(dim: int, index: int) -> np.ndarray:
-    vec = np.zeros(dim)
+def _axis(index: int) -> np.ndarray:
+    vec = np.zeros(_DIM)
     vec[index] = 1.0
-    return vec
+    return freeze_array(vec)
 
 
-def _in_plane(dim: int, angle_deg: float) -> np.ndarray:
+def _in_plane(angle_deg: float) -> np.ndarray:
     """Unit vector in the span of the first two axes, ``angle_deg`` off axis 0."""
-    vec = np.zeros(dim)
+    vec = np.zeros(_DIM)
     vec[0] = math.cos(angle_deg * _DEG)
     vec[1] = math.sin(angle_deg * _DEG)
-    return vec
+    return freeze_array(vec)
 
 
-def _grid(params: dict, delay: float) -> tuple[float, float, float, int]:
+def _object(true_id: int, label: str, txt, img, position, visibility=_ALWAYS, jump=None) -> SimObject:
+    """A static object, or with ``jump`` = ``(time, position)`` one that steps there."""
+    waypoints = ((0.0, position),) if jump is None else ((0.0, position), (jump[0], position), jump)
+    return SimObject(true_id, label, _SIZE, txt, img, waypoints, visibility)
+
+
+class _Window(NamedTuple):
+    """A command's latency window on the frame grid, and the first two captures after issue."""
+
+    delay: float
+    rate: float
+    issue: float
+    arrival: float
+    event1: float
+    event2: float
+
+
+def _window(params: dict) -> _Window:
     """Issue time anchored mid-interval on the frame grid.
 
-    Returns (issue, arrival, frame_rate, anchor_index).  The anchor leaves
-    at least one full second of pre-issue footage beyond the uplink delay,
-    so a latency-aligned query always has a frame to land on.
+    The anchor leaves at least one full second of pre-issue footage beyond
+    the uplink delay, so a latency-aligned query always has a frame to land on.
     """
+    delay = float(params.get("delay", 1.0))
     rate = float(params.get("frame_rate", 10.0))
     if not 0 < rate < math.inf:
         raise InputRejected(f"frame_rate must be positive and finite, got {rate}")
@@ -425,213 +456,117 @@ def _grid(params: dict, delay: float) -> tuple[float, float, float, int]:
         raise InputRejected(f"delay must be positive and finite, got {delay}")
     k0 = int(math.ceil((1.0 + delay) * rate))
     issue = (k0 + 0.5) / rate
-    return issue, issue + delay, rate, k0
+    w = _Window(delay, rate, issue, issue + delay, (k0 + 1) / rate, (k0 + 2) / rate)
+    if not w.issue < w.event1 < w.arrival:
+        raise InputRejected(f"delay {delay} too short for an in-window event at {rate} fps")
+    return w
 
 
-_SIZE = (0.12, 0.12, 0.12)
+# Each family builder returns its objects and duration; object 1 is the
+# command's target.  A twin's appearance sits 10 degrees from the target's,
+# on the side closer to the command embedding: a naive newest-frame match
+# prefers it, while issue-time alignment never sees it.
+_Built = tuple[tuple[SimObject, ...], float]
+_MUG_AT = (0.15, 0.05, 1.5)
+_TWIN_IMG = _in_plane(15.0)
+
+
+def _mug(**kwargs) -> SimObject:
+    return _object(1, "red mug", _axis(0), _in_plane(25.0), _MUG_AT, **kwargs)
+
+
+def _occlusion(w: _Window) -> _Built:
+    reappear = w.event1 + (w.delay + 1.0)  # hidden for delay + 1 s from the first in-window capture
+    return (
+        _mug(visibility=((0.0, w.event1), (reappear, math.inf))),
+        _object(2, "yellow block", _axis(4), _axis(5), [-0.35, 0.08, 1.6]),
+        _object(3, "green plate", _axis(6), _axis(7), [-0.05, -0.25, 1.4]),
+    ), reappear + 1.5
+
+
+def _target_moved(w: _Window) -> _Built:
+    if not w.event2 < w.arrival:
+        raise InputRejected(f"delay {w.delay} too short for two in-window events at {w.rate} fps")
+    seen = np.array(_MUG_AT)
+    return (
+        _mug(jump=(w.event1, seen + np.array([-0.3, 0.0, 0.0]))),
+        _object(2, "yellow block", _axis(4), _axis(5), [-0.45, 0.1, 1.6]),
+        # parks exactly where the target was seen
+        _object(3, "red mug", _axis(0), _TWIN_IMG, seen, visibility=((w.event2, math.inf),)),
+    ), w.arrival + 1.0
+
+
+def _distractor(w: _Window) -> _Built:
+    return (
+        _mug(),
+        _object(2, "red mug", _axis(0), _TWIN_IMG, [-0.25, 0.05, 1.5], visibility=((w.event1, math.inf),)),
+        _object(3, "yellow block", _axis(4), _axis(5), [0.5, -0.2, 1.7]),
+    ), w.arrival + 1.0
+
+
+def _moved_reference(w: _Window) -> _Built:
+    return (
+        _object(1, "apple", _axis(0), _in_plane(25.0), [0.1, 0.0, 1.5]),
+        _object(2, "phone", _axis(2), _axis(3), [0.1, 0.18, 1.5], jump=(w.event1, [-0.4, 0.18, 1.5])),
+        _object(3, "apple", _axis(0), _in_plane(-25.0), [-0.24, 0.18, 1.5]),
+    ), w.arrival + 1.0
+
+
+# family -> (builder, command text, command embedding)
+_BUILDERS = {
+    FAMILY_OCCLUSION: (_occlusion, "pick up the red mug", _axis(0)),
+    FAMILY_TARGET_MOVED: (_target_moved, "pick up the red mug", _axis(0)),
+    FAMILY_DISTRACTOR: (_distractor, "pick up the red mug", _axis(0)),
+    # the description matches how the intended apple photographs
+    FAMILY_MOVED_REFERENCE: (_moved_reference, "pick up the apple next to the phone", _in_plane(10.0)),
+}
+FAMILIES = tuple(_BUILDERS)
+PARAMS = ("seed", "delay", "frame_rate", "noise")
 
 
 def make_scenario(family: str, params: dict | None = None) -> ScenarioSpec:
     """Construct one adversarial scenario.
 
-    ``params`` accepts: ``seed``, ``delay`` (both link directions), ``frame_rate``,
-    ``noise`` (a :class:`NoiseModel`), plus family extras — ``gap`` (occlusion
-    re-entry delay), ``move_distance``, ``with_distractor``, ``distractor_angle_deg``.
-    Raises when the requested delay cannot fit the family's defining events
-    between issue and arrival on the frame grid.
+    ``params`` takes only the keys in :data:`PARAMS`: ``seed``, ``delay``
+    (both link directions), ``frame_rate`` and ``noise`` (a
+    :class:`NoiseModel`); any other key is refused.  Raises when the delay
+    cannot fit the family's defining events between issue and arrival on
+    the frame grid.
     """
-    params = dict(params or {})
-    seed = int(params.get("seed", 0))
-    delay = float(params.get("delay", 1.0))
-    noise = params.get("noise", NoiseModel())
-    dim = int(params.get("feature_dim", 16))
-    if dim < 4:
-        raise InputRejected(f"feature_dim must be at least 4, got {dim}")
-    issue, arrival, rate, k0 = _grid(params, delay)
-    camera = _default_camera()
-    link = LatencyProfile.constant(delay)
-
-    base = dict(
-        seed=seed,
-        frame_rate=rate,
+    params = params or {}
+    for key in params:
+        if key not in PARAMS:
+            raise InputRejected(f"unknown scenario parameter {key!r}; expected one of {PARAMS}")
+    if family not in _BUILDERS:
+        raise InputRejected(f"unknown scenario family {family!r}; expected one of {FAMILIES}")
+    build, text, embedding = _BUILDERS[family]
+    w = _window(params)
+    objects, duration = build(w)
+    link = LatencyProfile.constant(w.delay)
+    return ScenarioSpec(
+        family=family,
+        seed=int(params.get("seed", 0)),
+        duration=duration,
+        frame_rate=w.rate,
         image_width=160,
         image_height=120,
-        feature_dim=dim,
-        camera=camera,
-        noise=noise,
+        feature_dim=_DIM,
+        camera=_default_camera(),
+        objects=objects,
+        noise=params.get("noise", NoiseModel()),
         uplink=link,
         downlink=link,
-    )
-
-    target_txt = _axis(dim, 0)
-    target_img = _in_plane(dim, 25.0)
-    angle = float(params.get("distractor_angle_deg", 10.0))
-    # The newcomer's appearance sits `angle` degrees from the target's, on
-    # the side closer to the command embedding: a naive newest-frame match
-    # prefers it, while issue-time alignment never sees it.
-    distractor_img = _in_plane(dim, 25.0 - angle)
-
-    event1 = (k0 + 1) / rate  # first in-window frame capture
-    event2 = (k0 + 2) / rate  # second in-window frame capture
-    if not issue < event1 < arrival:
-        raise InputRejected(
-            f"delay {delay} too short for an in-window event at {rate} fps"
-        )
-
-    if family == FAMILY_OCCLUSION:
-        gap = float(params.get("gap", delay + 1.0))
-        if gap <= 0:
-            raise InputRejected(f"gap must be positive, got {gap}")
-        reappear = event1 + gap
-        duration = reappear + 1.5
-        target = SimObject(
-            true_id=1,
-            label="red mug",
-            size=_SIZE,
-            txt_archetype=target_txt,
-            img_archetype=target_img,
-            waypoints=((0.0, np.array([0.15, 0.05, 1.5])),),
-            visibility=((0.0, event1), (reappear, math.inf)),
-        )
-        objects = (
-            target,
-            _static_filler(2, "yellow block", dim, 2, [-0.35, 0.08, 1.6]),
-            _static_filler(3, "green plate", dim, 3, [-0.05, -0.25, 1.4]),
-        )
-        command = SimCommand("pick up the red mug", target_txt, 1, issue)
-        return ScenarioSpec(
-            family=family, duration=duration, objects=objects, commands=(command,), **base
-        )
-
-    if family == FAMILY_TARGET_MOVED:
-        if not event2 < arrival:
-            raise InputRejected(
-                f"delay {delay} too short for two in-window events at {rate} fps"
-            )
-        move = float(params.get("move_distance", 0.3))
-        a = np.array([0.15, 0.05, 1.5])
-        b = a + np.array([-move, 0.0, 0.0])
-        target = SimObject(
-            true_id=1,
-            label="red mug",
-            size=_SIZE,
-            txt_archetype=target_txt,
-            img_archetype=target_img,
-            waypoints=((0.0, a), (event1, a), (event1, b)),
-        )
-        objects = [target, _static_filler(2, "yellow block", dim, 2, [-0.45, 0.1, 1.6])]
-        if params.get("with_distractor", True):
-            objects.append(
-                SimObject(
-                    true_id=3,
-                    label="red mug",
-                    size=_SIZE,
-                    txt_archetype=target_txt,
-                    img_archetype=distractor_img,
-                    waypoints=((0.0, a),),  # parks exactly where the target was seen
-                    visibility=((event2, math.inf),),
-                )
-            )
-        command = SimCommand("pick up the red mug", target_txt, 1, issue)
-        return ScenarioSpec(
-            family=family,
-            duration=arrival + 1.0,
-            objects=tuple(objects),
-            commands=(command,),
-            **base,
-        )
-
-    if family == FAMILY_DISTRACTOR:
-        target = SimObject(
-            true_id=1,
-            label="red mug",
-            size=_SIZE,
-            txt_archetype=target_txt,
-            img_archetype=target_img,
-            waypoints=((0.0, np.array([0.15, 0.05, 1.5])),),
-        )
-        twin = SimObject(
-            true_id=2,
-            label="red mug",
-            size=_SIZE,
-            txt_archetype=target_txt,
-            img_archetype=distractor_img,
-            waypoints=((0.0, np.array([-0.25, 0.05, 1.5])),),
-            visibility=((event1, math.inf),),
-        )
-        objects = (target, twin, _static_filler(3, "yellow block", dim, 2, [0.5, -0.2, 1.7]))
-        command = SimCommand("pick up the red mug", target_txt, 1, issue)
-        return ScenarioSpec(
-            family=family,
-            duration=arrival + 1.0,
-            objects=objects,
-            commands=(command,),
-            **base,
-        )
-
-    if family == FAMILY_MOVED_REFERENCE:
-        apple_img = _in_plane(dim, 25.0)
-        other_apple_img = _in_plane(dim, -25.0)
-        apple = SimObject(
-            true_id=1,
-            label="apple",
-            size=_SIZE,
-            txt_archetype=target_txt,
-            img_archetype=apple_img,
-            waypoints=((0.0, np.array([0.1, 0.0, 1.5])),),
-        )
-        phone_pos = np.array([0.1, 0.18, 1.5])
-        phone_after = np.array([-0.4, 0.18, 1.5])
-        phone = SimObject(
-            true_id=2,
-            label="phone",
-            size=_SIZE,
-            txt_archetype=_axis(dim, 2),
-            img_archetype=_axis(dim, 3),
-            waypoints=((0.0, phone_pos), (event1, phone_pos), (event1, phone_after)),
-        )
-        other_apple = SimObject(
-            true_id=3,
-            label="apple",
-            size=_SIZE,
-            txt_archetype=target_txt,
-            img_archetype=other_apple_img,
-            waypoints=((0.0, np.array([-0.24, 0.18, 1.5])),),
-        )
-        # the description matches how the intended apple photographs
-        embedding = _in_plane(dim, 10.0)
-        command = SimCommand("pick up the apple next to the phone", embedding, 1, issue)
-        return ScenarioSpec(
-            family=family,
-            duration=arrival + 1.0,
-            objects=(apple, phone, other_apple),
-            commands=(command,),
-            **base,
-        )
-
-    raise InputRejected(f"unknown scenario family {family!r}; expected one of {FAMILIES}")
-
-
-def _static_filler(true_id: int, label: str, dim: int, axis_pair: int, position) -> SimObject:
-    return SimObject(
-        true_id=true_id,
-        label=label,
-        size=_SIZE,
-        txt_archetype=_axis(dim, 2 * axis_pair),
-        img_archetype=_axis(dim, 2 * axis_pair + 1),
-        waypoints=((0.0, np.array(position, dtype=np.float64)),),
+        commands=(SimCommand(text, embedding, 1, w.issue),),
     )
 
 
 _RANDOM_LABELS = ("red mug", "yellow block", "green plate", "apple", "phone", "bowl")
 
 
-def make_random_scenario(seed: int, with_command: bool = False) -> ScenarioSpec:
-    """A short fuzzing scenario: random layout, motion, gaps, and noise."""
+def make_random_scenario(seed: int) -> ScenarioSpec:
+    """A short fuzzing scenario with no commands: random layout, motion, gaps, and noise."""
     rng = np.random.default_rng(seed)
-    dim = 16
     n_objects = int(rng.integers(1, 5))
-    duration = 3.0
     positions = []
     objects = []
     for i in range(n_objects):
@@ -642,59 +577,38 @@ def make_random_scenario(seed: int, with_command: bool = False) -> ScenarioSpec:
             if all(np.linalg.norm(pos[:2] - q[:2]) > 0.24 for q in positions):
                 break
         positions.append(pos)
-        waypoints = [(0.0, pos)]
+        jump = None
         if rng.random() < 0.5:  # one mid-run jump
             jump_t = float(rng.uniform(0.8, 2.2))
-            target = pos + np.array([rng.uniform(-0.15, 0.15), rng.uniform(-0.1, 0.1), 0.0])
-            waypoints += [(jump_t, pos), (jump_t, target)]
-        visibility: tuple[tuple[float, float], ...] = ((0.0, math.inf),)
+            jump = (jump_t, pos + np.array([rng.uniform(-0.15, 0.15), rng.uniform(-0.1, 0.1), 0.0]))
+        visibility: tuple[tuple[float, float], ...] = _ALWAYS
         if rng.random() < 0.3:  # one visibility gap
             off = float(rng.uniform(0.7, 1.8))
             back = off + float(rng.uniform(0.3, 0.8))
             visibility = ((0.0, off), (back, math.inf))
-        txt = rng.standard_normal(dim)
-        img = rng.standard_normal(dim)
-        objects.append(
-            SimObject(
-                true_id=i + 1,
-                label=_RANDOM_LABELS[int(rng.integers(0, len(_RANDOM_LABELS)))],
-                size=_SIZE,
-                txt_archetype=txt / np.linalg.norm(txt),
-                img_archetype=img / np.linalg.norm(img),
-                waypoints=tuple(waypoints),
-                visibility=visibility,
-            )
-        )
+        txt = rng.standard_normal(_DIM)
+        img = rng.standard_normal(_DIM)
+        label = _RANDOM_LABELS[int(rng.integers(0, len(_RANDOM_LABELS)))]
+        txt, img = txt / np.linalg.norm(txt), img / np.linalg.norm(img)
+        objects.append(_object(i + 1, label, txt, img, pos, visibility, jump))
     noise = NoiseModel(
         centroid_sigma=float(rng.choice([0.0, 0.004, 0.015])),
         feature_sigma=float(rng.choice([0.0, 0.05])),
         dropout_prob=float(rng.choice([0.0, 0.1, 0.3])),
         label_flip_prob=float(rng.choice([0.0, 0.1])),
     )
-    delay = float(rng.choice([0.25, 0.5, 1.0]))
-    commands = ()
-    if with_command and objects:
-        intended = objects[0]
-        commands = (
-            SimCommand(
-                text=f"pick up the {intended.label}",
-                embedding=intended.txt_archetype,
-                intended_id=intended.true_id,
-                issue_time=1.55,
-            ),
-        )
+    link = LatencyProfile.constant(float(rng.choice([0.25, 0.5, 1.0])))
     return ScenarioSpec(
         family="random",
         seed=seed,
-        duration=duration,
+        duration=3.0,
         frame_rate=10.0,
         image_width=160,
         image_height=120,
-        feature_dim=dim,
+        feature_dim=_DIM,
         camera=_default_camera(),
         objects=tuple(objects),
         noise=noise,
-        uplink=LatencyProfile.constant(delay),
-        downlink=LatencyProfile.constant(delay),
-        commands=commands,
+        uplink=link,
+        downlink=link,
     )

@@ -345,7 +345,8 @@ def test_criterion_09_all_file_formats_round_trip(tmp_path):
 
 
 def test_criterion_10_grace_period_controls_track_identity():
-    spec = make_scenario(FAMILY_OCCLUSION, {"seed": 4, "delay": 0.5, "gap": 2.0})
+    # the target is hidden for delay + 1 s: a 2 s occlusion
+    spec = make_scenario(FAMILY_OCCLUSION, {"seed": 4, "delay": 1.0})
     inputs, _ = generate_stream(spec)
 
     # default grace (10 s) comfortably exceeds the 2 s occlusion

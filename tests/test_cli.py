@@ -1,7 +1,9 @@
 """End-to-end exercises of the ``python -m stovsg`` command-line interface."""
 
 import dataclasses
+import functools
 import json
+import operator
 import subprocess
 import sys
 
@@ -19,10 +21,12 @@ from stovsg import (
     read_graph,
     read_scenario,
     save_config,
+    scenario_to_dict,
     serialize_subgraph,
     validate_graph,
     write_scenario,
 )
+from stovsg.cli import main as cli_main
 
 
 def run_cli(*args, cwd=None):
@@ -276,6 +280,37 @@ def test_bad_numbers_are_refused_as_one_json_error(tmp_path, args, message):
     assert proc.returncode == 1
     assert json.loads(proc.stderr) == {"error": "input-rejected", "message": message}
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "key_path, value, message",
+    [
+        (("objects", 1, "waypoints"), [], "objects[1]: waypoints: expected at least one"),
+        (("objects", 0, "size"), [0.1, 0.1], "objects[0]: size: expected 3 numbers, got 2"),
+        (
+            ("objects", 0, "waypoints", 1, 1),
+            [0.1, 0.2],
+            "objects[0]: waypoints[1]: expected a position of 3 numbers",
+        ),
+        (("image_width",), -5, "image_width: expected a positive integer, got -5"),
+        (("image_width",), 0, "image_width: expected a positive integer, got 0"),
+        (("feature_dim",), 0, "feature_dim: expected a positive integer, got 0"),
+        (("camera", "fx"), 0.0, "camera focal lengths must be positive (fx=0.0, fy=130.0)"),
+    ],
+    ids=["no-waypoints", "size", "position", "negative-width", "zero-width", "zero-feature-dim", "zero-fx"],
+)
+def test_malformed_scenario_file_is_one_json_error(tmp_path, capsys, key_path, value, message):
+    data = scenario_to_dict(make_scenario("target_moved", {"seed": 0}))
+    *parents, last = key_path
+    functools.reduce(operator.getitem, parents, data)[last] = value
+    path = tmp_path / "scenario.json"
+    path.write_text(dumps(data) + "\n")
+    out_dir = tmp_path / "run"
+    assert cli_main(["simulate", "--scenario", str(path), "--out-dir", str(out_dir)]) == 1
+    out, err = capsys.readouterr()
+    (line,) = err.splitlines()
+    assert json.loads(line) == {"error": "format-error", "message": f"scenario: {message}"}
+    assert out == "" and not out_dir.exists()
 
 
 def test_graph_file_with_edges_out_of_order_is_one_json_error(tmp_path):

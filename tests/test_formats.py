@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import re
@@ -401,6 +402,25 @@ def test_canonical_formatting_is_idempotent():
     once = canonical_dumps(doc)
     again = canonical_dumps(json.loads(once))
     assert once == again
+
+
+GOLDEN_SCENARIOS = {
+    ("occlusion_after_command", 0.5): "f358080095165c514cda3699ec030e1092c9f2605d0620012070b3a654a75ec3",
+    ("occlusion_after_command", 2.0): "a879983e983d531fa8c82ea9bc1f297207c10fefad4b41c969615bc80442d786",
+    ("target_moved", 0.5): "f01ac1e4adc898392c984f31db7c41c4bcd4aa71c9c292901c05000e4ebafdcc",
+    ("target_moved", 2.0): "8de3ff10ab9b76d62b349a941f0f6f9175c55d86b3aee709f4ee801070d3ab9e",
+    ("same_class_distractor", 0.5): "576399e2cdede1ab4dee842250aa0b6ef98632a0e116c74543aa93bbce3192aa",
+    ("same_class_distractor", 2.0): "0b33802b9e466b720be403fe0fce42b2717a38d37b5da9d06686052e08cccdf0",
+    ("moved_reference", 0.5): "57b887545d0a302eaa8545600e1212775da745854e0a0701ff4805bad3308592",
+    ("moved_reference", 2.0): "fcc1de69f2ebac53fea82974bb0ea383c34f2272092f0cecbbca218f23a59bdf",
+}
+
+
+@pytest.mark.parametrize("family, delay", GOLDEN_SCENARIOS)
+def test_golden_scenario_bytes(tmp_path, family, delay):
+    path = tmp_path / "scenario.json"
+    write_scenario(make_scenario(family, {"seed": 3, "delay": delay}), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SCENARIOS[family, delay]
 
 
 def test_golden_subgraph_bytes():

@@ -99,3 +99,21 @@ def test_what_the_harness_patches_is_still_there():
     assert isinstance(SceneGraph4D.__dict__["node_index"], functools.cached_property)
     assert callable(SceneGraph4D.__dict__["node"])
     assert "json" in vars(stovsg.formats)
+
+
+def _make_scenario_keys(tree: ast.Module) -> list[list[str]]:
+    """The keys of each dict literal passed as ``params`` to a ``make_scenario`` call."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and (_dotted(node.func) or [""])[-1] == "make_scenario":
+            params = [*node.args[1:2], *(k.value for k in node.keywords if k.arg == "params")]
+            for arg in params:
+                assert isinstance(arg, ast.Dict), f"line {node.lineno}: params is not a dict literal"
+                out.append([key.value for key in arg.keys])
+    return out
+
+
+def test_the_harness_passes_make_scenario_only_keys_it_accepts():
+    calls = [keys for path in SOURCES for keys in _make_scenario_keys(_tree(path))]
+    assert len(calls) >= 3
+    assert sorted({key for keys in calls for key in keys} - set(stovsg.sim.PARAMS)) == []

@@ -199,10 +199,21 @@ def test_scenario_construction_rejections():
         make_scenario(FAMILY_OCCLUSION, {"delay": -1.0})
     with pytest.raises(InputRejected):
         make_scenario(FAMILY_OCCLUSION, {"frame_rate": 0.0})
-    with pytest.raises(InputRejected):
-        make_scenario(FAMILY_OCCLUSION, {"feature_dim": 3})
-    with pytest.raises(InputRejected):
-        make_scenario(FAMILY_OCCLUSION, {"gap": 0.0})
+
+
+@pytest.mark.parametrize("key", ["gap", "dealy", "feature_dim"])
+def test_make_scenario_refuses_an_unknown_parameter_by_name(key):
+    with pytest.raises(InputRejected, match=rf"^unknown scenario parameter '{key}'; expected one of"):
+        make_scenario(FAMILY_OCCLUSION, {"seed": 1, key: 2.0})
+
+
+def test_make_scenario_takes_four_parameters():
+    assert sim.PARAMS == ("seed", "delay", "frame_rate", "noise")
+    for family in FAMILIES:
+        params = {"seed": 1, "delay": 2.0, "frame_rate": 15.0, "noise": noise_preset(0.6)}
+        spec = make_scenario(family, params)
+        assert (spec.seed, spec.frame_rate, spec.noise) == (1, 15.0, noise_preset(0.6))
+        assert spec.uplink.delay_at(0.0) == spec.downlink.delay_at(0.0) == 2.0
 
 
 def test_scenario_too_short_to_render_rejects():
