@@ -49,19 +49,42 @@ def as_feature(values) -> np.ndarray:
     return arr
 
 
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity; rejects zero-norm or mismatched vectors."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+def vector_norm(v: np.ndarray) -> float:
+    """``np.linalg.norm`` of a C-contiguous 1-D float64 vector, bit for bit.
+
+    For such a vector that function ravels (a no-op), takes ``v.dot(v)`` and
+    its square root; calling ``dot`` directly skips its conversions and
+    checks.  Every feature :func:`freeze_array` makes is contiguous.  A
+    strided view must be copied first: BLAS sums a strided dot in another
+    order.
+    """
+    return math.sqrt(v.dot(v))
+
+
+def _cosine(a: np.ndarray, norm_a: float, b: np.ndarray) -> float:
+    """Cosine of ``a`` (whose norm is ``norm_a``) and ``b``, clamped to [-1, 1].
+
+    The one cosine formula: :func:`cosine` and node scoring both call it, so
+    a score never depends on which of them took it.
+    """
     if a.shape != b.shape:
         raise InputRejected(f"feature dimensions differ: {a.shape} vs {b.shape}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
+    norm_b = vector_norm(b)
+    if norm_a == 0.0 or norm_b == 0.0:
         raise InputRejected("cosine similarity undefined for zero-norm vector")
+    # one IEEE division, on Python floats: the same bits as on NumPy scalars
+    cos = float(a.dot(b)) / (norm_a * norm_b)
     # rounding can push near-parallel vectors a hair outside [-1, 1], which
-    # would turn 1 - cos into a (tiny) negative matching cost downstream
-    return min(1.0, max(-1.0, float(np.dot(a, b) / (na * nb))))
+    # would turn 1 - cos into a (tiny) negative matching cost downstream;
+    # NaN, from a non-finite feature, falls to -1.0
+    return 1.0 if cos > 1.0 else cos if cos >= -1.0 else -1.0
+
+
+def cosine(a: np.ndarray, b: np.ndarray) -> float:
+    """Cosine similarity; rejects zero-norm or mismatched vectors."""
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    b = np.ascontiguousarray(b, dtype=np.float64)
+    return _cosine(a, vector_norm(a), b)
 
 
 @dataclass(frozen=True)
@@ -541,6 +564,8 @@ def validate_graph(graph: SceneGraph4D) -> list[str]:
             for name, vec in (("f_img", node.f_img), ("f_txt", node.f_txt)):
                 if not _finite(vec):
                     out.append(f"{ntag}: non-finite {name}")
+                if vector_norm(vec) == 0.0:
+                    out.append(f"{ntag}: zero-norm {name}")
                 if feature_dim is None:
                     feature_dim = vec.shape[0]
                 elif vec.shape[0] != feature_dim:

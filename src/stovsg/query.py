@@ -28,7 +28,8 @@ from .model import (
     ObjectNode,
     SceneGraph4D,
     SpatialEdge,
-    cosine,
+    _cosine,
+    vector_norm,
     view_parts,
 )
 from .store import captured_by, frame_at_operator_time, lifecycle_events
@@ -80,14 +81,22 @@ def score_nodes(frame: FrameGraph, command: Command, cfg: QueryConfig = QueryCon
     """Command relevance per node: text cosine plus ``beta`` times image cosine.
 
     Returns (node_id, score) sorted by descending score; exact ties order
-    by ascending node id.
+    by ascending node id.  One pass over the frame: the command's norm is
+    taken once, then each node costs two dot products and its own two
+    norms, through the same kernel as :func:`~stovsg.model.cosine`, so every
+    score is bit-identical to the per-pair cosine.  The loop stays per node:
+    a stacked matrix product sums in another order and would move the last
+    bit of the scores that exports carry.
     """
     if cfg.beta < 0:
         raise InputRejected(f"beta must be non-negative, got {cfg.beta}")
-    scored = []
-    for node in frame.nodes:
-        s = cosine(command.embedding, node.f_txt) + cfg.beta * cosine(command.embedding, node.f_img)
-        scored.append((node.node_id, s))
+    embedding = command.embedding
+    norm = vector_norm(embedding)
+    beta = cfg.beta
+    scored = [
+        (node.node_id, _cosine(embedding, norm, node.f_txt) + beta * _cosine(embedding, norm, node.f_img))
+        for node in frame.nodes
+    ]
     scored.sort(key=lambda item: (-item[1], item[0]))
     return scored
 

@@ -32,8 +32,10 @@ from .model import (
     LatencyTag,
     PixelMask,
     RelationCandidate,
+    as_feature,
     freeze_array,
     normalize_label,
+    vector_norm,
 )
 from .store import FrameInput
 
@@ -60,8 +62,8 @@ class SimObject:
     visibility: tuple[tuple[float, float], ...] = ((0.0, math.inf),)  # half-open [start, end)
 
     def __post_init__(self):
-        object.__setattr__(self, "txt_archetype", freeze_array(self.txt_archetype))
-        object.__setattr__(self, "img_archetype", freeze_array(self.img_archetype))
+        object.__setattr__(self, "txt_archetype", as_feature(self.txt_archetype))
+        object.__setattr__(self, "img_archetype", as_feature(self.img_archetype))
         object.__setattr__(
             self,
             "waypoints",
@@ -180,6 +182,19 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.camera.violations:  # else no point projects, and _project_box reads that as behind the camera
             raise InputRejected("; ".join(self.camera.violations))
+        first_with: dict[int, int] = {}  # true id -> index of the first object holding it
+        for i, obj in enumerate(self.objects):
+            # the truth log tells objects apart by id alone
+            j = first_with.setdefault(obj.true_id, i)
+            if j != i:
+                raise InputRejected(f"objects[{i}]: true_id {obj.true_id} is already used by objects[{j}]")
+            # the engine refuses a detection whose feature it cannot compare
+            for name in ("txt_archetype", "img_archetype"):
+                vec = getattr(obj, name)
+                if len(vec) != self.feature_dim:
+                    raise InputRejected(f"objects[{i}]: {name}: expected {self.feature_dim} numbers, got {len(vec)}")
+                if vector_norm(vec) == 0.0:
+                    raise InputRejected(f"objects[{i}]: {name}: zero norm")
 
 
 @dataclass(frozen=True, eq=False)

@@ -48,6 +48,7 @@ from .model import (
     TrackStatus,
     AssociationOutcome,
     normalize_label,
+    vector_norm,
     view_parts,
 )
 from .spatial import resolve_ambiguous
@@ -85,7 +86,7 @@ def _subsample(points: np.ndarray) -> np.ndarray:
 
 
 def _unit(vec: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(vec))
+    norm = vector_norm(vec)
     if norm == 0.0:
         raise InputRejected("zero-norm feature vector")
     return vec / norm
@@ -130,6 +131,8 @@ def ingest_frame(graph: SceneGraph4D, frame_input: FrameInput, config: "EngineCo
         for name, vec in (("f_img", det.f_img), ("f_txt", det.f_txt)):
             if not np.isfinite(vec).all():
                 raise InputRejected(f"{where}: non-finite {name}")
+            if vector_norm(vec) == 0.0:  # no command could be scored against it
+                raise InputRejected(f"{where}: zero-norm {name}")
             if feature_dim is None:
                 feature_dim = vec.shape[0]
             elif vec.shape[0] != feature_dim:
@@ -245,7 +248,7 @@ def apply_outcome(
             )
         )
         blended = (1.0 - alpha) * track.descriptor + alpha * node.f_img
-        norm = float(np.linalg.norm(blended))
+        norm = vector_norm(blended)
         descriptor = blended / norm if norm > 0 else _unit(node.f_img)
         tracks[track_id] = Track(
             track_id=track_id,

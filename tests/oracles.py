@@ -260,6 +260,35 @@ def node_score_oracle(embedding, f_txt, f_img, beta: float) -> float:
     return cosine_oracle(embedding, f_txt) + beta * cosine_oracle(embedding, f_img)
 
 
+def exact_cosine_oracle(a, b) -> float:
+    """Per-pair cosine from ``np.dot`` and two ``np.linalg.norm`` calls, clamped.
+
+    These are the bits every node score must keep, since scores are written
+    into exports.  Refusals raise ``ValueError`` with the engine's messages.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ValueError(f"feature dimensions differ: {a.shape} vs {b.shape}")
+    na = float(np.linalg.norm(a))
+    nb = float(np.linalg.norm(b))
+    if na == 0.0 or nb == 0.0:
+        raise ValueError("cosine similarity undefined for zero-norm vector")
+    return min(1.0, max(-1.0, float(np.dot(a, b) / (na * nb))))
+
+
+def score_nodes_oracle(nodes, embedding, beta: float) -> list[tuple[int, float]]:
+    """(node_id, score) best first, ties by ascending id; one ``exact_cosine_oracle`` pair per feature."""
+    if beta < 0:
+        raise ValueError(f"beta must be non-negative, got {beta}")
+    scored = [
+        (n.node_id, exact_cosine_oracle(embedding, n.f_txt) + beta * exact_cosine_oracle(embedding, n.f_img))
+        for n in nodes
+    ]
+    scored.sort(key=lambda item: (-item[1], item[0]))
+    return scored
+
+
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
     """Uniform-ish proper rotation via QR of a Gaussian matrix."""
     q, r = np.linalg.qr(rng.standard_normal((3, 3)))

@@ -296,8 +296,24 @@ def test_bad_numbers_are_refused_as_one_json_error(tmp_path, args, message):
         (("image_width",), 0, "image_width: expected a positive integer, got 0"),
         (("feature_dim",), 0, "feature_dim: expected a positive integer, got 0"),
         (("camera", "fx"), 0.0, "camera focal lengths must be positive (fx=0.0, fy=130.0)"),
+        (("objects", 1, "img_archetype"), [0.25] * 8, "objects[1]: img_archetype: expected 16 numbers, got 8"),
+        (("feature_dim",), 8, "objects[0]: txt_archetype: expected 8 numbers, got 16"),
+        (("objects", 2, "txt_archetype"), [0.0] * 16, "objects[2]: txt_archetype: zero norm"),
+        (("objects", 2, "true_id"), 1, "objects[2]: true_id 1 is already used by objects[0]"),
     ],
-    ids=["no-waypoints", "size", "position", "negative-width", "zero-width", "zero-feature-dim", "zero-fx"],
+    ids=[
+        "no-waypoints",
+        "size",
+        "position",
+        "negative-width",
+        "zero-width",
+        "zero-feature-dim",
+        "zero-fx",
+        "short-archetype",
+        "feature-dim",
+        "zero-archetype",
+        "duplicate-true-id",
+    ],
 )
 def test_malformed_scenario_file_is_one_json_error(tmp_path, capsys, key_path, value, message):
     data = scenario_to_dict(make_scenario("target_moved", {"seed": 0}))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import replace
 from types import MappingProxyType
@@ -24,7 +25,9 @@ from stovsg import (
     lifecycle_events,
     make_scenario,
     normalize_label,
+    read_graph,
     validate_graph,
+    write_graph,
 )
 from stovsg.model import freeze_array
 
@@ -168,6 +171,7 @@ def test_validate_graph_flags_non_monotone_capture(config):
     "change, message",
     [
         ({"f_img": np.full(8, np.nan)}, "non-finite f_img"),
+        ({"f_txt": np.zeros(8)}, "zero-norm f_txt"),
         ({"f_txt": np.ones(5)}, "f_txt dimension 5 != 8"),
         ({"label": "Red  Mug"}, "label 'Red  Mug' not normalized"),
         ({"centroid": np.zeros(2)}, "bad centroid"),
@@ -176,13 +180,24 @@ def test_validate_graph_flags_non_monotone_capture(config):
         ({"points": np.full((2, 3), 5.0)}, "centroid outside point bounds"),
         ({"obs_time": 0.5}, "obs_time 0.5 before capture 1.0"),
     ],
-    ids=["feature", "dimension", "label", "centroid", "size", "points", "bounds", "obs-time"],
+    ids=["feature", "zero-norm", "dimension", "label", "centroid", "size", "points", "bounds", "obs-time"],
 )
 def test_validate_graph_flags_each_node_violation(config, change, message):
     graph = _two_frame_graph(config)
     f0, f1 = graph.frames
     broken = replace(f0, nodes=(replace(f0.nodes[0], **change),))
     assert validate_graph(replace(graph, frames=(broken, f1))) == [f"frame 1 node 1: {message}"]
+
+
+@pytest.mark.parametrize("name", ["f_txt", "f_img"])
+def test_validate_graph_flags_a_zero_norm_feature_read_from_a_graph_file(config, tmp_path, name):
+    path = tmp_path / "graph.json"
+    write_graph(_two_frame_graph(config), path)
+    data = json.loads(path.read_text())
+    data["frames"][1]["nodes"][0][name] = [0.0] * 8
+    path.write_text(json.dumps(data))
+    # no command can be scored against it: every cosine with it is undefined
+    assert validate_graph(read_graph(path)) == [f"frame 2 node 2: zero-norm {name}"]
 
 
 def test_validate_graph_flags_dangling_temporal_edge(config):

@@ -23,6 +23,7 @@ from stovsg import (
     STATUS_LIVE,
     STATUS_LOST,
     commands_from_scenario,
+    cosine,
     empty_graph,
     extract_subgraph,
     generate_stream,
@@ -32,13 +33,16 @@ from stovsg import (
     make_scenario,
     score_nodes,
 )
+from stovsg import query
 
 from conftest import axis, in_plane, make_detection, make_frame_input, make_node
 from oracles import (
+    exact_cosine_oracle,
     frame_at_operator_time_oracle,
     frames_as_of_oracle,
     history_window_oracle,
     node_score_oracle,
+    score_nodes_oracle,
 )
 
 MUG_TXT = axis(0)
@@ -105,6 +109,124 @@ def test_score_matches_oracle_on_random_features(config):
     for node in nodes:
         want = node_score_oracle(emb, node.f_txt, node.f_img, 0.5)
         assert math.isclose(got[node.node_id], want, rel_tol=1e-12)
+
+
+def _frame_of(nodes) -> FrameGraph:
+    return FrameGraph(
+        frame_index=1,
+        latency_tag=LatencyTag(capture_time=1.0, transmission_latency=0.5),
+        nodes=tuple(nodes),
+        spatial_edges=(),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 512),
+    st.integers(0, 2**32 - 1),
+    st.floats(-12.0, 12.0),
+    st.integers(1, 12),
+    st.sampled_from([0.0, 0.5, 1.0, 2.75]),
+)
+def test_scores_are_bit_identical_to_the_per_pair_oracle(dim, seed, log_scale, count, beta):
+    """``==``, not ``isclose``: exports carry the scores, so every bit counts."""
+    rng = np.random.default_rng(seed)
+    emb = rng.standard_normal(dim) * 10.0**log_scale
+    ids = rng.permutation(3 * count)[:count] + 1  # tie order must come from the ids, not the frame order
+    nodes = []
+    for node_id in ids:
+        kind = rng.integers(0, 3)
+        if kind == 2 and nodes:  # an exact copy of an earlier node: an exact tie
+            twin = nodes[int(rng.integers(0, len(nodes)))]
+            f_txt, f_img = twin.f_txt, twin.f_img
+        elif kind == 1:  # near-parallel to the command: rounding lands on or past +-1, so the clamp decides
+            sign = rng.choice([-1.0, 1.0])
+            f_txt = sign * rng.uniform(0.1, 10.0) * emb * (1.0 + 1e-15 * rng.standard_normal(dim))
+            f_img = -f_txt
+        else:
+            f_txt = rng.standard_normal(dim) * 10.0 ** rng.uniform(-12.0, 12.0)
+            f_img = rng.standard_normal(dim) * 10.0 ** rng.uniform(-12.0, 12.0)
+        nodes.append(make_node(int(node_id), f_txt=f_txt, f_img=f_img))
+    frame = _frame_of(nodes)
+    command = Command(text="x", embedding=emb, issue_time=2.0)
+    assert score_nodes(frame, command, QueryConfig(beta=beta)) == score_nodes_oracle(nodes, emb, beta)
+    for node in nodes:
+        for feature in (node.f_txt, node.f_img):
+            got = cosine(emb, feature)
+            assert got == exact_cosine_oracle(emb, feature)
+            assert -1.0 <= got <= 1.0
+
+
+def test_near_parallel_scores_are_clamped_like_the_oracle():
+    rng = np.random.default_rng(5)
+    hits = 0
+    for _ in range(200):
+        emb = rng.standard_normal(int(rng.integers(3, 64)))
+        node = make_node(1, f_txt=emb * 3.0, f_img=-emb)
+        raw = float(np.dot(emb, node.f_txt) / (np.linalg.norm(emb) * np.linalg.norm(node.f_txt)))
+        hits += raw > 1.0
+        assert cosine(emb, node.f_txt) == min(1.0, raw)
+        (scored,) = score_nodes(_frame_of([node]), Command(text="x", embedding=emb, issue_time=2.0))
+        assert scored == score_nodes_oracle([node], emb, 0.5)[0]
+    assert hits > 0  # the clamp was exercised, not just passed through
+
+
+def _refusal(fn, *args) -> str | None:
+    """The message ``fn`` refuses its arguments with, or None when it accepts them."""
+    try:
+        fn(*args)
+    except ValueError as exc:  # InputRejected is a ValueError
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "emb, f_txt, f_img, beta",
+    [
+        (axis(0), np.ones(5), axis(1), 0.5),
+        (axis(0), axis(0), np.ones(5), 0.5),
+        (axis(0), np.zeros(8), axis(1), 0.5),
+        (axis(0), axis(0), np.zeros(8), 0.5),
+        (np.zeros(8), axis(0), axis(1), 0.5),
+        (np.zeros(8), np.ones(5), axis(1), 0.5),  # the dimension is checked before the norm
+        (axis(0), axis(0), axis(1), -0.25),
+    ],
+    ids=["txt-dimension", "img-dimension", "zero-txt", "zero-img", "zero-command", "zero-command-and-dimension", "beta"],
+)
+def test_score_refusals_match_the_oracle(emb, f_txt, f_img, beta):
+    nodes = [make_node(1), make_node(2, f_txt=f_txt, f_img=f_img)]  # refused on the second node
+    command = Command(text="x", embedding=emb, issue_time=2.0)
+    with pytest.raises(InputRejected) as refused:
+        score_nodes(_frame_of(nodes), command, QueryConfig(beta=beta))
+    assert str(refused.value) == _refusal(score_nodes_oracle, nodes, emb, beta)
+    for feature in (f_txt, f_img):
+        assert _refusal(cosine, emb, feature) == _refusal(exact_cosine_oracle, emb, feature)
+
+
+def test_a_frame_without_nodes_scores_nothing_even_for_a_zero_command():
+    command = Command(text="x", embedding=np.zeros(8), issue_time=2.0)
+    assert score_nodes(_frame_of([]), command) == score_nodes_oracle([], command.embedding, 0.5) == []
+
+
+def test_grounding_and_export_each_score_the_aligned_frame_once(config, monkeypatch):
+    """The benchmark traces ``query.score_nodes`` by rebinding it; scoring past that name would read 0 unseen."""
+    graph = mug_scene(config)
+    real = query.score_nodes
+    frames = []
+
+    def counting(*args, **kwargs):
+        frames.append((args[0].frame_index, len(args[0].nodes)))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(query, "score_nodes", counting)
+    command = mug_command(1.6)
+    ground_command(graph, command)
+    assert frames == [(1, 2)]
+    extract_subgraph(graph, command)
+    assert frames == [(1, 2), (1, 2)]
+    ground_command(graph, command, latency_aware=False)
+    extract_subgraph(graph, command, latency_aware=False)
+    assert frames[2:] == [(3, 2), (3, 2)]
 
 
 def test_grounding_follows_the_track_to_the_present(config):

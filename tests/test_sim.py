@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -199,6 +200,31 @@ def test_scenario_construction_rejections():
         make_scenario(FAMILY_OCCLUSION, {"delay": -1.0})
     with pytest.raises(InputRejected):
         make_scenario(FAMILY_OCCLUSION, {"frame_rate": 0.0})
+
+
+def test_scenario_refuses_two_objects_with_one_true_id():
+    spec = make_scenario(FAMILY_TARGET_MOVED)
+    first, second, third = spec.objects
+    with pytest.raises(InputRejected, match=r"^objects\[2\]: true_id 1 is already used by objects\[0\]$"):
+        replace(spec, objects=(first, second, replace(third, true_id=1)))
+
+
+@pytest.mark.parametrize(
+    "name, value, message",
+    [
+        ("img_archetype", np.ones(8), "objects[1]: img_archetype: expected 16 numbers, got 8"),
+        ("txt_archetype", np.ones(17), "objects[1]: txt_archetype: expected 16 numbers, got 17"),
+        ("txt_archetype", np.zeros(16), "objects[1]: txt_archetype: zero norm"),
+        ("img_archetype", np.full(16, 1e-200), "objects[1]: img_archetype: zero norm"),
+    ],
+    ids=["short", "long", "zero", "underflow"],
+)
+def test_scenario_refuses_an_archetype_the_engine_could_not_compare(name, value, message):
+    spec = make_scenario(FAMILY_TARGET_MOVED)
+    first, second, third = spec.objects
+    with pytest.raises(InputRejected) as refused:
+        replace(spec, objects=(first, replace(second, **{name: value}), third))
+    assert str(refused.value) == message
 
 
 @pytest.mark.parametrize("key", ["gap", "dealy", "feature_dim"])

@@ -26,11 +26,13 @@ from stovsg import (
     dumps,
     empty_graph,
     frame_at_operator_time,
+    generate_stream,
     graph_from_dict,
     graph_to_dict,
     ingest_frame,
     ingest_sequence,
     lifecycle_events,
+    make_scenario,
     validate_graph,
 )
 from stovsg.model import AssociationOutcome, FrameGraph, LatencyTag
@@ -134,6 +136,27 @@ def test_candidate_referencing_missing_detection_rejects_frame(config):
     )
     with pytest.raises(InputRejected):
         ingest_frame(empty_graph(), frame_input, config)
+
+
+@pytest.mark.parametrize("name", ["f_txt", "f_img"])
+def test_zero_norm_feature_rejects_the_frame(config, name):
+    graph = ingest_frame(empty_graph(), make_frame_input(1.0, detections=(make_detection(),)), config)
+    # a norm that underflows to zero is as uncomparable as an all-zero vector
+    for zero in (np.zeros(8), np.full(8, 1e-200)):
+        bad = make_detection(x0=30, label="apple", **{name: zero})
+        frame_input = make_frame_input(2.0, detections=(make_detection(), bad))
+        with pytest.raises(InputRejected, match=rf"^detection 1: zero-norm {name}$"):
+            ingest_frame(graph, frame_input, config)
+
+
+def test_a_zeroed_detection_in_a_simulated_stream_is_refused_at_ingest(config):
+    """Once ingested, every command aligned to its frame would fail to score."""
+    inputs, _ = generate_stream(make_scenario("target_moved", {"seed": 0}))
+    first = inputs[0]
+    det = first.detections[0]
+    zeroed = replace(first, detections=(replace(det, f_txt=np.zeros_like(det.f_txt)), *first.detections[1:]))
+    with pytest.raises(InputRejected, match=r"^detection 0: zero-norm f_txt$"):
+        ingest_sequence(empty_graph(), [zeroed, *inputs[1:]], config)
 
 
 def test_detection_without_depth_evidence_is_dropped(config):
