@@ -44,6 +44,7 @@ from .model import (
     TemporalEdge,
     Track,
     TrackStatus,
+    time_order_problems,
 )
 from .query import TaskSubgraph
 from .sim import (
@@ -651,50 +652,11 @@ truth_from_dict = partial(_decode, TRUTH, where="truth")
 command_to_dict = COMMAND.encode
 
 
-def _invalid_at(message: str, *path: str | int) -> _Invalid:
-    exc = _Invalid(message)
-    exc.path = path
-    return exc
-
-
-def _out_of_order(graph: SceneGraph4D) -> _Invalid | None:
-    """Why ``graph`` breaks the order the store's time lookups bisect on; None when it keeps it."""
-    prev = -math.inf
-    for k, fg in enumerate(graph.frames):
-        expect = graph.frames_dropped + 1 + k
-        if fg.frame_index != expect:
-            return _invalid_at(
-                f"expected {expect}, got {fg.frame_index} (frame indices must be contiguous)",
-                "frames", k, "frame_index",
-            )
-        if not fg.capture_time > prev:
-            return _invalid_at(
-                f"{fg.capture_time} is not after {prev} (capture times must strictly increase)",
-                "frames", k, "latency_tag", "capture_time",
-            )
-        if fg.latency_tag.transmission_latency < 0:
-            return _invalid_at(
-                f"{fg.latency_tag.transmission_latency} is negative (a frame cannot arrive before its capture)",
-                "frames", k, "latency_tag", "transmission_latency",
-            )
-        prev = fg.capture_time
-    edges = graph.temporal_edges
-    for k in range(1, len(edges)):
-        if edges[k].event_frame < edges[k - 1].event_frame:
-            return _invalid_at(
-                f"{edges[k].event_frame} is before {edges[k - 1].event_frame} "
-                "(temporal edges must be in event-frame order)",
-                "temporal_edges", k, "event_frame",
-            )
-    return None
-
-
 def graph_from_dict(data: Any) -> SceneGraph4D:
     """Decode a graph; one whose frames or edges are out of order is a format error."""
     graph = _decode(GRAPH, data, "graph")
-    problem = _out_of_order(graph)
-    if problem is not None:
-        raise problem.located("graph")
+    for path, message in time_order_problems(graph):
+        raise FormatError(f"graph: {path}: {message}")
     return graph
 
 

@@ -528,30 +528,76 @@ def _finite(arr: np.ndarray) -> bool:
     return bool(np.isfinite(arr).all())
 
 
+def time_order_problems(
+    graph: SceneGraph4D, appended: FrameGraph | None = None
+) -> Iterator[tuple[str, str]]:
+    """Where and why ``graph`` breaks the time order its lookups bisect on, as (key path, message).
+
+    Frame indices follow on from ``frames_dropped + 1``, capture times
+    strictly increase, no transmission latency is negative or NaN, and
+    temporal edges are in event-frame order.  With ``appended``, only that
+    frame is checked, as the one after ``graph``'s newest.
+    """
+    frames = graph.frames
+    start, checked, prev = 0, frames, -math.inf
+    if appended is not None:  # its edges all have its index, so they stay in order
+        start, checked, prev = len(frames), (appended,), (frames[-1].capture_time if frames else -math.inf)
+    for k, fg in enumerate(checked, start):
+        expect, tag = graph.frames_dropped + 1 + k, fg.latency_tag
+        if fg.frame_index != expect:
+            yield f"frames[{k}].frame_index", (
+                f"expected {expect}, got {fg.frame_index} (frame indices must be contiguous)"
+            )
+        if not tag.capture_time > prev:
+            yield f"frames[{k}].latency_tag.capture_time", (
+                f"{tag.capture_time} is not after {prev} (capture times must strictly increase)"
+            )
+        if not tag.transmission_latency >= 0:
+            yield f"frames[{k}].latency_tag.transmission_latency", (
+                f"{tag.transmission_latency} is negative or NaN (a frame cannot arrive before its capture)"
+            )
+        prev = tag.capture_time
+    edges = graph.temporal_edges if appended is None else ()
+    for k in range(1, len(edges)):
+        if edges[k].event_frame < edges[k - 1].event_frame:
+            yield f"temporal_edges[{k}].event_frame", (
+                f"{edges[k].event_frame} is before {edges[k - 1].event_frame} "
+                "(temporal edges must be in event-frame order)"
+            )
+
+
+def feature_problems(name: str, vec: np.ndarray, dim: int) -> Iterator[str]:
+    """Why the feature vector ``name`` could not be compared with a command of ``dim`` numbers."""
+    if not _finite(vec):
+        yield f"non-finite {name}"
+    if vector_norm(vec) == 0.0:  # all zeros, or so small that its square underflows
+        yield f"zero-norm {name}"
+    if vec.shape[0] != dim:
+        yield f"{name} dimension {vec.shape[0]} != {dim}"
+
+
+def label_problems(label: str) -> Iterator[str]:
+    """Why ``label`` cannot be stored: a stored label is normalized and not empty."""
+    normal = normalize_label(label)
+    if not normal:
+        yield "empty label"
+    elif label != normal:
+        yield f"label {label!r} not normalized"
+
+
 def validate_graph(graph: SceneGraph4D) -> list[str]:
     """Check every structural invariant; returns one message per violation.
 
     An empty list means the graph is internally consistent.  This never
     raises: callers decide whether violations are fatal.
     """
-    out: list[str] = []
+    out = [f"{path}: {message}" for path, message in time_order_problems(graph)]
     seen_node_ids: set[int] = set()
-    feature_dim: int | None = None
-    prev_capture = -math.inf
-    expect_index = graph.frames_dropped + 1
+    feature_dim = next((fg.nodes[0].f_img.shape[0] for fg in graph.frames if fg.nodes), None)
     on_tracks = node_tracks(graph.tracks)
 
     for fg in graph.frames:
         tag = f"frame {fg.frame_index}"
-        if fg.frame_index != expect_index:
-            out.append(f"{tag}: expected frame index {expect_index} (indices must be contiguous)")
-        expect_index = fg.frame_index + 1
-        if not fg.capture_time > prev_capture:
-            out.append(f"{tag}: capture time {fg.capture_time} not after previous {prev_capture}")
-        prev_capture = fg.capture_time
-        if not fg.latency_tag.transmission_latency >= 0:
-            out.append(f"{tag}: transmission latency {fg.latency_tag.transmission_latency} is negative or NaN")
-
         frame_ids = set()
         for node in fg.nodes:
             ntag = f"{tag} node {node.node_id}"
@@ -561,17 +607,9 @@ def validate_graph(graph: SceneGraph4D) -> list[str]:
             frame_ids.add(node.node_id)
             if node.frame_index != fg.frame_index:
                 out.append(f"{ntag}: frame_index {node.frame_index} does not match containing frame")
-            for name, vec in (("f_img", node.f_img), ("f_txt", node.f_txt)):
-                if not _finite(vec):
-                    out.append(f"{ntag}: non-finite {name}")
-                if vector_norm(vec) == 0.0:
-                    out.append(f"{ntag}: zero-norm {name}")
-                if feature_dim is None:
-                    feature_dim = vec.shape[0]
-                elif vec.shape[0] != feature_dim:
-                    out.append(f"{ntag}: {name} dimension {vec.shape[0]} != {feature_dim}")
-            if node.label != normalize_label(node.label):
-                out.append(f"{ntag}: label {node.label!r} not normalized")
+            for name in ("f_img", "f_txt"):
+                out.extend(f"{ntag}: {p}" for p in feature_problems(name, getattr(node, name), feature_dim))
+            out.extend(f"{ntag}: {p}" for p in label_problems(node.label))
             centroid_ok = node.centroid.shape == (3,) and _finite(node.centroid)
             if not centroid_ok:
                 out.append(f"{ntag}: bad centroid")

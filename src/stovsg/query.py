@@ -15,7 +15,7 @@ as early in it.  Frames before the aligned one stay reachable through
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -24,7 +24,6 @@ from .errors import InputRejected, NoAlignedFrame, NotFound
 from .model import (
     Command,
     FrameGraph,
-    LogView,
     ObjectNode,
     SceneGraph4D,
     SpatialEdge,
@@ -113,19 +112,12 @@ def _align(
     Latency-aware mode anchors on the frame the operator saw at issue time;
     naive mode anchors on the newest frame.
     """
-    frames = graph.frames
-    if as_of is not None:
-        frames = LogView(frames, captured_by(frames, as_of))
-    if not frames:
+    n = len(graph.frames) if as_of is None else captured_by(graph.frames, as_of)
+    if not n:
         cutoff = "" if as_of is None else f" captured by the cutoff as_of={as_of}"
         raise NoAlignedFrame(f"graph has no frames{cutoff}")
-    newest = frames[-1]
-    if latency_aware:
-        # alignment sees only the frames captured by the cutoff
-        view = graph if len(frames) == len(graph.frames) else replace(graph, frames=frames)
-        aligned = frame_at_operator_time(view, command.issue_time)
-    else:
-        aligned = newest
+    newest = graph.frames[n - 1]
+    aligned = frame_at_operator_time(graph, command.issue_time, as_of) if latency_aware else newest
     return aligned, newest, score_nodes(aligned, command, cfg)
 
 

@@ -33,9 +33,10 @@ from .model import (
     PixelMask,
     RelationCandidate,
     as_feature,
+    feature_problems,
     freeze_array,
+    label_problems,
     normalize_label,
-    vector_norm,
 )
 from .store import FrameInput
 
@@ -69,6 +70,8 @@ class SimObject:
             "waypoints",
             tuple((float(t), freeze_array(p)) for t, p in self.waypoints),
         )
+        for problem in label_problems(normalize_label(self.label)):  # detections carry it normalized
+            raise InputRejected(problem)
         if len(self.size) != 3:
             raise InputRejected(f"size: expected 3 numbers, got {len(self.size)}")
         if not self.waypoints:
@@ -157,7 +160,7 @@ class SimCommand:
     issue_time: float
 
     def __post_init__(self):
-        object.__setattr__(self, "embedding", freeze_array(self.embedding))
+        object.__setattr__(self, "embedding", as_feature(self.embedding))
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,11 +193,11 @@ class ScenarioSpec:
                 raise InputRejected(f"objects[{i}]: true_id {obj.true_id} is already used by objects[{j}]")
             # the engine refuses a detection whose feature it cannot compare
             for name in ("txt_archetype", "img_archetype"):
-                vec = getattr(obj, name)
-                if len(vec) != self.feature_dim:
-                    raise InputRejected(f"objects[{i}]: {name}: expected {self.feature_dim} numbers, got {len(vec)}")
-                if vector_norm(vec) == 0.0:
-                    raise InputRejected(f"objects[{i}]: {name}: zero norm")
+                for problem in feature_problems(name, getattr(obj, name), self.feature_dim):
+                    raise InputRejected(f"objects[{i}]: {problem}")
+        for i, command in enumerate(self.commands):  # and cannot score such a command
+            for problem in feature_problems("embedding", command.embedding, self.feature_dim):
+                raise InputRejected(f"commands[{i}]: {problem}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
+from itertools import chain
 from operator import attrgetter
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -47,7 +48,10 @@ from .model import (
     Track,
     TrackStatus,
     AssociationOutcome,
+    feature_problems,
+    label_problems,
     normalize_label,
+    time_order_problems,
     vector_norm,
     view_parts,
 )
@@ -97,22 +101,17 @@ def ingest_frame(graph: SceneGraph4D, frame_input: FrameInput, config: "EngineCo
 
     Detections are back-projected through the depth image, scored into
     spatial edges, and associated against live tracks.  Any malformed
-    detection or candidate rejects the whole frame; detections whose mask
-    has no valid depth reading are silently dropped (they cannot be
-    grounded in 3D).
+    detection or candidate, or a frame out of time order, rejects the whole
+    frame; detections whose mask has no valid depth reading are silently
+    dropped (they cannot be grounded in 3D), with the candidates naming them.
     """
     tag = frame_input.latency_tag
-    if not tag.transmission_latency >= 0:
-        raise InputRejected(f"transmission latency {tag.transmission_latency} is negative or NaN")
-    last = graph.frames[-1].capture_time if graph.frames else -float("inf")
-    if not tag.capture_time > last:
-        raise InputRejected(
-            f"capture time {tag.capture_time} must be after the newest stored frame ({last})"
-        )
     depth = frame_input.depth
     width, height = depth.width, depth.height
-    index = graph.node_index
-    feature_dim = next(iter(index.values())).f_img.shape[0] if index else None
+    detections = frame_input.detections
+    # every feature has the dimension of the first one stored or, in an empty graph, given
+    first = next(iter(graph.node_index.values())) if graph.node_index else next(iter(detections), None)
+    feature_dim = first.f_img.shape[0] if first else None
 
     frame_index = graph.frames_dropped + len(graph.frames) + 1
     obs_time = tag.observed_time
@@ -120,7 +119,7 @@ def ingest_frame(graph: SceneGraph4D, frame_input: FrameInput, config: "EngineCo
     node_id_of_det: dict[int, int] = {}
     node_boxes: dict[int, BoundingBox2D] = {}
     next_node_id = graph.next_node_id
-    for det_index, det in enumerate(frame_input.detections):
+    for det_index, det in enumerate(detections):
         where = f"detection {det_index}"
         if not det.box.is_valid():
             raise InputRejected(f"{where}: invalid box {det.box.as_tuple()}")
@@ -128,20 +127,10 @@ def ingest_frame(graph: SceneGraph4D, frame_input: FrameInput, config: "EngineCo
             raise InputRejected(f"{where}: box outside {width}x{height} image")
         if len(det.mask) == 0:
             raise InputRejected(f"{where}: empty mask")
-        for name, vec in (("f_img", det.f_img), ("f_txt", det.f_txt)):
-            if not np.isfinite(vec).all():
-                raise InputRejected(f"{where}: non-finite {name}")
-            if vector_norm(vec) == 0.0:  # no command could be scored against it
-                raise InputRejected(f"{where}: zero-norm {name}")
-            if feature_dim is None:
-                feature_dim = vec.shape[0]
-            elif vec.shape[0] != feature_dim:
-                raise InputRejected(
-                    f"{where}: {name} dimension {vec.shape[0]} != expected {feature_dim}"
-                )
         label = normalize_label(det.label)
-        if not label:
-            raise InputRejected(f"{where}: empty label")
+        img, txt = feature_problems("f_img", det.f_img, feature_dim), feature_problems("f_txt", det.f_txt, feature_dim)
+        for problem in chain(img, txt, label_problems(label)):
+            raise InputRejected(f"{where}: {problem}")
         points = lift_mask(depth, det.mask, frame_input.camera)
         if len(points) == 0:
             continue  # no depth evidence anywhere under the mask
@@ -166,18 +155,13 @@ def ingest_frame(graph: SceneGraph4D, frame_input: FrameInput, config: "EngineCo
 
     candidates = []
     for cand in frame_input.relation_candidates:
-        if cand.src not in node_id_of_det or cand.dst not in node_id_of_det:
+        if not (0 <= cand.src < len(detections) and 0 <= cand.dst < len(detections)):
             raise InputRejected(
                 f"relation candidate ({cand.src}, {cand.dst}) references a missing detection"
             )
-        candidates.append(
-            RelationCandidate(
-                src=node_id_of_det[cand.src],
-                dst=node_id_of_det[cand.dst],
-                relation=cand.relation,
-                zone=cand.zone,
-            )
-        )
+        if cand.src in node_id_of_det and cand.dst in node_id_of_det:  # else an endpoint had no depth
+            src, dst = node_id_of_det[cand.src], node_id_of_det[cand.dst]
+            candidates.append(RelationCandidate(src, dst, cand.relation, cand.zone))
     edges = resolve_ambiguous(candidates, node_boxes, config.spatial)
 
     frame = FrameGraph(
@@ -210,9 +194,11 @@ def apply_outcome(
     with an appearance edge; unmatched tracks transition to disappeared,
     emitting a disappearance edge only on the first missed frame; tracks
     disappeared for longer than the grace period retire.  Everything is
-    checked before the log is appended to, so a refused outcome changes
-    nothing.  ``next_node_id`` is the new graph's.
+    checked before the log is appended to, the frame's time order too, so a
+    refused outcome changes nothing.  ``next_node_id`` is the new graph's.
     """
+    for path, message in time_order_problems(graph, frame):
+        raise InputRejected(f"{path}: {message}")
     by_id = {node.node_id: node for node in frame.nodes}
     clash = next((node_id for node_id in by_id if node_id in graph.node_index), None)
     if clash is not None:
@@ -345,20 +331,22 @@ def captured_by(frames: Sequence[FrameGraph], time: float) -> int:
     return 0 if math.isnan(time) else bisect_right(items, time, 0, n, key=_CAPTURE_TIME)
 
 
-def frame_at_operator_time(graph: SceneGraph4D, query_time: float) -> FrameGraph:
-    """The frame the operator was seeing at ``query_time``.
+def frame_at_operator_time(graph: SceneGraph4D, query_time: float, as_of: float | None = None) -> FrameGraph:
+    """The frame the operator was seeing at ``query_time``, among those captured by ``as_of``.
 
     That is the newest capture whose tagged arrival time (capture plus
     transmission latency) is at or before the query time; every node in the
     returned frame was therefore operator-visible by then.  When nothing
-    had arrived yet this raises.  Only frames captured by the query time
-    can have arrived, so this bisects to them and steps back over those
-    still in flight: O(log frames + frames in flight).
+    had arrived yet this raises.  Only frames captured by the query time and
+    by the cutoff can be chosen, so this bisects to them and steps back over
+    those still in flight: O(log frames + frames in flight).
     """
     frames, n = view_parts(graph.frames)
     if not n:
         raise NoAlignedFrame("graph has no frames")
     k = captured_by(graph.frames, query_time)
+    if as_of is not None and not as_of >= query_time:  # a NaN cutoff leaves no frame
+        k = min(k, captured_by(graph.frames, as_of))
     while k and frames[k - 1].obs_time > query_time:
         k -= 1
     if not k:
@@ -379,16 +367,10 @@ def lifecycle_events(
     edges, m = view_parts(graph.temporal_edges)
     lo = bisect_left(frames, start, 0, n, key=_CAPTURE_TIME)
     hi = captured_by(graph.frames, end)
-    if lo >= hi:
+    if lo >= hi or math.isnan(start):
         return ()
     first = bisect_left(edges, frames[lo].frame_index, 0, m, key=_EVENT_FRAME)
     last = bisect_right(edges, frames[hi - 1].frame_index, first, m, key=_EVENT_FRAME)
-    events = []
-    for edge in edges[first:last]:
-        if edge.relation == SAME_INSTANCE:
-            continue
-        when = graph.frame(edge.event_frame).capture_time
-        if start <= when <= end:
-            events.append((when, edge.track_id, edge.relation))
-    events.sort(key=lambda item: (item[0], item[1], item[2]))
-    return tuple(events)
+    # each edge's frame lies between frames[lo] and frames[hi - 1], so it was captured in [start, end]
+    lifecycle = (edge for edge in edges[first:last] if edge.relation != SAME_INSTANCE)
+    return tuple(sorted((graph.frame(e.event_frame).capture_time, e.track_id, e.relation) for e in lifecycle))

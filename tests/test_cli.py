@@ -296,10 +296,14 @@ def test_bad_numbers_are_refused_as_one_json_error(tmp_path, args, message):
         (("image_width",), 0, "image_width: expected a positive integer, got 0"),
         (("feature_dim",), 0, "feature_dim: expected a positive integer, got 0"),
         (("camera", "fx"), 0.0, "camera focal lengths must be positive (fx=0.0, fy=130.0)"),
-        (("objects", 1, "img_archetype"), [0.25] * 8, "objects[1]: img_archetype: expected 16 numbers, got 8"),
-        (("feature_dim",), 8, "objects[0]: txt_archetype: expected 8 numbers, got 16"),
-        (("objects", 2, "txt_archetype"), [0.0] * 16, "objects[2]: txt_archetype: zero norm"),
+        (("objects", 1, "img_archetype"), [0.25] * 8, "objects[1]: img_archetype dimension 8 != 16"),
+        (("feature_dim",), 8, "objects[0]: txt_archetype dimension 16 != 8"),
+        (("objects", 2, "txt_archetype"), [0.0] * 16, "objects[2]: zero-norm txt_archetype"),
         (("objects", 2, "true_id"), 1, "objects[2]: true_id 1 is already used by objects[0]"),
+        (("commands", 0, "embedding"), [0.25] * 8, "commands[0]: embedding dimension 8 != 16"),
+        (("commands", 0, "embedding"), [0.0] * 16, "commands[0]: zero-norm embedding"),
+        (("commands", 0, "embedding"), [1e-200] * 16, "commands[0]: zero-norm embedding"),
+        (("objects", 1, "label"), " ", "objects[1]: empty label"),
     ],
     ids=[
         "no-waypoints",
@@ -313,6 +317,10 @@ def test_bad_numbers_are_refused_as_one_json_error(tmp_path, args, message):
         "feature-dim",
         "zero-archetype",
         "duplicate-true-id",
+        "short-embedding",
+        "zero-embedding",
+        "underflow-embedding",
+        "empty-label",
     ],
 )
 def test_malformed_scenario_file_is_one_json_error(tmp_path, capsys, key_path, value, message):

@@ -4,9 +4,12 @@ import hashlib
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stovsg import (
     Command,
@@ -305,6 +308,59 @@ def test_graph_files_out_of_time_order_are_format_errors(tmp_path, capsys, confi
         error = json.loads(line)
         assert error["error"] == "format-error" and re.match(message, error["message"])
         assert out == ""
+
+
+@pytest.fixture(scope="module")
+def simulated_graph():
+    inputs, _ = generate_stream(make_scenario("target_moved", {"seed": 0, "delay": 0.5}))
+    return ingest_sequence(empty_graph(), inputs[:12], EngineConfig())
+
+
+def _break_time_order(graph, kind: str, pick: int, amount: float):
+    """``graph`` with one frame or edge moved out of time order (or, by chance, kept in it)."""
+    frames, edges = list(graph.frames), list(graph.temporal_edges)
+    k = pick % len(frames)
+    tag = frames[k].latency_tag
+    if kind == "shift-index":
+        frames[k] = replace(frames[k], frame_index=frames[k].frame_index + (1 + pick % 3) * (-1) ** pick)
+    elif kind == "repeat-capture":
+        k = max(k, 1)
+        repeated = replace(frames[k].latency_tag, capture_time=frames[k - 1].capture_time)
+        frames[k] = replace(frames[k], latency_tag=repeated)
+    elif kind == "lower-capture":
+        frames[k] = replace(frames[k], latency_tag=replace(tag, capture_time=tag.capture_time - amount))
+    elif kind == "negative-latency":
+        frames[k] = replace(frames[k], latency_tag=replace(tag, transmission_latency=-amount))
+    else:  # swap two edges
+        i, j = pick % len(edges), (pick // len(edges)) % len(edges)
+        edges[i], edges[j] = edges[j], edges[i]
+    return replace(graph, frames=tuple(frames), temporal_edges=tuple(edges))
+
+
+BREAKS = st.tuples(
+    st.sampled_from(["shift-index", "repeat-capture", "lower-capture", "negative-latency", "swap-edges"]),
+    st.integers(0, 10**6),
+    st.floats(0.01, 5.0),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(breaks=st.lists(BREAKS, max_size=3))
+def test_reading_refuses_a_graph_exactly_when_validation_reports_its_time_order(
+    simulated_graph, tmp_path_factory, breaks
+):
+    graph = simulated_graph
+    for kind, pick, amount in breaks:
+        graph = _break_time_order(graph, kind, pick, amount)
+    reported = [p for p in validate_graph(graph) if p.startswith(("frames[", "temporal_edges["))]
+    path = tmp_path_factory.mktemp("order") / "graph.json"
+    write_graph(graph, path)
+    if reported:
+        with pytest.raises(FormatError) as refused:
+            read_graph(path)
+        assert str(refused.value) == f"graph: {reported[0]}"
+    else:
+        assert graph_to_dict(read_graph(path)) == graph_to_dict(graph)
 
 
 def test_scenario_round_trips(tmp_path):

@@ -14,6 +14,7 @@ from stovsg import (
     BoundingBox2D,
     Command,
     EngineConfig,
+    FAMILY_TARGET_MOVED,
     InputRejected,
     LatencyTag,
     NotFound,
@@ -21,6 +22,7 @@ from stovsg import (
     cosine,
     empty_graph,
     generate_stream,
+    ingest_frame,
     ingest_sequence,
     lifecycle_events,
     make_scenario,
@@ -29,9 +31,9 @@ from stovsg import (
     validate_graph,
     write_graph,
 )
-from stovsg.model import freeze_array
+from stovsg.model import feature_problems, freeze_array, label_problems
 
-from conftest import axis, make_camera, make_detection, make_frame_input
+from conftest import DIM, axis, make_camera, make_detection, make_frame_input
 from oracles import cosine_oracle
 
 
@@ -200,6 +202,58 @@ def test_validate_graph_flags_a_zero_norm_feature_read_from_a_graph_file(config,
     assert validate_graph(read_graph(path)) == [f"frame 2 node 2: zero-norm {name}"]
 
 
+@pytest.mark.parametrize(
+    "make, rule",
+    [
+        (lambda dim: np.full(dim, np.nan), "non-finite {name}"),
+        (lambda dim: np.full(dim, np.inf), "non-finite {name}"),
+        (np.zeros, "zero-norm {name}"),
+        (lambda dim: np.full(dim, 1e-200), "zero-norm {name}"),  # its square underflows
+        (lambda dim: np.ones(dim - 1), "{name} dimension {short} != {dim}"),
+    ],
+    ids=["nan", "inf", "zero", "underflow", "short"],
+)
+def test_each_feature_fault_is_refused_by_one_rule_everywhere(config, make, rule):
+    graph = _two_frame_graph(config)
+    f0, f1 = graph.frames
+    for name in ("f_img", "f_txt"):
+        text = rule.format(name=name, short=DIM - 1, dim=DIM)
+        assert list(feature_problems(name, make(DIM), DIM)) == [text]
+        frame = make_frame_input(3.0, detections=(make_detection(), make_detection(x0=30, **{name: make(DIM)})))
+        with pytest.raises(InputRejected) as refused:
+            ingest_frame(graph, frame, config)
+        assert str(refused.value) == f"detection 1: {text}"
+        broken = replace(f1, nodes=(replace(f1.nodes[0], **{name: make(DIM)}),))
+        assert validate_graph(replace(graph, frames=(f0, broken))) == [f"frame 2 node 2: {text}"]
+
+    spec = make_scenario(FAMILY_TARGET_MOVED)
+    dim = spec.feature_dim
+    first, second, third = spec.objects
+    for name in ("txt_archetype", "img_archetype"):
+        with pytest.raises(InputRejected) as refused:
+            replace(spec, objects=(first, replace(second, **{name: make(dim)}), third))
+        assert str(refused.value) == f"objects[1]: {rule.format(name=name, short=dim - 1, dim=dim)}"
+    with pytest.raises(InputRejected) as refused:
+        replace(spec, commands=(replace(spec.commands[0], embedding=make(dim)),))
+    assert str(refused.value) == f"commands[0]: {rule.format(name='embedding', short=dim - 1, dim=dim)}"
+
+
+@pytest.mark.parametrize("label", ["", "   ", " \t\n"])
+def test_an_empty_label_is_refused_by_one_rule_everywhere(config, label):
+    assert list(label_problems(label)) == ["empty label"]
+    graph = _two_frame_graph(config)
+    f0, f1 = graph.frames
+    frame = make_frame_input(3.0, detections=(make_detection(), make_detection(x0=30, label=label)))
+    with pytest.raises(InputRejected) as refused:
+        ingest_frame(graph, frame, config)
+    assert str(refused.value) == "detection 1: empty label"
+    broken = replace(f1, nodes=(replace(f1.nodes[0], label=label),))
+    assert validate_graph(replace(graph, frames=(f0, broken))) == ["frame 2 node 2: empty label"]
+    spec = make_scenario(FAMILY_TARGET_MOVED)
+    with pytest.raises(InputRejected, match="^empty label$"):
+        replace(spec.objects[1], label=label)
+
+
 def test_validate_graph_flags_dangling_temporal_edge(config):
     graph = _two_frame_graph(config)
     edge = replace(graph.temporal_edges[-1], dst_node=999)
@@ -211,7 +265,10 @@ def test_validate_graph_flags_an_event_frame_that_is_not_stored(config):
     graph = _two_frame_graph(config)
     appeared, same = graph.temporal_edges
     broken = replace(graph, temporal_edges=(replace(appeared, event_frame=7), same))
-    assert validate_graph(broken) == ["temporal edge (appeared, track 1): event frame 7 not in graph"]
+    assert validate_graph(broken) == [
+        "temporal_edges[1].event_frame: 2 is before 7 (temporal edges must be in event-frame order)",
+        "temporal edge (appeared, track 1): event frame 7 not in graph",
+    ]
     with pytest.raises(NotFound, match="frame 7"):
         lifecycle_events(broken, 0.0, 10.0)
 

@@ -212,10 +212,10 @@ def test_scenario_refuses_two_objects_with_one_true_id():
 @pytest.mark.parametrize(
     "name, value, message",
     [
-        ("img_archetype", np.ones(8), "objects[1]: img_archetype: expected 16 numbers, got 8"),
-        ("txt_archetype", np.ones(17), "objects[1]: txt_archetype: expected 16 numbers, got 17"),
-        ("txt_archetype", np.zeros(16), "objects[1]: txt_archetype: zero norm"),
-        ("img_archetype", np.full(16, 1e-200), "objects[1]: img_archetype: zero norm"),
+        ("img_archetype", np.ones(8), "objects[1]: img_archetype dimension 8 != 16"),
+        ("txt_archetype", np.ones(17), "objects[1]: txt_archetype dimension 17 != 16"),
+        ("txt_archetype", np.zeros(16), "objects[1]: zero-norm txt_archetype"),
+        ("img_archetype", np.full(16, 1e-200), "objects[1]: zero-norm img_archetype"),
     ],
     ids=["short", "long", "zero", "underflow"],
 )
@@ -224,6 +224,25 @@ def test_scenario_refuses_an_archetype_the_engine_could_not_compare(name, value,
     first, second, third = spec.objects
     with pytest.raises(InputRejected) as refused:
         replace(spec, objects=(first, replace(second, **{name: value}), third))
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (np.ones(8), "commands[0]: embedding dimension 8 != 16"),
+        (np.zeros(16), "commands[0]: zero-norm embedding"),
+        (np.full(16, 1e-200), "commands[0]: zero-norm embedding"),
+        (np.full(16, np.nan), "commands[0]: non-finite embedding"),
+        (np.full(16, np.inf), "commands[0]: non-finite embedding"),
+    ],
+    ids=["short", "zero", "underflow", "nan", "inf"],
+)
+def test_scenario_refuses_a_command_embedding_no_node_could_be_scored_against(value, message):
+    spec = make_scenario(FAMILY_TARGET_MOVED)
+    (command,) = spec.commands
+    with pytest.raises(InputRejected) as refused:
+        replace(spec, commands=(replace(command, embedding=value),))
     assert str(refused.value) == message
 
 

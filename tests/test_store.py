@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -159,6 +160,33 @@ def test_a_zeroed_detection_in_a_simulated_stream_is_refused_at_ingest(config):
         ingest_sequence(empty_graph(), [zeroed, *inputs[1:]], config)
 
 
+def _without_depth_under(frame, det_index):
+    values = frame.depth.values.copy()
+    u, v = frame.detections[det_index].mask.pixels.T
+    values[v, u] = 0.0
+    return replace(frame, depth=DepthImage(values))
+
+
+def test_a_candidate_naming_a_detection_without_depth_is_dropped_with_it(config):
+    inputs, _ = generate_stream(make_scenario("moved_reference", {"seed": 0, "delay": 1.0}))
+    frame = _without_depth_under(inputs[0], 0)
+    assert [(c.src, c.dst) for c in frame.relation_candidates] == [(0, 1)]
+    graph = ingest_frame(empty_graph(), frame, config)
+    assert len(graph.frames[0].nodes) == 2 and graph.frames[0].spatial_edges == ()
+    assert validate_graph(graph) == []
+    without = ingest_frame(empty_graph(), replace(frame, relation_candidates=()), config)
+    assert dumps(graph_to_dict(graph)) == dumps(graph_to_dict(without))
+
+
+@pytest.mark.parametrize("src, dst", [(0, 3), (-1, 1), (3, 0)])
+def test_a_candidate_naming_no_detection_still_refuses_the_frame(config, src, dst):
+    inputs, _ = generate_stream(make_scenario("moved_reference", {"seed": 0, "delay": 1.0}))
+    frame = _without_depth_under(inputs[0], 0)  # even when the other endpoint was dropped
+    cand = replace(frame.relation_candidates[0], src=src, dst=dst)
+    with pytest.raises(InputRejected, match=rf"^relation candidate \({src}, {dst}\) references a missing detection$"):
+        ingest_frame(empty_graph(), replace(frame, relation_candidates=(cand,)), config)
+
+
 def test_detection_without_depth_evidence_is_dropped(config):
     values = np.full((96, 128), 2.0, dtype=np.float32)
     values[:, 100:] = 0.0  # right strip has no depth readings
@@ -269,6 +297,21 @@ def test_frame_at_operator_time_uses_tagged_arrival(config):
         frame_at_operator_time(empty_graph(), 1.0)
 
 
+def test_alignment_sees_only_the_frames_captured_by_the_cutoff(config):
+    graph = ingest_sequence(
+        empty_graph(),
+        [make_frame_input(t, latency=0.5, detections=(make_detection(),)) for t in (1.0, 2.0, 3.0)],
+        config,
+    )
+    assert frame_at_operator_time(graph, 100.0, as_of=2.0).frame_index == 2
+    assert frame_at_operator_time(graph, 100.0, as_of=2.99).frame_index == 2
+    assert frame_at_operator_time(graph, 2.5, as_of=100.0).frame_index == 2
+    assert frame_at_operator_time(graph, 2.49, as_of=2.0).frame_index == 1
+    for query_time, as_of in ((100.0, 0.5), (1.49, 3.0), (math.nan, None), (math.nan, 3.0), (100.0, math.nan)):
+        with pytest.raises(NoAlignedFrame):
+            frame_at_operator_time(graph, query_time, as_of)
+
+
 def test_lifecycle_events_window(config):
     graph = ingest_sequence(
         empty_graph(),
@@ -282,6 +325,7 @@ def test_lifecycle_events_window(config):
     assert lifecycle_events(graph, 0.0, 10.0) == ((1.0, 1, APPEARED), (3.0, 1, DISAPPEARED))
     assert lifecycle_events(graph, 2.5, 10.0) == ((3.0, 1, DISAPPEARED),)
     assert lifecycle_events(graph, 4.0, 10.0) == ()
+    assert lifecycle_events(graph, math.nan, 10.0) == lifecycle_events(graph, 0.0, math.nan) == ()
 
 
 def test_empty_frames_are_allowed(config):
@@ -291,15 +335,45 @@ def test_empty_frames_are_allowed(config):
     assert validate_graph(graph) == []
 
 
+@pytest.mark.parametrize(
+    "capture, latency", [(1.0, 0.5), (0.5, 0.5), (2.0, -0.25)], ids=["repeat", "earlier", "latency"]
+)
+def test_ingest_refuses_a_frame_out_of_time_order_in_the_words_of_validate_graph(config, capture, latency):
+    graph = ingest_frame(empty_graph(), make_frame_input(1.0, detections=(make_detection(),)), config)
+    frame_input = make_frame_input(capture, latency=latency, detections=(make_detection(),))
+    with pytest.raises(InputRejected) as refused:
+        ingest_frame(graph, frame_input, config)
+    appended = FrameGraph(2, frame_input.latency_tag, (), ())
+    assert str(refused.value) in validate_graph(replace(graph, frames=(*graph.frames, appended)))
+
+
+def test_an_outcome_on_a_frame_out_of_time_order_is_refused(config):
+    graph = ingest_frame(empty_graph(), make_frame_input(2.0, detections=(make_detection(),)), config)
+    node = make_node(2, frame_index=2, obs_time=3.5)
+    for frame_index, tag, path in [
+        (7, LatencyTag(3.0, 0.5), "frames[1].frame_index"),
+        (2, LatencyTag(1.0, 0.5), "frames[1].latency_tag.capture_time"),
+        (2, LatencyTag(3.0, -0.5), "frames[1].latency_tag.transmission_latency"),
+    ]:
+        frame = FrameGraph(frame_index, tag, (replace(node, frame_index=frame_index),), ())
+        with pytest.raises(InputRejected, match=rf"^{re.escape(path)}: "):
+            apply_outcome(graph, AssociationOutcome((), (2,), ()), frame, config, 3)
+        assert len(graph.log.frames) == 1
+
+
 def test_nan_transmission_latency_is_rejected(config):
+    message = (
+        "frames[0].latency_tag.transmission_latency: nan is negative or NaN (a frame cannot arrive before its capture)"
+    )
     frame = make_frame_input(1.0, latency=float("nan"), detections=(make_detection(),))
-    with pytest.raises(InputRejected, match="NaN"):
+    with pytest.raises(InputRejected) as refused:
         ingest_frame(empty_graph(), frame, config)
+    assert str(refused.value) == message
     graph = ingest_frame(empty_graph(), make_frame_input(1.0, detections=(make_detection(),)), config)
     fg = graph.frames[0]
     bad = replace(fg, latency_tag=replace(fg.latency_tag, transmission_latency=float("nan")))
     problems = validate_graph(replace(graph, frames=(bad,)))
-    assert any("transmission latency nan" in p for p in problems)
+    assert message in problems
 
 
 # --- snapshots on a shared log -------------------------------------------------
@@ -444,6 +518,11 @@ def test_time_lookups_match_the_scanning_oracles(latencies, data):
         else:
             got_aligned, got_newest, _ = _align(graph, command, command_cfg, as_of, True)
             assert got_aligned is aligned and got_newest is cut[-1]
+        if aligned is None:
+            with pytest.raises(NoAlignedFrame):
+                frame_at_operator_time(graph, t, as_of)
+        else:
+            assert frame_at_operator_time(graph, t, as_of) is aligned
 
         start, end = t, data.draw(times, label="window end")
         assert lifecycle_events(graph, start, end) == lifecycle_events_oracle(frames, edges, start, end)
