@@ -109,15 +109,15 @@ def _lex_min_perfect_matching(adj: list[list[int]], initial: list[int]) -> list[
                 continue
             if j == row_to_col[i]:
                 break  # already the smallest feasible column
-            owner = col_to_row[j]
-            saved = (list(row_to_col), list(col_to_row))
-            col_to_row[row_to_col[i]] = -1
+            owner, old = col_to_row[j], row_to_col[i]
+            col_to_row[old] = -1
             row_to_col[i] = j
             col_to_row[j] = i
             row_to_col[owner] = -1
             if try_augment(owner, {j}):
                 break
-            row_to_col, col_to_row = saved  # infeasible, try next column
+            # infeasible: a failed augment wrote nothing, so undo the swap and try the next column
+            row_to_col[owner], col_to_row[j], row_to_col[i], col_to_row[old] = j, owner, old, i
         fixed_cols.add(row_to_col[i])
     return row_to_col
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import formats
 from .config import load_config, save_config
-from .errors import EngineError, InputRejected
+from .errors import EngineError, FormatError, InputRejected
 from .metrics import evaluate
 from .model import empty_graph, validate_graph
 from .query import extract_subgraph, ground_command
@@ -114,6 +114,9 @@ def cmd_export(args) -> int:
 def cmd_score(args) -> int:
     config = load_config(args.config)
     graph = formats.read_graph(args.graph)
+    problems = validate_graph(graph)  # scoring reads every node, edge and track
+    if problems:
+        raise FormatError(f"graph {args.graph}: " + "; ".join(problems))
     truth = formats.read_truth(args.truth)
     commands = None
     if args.commands:

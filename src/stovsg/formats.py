@@ -630,6 +630,8 @@ def parse_stream(path: str | Path) -> tuple[dict, list[FrameInput]]:
         for key in ("image_width", "image_height")
     )
 
+    dim = _decode(optional(POSITIVE_INT), header.get("feature_dim"), f"stream {path} header feature_dim")
+
     frames: list[FrameInput] = []
     for lineno, line in lines[1:]:
         try:
@@ -638,6 +640,11 @@ def parse_stream(path: str | Path) -> tuple[dict, list[FrameInput]]:
             raise FormatError(f"stream {path}:{lineno}: {exc}") from exc
         except _Invalid as exc:
             raise exc.located(f"stream {path}:{lineno}") from None
+    first = next((len(f.detections[0].f_img) for f in frames if f.detections), dim)
+    if dim not in (None, first):
+        raise FormatError(
+            f"stream {path} header feature_dim: {dim}, but the first detection's f_img has {first} numbers"
+        )
     return header, frames
 
 

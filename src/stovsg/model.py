@@ -64,8 +64,9 @@ def vector_norm(v: np.ndarray) -> float:
 def _cosine(a: np.ndarray, norm_a: float, b: np.ndarray) -> float:
     """Cosine of ``a`` (whose norm is ``norm_a``) and ``b``, clamped to [-1, 1].
 
-    The one cosine formula: :func:`cosine` and node scoring both call it, so
-    a score never depends on which of them took it.
+    The one scalar cosine: :func:`cosine` and node scoring both call it, so
+    a score never depends on which of them took it.  Association takes its
+    cosines batched, over a whole block, in ``temporal._cost_block``.
     """
     if a.shape != b.shape:
         raise InputRejected(f"feature dimensions differ: {a.shape} vs {b.shape}")
@@ -353,18 +354,6 @@ def view_parts(seq: Sequence) -> tuple[Sequence, int]:
     return seq, len(seq)
 
 
-def node_tracks(tracks: Mapping[int, Track]) -> dict[int, list[int]]:
-    """Node id -> ids of the tracks whose history holds it, ascending.
-
-    In a consistent graph every node is on exactly one track.
-    """
-    out: dict[int, list[int]] = {}
-    for track_id in sorted(tracks):
-        for node_id in tracks[track_id].history:
-            out.setdefault(node_id, []).append(track_id)
-    return out
-
-
 class GraphLog:
     """Append-only storage shared by the snapshots along one line of ingests.
 
@@ -383,21 +372,39 @@ class GraphLog:
 
     def __init__(self, graph: "SceneGraph4D"):
         """A log holding exactly ``graph``'s frames, edges and track histories."""
-        self.frames: list[FrameGraph] = list(graph.frames)
-        self.edges: list[TemporalEdge] = list(graph.temporal_edges)
-        self.histories: dict[int, list[int]] = {tid: list(t.history) for tid, t in graph.tracks.items()}
+        self.frames: list[FrameGraph] = []
+        self.edges: list[TemporalEdge] = []
+        self.histories: dict[int, list[int]] = {}
         self.nodes: dict[int, ObjectNode] = {}
         self.positions: dict[int, int] = {}
         self.track_ids: dict[int, int | None] = {}
         self.node_counts: list[int] = [0]
-        on_tracks = node_tracks(graph.tracks)
-        for pos, fg in enumerate(self.frames):
-            for node in fg.nodes:
-                holders = on_tracks.get(node.node_id)
+        # descending ids, so a node on several tracks is the lowest one's
+        opened = {tid: list(graph.tracks[tid].history) for tid in sorted(graph.tracks, reverse=True)}
+        self.append(graph.frames, graph.temporal_edges, {}, opened)
+
+    def append(self, frames: Iterable[FrameGraph], edges: Iterable[TemporalEdge],
+               extended: Mapping[int, int], opened: Mapping[int, list[int]]) -> None:
+        """Commit ``frames`` and their temporal ``edges``: the log's one writer.
+
+        Each track in ``extended`` gains the node it maps to, and each in
+        ``opened`` starts with the history it maps to (a node in several of
+        those histories is on the last one's track).
+        """
+        for frame in frames:
+            self.frames.append(frame)
+            for node in frame.nodes:
                 self.nodes[node.node_id] = node
-                self.positions[node.node_id] = pos
-                self.track_ids[node.node_id] = holders[0] if holders else None
-            self.node_counts.append(self.node_counts[-1] + len(fg.nodes))
+                self.positions[node.node_id] = len(self.frames) - 1
+                self.track_ids[node.node_id] = None
+            self.node_counts.append(self.node_counts[-1] + len(frame.nodes))
+        self.edges.extend(edges)
+        for track_id, node_id in extended.items():
+            self.histories[track_id].append(node_id)
+            self.track_ids[node_id] = track_id
+        for track_id, history in opened.items():
+            self.histories[track_id] = history
+            self.track_ids.update(dict.fromkeys(history, track_id))
 
 
 class NodeIndex(Mapping):
@@ -470,6 +477,11 @@ class SceneGraph4D:
         if self.log is None:
             object.__setattr__(self, "log", GraphLog(self))
         return self.log
+
+    def log_to_extend(self) -> GraphLog:
+        """The log this snapshot is the newest on: its own, or a copy of its prefix."""
+        log = self.own_log()
+        return log if len(log.frames) == len(self.frames) else GraphLog(self)
 
     @cached_property
     def node_index(self) -> Mapping[int, ObjectNode]:
@@ -594,7 +606,10 @@ def validate_graph(graph: SceneGraph4D) -> list[str]:
     out = [f"{path}: {message}" for path, message in time_order_problems(graph)]
     seen_node_ids: set[int] = set()
     feature_dim = next((fg.nodes[0].f_img.shape[0] for fg in graph.frames if fg.nodes), None)
-    on_tracks = node_tracks(graph.tracks)
+    on_tracks: dict[int, list[int]] = {}  # node id -> ids of the tracks whose history holds it
+    for track_id in sorted(graph.tracks):
+        for node_id in graph.tracks[track_id].history:
+            on_tracks.setdefault(node_id, []).append(track_id)
 
     for fg in graph.frames:
         tag = f"frame {fg.frame_index}"

@@ -137,6 +137,8 @@ def _track_window(graph: SceneGraph4D, node_id: int, newest: FrameGraph) -> tupl
 
     start = bisect_left(ids, frame_of(node_id), 0, n, key=frame_of)
     end = bisect_right(ids, newest.frame_index, start, n, key=frame_of)
+    if node_id not in ids[start:start + 1]:  # the bisect missed it: the history is out of frame order
+        raise InputRejected(f"track {track_id}: history frames not strictly increasing")
     return track_id, ids[start:end]
 
 

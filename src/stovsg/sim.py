@@ -48,6 +48,15 @@ FAMILY_MOVED_REFERENCE = "moved_reference"
 NEAR = "near"
 # frames one stream may have: each keeps a float32 depth image (77 KB at 160x120)
 MAX_FRAMES = 100_000
+MAX_IMAGE_SIDE = 4096  # pixels; every frame renders a depth image this wide and high
+
+
+def _position(name: str, values) -> np.ndarray:
+    """``values`` as a read-only position; anything but 3 numbers is refused, naming ``name``."""
+    arr = freeze_array(values)
+    if arr.shape != (3,):
+        raise InputRejected(f"{name}: expected 3 numbers, got shape {arr.shape}")
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,7 +77,7 @@ class SimObject:
         object.__setattr__(
             self,
             "waypoints",
-            tuple((float(t), freeze_array(p)) for t, p in self.waypoints),
+            tuple((float(t), _position(f"waypoints[{i}]", p)) for i, (t, p) in enumerate(self.waypoints)),
         )
         for problem in label_problems(normalize_label(self.label)):  # detections carry it normalized
             raise InputRejected(problem)
@@ -76,9 +85,6 @@ class SimObject:
             raise InputRejected(f"size: expected 3 numbers, got {len(self.size)}")
         if not self.waypoints:
             raise InputRejected("waypoints: expected at least one")
-        for i, (_, position) in enumerate(self.waypoints):
-            if position.shape != (3,):
-                raise InputRejected(f"waypoints[{i}]: expected a position of 3 numbers")
 
     def position_at(self, t: float) -> np.ndarray:
         """Piecewise-linear position; duplicate waypoint times act as steps."""
@@ -207,7 +213,7 @@ class DetectionTruth:
     centroid: np.ndarray  # true (noise-free) position at capture time
 
     def __post_init__(self):
-        object.__setattr__(self, "centroid", freeze_array(self.centroid))
+        object.__setattr__(self, "centroid", _position("centroid", self.centroid))
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,8 +233,8 @@ class CommandTruth:
     centroid_at_arrival: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "centroid_at_issue", freeze_array(self.centroid_at_issue))
-        object.__setattr__(self, "centroid_at_arrival", freeze_array(self.centroid_at_arrival))
+        for name in ("centroid_at_issue", "centroid_at_arrival"):
+            object.__setattr__(self, name, _position(name, getattr(self, name)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,6 +255,8 @@ def _unit_or_noisy(archetype: np.ndarray, sigma: float, rng: np.random.Generator
         return np.asarray(archetype, dtype=np.float64)
     noisy = archetype + sigma * rng.standard_normal(archetype.shape[0])
     norm = np.linalg.norm(noisy)
+    if not math.isfinite(norm):
+        raise InputRejected(f"noise.feature_sigma {sigma} is too large: a noisy feature overflowed")
     return noisy / norm if norm > 0 else np.asarray(archetype, dtype=np.float64)
 
 
@@ -298,6 +306,10 @@ def generate_stream(spec: ScenarioSpec) -> tuple[list[FrameInput], GroundTruthLo
         raise InputRejected(
             f"scenario too long: duration {spec.duration} at {spec.frame_rate} fps is more than "
             f"the {MAX_FRAMES} frames a stream may have"
+        )
+    if max(spec.image_width, spec.image_height) > MAX_IMAGE_SIDE:
+        raise InputRejected(
+            f"image {spec.image_width}x{spec.image_height} is wider or higher than {MAX_IMAGE_SIDE} pixels"
         )
     n_frames = int(math.floor(span))
     if n_frames < 1:

@@ -38,7 +38,6 @@ from .model import (
     CameraModel,
     Detection,
     FrameGraph,
-    GraphLog,
     LatencyTag,
     LogView,
     ObjectNode,
@@ -56,7 +55,7 @@ from .model import (
     view_parts,
 )
 from .spatial import resolve_ambiguous
-from .temporal import associate
+from .temporal import associate, matchable
 
 if TYPE_CHECKING:  # pragma: no cover
     from .config import EngineConfig
@@ -174,10 +173,9 @@ def ingest_frame(graph: SceneGraph4D, frame_input: FrameInput, config: "EngineCo
     return apply_outcome(graph, outcome, frame, config, next_node_id)
 
 
-def _log_to_extend(graph: SceneGraph4D) -> GraphLog:
-    """The log ``graph`` is the newest snapshot of: its own, or a copy of its prefix."""
-    log = graph.own_log()
-    return log if len(log.frames) == len(graph.frames) else GraphLog(graph)
+def _seen(track_id: int, node: ObjectNode, descriptor: np.ndarray, history: Sequence[int]) -> Track:
+    """The active track ``track_id`` whose newest observation is ``node``."""
+    return Track(track_id, node.centroid, descriptor, node.label, node.obs_time, TrackStatus.ACTIVE, history)
 
 
 def apply_outcome(
@@ -203,7 +201,7 @@ def apply_outcome(
     clash = next((node_id for node_id in by_id if node_id in graph.node_index), None)
     if clash is not None:
         raise InputRejected(f"node id {clash} is already in the graph")
-    log = _log_to_extend(graph)
+    log = graph.log_to_extend()
     alpha = config.descriptor_alpha
     now = frame.obs_time
     tracks = dict(graph.tracks)
@@ -236,15 +234,7 @@ def apply_outcome(
         blended = (1.0 - alpha) * track.descriptor + alpha * node.f_img
         norm = vector_norm(blended)
         descriptor = blended / norm if norm > 0 else _unit(node.f_img)
-        tracks[track_id] = Track(
-            track_id=track_id,
-            centroid=node.centroid,
-            descriptor=descriptor,
-            label=node.label,
-            last_seen_time=node.obs_time,
-            status=TrackStatus.ACTIVE,
-            history=LogView(log.histories[track_id], len(track.history) + 1),
-        )
+        tracks[track_id] = _seen(track_id, node, descriptor, LogView(log.histories[track_id], len(track.history) + 1))
         extended[track_id] = node.node_id
 
     for node_id in outcome.new_nodes:
@@ -252,15 +242,7 @@ def apply_outcome(
             raise InputRejected(f"outcome references node {node_id} not in frame")
         node = by_id[node_id]
         opened[next_track_id] = [node.node_id]
-        tracks[next_track_id] = Track(
-            track_id=next_track_id,
-            centroid=node.centroid,
-            descriptor=_unit(node.f_img),
-            label=node.label,
-            last_seen_time=node.obs_time,
-            status=TrackStatus.ACTIVE,
-            history=LogView(opened[next_track_id], 1),
-        )
+        tracks[next_track_id] = _seen(next_track_id, node, _unit(node.f_img), LogView(opened[next_track_id], 1))
         new_edges.append(
             TemporalEdge(
                 relation=APPEARED,
@@ -289,26 +271,11 @@ def apply_outcome(
             )
             tracks[track_id] = replace(track, status=TrackStatus.DISAPPEARED)
 
-    grace = config.temporal.grace_period
     for track_id, track in tracks.items():
-        if track.status is TrackStatus.DISAPPEARED and now - track.last_seen_time > grace:
+        if track.status is TrackStatus.DISAPPEARED and not matchable(track, config.temporal, now):
             tracks[track_id] = replace(track, status=TrackStatus.RETIRED)
 
-    # nothing above touched the log; from here on every step only appends
-    log.frames.append(frame)
-    log.edges.extend(new_edges)
-    pos = len(log.frames) - 1
-    for node in frame.nodes:
-        log.nodes[node.node_id] = node
-        log.positions[node.node_id] = pos
-        log.track_ids[node.node_id] = None
-    for track_id, node_id in extended.items():
-        log.histories[track_id].append(node_id)
-        log.track_ids[node_id] = track_id
-    for track_id, history in opened.items():
-        log.histories[track_id] = history
-        log.track_ids[history[0]] = track_id
-    log.node_counts.append(log.node_counts[-1] + len(frame.nodes))
+    log.append((frame,), new_edges, extended, opened)  # nothing above touched the log
     return SceneGraph4D.on_log(log, MappingProxyType(tracks), next_node_id, next_track_id, graph.frames_dropped)
 
 

@@ -40,37 +40,27 @@ class CostMatrix:
     node_ids: tuple[int, ...]
 
 
-def temporal_cost(
-    track: Track,
-    node: ObjectNode,
-    w: TemporalWeights = TemporalWeights(),
-) -> float:
-    """Matching cost between one track and one candidate node.
+def temporal_cost(track: Track, node: ObjectNode, w: TemporalWeights = TemporalWeights()) -> float:
+    """Matching cost between one track and one candidate node: the one-pair block.
 
     Position is the centroid gap normalized by ``d_max`` and clamped to 1, so
     a far-off candidate is penalized no worse than ``w_pos``; appearance is
     one minus the cosine between the track descriptor and the node's image
     feature; a flat ``delta_cls`` is added when labels disagree.
     """
-    if w.d_max <= 0:
-        raise InputRejected(f"d_max must be positive, got {w.d_max}")
-    gap = float(np.linalg.norm(track.centroid - node.centroid))
-    pos = w.w_pos * min(gap / w.d_max, 1.0)
-    vis = w.w_vis * (1.0 - cosine(track.descriptor, node.f_img))
-    cls = w.delta_cls if track.label != node.label else 0.0
-    return pos + vis + cls
+    return float(_cost_block((track,), (node,), w)[0, 0])
+
+
+def matchable(track: Track, w: TemporalWeights, now: float) -> bool:
+    """Whether ``track`` can take a node at ``now``: active, or disappeared within the grace period."""
+    if track.status is TrackStatus.DISAPPEARED:
+        return now - track.last_seen_time <= w.grace_period
+    return track.status is TrackStatus.ACTIVE
 
 
 def eligible_tracks(tracks: Mapping[int, Track], w: TemporalWeights, now: float) -> list[Track]:
-    """Active tracks plus disappeared ones still within the grace period."""
-    out = []
-    for tid in sorted(tracks):
-        track = tracks[tid]
-        if track.status is TrackStatus.ACTIVE:
-            out.append(track)
-        elif track.status is TrackStatus.DISAPPEARED and now - track.last_seen_time <= w.grace_period:
-            out.append(track)
-    return out
+    """The tracks :func:`matchable` at ``now``, by ascending track id."""
+    return [tracks[tid] for tid in sorted(tracks) if matchable(tracks[tid], w, now)]
 
 
 def build_cost_matrix(
@@ -99,7 +89,7 @@ def build_cost_matrix(
 
 
 def _cost_block(rows: Sequence[Track], nodes: Sequence[ObjectNode], w: TemporalWeights) -> np.ndarray:
-    """:func:`temporal_cost` over every (track, node) pair as one broadcast."""
+    """The matching cost of every (track, node) pair, as one broadcast."""
     dim = nodes[0].f_img.shape
     if (
         w.d_max <= 0
@@ -127,10 +117,12 @@ def _cost_block(rows: Sequence[Track], nodes: Sequence[ObjectNode], w: TemporalW
 
 
 def _raise_first_failing_pair(rows: Sequence[Track], nodes: Sequence[ObjectNode], w: TemporalWeights) -> NoReturn:
-    """Raise what :func:`temporal_cost` raises for the first failing pair in row order."""
+    """Raise the first failing pair's refusal in row order: ``d_max``'s, else :func:`cosine`'s."""
+    if w.d_max <= 0:
+        raise InputRejected(f"d_max must be positive, got {w.d_max}")
     for track in rows:
         for node in nodes:
-            temporal_cost(track, node, w)
+            cosine(track.descriptor, node.f_img)
     raise AssertionError("a failing cost block had no failing pair")
 
 

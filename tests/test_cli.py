@@ -11,6 +11,7 @@ import pytest
 
 from stovsg import (
     EngineConfig,
+    NoiseModel,
     command_to_dict,
     commands_from_scenario,
     dumps,
@@ -290,7 +291,7 @@ def test_bad_numbers_are_refused_as_one_json_error(tmp_path, args, message):
         (
             ("objects", 0, "waypoints", 1, 1),
             [0.1, 0.2],
-            "objects[0]: waypoints[1]: expected a position of 3 numbers",
+            "objects[0]: waypoints[1]: expected 3 numbers, got shape (2,)",
         ),
         (("image_width",), -5, "image_width: expected a positive integer, got -5"),
         (("image_width",), 0, "image_width: expected a positive integer, got 0"),
@@ -354,3 +355,76 @@ def test_graph_file_with_edges_out_of_order_is_one_json_error(tmp_path):
         error = json.loads(line)
         assert error["error"] == "format-error"
         assert "(temporal edges must be in event-frame order)" in error["message"]
+
+
+@pytest.fixture(scope="module")
+def scored_scene(tmp_path_factory):
+    """A target_moved scene (seed 0, delay 1.0) with its built graph, through ``cli_main``."""
+    d = tmp_path_factory.mktemp("scored")
+    scene = ["--family", "target_moved", "--seed", "0", "--delay", "1.0", "--out-dir", str(d)]
+    assert cli_main(["simulate", *scene]) == 0
+    assert cli_main(["build", "--stream", str(d / "stream.jsonl"), "--out", str(d / "graph.json")]) == 0
+    return d
+
+
+@pytest.mark.parametrize(
+    "name, key_path, value, message",
+    [
+        ("graph.json", ("temporal_edges", 2, "dst_node"), 999,
+         "graph {path}: temporal edge (same-instance, track 1): endpoint not resolvable"),
+        ("graph.json", ("frames", 0, "nodes", 0, "centroid"), [0.1, 0.2], "graph {path}: frame 1 node 1: bad centroid"),
+        ("truth.json", ("frames", 0, "detections", 0, "centroid"), [0.1, 0.2],
+         "truth: frames[0].detections[0]: centroid: expected 3 numbers, got shape (2,)"),
+        ("truth.json", ("commands", 0, "centroid_at_arrival"), [0.1, 0.2],
+         "truth: commands[0]: centroid_at_arrival: expected 3 numbers, got shape (2,)"),
+    ],
+    ids=["edge-endpoint", "node-centroid", "detection-centroid", "command-centroid"],
+)
+def test_score_refuses_a_malformed_graph_or_truth_file_as_one_json_error(
+    scored_scene, tmp_path, capsys, name, key_path, value, message
+):
+    files = {n: scored_scene / n for n in ("graph.json", "truth.json", "scenario.json")}
+    data = json.loads(files[name].read_text())
+    *parents, last = key_path
+    functools.reduce(operator.getitem, parents, data)[last] = value
+    files[name] = path = tmp_path / name
+    path.write_text(dumps(data) + "\n")
+    argv = ["score", "--graph", files["graph.json"], "--truth", files["truth.json"], "--scenario", files["scenario.json"]]
+    capsys.readouterr()
+    assert cli_main([str(a) for a in argv]) == 1
+    out, err = capsys.readouterr()
+    (line,) = err.splitlines()
+    assert out == "" and json.loads(line) == {"error": "format-error", "message": message.format(path=path)}
+
+
+def test_a_track_history_out_of_frame_order_is_one_json_error(scored_scene, tmp_path, capsys):
+    data = json.loads((scored_scene / "graph.json").read_text())
+    data["tracks"][0]["history"].reverse()
+    graph = tmp_path / "graph.json"
+    graph.write_text(dumps(data) + "\n")
+    command = tmp_path / "command.json"
+    write_command_file(scored_scene / "scenario.json", command)
+    for subcommand in ("query", "export"):
+        assert cli_main([subcommand, "--graph", str(graph), "--command", str(command)]) == 1
+        out, err = capsys.readouterr()
+        (line,) = err.splitlines()
+        message = "track 1: history frames not strictly increasing"
+        assert out == "" and json.loads(line) == {"error": "input-rejected", "message": message}
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"image_height": 2**70}, f"image 160x{2**70} is wider or higher than 4096 pixels"),
+        ({"noise": NoiseModel(feature_sigma=1e308)}, "noise.feature_sigma 1e+308 is too large: a noisy feature overflowed"),
+    ],
+    ids=["image-size", "feature-noise"],
+)
+def test_a_scenario_that_cannot_be_rendered_is_one_json_error(tmp_path, capsys, changes, message):
+    path = tmp_path / "scenario.json"
+    write_scenario(dataclasses.replace(make_scenario("target_moved"), **changes), path)
+    assert cli_main(["simulate", "--scenario", str(path), "--out-dir", str(tmp_path / "run")]) == 1
+    out, err = capsys.readouterr()
+    (line,) = err.splitlines()
+    assert out == "" and json.loads(line) == {"error": "input-rejected", "message": message}
+    assert not (tmp_path / "run").exists()

@@ -657,6 +657,32 @@ def test_header_image_sizes_must_be_positive(tmp_path, capsys, key, size):
     assert not (tmp_path / "g.json").exists()
 
 
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (3, "3, but the first detection's f_img has 16 numbers"),
+        (0, "expected a positive integer, got 0"),
+        ("16", "expected an integer, got str"),
+        (True, "expected an integer, got bool"),
+        (None, None),
+        (16, None),
+    ],
+)
+def test_header_feature_dim_is_null_or_the_first_detections(tmp_path, capsys, value, message):
+    path = _stream_with_line(tmp_path, lambda record: None)
+    header, *records = path.read_text().splitlines()
+    path.write_text("\n".join([dumps({**json.loads(header), "feature_dim": value}), *records]) + "\n")
+    code = cli_main(["build", "--stream", str(path), "--out", str(tmp_path / "g.json")])
+    out, err = capsys.readouterr()
+    if message is None:
+        assert code == 0 and err == ""
+        return
+    (line,) = err.splitlines()
+    want = {"error": "format-error", "message": f"stream {path} header feature_dim: {message}"}
+    assert code == 1 and out == "" and json.loads(line) == want
+    assert not (tmp_path / "g.json").exists()
+
+
 def test_format_errors_name_the_key_path(tmp_path):
     path = _stream_with_line(tmp_path, _set("detections", 0, "label", value=[1]))
     with pytest.raises(FormatError, match=r"detections\[0\]\.label: expected a string, got list"):

@@ -1,9 +1,9 @@
 """The engine names the benchmark harness uses still resolve.
 
-``perfbench/test_perfbench.py`` is outside the ``testpaths`` that
-``pytest`` runs by default, so a removal from the engine could break the
-harness unseen.  This reads the
-harness with ``ast`` and imports nothing from it.
+``perfbench/test_perfbench.py`` runs with the default ``testpaths``, but
+it does not reach every engine name the harness files read, so a removal
+from the engine could still break the benchmark unseen.  This reads every
+harness file with ``ast`` and imports nothing from it.
 """
 
 from __future__ import annotations
