@@ -14,6 +14,8 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
+
 from . import formats
 from .config import load_config, save_config
 from .errors import EngineError, FormatError, InputRejected
@@ -89,8 +91,8 @@ def cmd_query(args) -> int:
         "score": result.score,
         "current_node_id": result.current_node.node_id,
         "label": result.aligned_node.label,
-        "centroid": result.centroid.tolist(),
-        "size": result.size.tolist(),
+        "centroid": result.current_node.centroid.tolist(),
+        "size": result.current_node.size.tolist(),
     }
     text = formats.dumps(payload)
     if args.out:
@@ -228,7 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(over="ignore"):  # input that overflows is refused as one JSON object, without a warning
+            return args.func(args)
     except EngineError as exc:
         sys.stderr.write(json.dumps({"error": exc.code, "message": str(exc)}) + "\n")
         return 1

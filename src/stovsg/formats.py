@@ -48,6 +48,7 @@ from .model import (
 )
 from .query import TaskSubgraph
 from .sim import (
+    MAX_IMAGE_SIDE,
     CommandTruth,
     DetectionTruth,
     FrameTruth,
@@ -61,7 +62,7 @@ from .sim import (
 from .store import FrameInput
 
 STREAM_SCHEMA = "stovsg-stream/1"
-GRAPH_SCHEMA = "stovsg-graph/3"
+GRAPH_SCHEMA = "stovsg-graph/4"
 SCENARIO_SCHEMA = "stovsg-scenario/1"
 SUBGRAPH_SCHEMA = "stovsg-subgraph/2"
 TRUTH_SCHEMA = "stovsg-truth/1"
@@ -144,6 +145,15 @@ def _decode_positive_int(raw: Any) -> int:
 POSITIVE_INT = Codec(None, _decode_positive_int)
 STR = Codec(None, lambda raw: raw if type(raw) is str else _reject("a string", raw))
 _NUMBERS = {float, int}
+
+
+def _decode_image_side(raw: Any) -> int:
+    if POSITIVE_INT.decode(raw) > MAX_IMAGE_SIDE:
+        raise _Invalid(f"expected at most {MAX_IMAGE_SIDE} pixels, got {raw}")
+    return raw
+
+
+IMAGE_SIDE = Codec(None, _decode_image_side)
 
 
 def _array(ndim: int) -> Codec:
@@ -371,14 +381,12 @@ CANDIDATE = record(
 NODE = record(
     ObjectNode,
     ("node_id", "node_id", INT),
-    ("frame_index", "frame_index", INT),
     ("label", "label", STR),
     ("f_img", "f_img", VECTOR),
     ("f_txt", "f_txt", VECTOR),
     ("centroid", "centroid", VECTOR),
     ("size", "size", VECTOR),
     ("points", "points", POINTS),
-    ("obs_time", "obs_time", FLOAT),
 )
 SPATIAL_EDGE = record(
     SpatialEdge,
@@ -400,9 +408,7 @@ TEMPORAL_EDGE = record(
     ("track_id", "track_id", INT),
     ("event_frame", "event_frame", INT),
     ("src_node", "src_node", optional(INT)),
-    ("src_frame", "src_frame", optional(INT)),
     ("dst_node", "dst_node", optional(INT)),
-    ("dst_frame", "dst_frame", optional(INT)),
 )
 TRACK = record(
     Track,
@@ -626,7 +632,7 @@ def parse_stream(path: str | Path) -> tuple[dict, list[FrameInput]]:
         raise FormatError(f"stream {path}: expected schema {STREAM_SCHEMA!r}")
     # a frame without depth_ref reads as zeros of this size
     width, height = (
-        _decode(POSITIVE_INT, header.get(key), f"stream {path} header {key}")
+        _decode(IMAGE_SIDE, header.get(key), f"stream {path} header {key}")
         for key in ("image_width", "image_height")
     )
 
@@ -741,7 +747,7 @@ def subgraph_payload(sub: TaskSubgraph) -> dict:
         "schema": SUBGRAPH_SCHEMA,
         "command_text": sub.command.text,
         "aligned_frame_index": sub.aligned_frame_index,
-        "aligned_frame_time": sub.aligned_capture_time,
+        "aligned_frame_time": sub.latency_tag.capture_time,
         "latency_tag": TAG.encode(sub.latency_tag),
         "nodes": nodes,
         "scene_dynamics": [

@@ -191,7 +191,7 @@ def score_grounding(
                 status=result.status,
                 issue_time=ct.issue_time,
                 arrival_time=ct.arrival_time,
-                pose_error=float(np.linalg.norm(result.centroid - ct.centroid_at_arrival)),
+                pose_error=float(np.linalg.norm(result.current_node.centroid - ct.centroid_at_arrival)),
             )
         )
     return tuple(records)

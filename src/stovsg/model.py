@@ -203,17 +203,15 @@ class Detection:
 
 @dataclass(frozen=True, eq=False, slots=True)  # slots: a long graph holds thousands of nodes
 class ObjectNode:
-    """A detection lifted to 3D and anchored in one frame."""
+    """A detection lifted to 3D and anchored in one frame, whose index and times are the frame's."""
 
     node_id: int
-    frame_index: int
     label: str
     f_img: np.ndarray
     f_txt: np.ndarray
     centroid: np.ndarray  # (3,) world metres
     size: np.ndarray  # (3,) world extents
     points: np.ndarray  # (N, 3) world metres, possibly subsampled
-    obs_time: float
 
     def __post_init__(self):
         object.__setattr__(self, "f_img", as_feature(self.f_img))
@@ -247,18 +245,21 @@ class RelationCandidate:
 class TemporalEdge:
     """Identity or lifecycle link across frames.
 
-    ``event_frame`` records the frame at which the edge was established;
-    for appearance edges that is the destination frame, for disappearance
-    edges it is the first frame where the track went unmatched.
+    ``event_frame`` records the frame at which the edge was established:
+    the destination's frame for an edge with a destination, and for a
+    disappearance edge the first frame where the track went unmatched.
     """
 
     relation: str
     track_id: int
     event_frame: int
     src_node: int | None = None
-    src_frame: int | None = None
     dst_node: int | None = None
-    dst_frame: int | None = None
+
+    @property
+    def dst_frame(self) -> int | None:
+        """Index of the destination's frame; ``None`` for an edge without a destination."""
+        return None if self.dst_node is None else self.event_frame
 
 
 class TrackStatus(str, Enum):
@@ -499,6 +500,14 @@ class SceneGraph4D:
             raise NotFound(f"node {node_id} not in graph")
         return self.own_log().track_ids[node_id]
 
+    def frame_of(self, node_id: int) -> FrameGraph:
+        """The frame that holds the node: its index and times are the node's."""
+        index = self.node_index  # reading its log and length directly keeps this as cheap as ``node``
+        pos = index._log.positions.get(node_id, index._n)
+        if not pos < index._n:
+            raise NotFound(f"node {node_id} not in graph")
+        return index._log.frames[pos]
+
     def frame(self, frame_index: int) -> FrameGraph:
         pos = frame_index - self.frames_dropped - 1
         if 0 <= pos < len(self.frames) and self.frames[pos].frame_index == frame_index:
@@ -580,9 +589,10 @@ def time_order_problems(
 
 def feature_problems(name: str, vec: np.ndarray, dim: int) -> Iterator[str]:
     """Why the feature vector ``name`` could not be compared with a command of ``dim`` numbers."""
-    if not _finite(vec):
-        yield f"non-finite {name}"
-    if vector_norm(vec) == 0.0:  # all zeros, or so small that its square underflows
+    norm = vector_norm(vec)  # not finite when an entry is not, or when the sum of squares overflows
+    if not math.isfinite(norm):
+        yield f"non-finite {name}" if not _finite(vec) else f"{name} norm overflows"
+    elif norm == 0.0:  # all zeros, or so small that its square underflows
         yield f"zero-norm {name}"
     if vec.shape[0] != dim:
         yield f"{name} dimension {vec.shape[0]} != {dim}"
@@ -620,8 +630,6 @@ def validate_graph(graph: SceneGraph4D) -> list[str]:
                 out.append(f"{ntag}: duplicate node id")
             seen_node_ids.add(node.node_id)
             frame_ids.add(node.node_id)
-            if node.frame_index != fg.frame_index:
-                out.append(f"{ntag}: frame_index {node.frame_index} does not match containing frame")
             for name in ("f_img", "f_txt"):
                 out.extend(f"{ntag}: {p}" for p in feature_problems(name, getattr(node, name), feature_dim))
             out.extend(f"{ntag}: {p}" for p in label_problems(node.label))
@@ -637,8 +645,6 @@ def validate_graph(graph: SceneGraph4D) -> list[str]:
                 hi = node.points.max(axis=0) + 1e-6
                 if ((node.centroid < lo) | (node.centroid > hi)).any():
                     out.append(f"{ntag}: centroid outside point bounds")
-            if node.obs_time < fg.capture_time:
-                out.append(f"{ntag}: obs_time {node.obs_time} before capture {fg.capture_time}")
             holders = on_tracks.get(node.node_id)
             if not holders:
                 out.append(f"{ntag}: on no track")
@@ -653,7 +659,6 @@ def validate_graph(graph: SceneGraph4D) -> list[str]:
                 out.append(f"{etag}: endpoint not in frame")
 
     index = graph.node_index
-    frame_of = {nid: n.frame_index for nid, n in index.items()}
     stored_frames = {fg.frame_index for fg in graph.frames}
     for edge in graph.temporal_edges:
         etag = f"temporal edge ({edge.relation}, track {edge.track_id})"
@@ -670,7 +675,7 @@ def validate_graph(graph: SceneGraph4D) -> list[str]:
             else:
                 if edge.src_node not in index or edge.dst_node not in index:
                     out.append(f"{etag}: endpoint not resolvable")
-                elif not (frame_of[edge.src_node] < frame_of[edge.dst_node]):
+                elif not graph.frame_of(edge.src_node).frame_index < graph.frame_of(edge.dst_node).frame_index:
                     out.append(f"{etag}: source frame must precede destination frame")
         elif edge.relation == APPEARED:
             if edge.src_node is not None:
@@ -696,10 +701,10 @@ def validate_graph(graph: SceneGraph4D) -> list[str]:
         if missing:
             out.append(f"{ttag}: history references missing nodes {missing}")
             continue
-        hist_frames = [frame_of[nid] for nid in track.history]
+        hist_frames = [graph.frame_of(nid).frame_index for nid in track.history]
         if hist_frames != sorted(hist_frames) or len(set(hist_frames)) != len(hist_frames):
             out.append(f"{ttag}: history frames not strictly increasing")
-        newest = index[track.history[-1]]
+        newest = graph.frame_of(track.history[-1])
         if newest.obs_time != track.last_seen_time:
             out.append(
                 f"{ttag}: last_seen_time {track.last_seen_time} != newest observation {newest.obs_time}"

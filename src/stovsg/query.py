@@ -24,6 +24,7 @@ from .errors import InputRejected, NoAlignedFrame, NotFound
 from .model import (
     Command,
     FrameGraph,
+    LatencyTag,
     ObjectNode,
     SceneGraph4D,
     SpatialEdge,
@@ -52,10 +53,8 @@ class TaskSubgraph:
 
     command: Command
     aligned_frame_index: int
-    aligned_capture_time: float
-    latency_tag: object
+    latency_tag: LatencyTag
     nodes: tuple[tuple[ObjectNode, float], ...]  # (node, score), best first
-    seed_ids: tuple[int, ...]  # the top-k node ids before neighbor expansion
     edges: tuple[SpatialEdge, ...]
     history: Mapping[int, tuple[tuple[float, np.ndarray], ...]]  # node id -> (time, centroid), aligned frame to newest
     dynamics: tuple[tuple[float, int, str], ...]  # (time, track_id, event)
@@ -71,9 +70,7 @@ class GroundingResult:
     score: float
     track_id: int
     status: str  # "live" or "target-lost"
-    current_node: ObjectNode  # newest observation of the target
-    centroid: np.ndarray  # execution-time (or last-known) position
-    size: np.ndarray
+    current_node: ObjectNode  # newest observation of the target: its execution-time (or last-known) pose
 
 
 def score_nodes(frame: FrameGraph, command: Command, cfg: QueryConfig = QueryConfig()) -> list[tuple[int, float]]:
@@ -132,11 +129,11 @@ def _track_window(graph: SceneGraph4D, node_id: int, newest: FrameGraph) -> tupl
         raise NotFound(f"node {node_id} is on no track")
     ids, n = view_parts(graph.tracks[track_id].history)
 
-    def frame_of(nid: int) -> int:
-        return graph.node(nid).frame_index
+    def frame_index(nid: int) -> int:
+        return graph.frame_of(nid).frame_index
 
-    start = bisect_left(ids, frame_of(node_id), 0, n, key=frame_of)
-    end = bisect_right(ids, newest.frame_index, start, n, key=frame_of)
+    start = bisect_left(ids, frame_index(node_id), 0, n, key=frame_index)
+    end = bisect_right(ids, newest.frame_index, start, n, key=frame_index)
     if node_id not in ids[start:start + 1]:  # the bisect missed it: the history is out of frame order
         raise InputRejected(f"track {track_id}: history frames not strictly increasing")
     return track_id, ids[start:end]
@@ -155,10 +152,10 @@ def extract_subgraph(
     neighbors up to ``neighbor_hops`` away, and attaches, over the window
     from the aligned frame to the newest one, each node's motion history
     and the lifecycle events.  A node's history starts with its own
-    (obs_time, centroid) and follows its track to the newest frame.  The
-    result is closed: every edge endpoint is included.  Without latency
-    awareness the anchor is simply the newest frame, so each history is
-    one entry.
+    observation, as its frame's obs_time and its centroid, and follows its
+    track to the newest frame.  The result is closed: every edge endpoint
+    is included.  Without latency awareness the anchor is simply the
+    newest frame, so each history is one entry.
     """
     aligned, newest, ranked = _align(graph, command, cfg, as_of, latency_aware)
     scores = dict(ranked)
@@ -186,15 +183,13 @@ def extract_subgraph(
     history = {}
     for nid in picked:
         _, window = _track_window(graph, nid, newest)
-        history[nid] = tuple((node.obs_time, node.centroid) for node in map(graph.node, window))
+        history[nid] = tuple((graph.frame_of(wid).obs_time, graph.node(wid).centroid) for wid in window)
     dynamics = lifecycle_events(graph, aligned.capture_time, newest.capture_time)
     return TaskSubgraph(
         command=command,
         aligned_frame_index=aligned.frame_index,
-        aligned_capture_time=aligned.capture_time,
         latency_tag=aligned.latency_tag,
         nodes=tuple((by_id[nid], scores[nid]) for nid in picked),
-        seed_ids=tuple(seeds),
         edges=edges,
         history=history,
         dynamics=dynamics,
@@ -223,9 +218,8 @@ def ground_command(
     aligned_node = graph.node(best_id)
 
     track_id, window = _track_window(graph, best_id, newest)
-    current = graph.node(window[-1])
     # a target is live exactly when it was observed in the newest visible frame
-    status = STATUS_LIVE if current.frame_index == newest.frame_index else STATUS_LOST
+    status = STATUS_LIVE if graph.frame_of(window[-1]) is newest else STATUS_LOST
 
     return GroundingResult(
         command=command,
@@ -234,7 +228,5 @@ def ground_command(
         score=float(best_score),
         track_id=track_id,
         status=status,
-        current_node=current,
-        centroid=current.centroid,
-        size=current.size,
+        current_node=graph.node(window[-1]),
     )

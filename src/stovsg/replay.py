@@ -68,18 +68,15 @@ def run_trial(
     spec: ScenarioSpec,
     config: EngineConfig | None = None,
     latency_aware: bool = True,
-    delay: float | None = None,
 ) -> TrialResult:
     config = config if config is not None else EngineConfig()
     graph, truth = build_graph(spec, config)
     commands = commands_from_scenario(spec)
     report = evaluate(graph, truth, commands, config, latency_aware=latency_aware)
-    if delay is None:
-        delay = spec.uplink.delay_at(0.0)
     return TrialResult(
         family=spec.family,
         seed=spec.seed,
-        delay=delay,
+        delay=spec.uplink.delay_at(0.0),
         latency_aware=latency_aware,
         report=report,
         pose_matches=tuple(g.pose_error <= config.centroid_tol for g in report.grounding),
@@ -127,7 +124,7 @@ def run_suite(
             for trial in range(trials):
                 seed = base_seed + 100_000 * fi + 1_000 * di + trial
                 spec = make_scenario(family, {"seed": seed, "delay": delay})
-                result = run_trial(spec, config, latency_aware=latency_aware, delay=delay)
+                result = run_trial(spec, config, latency_aware=latency_aware)
                 ground_rates.append(result.grounding_success_rate or 0.0)
                 replay_rates.append(result.replay_success_rate or 0.0)
                 tmp_num += result.report.temporal_correct

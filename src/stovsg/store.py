@@ -109,11 +109,10 @@ def ingest_frame(graph: SceneGraph4D, frame_input: FrameInput, config: "EngineCo
     width, height = depth.width, depth.height
     detections = frame_input.detections
     # every feature has the dimension of the first one stored or, in an empty graph, given
-    first = next(iter(graph.node_index.values())) if graph.node_index else next(iter(detections), None)
+    first = graph.node(next(iter(graph.node_index))) if graph.node_index else next(iter(detections), None)
     feature_dim = first.f_img.shape[0] if first else None
 
     frame_index = graph.frames_dropped + len(graph.frames) + 1
-    obs_time = tag.observed_time
     nodes: list[ObjectNode] = []
     node_id_of_det: dict[int, int] = {}
     node_boxes: dict[int, BoundingBox2D] = {}
@@ -140,14 +139,12 @@ def ingest_frame(graph: SceneGraph4D, frame_input: FrameInput, config: "EngineCo
         nodes.append(
             ObjectNode(
                 node_id=next_node_id,
-                frame_index=frame_index,
                 label=label,
                 f_img=det.f_img,
                 f_txt=det.f_txt,
                 centroid=centroid,
                 size=size,
                 points=points,
-                obs_time=obs_time,
             )
         )
         next_node_id += 1
@@ -169,13 +166,13 @@ def ingest_frame(graph: SceneGraph4D, frame_input: FrameInput, config: "EngineCo
         nodes=tuple(nodes),
         spatial_edges=tuple(edges),
     )
-    outcome = associate(graph.tracks, nodes, config.temporal, now=obs_time)
+    outcome = associate(graph.tracks, nodes, config.temporal, now=tag.observed_time)
     return apply_outcome(graph, outcome, frame, config, next_node_id)
 
 
-def _seen(track_id: int, node: ObjectNode, descriptor: np.ndarray, history: Sequence[int]) -> Track:
-    """The active track ``track_id`` whose newest observation is ``node``."""
-    return Track(track_id, node.centroid, descriptor, node.label, node.obs_time, TrackStatus.ACTIVE, history)
+def _seen(track_id: int, node: ObjectNode, seen_at: float, descriptor: np.ndarray, history: Sequence[int]) -> Track:
+    """The active track ``track_id`` whose newest observation is ``node``, visible from ``seen_at``."""
+    return Track(track_id, node.centroid, descriptor, node.label, seen_at, TrackStatus.ACTIVE, history)
 
 
 def apply_outcome(
@@ -219,22 +216,20 @@ def apply_outcome(
             raise InputRejected(f"outcome extends track {track_id} twice")
         track = tracks[track_id]
         node = by_id[node_id]
-        prev = graph.node(track.history[-1])
         new_edges.append(
             TemporalEdge(
                 relation=SAME_INSTANCE,
                 track_id=track_id,
                 event_frame=frame.frame_index,
-                src_node=prev.node_id,
-                src_frame=prev.frame_index,
+                src_node=track.history[-1],
                 dst_node=node.node_id,
-                dst_frame=frame.frame_index,
             )
         )
         blended = (1.0 - alpha) * track.descriptor + alpha * node.f_img
         norm = vector_norm(blended)
         descriptor = blended / norm if norm > 0 else _unit(node.f_img)
-        tracks[track_id] = _seen(track_id, node, descriptor, LogView(log.histories[track_id], len(track.history) + 1))
+        history = LogView(log.histories[track_id], len(track.history) + 1)
+        tracks[track_id] = _seen(track_id, node, now, descriptor, history)
         extended[track_id] = node.node_id
 
     for node_id in outcome.new_nodes:
@@ -242,14 +237,13 @@ def apply_outcome(
             raise InputRejected(f"outcome references node {node_id} not in frame")
         node = by_id[node_id]
         opened[next_track_id] = [node.node_id]
-        tracks[next_track_id] = _seen(next_track_id, node, _unit(node.f_img), LogView(opened[next_track_id], 1))
+        tracks[next_track_id] = _seen(next_track_id, node, now, _unit(node.f_img), LogView(opened[next_track_id], 1))
         new_edges.append(
             TemporalEdge(
                 relation=APPEARED,
                 track_id=next_track_id,
                 event_frame=frame.frame_index,
                 dst_node=node.node_id,
-                dst_frame=frame.frame_index,
             )
         )
         next_track_id += 1
@@ -259,14 +253,12 @@ def apply_outcome(
             raise InputRejected(f"outcome references unknown track {track_id}")
         track = tracks[track_id]
         if track.status is TrackStatus.ACTIVE:
-            last_node = graph.node(track.history[-1])
             new_edges.append(
                 TemporalEdge(
                     relation=DISAPPEARED,
                     track_id=track_id,
                     event_frame=frame.frame_index,
-                    src_node=last_node.node_id,
-                    src_frame=last_node.frame_index,
+                    src_node=track.history[-1],
                 )
             )
             tracks[track_id] = replace(track, status=TrackStatus.DISAPPEARED)

@@ -85,24 +85,20 @@ def make_frame_input(
 
 def make_node(
     node_id: int,
-    frame_index: int = 1,
     centroid=(0.0, 0.0, 1.0),
     label: str = "red mug",
     f_img: np.ndarray | None = None,
     f_txt: np.ndarray | None = None,
-    obs_time: float = 1.0,
 ) -> ObjectNode:
     c = np.asarray(centroid, dtype=np.float64)
     return ObjectNode(
         node_id=node_id,
-        frame_index=frame_index,
         label=label,
         f_img=f_img if f_img is not None else axis(1),
         f_txt=f_txt if f_txt is not None else axis(0),
         centroid=c,
         size=np.array([0.1, 0.1, 0.0]),
         points=np.stack([c, c]),
-        obs_time=obs_time,
     )
 
 

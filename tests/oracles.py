@@ -334,5 +334,5 @@ def history_window_oracle(frames, tracks, node_id: int, aligned_index: int, newe
     window = []
     for fg in frames:
         if aligned_index <= fg.frame_index <= newest_index:
-            window.extend((node.obs_time, node.centroid) for node in fg.nodes if node.node_id in on_track)
+            window.extend((fg.obs_time, node.centroid) for node in fg.nodes if node.node_id in on_track)
     return tuple(window)

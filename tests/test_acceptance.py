@@ -356,7 +356,7 @@ def test_criterion_10_grace_period_controls_track_identity():
     gap_edges = [
         e
         for e in graph.temporal_edges
-        if e.relation == SAME_INSTANCE and e.dst_frame - e.src_frame > 1
+        if e.relation == SAME_INSTANCE and e.dst_frame - graph.frame_of(e.src_node).frame_index > 1
     ]
     assert len(gap_edges) == 1
     assert gap_edges[0].track_id == mug_tracks[0].track_id
@@ -371,6 +371,6 @@ def test_criterion_10_grace_period_controls_track_identity():
     assert not [
         e
         for e in graph2.temporal_edges
-        if e.relation == SAME_INSTANCE and e.dst_frame - e.src_frame > 1
+        if e.relation == SAME_INSTANCE and e.dst_frame - graph2.frame_of(e.src_node).frame_index > 1
     ]
     print("criterion 10: 2s gap vs grace 10s -> one bridged track; vs grace 0.5s -> two tracks")

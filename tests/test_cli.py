@@ -420,6 +420,7 @@ def test_a_track_history_out_of_frame_order_is_one_json_error(scored_scene, tmp_
     ],
     ids=["image-size", "feature-noise"],
 )
+@pytest.mark.filterwarnings("error")  # the refusal is the only word on it
 def test_a_scenario_that_cannot_be_rendered_is_one_json_error(tmp_path, capsys, changes, message):
     path = tmp_path / "scenario.json"
     write_scenario(dataclasses.replace(make_scenario("target_moved"), **changes), path)
@@ -428,3 +429,71 @@ def test_a_scenario_that_cannot_be_rendered_is_one_json_error(tmp_path, capsys, 
     (line,) = err.splitlines()
     assert out == "" and json.loads(line) == {"error": "input-rejected", "message": message}
     assert not (tmp_path / "run").exists()
+
+
+@pytest.fixture(scope="module")
+def two_fps_scene(tmp_path_factory):
+    """A target_moved scene (seed 0, delay 1.0) at 2 frames per second, through ``cli_main``."""
+    d = tmp_path_factory.mktemp("two_fps")
+    scene = ["--family", "target_moved", "--seed", "0", "--delay", "1.0", "--frame-rate", "2", "--out-dir", str(d)]
+    assert cli_main(["simulate", *scene]) == 0
+    return d
+
+
+def _build_edited(scene, name, edit):
+    """Exit status of building the scene's stream after ``edit(header, first frame record)``."""
+    header, first, *rest = (scene / "stream.jsonl").read_text().splitlines()
+    header, first = json.loads(header), json.loads(first)
+    edit(header, first)
+    stream = scene / f"{name}.jsonl"  # beside the original, so its depth files resolve
+    stream.write_text("\n".join([dumps(header), dumps(first), *rest]) + "\n")
+    return cli_main(["build", "--stream", str(stream), "--out", str(scene / f"{name}.graph.json")])
+
+
+@pytest.mark.parametrize("key, side", [("image_height", 2**70), ("image_width", 4097)], ids=["height", "width"])
+def test_a_stream_header_image_side_above_the_limit_is_one_json_error(two_fps_scene, capsys, key, side):
+    def edit(header, first):
+        header[key] = side
+        del first["depth_ref"]  # read as zeros of the header's size
+
+    capsys.readouterr()
+    assert _build_edited(two_fps_scene, "large", edit) == 1
+    out, err = capsys.readouterr()
+    (line,) = err.splitlines()
+    message = f"stream {two_fps_scene / 'large.jsonl'} header {key}: expected at most 4096 pixels, got {side}"
+    assert out == "" and json.loads(line) == {"error": "format-error", "message": message}
+
+
+@pytest.mark.filterwarnings("error")  # the refusal is the only word on it
+def test_a_detection_feature_whose_norm_overflows_is_refused_naming_the_detection(two_fps_scene, capsys):
+    def edit(header, first):
+        feature = first["detections"][0]["f_img"]
+        feature[:] = [1e200] * len(feature)
+
+    capsys.readouterr()
+    assert _build_edited(two_fps_scene, "huge", edit) == 1
+    out, err = capsys.readouterr()
+    (line,) = err.splitlines()
+    assert out == "" and json.loads(line) == {"error": "input-rejected", "message": "detection 0: f_img norm overflows"}
+
+
+def test_a_graph_file_of_the_previous_schema_is_one_json_error(scored_scene, tmp_path, capsys):
+    data = json.loads((scored_scene / "graph.json").read_text())
+    data["schema"] = "stovsg-graph/3"  # which stored each node's frame index and time, and each edge's frames
+    for frame in data["frames"]:
+        time = frame["latency_tag"]["capture_time"] + frame["latency_tag"]["transmission_latency"]
+        for node in frame["nodes"]:
+            node.update(frame_index=frame["frame_index"], obs_time=time)
+    for edge in data["temporal_edges"]:
+        edge.update(src_frame=None, dst_frame=None)
+    graph = tmp_path / "graph.json"
+    graph.write_text(dumps(data) + "\n")
+    command = tmp_path / "command.json"
+    write_command_file(scored_scene / "scenario.json", command)
+    capsys.readouterr()
+    for subcommand in ("query", "export"):
+        assert cli_main([subcommand, "--graph", str(graph), "--command", str(command)]) == 1
+        out, err = capsys.readouterr()
+        (line,) = err.splitlines()
+        message = "graph: expected schema 'stovsg-graph/4', got 'stovsg-graph/3'"
+        assert out == "" and json.loads(line) == {"error": "format-error", "message": message}

@@ -257,7 +257,7 @@ def test_previous_graph_schema_is_refused(tmp_path, config):
             node.update(box=[0.0, 0.0, 4.0, 4.0], mask_rle=[[0, 0, 4]])
     path = tmp_path / "graph.json"
     path.write_text(dumps(data))
-    with pytest.raises(FormatError, match="stovsg-graph/3"):
+    with pytest.raises(FormatError, match="expected schema 'stovsg-graph/4', got 'stovsg-graph/2'"):
         read_graph(path)
 
 
@@ -709,7 +709,8 @@ def _key_paths(doc) -> list[str]:
 
 # Key order of every written file, captured from the hand-written writers that
 # preceded the record tables, minus the removed engine options, track velocity,
-# node boxes and masks, frame image sizes and the graph camera.  Round trips
+# node boxes and masks, frame image sizes, the graph camera, and the nodes' and
+# temporal edges' copies of their frames' indices and times.  Round trips
 # cannot catch a reordered table, since the writer and reader share it.
 KEY_PATHS = {
     "graph": """
@@ -717,17 +718,16 @@ KEY_PATHS = {
         frames[].frame_index frames[].latency_tag
         frames[].latency_tag.capture_time frames[].latency_tag.transmission_latency
         frames[].nodes
-        frames[].nodes[].node_id frames[].nodes[].frame_index frames[].nodes[].label
+        frames[].nodes[].node_id frames[].nodes[].label
         frames[].nodes[].f_img
         frames[].nodes[].f_txt frames[].nodes[].centroid frames[].nodes[].size
-        frames[].nodes[].points frames[].nodes[].obs_time
+        frames[].nodes[].points
         frames[].spatial_edges
         frames[].spatial_edges[].src frames[].spatial_edges[].dst
         frames[].spatial_edges[].relation frames[].spatial_edges[].cost
         temporal_edges
         temporal_edges[].relation temporal_edges[].track_id temporal_edges[].event_frame
-        temporal_edges[].src_node temporal_edges[].src_frame temporal_edges[].dst_node
-        temporal_edges[].dst_frame
+        temporal_edges[].src_node temporal_edges[].dst_node
         tracks
         tracks[].track_id tracks[].centroid tracks[].descriptor tracks[].label
         tracks[].last_seen_time tracks[].status tracks[].history

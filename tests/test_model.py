@@ -153,7 +153,7 @@ def test_validate_graph_accepts_built_graph(config):
 def test_validate_graph_flags_duplicate_node_ids(config):
     graph = _two_frame_graph(config)
     f0 = graph.frames[0]
-    clone = replace(graph.frames[1], nodes=(replace(f0.nodes[0], frame_index=2),))
+    clone = replace(graph.frames[1], nodes=f0.nodes)
     broken = replace(graph, frames=(f0, clone))
     problems = validate_graph(broken)
     assert any("duplicate node id" in p for p in problems)
@@ -180,9 +180,8 @@ def test_validate_graph_flags_non_monotone_capture(config):
         ({"size": np.array([0.1, -0.1, 0.0])}, "bad size"),
         ({"points": np.zeros((0, 3))}, "points must be non-empty (N, 3)"),
         ({"points": np.full((2, 3), 5.0)}, "centroid outside point bounds"),
-        ({"obs_time": 0.5}, "obs_time 0.5 before capture 1.0"),
     ],
-    ids=["feature", "zero-norm", "dimension", "label", "centroid", "size", "points", "bounds", "obs-time"],
+    ids=["feature", "zero-norm", "dimension", "label", "centroid", "size", "points", "bounds"],
 )
 def test_validate_graph_flags_each_node_violation(config, change, message):
     graph = _two_frame_graph(config)
@@ -209,9 +208,10 @@ def test_validate_graph_flags_a_zero_norm_feature_read_from_a_graph_file(config,
         (lambda dim: np.full(dim, np.inf), "non-finite {name}"),
         (np.zeros, "zero-norm {name}"),
         (lambda dim: np.full(dim, 1e-200), "zero-norm {name}"),  # its square underflows
+        (lambda dim: np.full(dim, 1e200), "{name} norm overflows"),  # finite, but its square is not
         (lambda dim: np.ones(dim - 1), "{name} dimension {short} != {dim}"),
     ],
-    ids=["nan", "inf", "zero", "underflow", "short"],
+    ids=["nan", "inf", "zero", "underflow", "overflow", "short"],
 )
 def test_each_feature_fault_is_refused_by_one_rule_everywhere(config, make, rule):
     graph = _two_frame_graph(config)
@@ -284,6 +284,30 @@ def test_graph_lookup_helpers(config):
         graph.frame(3)
 
 
+def test_frame_of_is_the_frame_holding_each_node_of_a_graph_read_back(tmp_path):
+    inputs, _ = generate_stream(make_scenario("target_moved", {"seed": 0}))
+    path = tmp_path / "graph.json"
+    write_graph(ingest_sequence(empty_graph(), inputs, EngineConfig()), path)
+    graph = read_graph(path)
+    assert sum(len(fg.nodes) for fg in graph.frames) > len(graph.frames) > 1
+    for fg in graph.frames:
+        for node in fg.nodes:
+            assert graph.frame_of(node.node_id) is fg
+    for edge in graph.temporal_edges:  # an edge with a destination happens in the destination's frame
+        want = None if edge.dst_node is None else graph.frame_of(edge.dst_node).frame_index
+        assert edge.dst_frame == want and (want is None or want == edge.event_frame)
+    with pytest.raises(NotFound, match="node 12345 not in graph"):
+        graph.frame_of(12345)
+    # an older snapshot on the same log does not hold the newer frames' nodes
+    older = ingest_sequence(empty_graph(), inputs[:3], EngineConfig())
+    newer = ingest_frame(older, inputs[3], EngineConfig())
+    assert newer.log is older.log
+    (newest_id, *_) = (node.node_id for node in newer.frames[3].nodes)
+    assert newer.frame_of(newest_id) is newer.frames[3]
+    with pytest.raises(NotFound, match=f"node {newest_id} not in graph"):
+        older.frame_of(newest_id)
+
+
 def _with_history(graph, track_id, history):
     track = graph.tracks[track_id]
     return replace(graph, tracks=MappingProxyType({**graph.tracks, track_id: replace(track, history=history)}))
@@ -293,7 +317,7 @@ def test_validate_graph_flags_a_node_on_no_track_or_on_two():
     inputs, _ = generate_stream(make_scenario("target_moved", {"seed": 0}))
     graph = ingest_sequence(empty_graph(), inputs, EngineConfig())
     assert validate_graph(graph) == []
-    assert graph.track_of(3) == 1 and graph.node(3).frame_index == 2
+    assert graph.track_of(3) == 1 and graph.frame_of(3).frame_index == 2
     dropped = _with_history(graph, 1, tuple(nid for nid in graph.tracks[1].history if nid != 3))
     assert validate_graph(dropped) == ["frame 2 node 3: on no track"]
     assert dropped.track_of(3) is None

@@ -236,10 +236,9 @@ def test_grounding_follows_the_track_to_the_present(config):
     assert result.aligned_node.node_id == 1
     assert result.track_id == 1
     assert result.status == STATUS_LIVE
-    assert result.current_node.frame_index == 3
-    np.testing.assert_allclose(result.centroid, result.current_node.centroid)
+    assert graph.frame_of(result.current_node.node_id).frame_index == 3
     # the mug drifted right: execution pose differs from the aligned pose
-    assert result.centroid[0] > result.aligned_node.centroid[0]
+    assert result.current_node.centroid[0] > result.aligned_node.centroid[0]
 
 
 def test_a_winner_on_no_track_is_not_found(config):
@@ -268,7 +267,7 @@ def test_aware_mode_survives_a_late_arriving_lookalike(config):
     aware = ground_command(graph, command)
     naive = ground_command(graph, command, latency_aware=False)
     assert aware.track_id == 1
-    assert aware.current_node.frame_index == 2
+    assert graph.frame_of(aware.current_node.node_id).frame_index == 2
     assert naive.aligned_frame_index == 2
     assert naive.track_id == 2  # the lookalike outranks the true target
     assert naive.track_id != aware.track_id
@@ -286,14 +285,13 @@ def test_lost_target_reports_last_known_pose(config):
     )
     result = ground_command(graph, mug_command(1.6))
     assert result.status == STATUS_LOST
-    assert result.current_node.frame_index == 2
-    np.testing.assert_allclose(result.centroid, result.current_node.centroid)
+    assert graph.frame_of(result.current_node.node_id).frame_index == 2
 
 
 def test_as_of_cutoff_hides_frames_not_yet_captured(config):
     graph = mug_scene(config)
     result = ground_command(graph, mug_command(1.6), as_of=2.4)
-    assert result.current_node.frame_index == 2  # frame 3 (capture 3.0) is the future
+    assert graph.frame_of(result.current_node.node_id).frame_index == 2  # frame 3 (capture 3.0) is the future
     assert result.status == STATUS_LIVE
     late = ground_command(graph, mug_command(100.0), as_of=2.4)
     assert late.aligned_frame_index == 2
@@ -343,7 +341,7 @@ def test_grounded_pose_is_the_newest_history_entry_of_the_aligned_node(config):
         result = ground_command(graph, command, as_of=as_of)
         sub = extract_subgraph(graph, command, as_of=as_of)
         when, centroid = sub.history[result.aligned_node.node_id][-1]
-        assert when == result.current_node.obs_time
+        assert when == graph.frame_of(result.current_node.node_id).obs_time
         assert np.array_equal(centroid, result.current_node.centroid)
         currents.append(result.current_node.node_id)
     assert currents[0] != currents[1]  # the later cutoff follows the track further
@@ -371,13 +369,11 @@ def test_subgraph_expands_neighbors_and_stays_closed(config):
     command = mug_command(1.6)
 
     sub = extract_subgraph(graph, command, QueryConfig(top_k=1, neighbor_hops=1))
-    assert sub.seed_ids == (1,)
     assert [node.node_id for node, _ in sub.nodes] == [1, 2]  # partner pulled in
     assert [(e.src, e.dst) for e in sub.edges] == [(1, 2)]
 
     both = extract_subgraph(graph, command, QueryConfig(top_k=2, neighbor_hops=1))
     # seeds are the mug (1.0) and the phone (cos 60 = 0.5); hop adds partners
-    assert both.seed_ids == (1, 3)
     assert [node.node_id for node, _ in both.nodes] == [1, 3, 2, 4]
     assert [(e.src, e.dst) for e in both.edges] == [(1, 2), (3, 4)]
 
@@ -431,7 +427,7 @@ def test_history_starts_at_each_nodes_own_observation(config):
         assert len(sub.nodes) == 2
         for node, _ in sub.nodes:
             when, centroid = sub.history[node.node_id][0]
-            assert when == node.obs_time and np.array_equal(centroid, node.centroid)
+            assert when == graph.frame_of(node.node_id).obs_time and np.array_equal(centroid, node.centroid)
             assert len(sub.history[node.node_id]) == (4 if latency_aware else 1)
 
 

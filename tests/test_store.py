@@ -88,7 +88,7 @@ def test_node_geometry_comes_from_depth_backprojection(config):
     assert node.centroid[2] == pytest.approx(2.0)
     assert node.centroid[0] == pytest.approx((11.5 - 64.0) * 2.0 / 100.0)
     assert node.centroid[1] == pytest.approx((11.5 - 48.0) * 2.0 / 100.0)
-    assert node.obs_time == 1.5
+    assert graph.frame_of(node.node_id).obs_time == 1.5
     assert len(node.points) == 16
 
 
@@ -237,7 +237,7 @@ def test_disappearance_edge_emitted_once(config):
     gone = edges_of(graph, DISAPPEARED)
     assert len(gone) == 1
     assert gone[0].event_frame == 2
-    assert gone[0].src_node == 1 and gone[0].src_frame == 1
+    assert gone[0].src_node == 1 and graph.frame_of(1).frame_index == 1
     assert graph.tracks[1].status is TrackStatus.DISAPPEARED
 
 
@@ -256,9 +256,9 @@ def test_reappearance_within_grace_bridges_the_gap(config):
     track = graph.tracks[1]
     assert track.status is TrackStatus.ACTIVE
     assert track.history == (1, 2, 3)
-    spans = [(e.src_frame, e.dst_frame) for e in edges_of(graph, SAME_INSTANCE)]
+    spans = [(graph.frame_of(e.src_node).frame_index, e.dst_frame) for e in edges_of(graph, SAME_INSTANCE)]
     assert spans == [(1, 2), (2, 4)]  # second link jumps the occluded frame
-    assert [graph.node(nid).frame_index for nid in track.history] == [1, 2, 4]
+    assert [graph.frame_of(nid).frame_index for nid in track.history] == [1, 2, 4]
     assert validate_graph(graph) == []
 
 
@@ -349,13 +349,13 @@ def test_ingest_refuses_a_frame_out_of_time_order_in_the_words_of_validate_graph
 
 def test_an_outcome_on_a_frame_out_of_time_order_is_refused(config):
     graph = ingest_frame(empty_graph(), make_frame_input(2.0, detections=(make_detection(),)), config)
-    node = make_node(2, frame_index=2, obs_time=3.5)
+    node = make_node(2)
     for frame_index, tag, path in [
         (7, LatencyTag(3.0, 0.5), "frames[1].frame_index"),
         (2, LatencyTag(1.0, 0.5), "frames[1].latency_tag.capture_time"),
         (2, LatencyTag(3.0, -0.5), "frames[1].latency_tag.transmission_latency"),
     ]:
-        frame = FrameGraph(frame_index, tag, (replace(node, frame_index=frame_index),), ())
+        frame = FrameGraph(frame_index, tag, (node,), ())
         with pytest.raises(InputRejected, match=rf"^{re.escape(path)}: "):
             apply_outcome(graph, AssociationOutcome((), (2,), ()), frame, config, 3)
         assert len(graph.log.frames) == 1
@@ -472,7 +472,7 @@ def test_an_outcome_extending_one_track_twice_is_refused(config):
     frame = FrameGraph(
         frame_index=2,
         latency_tag=LatencyTag(capture_time=2.0, transmission_latency=0.5),
-        nodes=(make_node(3, frame_index=2, obs_time=2.5), make_node(4, frame_index=2, obs_time=2.5)),
+        nodes=(make_node(3), make_node(4)),
         spatial_edges=(),
     )
     twice = AssociationOutcome(accepted=((1, 3, 0.1), (1, 4, 0.2)), new_nodes=(), disappeared=())
