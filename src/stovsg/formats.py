@@ -11,6 +11,15 @@ point at the byte level.
 Each record type is written and read through one table of
 ``(JSON key, attribute, value codec)`` rows in written key order (see
 :func:`record`), so the tables below are the format specification.
+
+Graph files, the largest, are written and read one record at a time,
+with no JSON tree of the whole file.  :func:`write_graph` encodes each
+frame, temporal edge and track on its own into a new file beside the
+target, which replaces the target only once complete, so a failed write
+leaves no partial file.  :func:`read_graph` walks the file with ``json``'s
+own scanner and decodes each record as soon as it is scanned: a syntax
+error reads as ``json.loads`` reports it, and of two faults in one file
+the first in file order is reported.
 """
 
 from __future__ import annotations
@@ -18,12 +27,17 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
+import re
+import secrets
 import struct
 from functools import partial
 from itertools import chain
+from json.decoder import WHITESPACE, JSONDecoder, scanstring
+from json.scanner import make_scanner
 from pathlib import Path, PurePosixPath
 from types import MappingProxyType
-from typing import Any, Callable, Mapping, NamedTuple, NoReturn, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -69,9 +83,12 @@ TRUTH_SCHEMA = "stovsg-truth/1"
 COMMAND_SCHEMA = "stovsg-command/1"
 
 
+_encode = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
+
+
 def dumps(obj: Any) -> str:
     """Compact JSON with shortest-round-trip floats (lossless)."""
-    return json.dumps(obj, separators=(",", ":"), allow_nan=False)
+    return _encode(obj)
 
 
 # --- six-significant-digit canonical writer (subgraph payloads) -----------
@@ -115,15 +132,42 @@ class _Invalid(FormatError):
         return FormatError(f"{where}: {steps.lstrip('.') + ': ' if steps else ''}{self.args[0]}")
 
 
+def _wrong_schema(expected: str, found: Any) -> _Invalid:
+    return _Invalid(f"expected schema {expected!r}, got {found!r}")
+
+
 def _reject(expected: str, raw: Any) -> NoReturn:
     raise _Invalid(f"expected {expected}, got {'null' if raw is None else type(raw).__name__}")
 
 
 class Codec(NamedTuple):
-    """How one value is written (``None``: as it is) and read back with its type checked."""
+    """How one value is written (``None``: as it is) and read back with its type checked.
+
+    An array's codec also holds its ``items`` and a record's its ``fields``:
+    what :func:`write_graph` and :func:`read_graph` need to take a file one
+    element at a time.
+    """
 
     encode: Callable[[Any], Any] | None
     decode: Callable[[Any], Any]
+    items: Items | None = None
+    fields: Fields | None = None
+
+
+class Items(NamedTuple):
+    """A JSON array's element codec, the value's ``elements`` in written order, and what ``collect`` makes of them."""
+
+    item: Codec
+    elements: Callable[[Any], Iterable]
+    collect: Callable[[list], Any]
+
+
+class Fields(NamedTuple):
+    """A record's rows and schema, and ``build``, which makes the instance from its decoded values by attribute."""
+
+    rows: tuple[tuple[str, str, Codec], ...]
+    schema: str | None
+    build: Callable[[dict], Any]
 
 
 def _decode_float(raw: Any) -> float:
@@ -156,41 +200,51 @@ def _decode_image_side(raw: Any) -> int:
 IMAGE_SIDE = Codec(None, _decode_image_side)
 
 
-def _array(ndim: int) -> Codec:
-    """Finite numbers nested ``ndim`` (1 or 2) deep, read as a float64 array.
-
-    Every number's type is checked, since NumPy reads a JSON boolean among
-    numbers as 0 or 1.
-    """
-
-    def decode(raw: Any) -> np.ndarray:
-        rows = raw if ndim == 2 else [raw]
-        arr = None
-        if type(raw) is list and rows and set(map(type, rows)) == {list} and len(set(map(len, rows))) == 1:
-            items = raw if ndim == 1 else list(chain.from_iterable(rows))
-            if _NUMBERS.issuperset(map(type, items)):
-                try:
-                    arr = np.array(items, dtype=np.float64)
-                except OverflowError:  # an integer beyond the float range
-                    pass
-        if arr is None or not np.isfinite(arr).all():
-            _reject(f"an array of finite numbers nested {ndim} deep", raw)
-        return arr.reshape(len(rows), -1) if ndim == 2 else arr
-
-    return Codec(np.ndarray.tolist, decode)
+# Every number's type is checked, since NumPy reads a JSON boolean among
+# numbers as 0 or 1.  Each array takes one type scan and one conversion.
 
 
-VECTOR = _array(1)
-MATRIX = _array(2)
+def _decode_vector(raw: Any) -> np.ndarray:
+    if type(raw) is list and _NUMBERS.issuperset(map(type, raw)):
+        try:
+            # a few numbers are checked for finiteness faster one by one than by NumPy
+            if all(map(math.isfinite, raw)):
+                return np.array(raw, dtype=np.float64)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    _reject("an array of finite numbers nested 1 deep", raw)
+
+
+def _decode_matrix(raw: Any) -> np.ndarray:
+    arr = None
+    if type(raw) is list and raw and set(map(type, raw)) == {list} and len(set(map(len, raw))) == 1:
+        if _NUMBERS.issuperset(map(type, chain.from_iterable(raw))):
+            try:  # the rows go straight into the array, with no flattened list between
+                arr = np.fromiter(chain.from_iterable(raw), np.float64, len(raw) * len(raw[0]))
+            except OverflowError:  # an integer beyond the float range
+                pass
+    if arr is None or not np.isfinite(arr).all():
+        _reject("an array of finite numbers nested 2 deep", raw)
+    return arr.reshape(len(raw), -1)
+
+
+VECTOR = Codec(np.ndarray.tolist, _decode_vector)
+MATRIX = Codec(np.ndarray.tolist, _decode_matrix)
 # N x 3 world points; an empty list keeps the three columns
 POINTS = Codec(np.ndarray.tolist, lambda raw: np.zeros((0, 3)) if raw == [] else MATRIX.decode(raw))
 
 
-def list_of(item: Codec) -> Codec:
-    """A JSON array of ``item`` values, read as a tuple."""
-    encode_item, decode_item = item
+def list_of(item: Codec, elements: Callable[[Any], Iterable] = iter, collect: Callable[[list], Any] = tuple) -> Codec:
+    """A JSON array of ``item`` values, read as a tuple (or what ``collect`` makes of the list).
 
-    def decode(raw: Any) -> tuple:
+    ``elements`` gives a value's elements in written order.
+    """
+    encode_item, decode_item = item.encode, item.decode
+
+    def encode(value) -> list:
+        return list(elements(value)) if encode_item is None else [encode_item(v) for v in elements(value)]
+
+    def decode(raw: Any):
         if type(raw) is not list:
             _reject("an array", raw)
         out: list = []
@@ -200,9 +254,9 @@ def list_of(item: Codec) -> Codec:
         except _Invalid as exc:
             exc.path = (len(out), *exc.path)
             raise
-        return tuple(out)
+        return collect(out)
 
-    return Codec(list if encode_item is None else lambda values: [encode_item(v) for v in values], decode)
+    return Codec(encode, decode, Items(item, elements, collect))
 
 
 def tuple_of(*items: Codec) -> Codec:
@@ -221,7 +275,7 @@ def tuple_of(*items: Codec) -> Codec:
 
 def optional(value: Codec) -> Codec:
     """``value`` or JSON ``null``."""
-    encode, decode = value
+    encode, decode = value.encode, value.decode
     write = None if encode is None else lambda v: None if v is None else encode(v)
     return Codec(write, lambda raw: None if raw is None else decode(raw))
 
@@ -241,31 +295,36 @@ def record(cls: type, *rows: tuple[str, str, Codec], schema: str | None = None) 
 
     def encode(obj) -> dict:
         out: dict = {"schema": schema} if schema else {}
-        for key, attr, (enc, _) in rows:
+        for key, attr, codec in rows:
             value = getattr(obj, attr)
-            out[key] = value if enc is None else enc(value)
+            out[key] = value if codec.encode is None else codec.encode(value)
         return out
 
-    def decode(data: Any):
-        if not isinstance(data, dict):
-            _reject("an object", data)
-        if schema and data.get("schema") != schema:
-            raise _Invalid(f"expected schema {schema!r}, got {data.get('schema')!r}")
-        values = {}
-        try:
-            for key, attr, (_, dec) in rows:
-                values[attr] = dec(data[key])
-        except KeyError:
-            raise _Invalid(f"missing key {key!r}") from None
-        except _Invalid as exc:
-            exc.path = (key, *exc.path)
-            raise
+    def build(values: dict):
+        if len(values) < len(rows):
+            raise _Invalid(f"missing key {next(key for key, attr, _ in rows if attr not in values)!r}")
         try:
             return cls(**values)
         except InputRejected as exc:  # a value the class itself refuses
             raise _Invalid(exc.args[0]) from None
 
-    return Codec(encode, decode)
+    def decode(data: Any):
+        if not isinstance(data, dict):
+            _reject("an object", data)
+        if schema and data.get("schema") != schema:
+            raise _wrong_schema(schema, data.get("schema"))
+        values = {}
+        try:
+            for key, attr, codec in rows:
+                if key not in data:
+                    break  # build names it
+                values[attr] = codec.decode(data[key])
+        except _Invalid as exc:
+            exc.path = (key, *exc.path)
+            raise
+        return build(values)
+
+    return Codec(encode, decode, fields=Fields(tuple(rows), schema, build))
 
 
 def _decode(codec: Codec, data: Any, where: str):
@@ -420,11 +479,11 @@ TRACK = record(
     ("status", "status", STATUS),
     ("history", "history", list_of(INT)),
 )
-_TRACK_LIST = list_of(TRACK)
 # tracks are written as a list sorted by track id
-TRACKS = Codec(
-    lambda tracks: [TRACK.encode(t) for _, t in sorted(tracks.items())],
-    lambda raw: MappingProxyType({t.track_id: t for t in _TRACK_LIST.decode(raw)}),
+TRACKS = list_of(
+    TRACK,
+    lambda tracks: (t for _, t in sorted(tracks.items())),
+    lambda tracks: MappingProxyType({t.track_id: t for t in tracks}),
 )
 GRAPH = record(
     SceneGraph4D,
@@ -665,20 +724,155 @@ truth_from_dict = partial(_decode, TRUTH, where="truth")
 command_to_dict = COMMAND.encode
 
 
-def graph_from_dict(data: Any) -> SceneGraph4D:
-    """Decode a graph; one whose frames or edges are out of order is a format error."""
-    graph = _decode(GRAPH, data, "graph")
+def _in_time_order(graph: SceneGraph4D) -> SceneGraph4D:
     for path, message in time_order_problems(graph):
         raise FormatError(f"graph: {path}: {message}")
     return graph
 
 
+def graph_from_dict(data: Any) -> SceneGraph4D:
+    """Decode a graph; one whose frames or edges are out of order is a format error."""
+    return _in_time_order(_decode(GRAPH, data, "graph"))
+
+
+def _record_text(codec: Codec, obj) -> Iterator[str]:
+    """``dumps(codec.encode(obj))`` in pieces: each element of an array row is one piece."""
+    rows, schema, _ = codec.fields
+    yield "{"
+    comma = ""
+    if schema:
+        yield f'"schema":{_encode(schema)}'
+        comma = ","
+    for key, attr, row in rows:
+        yield f"{comma}{_encode(key)}:"
+        comma = ","
+        value = getattr(obj, attr)
+        if row.items is None:
+            yield _encode(value if row.encode is None else row.encode(value))
+            continue
+        encode = row.items.item.encode
+        yield "["
+        for k, element in enumerate(row.items.elements(value)):
+            yield ("," if k else "") + _encode(element if encode is None else encode(element))
+        yield "]"
+    yield "}"
+
+
 def write_graph(graph: SceneGraph4D, path: str | Path) -> None:
-    Path(path).write_text(dumps(graph_to_dict(graph)) + "\n")
+    """Write ``dumps(graph_to_dict(graph)) + "\\n"`` one frame, temporal edge and track at a time.
+
+    The text goes to a new file beside ``path`` that replaces ``path`` only
+    once it is complete, so a failed write leaves ``path`` as it was.
+    """
+    path = Path(os.path.realpath(path))  # through a symlink, as a plain write goes
+    partial_path = path.with_name(f".{path.name}.{secrets.token_hex(6)}.tmp")
+    try:
+        with open(partial_path, "x") as fh:
+            fh.writelines(_record_text(GRAPH, graph))
+            fh.write("\n")
+        os.replace(partial_path, path)
+    finally:
+        partial_path.unlink(missing_ok=True)
+
+
+_WHITESPACE = WHITESPACE.match
+_scan_once = make_scanner(JSONDecoder())
+# a graph file that starts another way is read whole, so its schema is still checked first
+_GRAPH_HEAD = re.compile(r'[ \t\n\r]*\{[ \t\n\r]*"schema"[ \t\n\r]*:[ \t\n\r]*')
+
+
+def _scan(text: str, i: int) -> tuple[Any, int]:
+    """The JSON value at ``text[i]`` and the index after it, failing as ``json.loads`` would there."""
+    try:
+        return _scan_once(text, i)
+    except StopIteration as stop:
+        raise json.JSONDecodeError("Expecting value", text, stop.value) from None
+
+
+def _expect(text: str, i: int, char: str, message: str) -> int:
+    """The index after ``char`` at ``text[i]`` and any whitespace after it."""
+    if text[i : i + 1] != char:
+        raise json.JSONDecodeError(message, text, i)
+    return _WHITESPACE(text, i + 1).end()
+
+
+def _decode_at(text: str, i: int, codec: Codec) -> tuple[Any, int]:
+    """Decode the value at ``text[i]``; an array's elements are each decoded as soon as they are scanned."""
+    if codec.items is None or text[i : i + 1] != "[":
+        raw, i = _scan(text, i)
+        return codec.decode(raw), i
+    decode = codec.items.item.decode
+    out: list = []
+    i = _WHITESPACE(text, i + 1).end()
+    if text[i : i + 1] != "]":
+        while True:
+            raw, i = _scan(text, i)
+            try:
+                out.append(decode(raw))
+            except _Invalid as exc:
+                exc.path = (len(out), *exc.path)
+                raise
+            i = _WHITESPACE(text, i).end()
+            if text[i : i + 1] == "]":
+                break
+            i = _expect(text, i, ",", "Expecting ',' delimiter")
+    return codec.items.collect(out), i + 1
+
+
+def _read_graph_text(text: str) -> SceneGraph4D:
+    """Decode a graph file's text one top-level value, frame, temporal edge and track at a time.
+
+    The walk over the top-level object and its arrays is ``json``'s own, so
+    a syntax error is reported as ``json.loads`` reports it.  A fault is
+    found in file order: of two faults, the first in the file is reported.
+    """
+    head = _GRAPH_HEAD.match(text)
+    if head is None:
+        return graph_from_dict(json.loads(text))
+    rows, schema, build = GRAPH.fields
+    found, i = _scan(text, head.end())
+    if found != schema:
+        raise _wrong_schema(schema, found)
+    codecs = {key: (attr, codec) for key, attr, codec in rows}
+    values = {}
+    i = _WHITESPACE(text, i).end()
+    while text[i : i + 1] != "}":
+        i = _expect(text, i, ",", "Expecting ',' delimiter")
+        if text[i : i + 1] != '"':
+            raise json.JSONDecodeError("Expecting property name enclosed in double quotes", text, i)
+        key, i = scanstring(text, i + 1)
+        i = _expect(text, _WHITESPACE(text, i).end(), ":", "Expecting ':' delimiter")
+        if key in codecs:
+            attr, codec = codecs[key]
+            try:
+                values[attr], i = _decode_at(text, i, codec)
+            except _Invalid as exc:
+                exc.path = (key, *exc.path)
+                raise
+        else:
+            _, i = _scan(text, i)
+        i = _WHITESPACE(text, i).end()
+    end = _WHITESPACE(text, i + 1).end()
+    if end != len(text):
+        raise json.JSONDecodeError("Extra data", text, end)
+    return _in_time_order(build(values))
+
+
+def _read_text(path: str | Path) -> str:
+    """``Path(path).read_text()``, without its newline pass over a file that has no carriage return."""
+    with open(path, newline="") as fh:
+        text = fh.read()
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def read_graph(path: str | Path) -> SceneGraph4D:
-    return graph_from_dict(_load(path, "graph"))
+    """Read a graph file without building its whole JSON tree (see :func:`_read_graph_text`)."""
+    try:
+        return _read_graph_text(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"graph {path}: {exc}") from exc
+    except _Invalid as exc:
+        raise exc.located("graph") from None
 
 
 def write_scenario(spec: ScenarioSpec, path: str | Path) -> None:

@@ -4,19 +4,22 @@ import hashlib
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from stovsg import (
+    CameraModel,
     Command,
     DepthImage,
     EngineConfig,
     FormatError,
     InputRejected,
+    NoiseModel,
     PixelMask,
     QueryConfig,
     SUBGRAPH_SCHEMA,
@@ -43,8 +46,10 @@ from stovsg import (
     read_scenario,
     read_truth,
     save_config,
+    ScenarioSpec,
     scenario_to_dict,
     serialize_subgraph,
+    SimObject,
     subgraph_payload,
     truth_to_dict,
     validate_graph,
@@ -58,6 +63,7 @@ from stovsg import (
 from stovsg.cli import main as cli_main
 
 from conftest import axis, make_detection, make_frame_input
+from test_fuzz import by_shape, mutate
 
 
 def test_mask_runs_are_row_major_and_maximal():
@@ -363,6 +369,107 @@ def test_reading_refuses_a_graph_exactly_when_validation_reports_its_time_order(
         assert graph_to_dict(read_graph(path)) == graph_to_dict(graph)
 
 
+def _read_whole(path):
+    """The reference reader: the whole file through ``json.loads``, then ``graph_from_dict``."""
+    try:
+        data = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"graph {path}: {exc}") from exc
+    return graph_from_dict(data)
+
+
+def _outcome(read, path) -> str:
+    """The bytes of the graph ``read`` makes of ``path``, or its format error."""
+    try:
+        return dumps(graph_to_dict(read(path)))
+    except FormatError as exc:
+        return f"format error: {exc}"
+
+
+@pytest.fixture(scope="module")
+def built_graph_text(tmp_path_factory):
+    d = tmp_path_factory.mktemp("built")
+    _target_moved_stream(d / "stream.jsonl")
+    assert cli_main(["build", "--stream", str(d / "stream.jsonl"), "--out", str(d / "graph.json")]) == 0
+    return (d / "graph.json").read_text()
+
+
+# a stray character breaks the syntax, or changes a number or a string, in different ways
+STRAY = '{}[],:"0-.eE x\\\n\r\x01'
+# where the structure of a graph file changes: at its top-level keys and its records' first keys
+MARKS = re.compile(r'"(schema|next_node_id|next_track_id|frames_dropped|frames|temporal_edges|tracks|frame_index|relation|track_id)"')
+
+
+def test_reading_a_damaged_graph_file_matches_the_whole_file_reader(built_graph_text, tmp_path_factory):
+    text = built_graph_text
+    groups = by_shape(json.loads(text))
+    marks = [m.start() for m in MARKS.finditer(text)] + [len(text) - 1]
+    near_a_mark = st.sampled_from(marks).flatmap(lambda m: st.integers(max(0, m - 8), min(len(text), m + 8)))
+    offsets = st.one_of(st.integers(0, len(text)), near_a_mark)
+    path = tmp_path_factory.mktemp("damaged") / "graph.json"
+
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None,
+              suppress_health_check=list(HealthCheck))
+    @given(data=st.data())
+    def check(data):
+        how = data.draw(st.sampled_from(["mutate", "truncate", "stray"]))
+        if how == "mutate":
+            damaged = mutate(text, groups, data)
+        else:
+            k = data.draw(offsets)
+            damaged = text[:k] if how == "truncate" else text[:k] + data.draw(st.sampled_from(STRAY)) + text[k:]
+        path.write_text(damaged)
+        assert _outcome(read_graph, path) == _outcome(_read_whole, path)
+
+    check()
+
+
+def test_a_graph_file_with_carriage_returns_reads_as_in_text_mode(built_graph_text, tmp_path):
+    # line breaks of every kind ahead of a syntax error move its line, column and char
+    text = built_graph_text.replace(',"frames"', ',\r\n"frames"').replace(',"tracks"', ',\r\r\n"tracks"')
+    path = tmp_path / "graph.json"
+    for damaged in (text, text[:-40]):
+        path.write_bytes(damaged.encode())
+        assert _outcome(read_graph, path) == _outcome(_read_whole, path)
+
+
+def test_a_failed_graph_write_changes_no_file(tmp_path, simulated_graph):
+    path = tmp_path / "graph.json"
+    write_graph(simulated_graph, path)
+    before = path.read_bytes()
+    # the bad node is in the last frame, so the writer fails near the end of the file
+    last = simulated_graph.frames[-1]
+    node = replace(last.nodes[0], centroid=np.array([np.nan, 0.0, 1.5]))
+    frames = (*simulated_graph.frames[:-1], replace(last, nodes=(node, *last.nodes[1:])))
+    broken = replace(simulated_graph, frames=frames)
+    for target in (path, tmp_path / "new.json"):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_graph(broken, target)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["graph.json"]
+
+
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_graph_io_memory_is_not_a_whole_file_tree(tmp_path):
+    spec = make_scenario("target_moved", {"seed": 0, "delay": 0.5, "frame_rate": 30.0})
+    graph = ingest_sequence(empty_graph(), generate_stream(spec)[0], EngineConfig())
+    path = tmp_path / "graph.json"
+    write_graph(graph, path)
+    size = path.stat().st_size
+    assert size >= 1_000_000
+    # a whole-file tree took 6.3x the file to write and 4.4x to read
+    assert _traced_peak(lambda: write_graph(graph, path)) <= 0.5 * size
+    assert _traced_peak(lambda: read_graph(path)) <= 2.5 * size
+
+
 def test_scenario_round_trips(tmp_path):
     for family in ("occlusion_after_command", "target_moved", "same_class_distractor", "moved_reference"):
         spec = make_scenario(family, {"seed": 3, "delay": 2.0})
@@ -477,6 +584,51 @@ def test_golden_scenario_bytes(tmp_path, family, delay):
     path = tmp_path / "scenario.json"
     write_scenario(make_scenario(family, {"seed": 3, "delay": delay}), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SCENARIOS[family, delay]
+
+
+def _dense_stream(path):
+    """Twelve objects a frame on a 4 x 3 image grid for 20 frames; three of them leave for a while.
+
+    Grid neighbours are about 0.5 m apart, under ``near_threshold``, so they propose relations.
+    """
+    camera = CameraModel(fx=130.0, fy=130.0, cx=80.0, cy=60.0)
+    objects = []
+    for k in range(12):
+        row, col = divmod(k, 4)
+        z = 1.7 + 0.02 * k
+        home = np.array([z * ((col + 0.5) * 40 - 80) / 130, z * ((row + 0.5) * 40 - 60) / 130, z])
+        visibility = ((0.0, 0.8), (1.2, math.inf)) if k % 5 == 0 else ((0.0, math.inf),)
+        objects.append(
+            SimObject(k + 1, f"thing {k}", (0.06, 0.06, 0.06), axis(k, 16), axis(k, 16),
+                      ((0.0, home), (2.0, home + 0.01)), visibility)
+        )
+    spec = ScenarioSpec(
+        family="dense", seed=5, duration=2.0, frame_rate=10.0, image_width=160, image_height=120,
+        feature_dim=16, camera=camera, objects=tuple(objects), noise=NoiseModel(centroid_sigma=0.002),
+        near_threshold=0.6,
+    )
+    write_stream(generate_stream(spec)[0], path)
+
+
+def _target_moved_stream(path):
+    scene = ("--family", "target_moved", "--seed", "0", "--delay", "1.0", "--frame-rate", "2")
+    assert cli_main(["simulate", *scene, "--out-dir", str(path.parent)]) == 0
+
+
+# SHA-256 of the graph.json that ``stovsg build`` writes for each stream
+GOLDEN_GRAPHS = {
+    "target_moved": (_target_moved_stream, "9008a88f4beaea42db1502e3c327004049db30b2ef09ba03388e5a8932c817bb"),
+    "dense": (_dense_stream, "2e63f434649b91d31a34788e1444c0da10909235da81fff16090703d517a8159"),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_GRAPHS)
+def test_golden_graph_bytes(tmp_path, capsys, name):
+    make_stream, digest = GOLDEN_GRAPHS[name]
+    make_stream(tmp_path / "stream.jsonl")
+    assert cli_main(["build", "--stream", str(tmp_path / "stream.jsonl"), "--out", str(tmp_path / "graph.json")]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256((tmp_path / "graph.json").read_bytes()).hexdigest() == digest
 
 
 def test_golden_subgraph_bytes():
