@@ -58,6 +58,7 @@ from .model import (
     TemporalEdge,
     Track,
     TrackStatus,
+    freeze_array,
     time_order_problems,
 )
 from .query import TaskSubgraph
@@ -98,25 +99,74 @@ def canonical_dumps(obj: Any) -> str:
     """Canonical compact JSON with floats at six significant digits.
 
     Formatting is idempotent: parsing the output and serializing again
-    yields identical bytes.
+    yields identical bytes.  One pass appends every token to one list.
+    Each value dispatches on its exact type first; only a type outside
+    JSON's own (a NumPy scalar or array, a tuple, another ``Mapping``, an
+    ``int`` subclass) reaches the ``isinstance`` checks.
     """
-    return _canonical(obj)
+    parts: list[str] = []
+    _put(obj, parts)
+    return "".join(parts)
 
 
-def _canonical(o: Any) -> str:
-    if isinstance(o, (float, np.floating)):
-        if not math.isfinite(o):
-            raise FormatError(f"cannot serialize non-finite float {o}")
-        return "0" if o == 0.0 else f"{float(o):.6g}"  # "-0" would reparse as the int 0
-    if isinstance(o, (list, tuple, np.ndarray)):
-        return f"[{','.join([_canonical(v) for v in (o.tolist() if isinstance(o, np.ndarray) else o)])}]"
-    if isinstance(o, (dict, Mapping)):
-        return "{" + ",".join([f"{json.dumps(str(k))}:{_canonical(v)}" for k, v in o.items()]) + "}"
-    if o is None or isinstance(o, (bool, str)):
-        return json.dumps(o)
-    if isinstance(o, (int, np.integer)):
-        return str(int(o))
-    raise FormatError(f"cannot serialize {type(o).__name__} canonically")
+_quote = json.encoder.encode_basestring_ascii  # what json.dumps writes for a str
+
+
+def _float_text(o) -> str:
+    if not math.isfinite(o):
+        raise FormatError(f"cannot serialize non-finite float {o}")
+    return "0" if o == 0.0 else f"{float(o):.6g}"  # "-0" would reparse as the int 0
+
+
+def _put(o: Any, parts: list[str]) -> None:
+    kind = type(o)
+    if kind is float:
+        parts.append(_float_text(o))
+    elif kind is str:
+        parts.append(_quote(o))
+    elif kind is dict:
+        _put_items(o, parts)
+    elif kind is list:
+        _put_list(o, parts)
+    elif kind is int:
+        parts.append(int.__repr__(o))
+    elif isinstance(o, (float, np.floating)):
+        parts.append(_float_text(o))
+    elif isinstance(o, (list, tuple, np.ndarray)):
+        _put_list(o.tolist() if isinstance(o, np.ndarray) else o, parts)
+    elif isinstance(o, Mapping):
+        _put_items(o, parts)
+    elif o is None or isinstance(o, (bool, str)):
+        parts.append(json.dumps(o))
+    elif isinstance(o, (int, np.integer)):
+        parts.append(str(int(o)))
+    else:
+        raise FormatError(f"cannot serialize {type(o).__name__} canonically")
+
+
+def _put_list(values: Sequence, parts: list[str]) -> None:
+    # each value is followed by a comma; the last comma becomes the bracket
+    parts.append("[")
+    for v in values:
+        _put(v, parts)
+        parts.append(",")
+    if values:
+        parts[-1] = "]"
+    else:
+        parts.append("]")
+
+
+def _put_items(mapping: Mapping, parts: list[str]) -> None:
+    parts.append("{")
+    for k, v in mapping.items():
+        parts.append(_quote(k if type(k) is str else str(k)))
+        parts.append(":")
+        _put(v, parts)
+        parts.append(",")
+    if mapping:
+        parts[-1] = "}"
+    else:
+        parts.append("}")
 
 
 # --- the record codec -------------------------------------------------------
@@ -201,7 +251,9 @@ IMAGE_SIDE = Codec(None, _decode_image_side)
 
 
 # Every number's type is checked, since NumPy reads a JSON boolean among
-# numbers as 0 or 1.  Each array takes one type scan and one conversion.
+# numbers as 0 or 1.  Each array takes one type scan and one conversion, and
+# is handed over read-only, so the record it goes into keeps it uncopied
+# (see ``freeze_array``).
 
 
 def _decode_vector(raw: Any) -> np.ndarray:
@@ -209,7 +261,7 @@ def _decode_vector(raw: Any) -> np.ndarray:
         try:
             # a few numbers are checked for finiteness faster one by one than by NumPy
             if all(map(math.isfinite, raw)):
-                return np.array(raw, dtype=np.float64)
+                return freeze_array(raw)
         except OverflowError:  # an integer beyond the float range
             pass
     _reject("an array of finite numbers nested 1 deep", raw)
@@ -225,13 +277,15 @@ def _decode_matrix(raw: Any) -> np.ndarray:
                 pass
     if arr is None or not np.isfinite(arr).all():
         _reject("an array of finite numbers nested 2 deep", raw)
+    arr.setflags(write=False)  # before the reshape, so its view has no writable base
     return arr.reshape(len(raw), -1)
 
 
 VECTOR = Codec(np.ndarray.tolist, _decode_vector)
 MATRIX = Codec(np.ndarray.tolist, _decode_matrix)
 # N x 3 world points; an empty list keeps the three columns
-POINTS = Codec(np.ndarray.tolist, lambda raw: np.zeros((0, 3)) if raw == [] else MATRIX.decode(raw))
+_NO_POINTS = freeze_array(np.zeros((0, 3)))
+POINTS = Codec(np.ndarray.tolist, lambda raw: _NO_POINTS if raw == [] else MATRIX.decode(raw))
 
 
 def list_of(item: Codec, elements: Callable[[Any], Iterable] = iter, collect: Callable[[list], Any] = tuple) -> Codec:

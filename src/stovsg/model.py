@@ -35,7 +35,18 @@ def normalize_label(label: str) -> str:
 
 
 def freeze_array(values, dtype=np.float64) -> np.ndarray:
-    """Return a read-only ndarray copy of ``values``."""
+    """Return ``values`` as a read-only C-contiguous ``dtype`` ndarray.
+
+    An ndarray that already is one, and whose memory no writable array
+    can reach, is returned as it is: the file readers hand over such
+    arrays, so a record read back is not copied a second time.  Anything
+    else, a caller's writable array included, is copied.
+    """
+    base = values
+    while type(base) is np.ndarray and not base.flags.writeable:
+        base = base.base  # every array down to the memory's owner must be read-only
+    if base is None and type(values) is np.ndarray and values.dtype == dtype and values.flags.c_contiguous:
+        return values
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
@@ -61,16 +72,16 @@ def vector_norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-def _cosine(a: np.ndarray, norm_a: float, b: np.ndarray) -> float:
-    """Cosine of ``a`` (whose norm is ``norm_a``) and ``b``, clamped to [-1, 1].
+def _cosine(a: np.ndarray, norm_a: float, b: np.ndarray, norm_b: float) -> float:
+    """Cosine of ``a`` and ``b``, whose :func:`vector_norm` values are ``norm_a`` and ``norm_b``, clamped to [-1, 1].
 
     The one scalar cosine: :func:`cosine` and node scoring both call it, so
-    a score never depends on which of them took it.  Association takes its
-    cosines batched, over a whole block, in ``temporal._cost_block``.
+    a score never depends on which of them took it or where the norms were
+    taken.  Association takes its cosines batched, over a whole block, in
+    ``temporal._cost_block``.
     """
     if a.shape != b.shape:
         raise InputRejected(f"feature dimensions differ: {a.shape} vs {b.shape}")
-    norm_b = vector_norm(b)
     if norm_a == 0.0 or norm_b == 0.0:
         raise InputRejected("cosine similarity undefined for zero-norm vector")
     # one IEEE division, on Python floats: the same bits as on NumPy scalars
@@ -85,7 +96,7 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine similarity; rejects zero-norm or mismatched vectors."""
     a = np.ascontiguousarray(a, dtype=np.float64)
     b = np.ascontiguousarray(b, dtype=np.float64)
-    return _cosine(a, vector_norm(a), b)
+    return _cosine(a, vector_norm(a), b, vector_norm(b))
 
 
 @dataclass(frozen=True)
@@ -297,6 +308,16 @@ class FrameGraph:
     @property
     def capture_time(self) -> float:
         return self.latency_tag.capture_time
+
+    @cached_property
+    def feature_norms(self) -> tuple[tuple[float, float], ...]:
+        """Each node's ``(f_txt, f_img)`` :func:`vector_norm`, in node order.
+
+        Taken on first use and kept: a command scores its aligned frame
+        when it is grounded and again when it is exported, and a frame's
+        nodes never change.
+        """
+        return tuple((vector_norm(node.f_txt), vector_norm(node.f_img)) for node in self.nodes)
 
     @property
     def obs_time(self) -> float:

@@ -78,9 +78,10 @@ def score_nodes(frame: FrameGraph, command: Command, cfg: QueryConfig = QueryCon
 
     Returns (node_id, score) sorted by descending score; exact ties order
     by ascending node id.  One pass over the frame: the command's norm is
-    taken once, then each node costs two dot products and its own two
-    norms, through the same kernel as :func:`~stovsg.model.cosine`, so every
-    score is bit-identical to the per-pair cosine.  The loop stays per node:
+    taken once, and the nodes' norms once per frame
+    (:attr:`~stovsg.model.FrameGraph.feature_norms`), so each node costs two
+    dot products, through the same kernel as :func:`~stovsg.model.cosine`;
+    every score is bit-identical to the per-pair cosine.  The loop stays per node:
     a stacked matrix product sums in another order and would move the last
     bit of the scores that exports carry.
     """
@@ -90,8 +91,11 @@ def score_nodes(frame: FrameGraph, command: Command, cfg: QueryConfig = QueryCon
     norm = vector_norm(embedding)
     beta = cfg.beta
     scored = [
-        (node.node_id, _cosine(embedding, norm, node.f_txt) + beta * _cosine(embedding, norm, node.f_img))
-        for node in frame.nodes
+        (
+            node.node_id,
+            _cosine(embedding, norm, node.f_txt, txt_norm) + beta * _cosine(embedding, norm, node.f_img, img_norm),
+        )
+        for node, (txt_norm, img_norm) in zip(frame.nodes, frame.feature_norms)
     ]
     scored.sort(key=lambda item: (-item[1], item[0]))
     return scored

@@ -8,9 +8,13 @@ shares no code with the package under test beyond its data types.
 from __future__ import annotations
 
 import itertools
+import json
 import math
+from collections.abc import Mapping
 
 import numpy as np
+
+from stovsg.errors import FormatError
 
 _PERM_CACHE: dict[tuple[int, int], np.ndarray] = {}
 
@@ -336,3 +340,27 @@ def history_window_oracle(frames, tracks, node_id: int, aligned_index: int, newe
         if aligned_index <= fg.frame_index <= newest_index:
             window.extend((fg.obs_time, node.centroid) for node in fg.nodes if node.node_id in on_track)
     return tuple(window)
+
+
+def canonical_dumps_oracle(o) -> str:
+    """The subgraph writer as one recursive ``isinstance`` chain, one string per value.
+
+    Floats at six significant digits, ``-0.0`` written ``0``, strings and
+    keys through ``json.dumps``; refusals raise ``FormatError`` with the
+    writer's messages.
+    """
+    if isinstance(o, (float, np.floating)):
+        if not math.isfinite(o):
+            raise FormatError(f"cannot serialize non-finite float {o}")
+        return "0" if o == 0.0 else f"{float(o):.6g}"  # "-0" would reparse as the int 0
+    if isinstance(o, (list, tuple, np.ndarray)):
+        items = o.tolist() if isinstance(o, np.ndarray) else o
+        return "[" + ",".join([canonical_dumps_oracle(v) for v in items]) + "]"
+    if isinstance(o, (dict, Mapping)):
+        items = [f"{json.dumps(str(k))}:{canonical_dumps_oracle(v)}" for k, v in o.items()]
+        return "{" + ",".join(items) + "}"
+    if o is None or isinstance(o, (bool, str)):
+        return json.dumps(o)
+    if isinstance(o, (int, np.integer)):
+        return str(int(o))
+    raise FormatError(f"cannot serialize {type(o).__name__} canonically")

@@ -6,11 +6,14 @@ import math
 import re
 import tracemalloc
 from dataclasses import replace
+from enum import IntEnum
+from types import MappingProxyType
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from stovsg import (
     CameraModel,
@@ -63,6 +66,7 @@ from stovsg import (
 from stovsg.cli import main as cli_main
 
 from conftest import axis, make_detection, make_frame_input
+from oracles import canonical_dumps_oracle
 from test_fuzz import by_shape, mutate
 
 
@@ -565,6 +569,59 @@ def test_canonical_formatting_is_idempotent():
     once = canonical_dumps(doc)
     again = canonical_dumps(json.loads(once))
     assert once == again
+
+
+class _Level(IntEnum):
+    LOW = 1
+    HIGH = 10**20
+
+
+_EDGE_FLOATS = [-0.0, 0.0, 5e-324, 999999.5, 1e16, 1e-7, math.nan, math.inf, -math.inf]
+_ODD_TEXT = ["é漢✓", "\U0001f600", "\x00\x1f\x7f\t\n", "\ud800", "a\udfffb", '"\\/']
+_SCALARS = st.one_of(
+    st.sampled_from(_EDGE_FLOATS),
+    st.floats(),
+    st.integers(-(2**200), 2**200),
+    st.sampled_from(list(_Level)),
+    st.floats(width=32).map(np.float32),
+    st.floats().map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.sampled_from(_ODD_TEXT),
+    st.text(),
+    st.booleans(),
+    st.none(),
+    st.sampled_from([object(), {1}, b"raw"]),
+    hnp.arrays(
+        st.sampled_from([np.float64, np.float32, np.int64, np.bool_]),
+        hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=3),
+    ),
+)
+_KEYS = st.one_of(st.text(), st.sampled_from(_ODD_TEXT), st.integers(), st.floats(), st.booleans(), st.none())
+_DOCUMENTS = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_KEYS, inner, max_size=4),
+        st.dictionaries(_KEYS, inner, max_size=4).map(MappingProxyType),
+    ),
+    max_leaves=12,
+)
+
+
+def _written(write, doc) -> str:
+    try:
+        return write(doc)
+    except FormatError as exc:
+        return f"format error: {exc}"
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(_DOCUMENTS)
+def test_canonical_writer_matches_the_recursive_oracle(doc):
+    """Equal bytes, or an equal refusal, on every JSON, NumPy and Mapping shape the writer takes."""
+    assert _written(canonical_dumps, doc) == _written(canonical_dumps_oracle, doc)
 
 
 GOLDEN_SCENARIOS = {

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import nullcontext
 from dataclasses import replace
 from types import MappingProxyType
 
@@ -31,9 +32,10 @@ from stovsg import (
     validate_graph,
     write_graph,
 )
+from stovsg import model
 from stovsg.model import feature_problems, freeze_array, label_problems
 
-from conftest import DIM, axis, make_camera, make_detection, make_frame_input
+from conftest import DIM, axis, make_camera, make_detection, make_frame_input, make_node
 from oracles import cosine_oracle
 
 
@@ -128,6 +130,59 @@ def test_freeze_array_is_read_only():
         arr[0] = 3.0
 
 
+def test_freeze_array_keeps_only_an_array_no_writable_array_can_reach():
+    sealed = freeze_array([1.0, 2.0, 3.0, 4.0])
+    assert freeze_array(sealed) is sealed
+    rows = sealed.reshape(2, 2)  # a view of a read-only owner
+    assert freeze_array(rows) is rows
+    owner = np.array([1.0, 2.0, 3.0])
+    view = owner[:]
+    view.setflags(write=False)  # read-only, but its owner is not
+    for copied in (owner, view, sealed[::2], sealed.astype(np.float32), rows.T):
+        frozen = freeze_array(copied)
+        assert frozen is not copied and not np.shares_memory(frozen, copied)
+        assert not frozen.flags.writeable and frozen.dtype == np.float64
+    assert freeze_array(sealed, dtype=np.float32) is not sealed
+
+
+def test_a_callers_writable_arrays_are_copied_into_the_node():
+    centroid = np.array([1.0, 2.0, 3.0])
+    f_txt = axis(0)
+    node = make_node(1, centroid=centroid, f_txt=f_txt)
+    centroid[0] = 9.0
+    f_txt[1] = 5.0
+    assert node.centroid.tolist() == [1.0, 2.0, 3.0]
+    np.testing.assert_array_equal(node.f_txt, axis(0))
+
+
+class _CopyCountingNumpy:
+    """``numpy`` as ``stovsg.model`` sees it, counting the ndarrays it copies with ``np.array``."""
+
+    def __init__(self):
+        self.copies = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def array(self, values, *args, **kwargs):
+        self.copies += isinstance(values, np.ndarray)
+        return np.array(values, *args, **kwargs)
+
+
+def test_a_graph_read_back_keeps_the_arrays_its_reader_decoded(config, tmp_path, monkeypatch):
+    path = tmp_path / "graph.json"
+    write_graph(_two_frame_graph(config), path)
+    seen = _CopyCountingNumpy()
+    monkeypatch.setattr(model, "np", seen)
+    graph = read_graph(path)
+    assert seen.copies == 0
+    arrays = [a for f in graph.frames for n in f.nodes for a in (n.f_img, n.f_txt, n.centroid, n.size, n.points)]
+    arrays += [a for t in graph.tracks.values() for a in (t.centroid, t.descriptor)]
+    assert len(arrays) == 2 * 5 + 2
+    for arr in arrays:
+        assert freeze_array(arr) is arr
+
+
 def test_camera_violations():
     assert make_camera().violations == ()
     bad_rot = make_camera(rotation=np.eye(3) * 2.0)
@@ -202,40 +257,42 @@ def test_validate_graph_flags_a_zero_norm_feature_read_from_a_graph_file(config,
 
 
 @pytest.mark.parametrize(
-    "make, rule",
+    "make, rule, warning",
     [
-        (lambda dim: np.full(dim, np.nan), "non-finite {name}"),
-        (lambda dim: np.full(dim, np.inf), "non-finite {name}"),
-        (np.zeros, "zero-norm {name}"),
-        (lambda dim: np.full(dim, 1e-200), "zero-norm {name}"),  # its square underflows
-        (lambda dim: np.full(dim, 1e200), "{name} norm overflows"),  # finite, but its square is not
-        (lambda dim: np.ones(dim - 1), "{name} dimension {short} != {dim}"),
+        (lambda dim: np.full(dim, np.nan), "non-finite {name}", None),
+        (lambda dim: np.full(dim, np.inf), "non-finite {name}", None),
+        (np.zeros, "zero-norm {name}", None),
+        (lambda dim: np.full(dim, 1e-200), "zero-norm {name}", None),  # its square underflows
+        # finite, but its square is not: NumPy warns of the overflow, and the library lets it
+        (lambda dim: np.full(dim, 1e200), "{name} norm overflows", "overflow encountered in dot"),
+        (lambda dim: np.ones(dim - 1), "{name} dimension {short} != {dim}", None),
     ],
     ids=["nan", "inf", "zero", "underflow", "overflow", "short"],
 )
-def test_each_feature_fault_is_refused_by_one_rule_everywhere(config, make, rule):
-    graph = _two_frame_graph(config)
-    f0, f1 = graph.frames
-    for name in ("f_img", "f_txt"):
-        text = rule.format(name=name, short=DIM - 1, dim=DIM)
-        assert list(feature_problems(name, make(DIM), DIM)) == [text]
-        frame = make_frame_input(3.0, detections=(make_detection(), make_detection(x0=30, **{name: make(DIM)})))
-        with pytest.raises(InputRejected) as refused:
-            ingest_frame(graph, frame, config)
-        assert str(refused.value) == f"detection 1: {text}"
-        broken = replace(f1, nodes=(replace(f1.nodes[0], **{name: make(DIM)}),))
-        assert validate_graph(replace(graph, frames=(f0, broken))) == [f"frame 2 node 2: {text}"]
+def test_each_feature_fault_is_refused_by_one_rule_everywhere(config, make, rule, warning):
+    with pytest.warns(RuntimeWarning, match=warning) if warning else nullcontext():
+        graph = _two_frame_graph(config)
+        f0, f1 = graph.frames
+        for name in ("f_img", "f_txt"):
+            text = rule.format(name=name, short=DIM - 1, dim=DIM)
+            assert list(feature_problems(name, make(DIM), DIM)) == [text]
+            frame = make_frame_input(3.0, detections=(make_detection(), make_detection(x0=30, **{name: make(DIM)})))
+            with pytest.raises(InputRejected) as refused:
+                ingest_frame(graph, frame, config)
+            assert str(refused.value) == f"detection 1: {text}"
+            broken = replace(f1, nodes=(replace(f1.nodes[0], **{name: make(DIM)}),))
+            assert validate_graph(replace(graph, frames=(f0, broken))) == [f"frame 2 node 2: {text}"]
 
-    spec = make_scenario(FAMILY_TARGET_MOVED)
-    dim = spec.feature_dim
-    first, second, third = spec.objects
-    for name in ("txt_archetype", "img_archetype"):
+        spec = make_scenario(FAMILY_TARGET_MOVED)
+        dim = spec.feature_dim
+        first, second, third = spec.objects
+        for name in ("txt_archetype", "img_archetype"):
+            with pytest.raises(InputRejected) as refused:
+                replace(spec, objects=(first, replace(second, **{name: make(dim)}), third))
+            assert str(refused.value) == f"objects[1]: {rule.format(name=name, short=dim - 1, dim=dim)}"
         with pytest.raises(InputRejected) as refused:
-            replace(spec, objects=(first, replace(second, **{name: make(dim)}), third))
-        assert str(refused.value) == f"objects[1]: {rule.format(name=name, short=dim - 1, dim=dim)}"
-    with pytest.raises(InputRejected) as refused:
-        replace(spec, commands=(replace(spec.commands[0], embedding=make(dim)),))
-    assert str(refused.value) == f"commands[0]: {rule.format(name='embedding', short=dim - 1, dim=dim)}"
+            replace(spec, commands=(replace(spec.commands[0], embedding=make(dim)),))
+        assert str(refused.value) == f"commands[0]: {rule.format(name='embedding', short=dim - 1, dim=dim)}"
 
 
 @pytest.mark.parametrize("label", ["", "   ", " \t\n"])

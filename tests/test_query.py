@@ -31,7 +31,9 @@ from stovsg import (
     ingest_frame,
     ingest_sequence,
     make_scenario,
+    read_graph,
     score_nodes,
+    write_graph,
 )
 from stovsg import query
 
@@ -206,6 +208,37 @@ def test_score_refusals_match_the_oracle(emb, f_txt, f_img, beta):
 def test_a_frame_without_nodes_scores_nothing_even_for_a_zero_command():
     command = Command(text="x", embedding=np.zeros(8), issue_time=2.0)
     assert score_nodes(_frame_of([]), command) == score_nodes_oracle([], command.embedding, 0.5) == []
+
+
+def test_per_frame_norms_keep_every_score_bit_identical(config, tmp_path):
+    """Norms are kept on the frame; a frame read back or rebuilt with ``replace`` takes its own."""
+    spec = make_scenario("same_class_distractor", {"seed": 4, "delay": 0.5})
+    inputs, _ = generate_stream(spec)
+    built = ingest_sequence(empty_graph(), inputs, config)
+    write_graph(built, tmp_path / "graph.json")
+    read_back = read_graph(tmp_path / "graph.json")
+    (command,) = commands_from_scenario(spec)
+    rng = np.random.default_rng(9)
+    for frame, again in zip(built.frames, read_back.frames):
+        assert len(frame.nodes) > 1
+        for scored in (frame, again):
+            for _ in range(2):  # the second call reads the norms the first one kept
+                assert score_nodes(scored, command) == score_nodes_oracle(scored.nodes, command.embedding, 0.5)
+        # a rebuilt frame with other features in its nodes must not score with the kept norms
+        nodes = tuple(replace(n, f_txt=rng.standard_normal(n.f_txt.shape)) for n in frame.nodes[::-1])
+        rebuilt = replace(frame, nodes=nodes)
+        assert score_nodes(rebuilt, command) == score_nodes_oracle(nodes, command.embedding, 0.5)
+        zero = replace(frame, nodes=(replace(frame.nodes[0], f_img=np.zeros_like(frame.nodes[0].f_img)),))
+        with pytest.raises(InputRejected, match="^cosine similarity undefined for zero-norm vector$"):
+            score_nodes(zero, command)
+
+
+def test_cosine_keeps_its_shape_and_zero_norm_refusals():
+    with pytest.raises(InputRejected, match=r"^feature dimensions differ: \(8,\) vs \(5,\)$"):
+        cosine(axis(0), np.ones(5))
+    for a, b in ((axis(0), np.zeros(8)), (np.zeros(8), axis(0))):
+        with pytest.raises(InputRejected, match="^cosine similarity undefined for zero-norm vector$"):
+            cosine(a, b)
 
 
 def test_grounding_and_export_each_score_the_aligned_frame_once(config, monkeypatch):
