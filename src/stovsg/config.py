@@ -7,7 +7,7 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .errors import FormatError
-from .formats import FLOAT, INT, Codec
+from .formats import FLOAT, INT, Codec, parse_json
 from .query import QueryConfig
 from .spatial import SpatialWeights
 from .temporal import TemporalWeights
@@ -110,10 +110,7 @@ def load_config(path: str | Path | None) -> EngineConfig:
     """Read a config file; ``None`` returns the built-in defaults."""
     if path is None:
         return EngineConfig()
-    try:
-        return EngineConfig.from_dict(json.loads(Path(path).read_text()))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"config file {path} is not valid JSON: {exc}") from exc
+    return EngineConfig.from_dict(parse_json(Path(path).read_text(), f"config file {path} is not valid JSON"))
 
 
 def save_config(config: EngineConfig, path: str | Path) -> None:

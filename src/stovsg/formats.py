@@ -56,8 +56,8 @@ from .model import (
     SceneGraph4D,
     SpatialEdge,
     TemporalEdge,
-    Track,
     TrackStatus,
+    chain_problems,
     freeze_array,
     time_order_problems,
 )
@@ -77,7 +77,7 @@ from .sim import (
 from .store import FrameInput
 
 STREAM_SCHEMA = "stovsg-stream/1"
-GRAPH_SCHEMA = "stovsg-graph/4"
+GRAPH_SCHEMA = "stovsg-graph/5"
 SCENARIO_SCHEMA = "stovsg-scenario/1"
 SUBGRAPH_SCHEMA = "stovsg-subgraph/2"
 TRUTH_SCHEMA = "stovsg-truth/1"
@@ -102,10 +102,17 @@ def canonical_dumps(obj: Any) -> str:
     yields identical bytes.  One pass appends every token to one list.
     Each value dispatches on its exact type first; only a type outside
     JSON's own (a NumPy scalar or array, a tuple, another ``Mapping``, an
-    ``int`` subclass) reaches the ``isinstance`` checks.
+    ``int`` subclass) reaches the ``isinstance`` checks.  A NumPy array is
+    written as its ``tolist()``, so a 0-d one as its scalar.  An integer
+    of more digits than Python prints is refused.
     """
     parts: list[str] = []
-    _put(obj, parts)
+    try:
+        _put(obj, parts)
+    except FormatError:
+        raise
+    except ValueError:  # only writing an integer's digits raises it here: more digits than Python prints
+        raise FormatError("cannot serialize an integer of more digits than Python prints") from None
     return "".join(parts)
 
 
@@ -132,8 +139,10 @@ def _put(o: Any, parts: list[str]) -> None:
         parts.append(int.__repr__(o))
     elif isinstance(o, (float, np.floating)):
         parts.append(_float_text(o))
-    elif isinstance(o, (list, tuple, np.ndarray)):
-        _put_list(o.tolist() if isinstance(o, np.ndarray) else o, parts)
+    elif isinstance(o, np.ndarray):
+        _put(o.tolist(), parts)
+    elif isinstance(o, (list, tuple)):
+        _put_list(o, parts)
     elif isinstance(o, Mapping):
         _put_items(o, parts)
     elif o is None or isinstance(o, (bool, str)):
@@ -388,11 +397,20 @@ def _decode(codec: Codec, data: Any, where: str):
         raise exc.located(where) from None
 
 
-def _load(path: str | Path, what: str) -> Any:
+def parse_json(text: str, where: str) -> Any:
+    """``json.loads(text)``, with text it cannot read a format error naming ``where``.
+
+    That includes an integer of more digits than Python converts, and
+    arrays or objects nested deeper than it recurses.
+    """
     try:
-        return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{what} {path}: {exc}") from exc
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(f"{where}: {exc}") from None
+
+
+def _load(path: str | Path, what: str) -> Any:
+    return parse_json(Path(path).read_text(), f"{what} {path}")
 
 
 # --- run-length mask codec -------------------------------------------------
@@ -523,17 +541,24 @@ TEMPORAL_EDGE = record(
     ("src_node", "src_node", optional(INT)),
     ("dst_node", "dst_node", optional(INT)),
 )
+
+
+@dataclasses.dataclass(frozen=True)
+class _TrackRecord:
+    """What a graph file holds of a track: the rest of a :class:`Track` follows from its temporal edges."""
+
+    track_id: int
+    descriptor: np.ndarray
+    status: TrackStatus
+
+
 TRACK = record(
-    Track,
+    _TrackRecord,
     ("track_id", "track_id", INT),
-    ("centroid", "centroid", VECTOR),
     ("descriptor", "descriptor", VECTOR),
-    ("label", "label", STR),
-    ("last_seen_time", "last_seen_time", FLOAT),
     ("status", "status", STATUS),
-    ("history", "history", list_of(INT)),
 )
-# tracks are written as a list sorted by track id
+# tracks are written as a list sorted by track id, and read as records by id
 TRACKS = list_of(
     TRACK,
     lambda tracks: (t for _, t in sorted(tracks.items())),
@@ -737,10 +762,7 @@ def parse_stream(path: str | Path) -> tuple[dict, list[FrameInput]]:
     lines = [(lineno, line) for lineno, line in enumerate(path.read_text().split("\n"), start=1) if line.strip()]
     if not lines:
         raise FormatError(f"stream {path}: empty file")
-    try:
-        header = json.loads(lines[0][1])
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"stream {path}: bad header: {exc}") from exc
+    header = parse_json(lines[0][1], f"stream {path}: bad header")
     if not isinstance(header, dict) or header.get("schema") != STREAM_SCHEMA:
         raise FormatError(f"stream {path}: expected schema {STREAM_SCHEMA!r}")
     # a frame without depth_ref reads as zeros of this size
@@ -753,10 +775,9 @@ def parse_stream(path: str | Path) -> tuple[dict, list[FrameInput]]:
 
     frames: list[FrameInput] = []
     for lineno, line in lines[1:]:
+        raw = parse_json(line, f"stream {path}:{lineno}")
         try:
-            frames.append(_read_frame(json.loads(line), len(frames) + 1, path.parent, width, height))
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"stream {path}:{lineno}: {exc}") from exc
+            frames.append(_read_frame(raw, len(frames) + 1, path.parent, width, height))
         except _Invalid as exc:
             raise exc.located(f"stream {path}:{lineno}") from None
     first = next((len(f.detections[0].f_img) for f in frames if f.detections), dim)
@@ -778,15 +799,24 @@ truth_from_dict = partial(_decode, TRUTH, where="truth")
 command_to_dict = COMMAND.encode
 
 
-def _in_time_order(graph: SceneGraph4D) -> SceneGraph4D:
-    for path, message in time_order_problems(graph):
+def _snapshot(file: SceneGraph4D) -> SceneGraph4D:
+    """The snapshot a decoded graph file stands for, built on a log; ``file.tracks`` holds the track records.
+
+    A file whose frames or edges are out of time order, or whose edges do
+    not chain its tracks, is a format error.
+    """
+    for path, message in time_order_problems(file):
         raise FormatError(f"graph: {path}: {message}")
-    return graph
+    for track_id, message in chain_problems(file):
+        raise FormatError(f"graph: track {track_id}: {message}")
+    log = file.own_log()
+    tracks = MappingProxyType({tid: log.track(tid, t.descriptor, t.status) for tid, t in file.tracks.items()})
+    return SceneGraph4D.on_log(log, tracks, file.next_node_id, file.next_track_id, file.frames_dropped)
 
 
 def graph_from_dict(data: Any) -> SceneGraph4D:
-    """Decode a graph; one whose frames or edges are out of order is a format error."""
-    return _in_time_order(_decode(GRAPH, data, "graph"))
+    """Decode a graph (see :func:`_snapshot`)."""
+    return _snapshot(_decode(GRAPH, data, "graph"))
 
 
 def _record_text(codec: Codec, obj) -> Iterator[str]:
@@ -879,10 +909,11 @@ def _read_graph_text(text: str) -> SceneGraph4D:
     The walk over the top-level object and its arrays is ``json``'s own, so
     a syntax error is reported as ``json.loads`` reports it.  A fault is
     found in file order: of two faults, the first in the file is reported.
+    The result still holds the track records (see :func:`_snapshot`).
     """
     head = _GRAPH_HEAD.match(text)
     if head is None:
-        return graph_from_dict(json.loads(text))
+        return GRAPH.decode(json.loads(text))
     rows, schema, build = GRAPH.fields
     found, i = _scan(text, head.end())
     if found != schema:
@@ -909,7 +940,7 @@ def _read_graph_text(text: str) -> SceneGraph4D:
     end = _WHITESPACE(text, i + 1).end()
     if end != len(text):
         raise json.JSONDecodeError("Extra data", text, end)
-    return _in_time_order(build(values))
+    return build(values)
 
 
 def _read_text(path: str | Path) -> str:
@@ -921,12 +952,14 @@ def _read_text(path: str | Path) -> str:
 
 def read_graph(path: str | Path) -> SceneGraph4D:
     """Read a graph file without building its whole JSON tree (see :func:`_read_graph_text`)."""
+    text = _read_text(path)
     try:
-        return _read_graph_text(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"graph {path}: {exc}") from exc
+        file = _read_graph_text(text)
     except _Invalid as exc:
         raise exc.located("graph") from None
+    except (ValueError, RecursionError) as exc:  # text that ``json`` cannot read, as in :func:`parse_json`
+        raise FormatError(f"graph {path}: {exc}") from None
+    return _snapshot(file)
 
 
 def write_scenario(spec: ScenarioSpec, path: str | Path) -> None:
@@ -1013,10 +1046,7 @@ def serialize_subgraph(sub: TaskSubgraph | Mapping) -> str:
 
 
 def parse_subgraph(text: str) -> dict:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"subgraph: {exc}") from exc
+    data = parse_json(text, "subgraph")
     if not isinstance(data, dict) or data.get("schema") != SUBGRAPH_SCHEMA:
         raise FormatError(f"subgraph: expected schema {SUBGRAPH_SCHEMA!r}")
     return data

@@ -27,6 +27,7 @@ APPEARED = "appeared"
 DISAPPEARED = "disappeared"
 
 _TEMPORAL_RELATIONS = (SAME_INSTANCE, APPEARED, DISAPPEARED)
+_LINKS = (APPEARED, SAME_INSTANCE)  # the relations that put their destination on their track
 
 
 def normalize_label(label: str) -> str:
@@ -380,7 +381,9 @@ class GraphLog:
     """Append-only storage shared by the snapshots along one line of ingests.
 
     ``frames`` and ``edges`` hold the frames and temporal edges in ingest
-    order and ``histories`` each track's node ids, oldest first.  By node
+    order.  The edges are the tracks: ``histories`` holds each track's node
+    ids, oldest first, which are the destinations of its appeared and
+    same-instance edges in edge order (see :func:`chain_problems`).  By node
     id, ``nodes`` holds the node, ``positions`` the position of its frame
     and ``track_ids`` the id of its track (``None`` for a node on no
     track); these hold no container per node, so a long graph gives the
@@ -392,8 +395,7 @@ class GraphLog:
 
     __slots__ = ("frames", "edges", "histories", "nodes", "positions", "track_ids", "node_counts")
 
-    def __init__(self, graph: "SceneGraph4D"):
-        """A log holding exactly ``graph``'s frames, edges and track histories."""
+    def __init__(self, frames: Iterable[FrameGraph], edges: Iterable[TemporalEdge]):
         self.frames: list[FrameGraph] = []
         self.edges: list[TemporalEdge] = []
         self.histories: dict[int, list[int]] = {}
@@ -401,17 +403,14 @@ class GraphLog:
         self.positions: dict[int, int] = {}
         self.track_ids: dict[int, int | None] = {}
         self.node_counts: list[int] = [0]
-        # descending ids, so a node on several tracks is the lowest one's
-        opened = {tid: list(graph.tracks[tid].history) for tid in sorted(graph.tracks, reverse=True)}
-        self.append(graph.frames, graph.temporal_edges, {}, opened)
+        self.append(frames, edges)
 
-    def append(self, frames: Iterable[FrameGraph], edges: Iterable[TemporalEdge],
-               extended: Mapping[int, int], opened: Mapping[int, list[int]]) -> None:
+    def append(self, frames: Iterable[FrameGraph], edges: Iterable[TemporalEdge]) -> None:
         """Commit ``frames`` and their temporal ``edges``: the log's one writer.
 
-        Each track in ``extended`` gains the node it maps to, and each in
-        ``opened`` starts with the history it maps to (a node in several of
-        those histories is on the last one's track).
+        Each appeared or same-instance edge puts its destination on its
+        track.  Edges that break the chain are taken as they come, never
+        refused, so a broken snapshot can still be read and reported.
         """
         for frame in frames:
             self.frames.append(frame)
@@ -420,13 +419,18 @@ class GraphLog:
                 self.positions[node.node_id] = len(self.frames) - 1
                 self.track_ids[node.node_id] = None
             self.node_counts.append(self.node_counts[-1] + len(frame.nodes))
-        self.edges.extend(edges)
-        for track_id, node_id in extended.items():
-            self.histories[track_id].append(node_id)
-            self.track_ids[node_id] = track_id
-        for track_id, history in opened.items():
-            self.histories[track_id] = history
-            self.track_ids.update(dict.fromkeys(history, track_id))
+        for edge in edges:
+            self.edges.append(edge)
+            if edge.relation in _LINKS and edge.dst_node is not None:
+                self.histories.setdefault(edge.track_id, []).append(edge.dst_node)
+                self.track_ids[edge.dst_node] = edge.track_id
+
+    def track(self, track_id: int, descriptor: np.ndarray, status: TrackStatus) -> Track:
+        """The track as its edges leave it: its history, and its newest node's centroid, label and observed time."""
+        history = self.histories[track_id]
+        newest = self.nodes[history[-1]]
+        seen_at, view = self.frames[self.positions[newest.node_id]].obs_time, LogView(history, len(history))
+        return Track(track_id, newest.centroid, descriptor, newest.label, seen_at, status, view)
 
 
 class NodeIndex(Mapping):
@@ -467,8 +471,10 @@ class SceneGraph4D:
     shares a :class:`GraphLog` with the old one, so readers can keep using
     any snapshot they already hold.  ``frames``, ``temporal_edges`` and
     each track's ``history`` are read-only sequences; temporal edges are in
-    event-frame order.  ``dataclasses.replace`` gives a snapshot without a
-    log, which starts its own the first time it is read or ingested into.
+    event-frame order, and each node's track is read from them.
+    ``dataclasses.replace`` gives a snapshot without a log, which starts its
+    own from its frames and edges the first time it is read or ingested
+    into.
     """
 
     frames: Sequence[FrameGraph] = ()
@@ -483,27 +489,21 @@ class SceneGraph4D:
     def on_log(log: GraphLog, tracks: Mapping[int, Track], next_node_id: int, next_track_id: int,
                frames_dropped: int) -> "SceneGraph4D":
         """The snapshot of everything ``log`` holds now."""
-        graph = SceneGraph4D(
-            LogView(log.frames, len(log.frames)),
-            LogView(log.edges, len(log.edges)),
-            tracks,
-            next_node_id,
-            next_track_id,
-            frames_dropped,
-        )
+        frames, edges = LogView(log.frames, len(log.frames)), LogView(log.edges, len(log.edges))
+        graph = SceneGraph4D(frames, edges, tracks, next_node_id, next_track_id, frames_dropped)
         object.__setattr__(graph, "log", log)
         return graph
 
     def own_log(self) -> GraphLog:
         """The log this snapshot reads: the one it was ingested on, else one started from its fields."""
         if self.log is None:
-            object.__setattr__(self, "log", GraphLog(self))
+            object.__setattr__(self, "log", GraphLog(self.frames, self.temporal_edges))
         return self.log
 
     def log_to_extend(self) -> GraphLog:
         """The log this snapshot is the newest on: its own, or a copy of its prefix."""
         log = self.own_log()
-        return log if len(log.frames) == len(self.frames) else GraphLog(self)
+        return log if len(log.frames) == len(self.frames) else GraphLog(self.frames, self.temporal_edges)
 
     @cached_property
     def node_index(self) -> Mapping[int, ObjectNode]:
@@ -516,7 +516,7 @@ class SceneGraph4D:
             raise NotFound(f"node {node_id} not in graph") from None
 
     def track_of(self, node_id: int) -> int | None:
-        """Id of the track whose history holds the node; ``None`` when no track does."""
+        """Id of the track whose appeared or same-instance edge ends at the node; ``None`` when none does."""
         if node_id not in self.node_index:
             raise NotFound(f"node {node_id} not in graph")
         return self.own_log().track_ids[node_id]
@@ -608,6 +608,53 @@ def time_order_problems(
             )
 
 
+def chain_problems(graph: SceneGraph4D) -> Iterator[tuple[int, str]]:
+    """Which track's temporal edges fail to chain its nodes, and why, as (track id, message).
+
+    A track is its edges.  Each track in ``graph.tracks`` starts with
+    exactly one appeared edge, and every appeared edge's track is one of
+    them (only their ids are read).  Each same-instance or disappeared edge
+    leaves from its track's newest node so far.  Each appeared or
+    same-instance edge's destination lies in the edge's event frame, a
+    same-instance edge's in a later frame than that newest node, and no
+    node is on two tracks.
+    """
+    newest: dict[int, tuple[int, int]] = {}  # track id -> its newest node so far and that node's frame index
+    holders: dict[int, int] = {}  # node id -> the track it is on
+    index = graph.node_index
+    for k, edge in enumerate(graph.temporal_edges):
+        track_id, dst, where = edge.track_id, edge.dst_node, f"temporal_edges[{k}]"
+        prev = newest.get(track_id)
+        if edge.relation not in _TEMPORAL_RELATIONS:
+            continue  # validate_graph reports it, and the log puts no node on a track for it
+        if edge.relation == APPEARED:
+            if prev is not None:
+                yield track_id, f"{where}: a second appeared edge"
+            elif track_id not in graph.tracks:
+                yield track_id, f"{where}: the track is not in tracks"
+        elif prev is None:
+            yield track_id, f"{where}: {edge.relation} edge before the track's appeared edge"
+        elif edge.src_node != prev[0]:
+            yield track_id, f"{where}: source {edge.src_node} is not the track's newest node {prev[0]}"
+        if edge.relation == DISAPPEARED:
+            continue
+        if dst not in index:
+            yield track_id, f"{where}: destination {dst} is not in the graph"
+            continue
+        frame = graph.frame_of(dst).frame_index
+        if frame != edge.event_frame:
+            yield track_id, f"{where}: destination {dst} lies in frame {frame}, not in event frame {edge.event_frame}"
+        if edge.relation == SAME_INSTANCE and prev is not None and not frame > prev[1]:
+            yield track_id, f"{where}: destination {dst} is not in a later frame than the newest node {prev[0]}"
+        if dst in holders:
+            yield track_id, f"{where}: node {dst} is already on track {holders[dst]}"
+        holders[dst] = track_id
+        newest[track_id] = dst, frame
+    for track_id in graph.tracks:
+        if track_id not in newest:
+            yield track_id, "no appeared edge"
+
+
 def feature_problems(name: str, vec: np.ndarray, dim: int) -> Iterator[str]:
     """Why the feature vector ``name`` could not be compared with a command of ``dim`` numbers."""
     norm = vector_norm(vec)  # not finite when an entry is not, or when the sum of squares overflows
@@ -637,10 +684,6 @@ def validate_graph(graph: SceneGraph4D) -> list[str]:
     out = [f"{path}: {message}" for path, message in time_order_problems(graph)]
     seen_node_ids: set[int] = set()
     feature_dim = next((fg.nodes[0].f_img.shape[0] for fg in graph.frames if fg.nodes), None)
-    on_tracks: dict[int, list[int]] = {}  # node id -> ids of the tracks whose history holds it
-    for track_id in sorted(graph.tracks):
-        for node_id in graph.tracks[track_id].history:
-            on_tracks.setdefault(node_id, []).append(track_id)
 
     for fg in graph.frames:
         tag = f"frame {fg.frame_index}"
@@ -666,11 +709,8 @@ def validate_graph(graph: SceneGraph4D) -> list[str]:
                 hi = node.points.max(axis=0) + 1e-6
                 if ((node.centroid < lo) | (node.centroid > hi)).any():
                     out.append(f"{ntag}: centroid outside point bounds")
-            holders = on_tracks.get(node.node_id)
-            if not holders:
+            if graph.track_of(node.node_id) is None:
                 out.append(f"{ntag}: on no track")
-            elif len(holders) > 1:
-                out.append(f"{ntag}: on tracks {holders}")
 
         for edge in fg.spatial_edges:
             etag = f"{tag} edge {edge.src}->{edge.dst}"
@@ -679,35 +719,19 @@ def validate_graph(graph: SceneGraph4D) -> list[str]:
             if edge.src not in frame_ids or edge.dst not in frame_ids:
                 out.append(f"{etag}: endpoint not in frame")
 
-    index = graph.node_index
     stored_frames = {fg.frame_index for fg in graph.frames}
     for edge in graph.temporal_edges:
         etag = f"temporal edge ({edge.relation}, track {edge.track_id})"
         if edge.relation not in _TEMPORAL_RELATIONS:
             out.append(f"{etag}: unknown relation")
             continue
-        if edge.track_id not in graph.tracks:
-            out.append(f"{etag}: unknown track")
         if edge.event_frame not in stored_frames:
             out.append(f"{etag}: event frame {edge.event_frame} not in graph")
-        if edge.relation == SAME_INSTANCE:
-            if edge.src_node is None or edge.dst_node is None:
-                out.append(f"{etag}: same-instance edge needs both endpoints")
-            else:
-                if edge.src_node not in index or edge.dst_node not in index:
-                    out.append(f"{etag}: endpoint not resolvable")
-                elif not graph.frame_of(edge.src_node).frame_index < graph.frame_of(edge.dst_node).frame_index:
-                    out.append(f"{etag}: source frame must precede destination frame")
-        elif edge.relation == APPEARED:
-            if edge.src_node is not None:
-                out.append(f"{etag}: appearance edge must not have a source")
-            if edge.dst_node is None or edge.dst_node not in index:
-                out.append(f"{etag}: destination not resolvable")
-        else:  # disappeared
-            if edge.dst_node is not None:
-                out.append(f"{etag}: disappearance edge must not have a destination")
-            if edge.src_node is None or edge.src_node not in index:
-                out.append(f"{etag}: source not resolvable")
+        if edge.relation == APPEARED and edge.src_node is not None:
+            out.append(f"{etag}: appearance edge must not have a source")
+        if edge.relation == DISAPPEARED and edge.dst_node is not None:
+            out.append(f"{etag}: disappearance edge must not have a destination")
+    out.extend(f"track {track_id}: {message}" for track_id, message in chain_problems(graph))
 
     for track_id, track in graph.tracks.items():
         ttag = f"track {track_id}"
@@ -715,21 +739,6 @@ def validate_graph(graph: SceneGraph4D) -> list[str]:
             out.append(f"{ttag}: key does not match track_id {track.track_id}")
         if not isinstance(track.status, TrackStatus):
             out.append(f"{ttag}: bad status {track.status!r}")
-        if len(track.history) == 0:
-            out.append(f"{ttag}: empty history")
-            continue
-        missing = [nid for nid in track.history if nid not in index]
-        if missing:
-            out.append(f"{ttag}: history references missing nodes {missing}")
-            continue
-        hist_frames = [graph.frame_of(nid).frame_index for nid in track.history]
-        if hist_frames != sorted(hist_frames) or len(set(hist_frames)) != len(hist_frames):
-            out.append(f"{ttag}: history frames not strictly increasing")
-        newest = graph.frame_of(track.history[-1])
-        if newest.obs_time != track.last_seen_time:
-            out.append(
-                f"{ttag}: last_seen_time {track.last_seen_time} != newest observation {newest.obs_time}"
-            )
         if track_id >= graph.next_track_id:
             out.append(f"{ttag}: id not below next_track_id {graph.next_track_id}")
 

@@ -30,7 +30,6 @@ from .model import (
     SpatialEdge,
     _cosine,
     vector_norm,
-    view_parts,
 )
 from .store import captured_by, frame_at_operator_time, lifecycle_events
 
@@ -125,21 +124,22 @@ def _align(
 def _track_window(graph: SceneGraph4D, node_id: int, newest: FrameGraph) -> tuple[int, Sequence[int]]:
     """The id of the track holding ``node_id`` and its node ids from ``node_id`` to ``newest``, oldest first.
 
-    A history is in frame order, so both ends bisect on frame index:
-    O(log track + window).
+    Both come from the temporal edges, through the log.  A history follows
+    its track's edges, which reach a later frame each (see
+    :func:`~stovsg.model.chain_problems`), so both ends bisect on frame
+    index, over the log's whole history of the track: O(log track + window).
     """
     track_id = graph.track_of(node_id)
     if track_id is None:
         raise NotFound(f"node {node_id} is on no track")
-    ids, n = view_parts(graph.tracks[track_id].history)
+    log = graph.own_log()
+    ids = log.histories[track_id]
 
     def frame_index(nid: int) -> int:
-        return graph.frame_of(nid).frame_index
+        return log.frames[log.positions[nid]].frame_index
 
-    start = bisect_left(ids, frame_index(node_id), 0, n, key=frame_index)
-    end = bisect_right(ids, newest.frame_index, start, n, key=frame_index)
-    if node_id not in ids[start:start + 1]:  # the bisect missed it: the history is out of frame order
-        raise InputRejected(f"track {track_id}: history frames not strictly increasing")
+    start = bisect_left(ids, frame_index(node_id), key=frame_index)
+    end = bisect_right(ids, newest.frame_index, start, key=frame_index)
     return track_id, ids[start:end]
 
 

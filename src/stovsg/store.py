@@ -39,12 +39,10 @@ from .model import (
     Detection,
     FrameGraph,
     LatencyTag,
-    LogView,
     ObjectNode,
     RelationCandidate,
     SceneGraph4D,
     TemporalEdge,
-    Track,
     TrackStatus,
     AssociationOutcome,
     feature_problems,
@@ -136,43 +134,21 @@ def ingest_frame(graph: SceneGraph4D, frame_input: FrameInput, config: "EngineCo
         centroid, size = centroid_and_size(points)
         node_id_of_det[det_index] = next_node_id
         node_boxes[next_node_id] = det.box
-        nodes.append(
-            ObjectNode(
-                node_id=next_node_id,
-                label=label,
-                f_img=det.f_img,
-                f_txt=det.f_txt,
-                centroid=centroid,
-                size=size,
-                points=points,
-            )
-        )
+        nodes.append(ObjectNode(next_node_id, label, det.f_img, det.f_txt, centroid, size, points))
         next_node_id += 1
 
     candidates = []
     for cand in frame_input.relation_candidates:
         if not (0 <= cand.src < len(detections) and 0 <= cand.dst < len(detections)):
-            raise InputRejected(
-                f"relation candidate ({cand.src}, {cand.dst}) references a missing detection"
-            )
+            raise InputRejected(f"relation candidate ({cand.src}, {cand.dst}) references a missing detection")
         if cand.src in node_id_of_det and cand.dst in node_id_of_det:  # else an endpoint had no depth
             src, dst = node_id_of_det[cand.src], node_id_of_det[cand.dst]
             candidates.append(RelationCandidate(src, dst, cand.relation, cand.zone))
     edges = resolve_ambiguous(candidates, node_boxes, config.spatial)
 
-    frame = FrameGraph(
-        frame_index=frame_index,
-        latency_tag=tag,
-        nodes=tuple(nodes),
-        spatial_edges=tuple(edges),
-    )
+    frame = FrameGraph(frame_index, tag, tuple(nodes), tuple(edges))
     outcome = associate(graph.tracks, nodes, config.temporal, now=tag.observed_time)
     return apply_outcome(graph, outcome, frame, config, next_node_id)
-
-
-def _seen(track_id: int, node: ObjectNode, seen_at: float, descriptor: np.ndarray, history: Sequence[int]) -> Track:
-    """The active track ``track_id`` whose newest observation is ``node``, visible from ``seen_at``."""
-    return Track(track_id, node.centroid, descriptor, node.label, seen_at, TrackStatus.ACTIVE, history)
 
 
 def apply_outcome(
@@ -190,7 +166,9 @@ def apply_outcome(
     emitting a disappearance edge only on the first missed frame; tracks
     disappeared for longer than the grace period retire.  Everything is
     checked before the log is appended to, the frame's time order too, so a
-    refused outcome changes nothing.  ``next_node_id`` is the new graph's.
+    refused outcome changes nothing.  The log takes each track's history
+    from the edges; the tracks seen in this frame are made from it after
+    the append.  ``next_node_id`` is the new graph's.
     """
     for path, message in time_order_problems(graph, frame):
         raise InputRejected(f"{path}: {message}")
@@ -203,8 +181,7 @@ def apply_outcome(
     now = frame.obs_time
     tracks = dict(graph.tracks)
     new_edges: list[TemporalEdge] = []
-    extended: dict[int, int] = {}  # track id -> node id it gains
-    opened: dict[int, list[int]] = {}  # new track id -> its history
+    descriptors: dict[int, np.ndarray] = {}  # id of each track seen in this frame -> its new descriptor
     next_track_id = graph.next_track_id
 
     for track_id, node_id, _cost in outcome.accepted:
@@ -212,62 +189,38 @@ def apply_outcome(
             raise InputRejected(f"outcome references unknown track {track_id}")
         if node_id not in by_id:
             raise InputRejected(f"outcome references node {node_id} not in frame")
-        if track_id in extended:
+        if track_id in descriptors:
             raise InputRejected(f"outcome extends track {track_id} twice")
-        track = tracks[track_id]
         node = by_id[node_id]
-        new_edges.append(
-            TemporalEdge(
-                relation=SAME_INSTANCE,
-                track_id=track_id,
-                event_frame=frame.frame_index,
-                src_node=track.history[-1],
-                dst_node=node.node_id,
-            )
-        )
-        blended = (1.0 - alpha) * track.descriptor + alpha * node.f_img
+        new_edges.append(TemporalEdge(SAME_INSTANCE, track_id, frame.frame_index, log.histories[track_id][-1], node_id))
+        blended = (1.0 - alpha) * tracks[track_id].descriptor + alpha * node.f_img
         norm = vector_norm(blended)
-        descriptor = blended / norm if norm > 0 else _unit(node.f_img)
-        history = LogView(log.histories[track_id], len(track.history) + 1)
-        tracks[track_id] = _seen(track_id, node, now, descriptor, history)
-        extended[track_id] = node.node_id
+        descriptors[track_id] = blended / norm if norm > 0 else _unit(node.f_img)
 
     for node_id in outcome.new_nodes:
         if node_id not in by_id:
             raise InputRejected(f"outcome references node {node_id} not in frame")
-        node = by_id[node_id]
-        opened[next_track_id] = [node.node_id]
-        tracks[next_track_id] = _seen(next_track_id, node, now, _unit(node.f_img), LogView(opened[next_track_id], 1))
-        new_edges.append(
-            TemporalEdge(
-                relation=APPEARED,
-                track_id=next_track_id,
-                event_frame=frame.frame_index,
-                dst_node=node.node_id,
-            )
-        )
+        descriptors[next_track_id] = _unit(by_id[node_id].f_img)
+        new_edges.append(TemporalEdge(APPEARED, next_track_id, frame.frame_index, dst_node=node_id))
         next_track_id += 1
 
     for track_id in outcome.disappeared:
         if track_id not in tracks:
             raise InputRejected(f"outcome references unknown track {track_id}")
+        if track_id in descriptors:
+            raise InputRejected(f"outcome both extends and loses track {track_id}")
         track = tracks[track_id]
         if track.status is TrackStatus.ACTIVE:
-            new_edges.append(
-                TemporalEdge(
-                    relation=DISAPPEARED,
-                    track_id=track_id,
-                    event_frame=frame.frame_index,
-                    src_node=track.history[-1],
-                )
-            )
+            new_edges.append(TemporalEdge(DISAPPEARED, track_id, frame.frame_index, log.histories[track_id][-1]))
             tracks[track_id] = replace(track, status=TrackStatus.DISAPPEARED)
 
     for track_id, track in tracks.items():
         if track.status is TrackStatus.DISAPPEARED and not matchable(track, config.temporal, now):
             tracks[track_id] = replace(track, status=TrackStatus.RETIRED)
 
-    log.append((frame,), new_edges, extended, opened)  # nothing above touched the log
+    log.append((frame,), new_edges)  # nothing above touched the log
+    for track_id, descriptor in descriptors.items():
+        tracks[track_id] = log.track(track_id, descriptor, TrackStatus.ACTIVE)
     return SceneGraph4D.on_log(log, MappingProxyType(tracks), next_node_id, next_track_id, graph.frames_dropped)
 
 

@@ -345,22 +345,27 @@ def history_window_oracle(frames, tracks, node_id: int, aligned_index: int, newe
 def canonical_dumps_oracle(o) -> str:
     """The subgraph writer as one recursive ``isinstance`` chain, one string per value.
 
-    Floats at six significant digits, ``-0.0`` written ``0``, strings and
-    keys through ``json.dumps``; refusals raise ``FormatError`` with the
-    writer's messages.
+    Floats at six significant digits, ``-0.0`` written ``0``, a NumPy array
+    as its ``tolist()`` (a 0-d one as its scalar), strings and keys through
+    ``json.dumps``; refusals raise ``FormatError`` with the writer's
+    messages.
     """
     if isinstance(o, (float, np.floating)):
         if not math.isfinite(o):
             raise FormatError(f"cannot serialize non-finite float {o}")
         return "0" if o == 0.0 else f"{float(o):.6g}"  # "-0" would reparse as the int 0
-    if isinstance(o, (list, tuple, np.ndarray)):
-        items = o.tolist() if isinstance(o, np.ndarray) else o
-        return "[" + ",".join([canonical_dumps_oracle(v) for v in items]) + "]"
+    if isinstance(o, np.ndarray):  # a 0-d array's list is its scalar
+        return canonical_dumps_oracle(o.tolist())
+    if isinstance(o, (list, tuple)):
+        return "[" + ",".join([canonical_dumps_oracle(v) for v in o]) + "]"
     if isinstance(o, (dict, Mapping)):
         items = [f"{json.dumps(str(k))}:{canonical_dumps_oracle(v)}" for k, v in o.items()]
         return "{" + ",".join(items) + "}"
     if o is None or isinstance(o, (bool, str)):
         return json.dumps(o)
     if isinstance(o, (int, np.integer)):
-        return str(int(o))
+        try:
+            return str(int(o))
+        except ValueError:  # more digits than Python prints
+            raise FormatError("cannot serialize an integer of more digits than Python prints") from None
     raise FormatError(f"cannot serialize {type(o).__name__} canonically")

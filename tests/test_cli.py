@@ -25,9 +25,12 @@ from stovsg import (
     scenario_to_dict,
     serialize_subgraph,
     validate_graph,
+    write_graph,
     write_scenario,
 )
 from stovsg.cli import main as cli_main
+
+from cli_manifest import run_sequence
 
 
 def run_cli(*args, cwd=None):
@@ -371,7 +374,7 @@ def scored_scene(tmp_path_factory):
     "name, key_path, value, message",
     [
         ("graph.json", ("temporal_edges", 2, "dst_node"), 999,
-         "graph {path}: temporal edge (same-instance, track 1): endpoint not resolvable"),
+         "graph: track 1: temporal_edges[2]: destination 999 is not in the graph"),
         ("graph.json", ("frames", 0, "nodes", 0, "centroid"), [0.1, 0.2], "graph {path}: frame 1 node 1: bad centroid"),
         ("truth.json", ("frames", 0, "detections", 0, "centroid"), [0.1, 0.2],
          "truth: frames[0].detections[0]: centroid: expected 3 numbers, got shape (2,)"),
@@ -397,19 +400,62 @@ def test_score_refuses_a_malformed_graph_or_truth_file_as_one_json_error(
     assert out == "" and json.loads(line) == {"error": "format-error", "message": message.format(path=path)}
 
 
-def test_a_track_history_out_of_frame_order_is_one_json_error(scored_scene, tmp_path, capsys):
-    data = json.loads((scored_scene / "graph.json").read_text())
-    data["tracks"][0]["history"].reverse()
-    graph = tmp_path / "graph.json"
-    graph.write_text(dumps(data) + "\n")
+def _swap_tails(edges):
+    """Tracks 1 and 2 trade every edge from frame 5 on, as a wrong association would leave them."""
+    swap = {1: 2, 2: 1}
+    return [
+        dataclasses.replace(e, track_id=swap.get(e.track_id, e.track_id)) if e.event_frame >= 5 else e for e in edges
+    ]
+
+
+def _edit_edge(k, **changes):
+    return lambda edges: [dataclasses.replace(e, **changes) if i == k else e for i, e in enumerate(edges)]
+
+
+# Edges of the two-fps graph: tracks 1 and 2 appear in frame 1 and gain one node a frame (track 1 the odd
+# node ids up to 11, then 14 and 17); track 3 appears in frame 6 (edge 12, node 13).
+BROKEN_CHAINS = {
+    "swapped-tails": (_swap_tails, "track 2: temporal_edges[8]: source 7 is not the track's newest node 8"),
+    "stale-source": (
+        _edit_edge(6, src_node=1),
+        "track 1: temporal_edges[6]: source 1 is not the track's newest node 5",
+    ),
+    "moved-event-frame": (
+        _edit_edge(3, event_frame=3),
+        "track 2: temporal_edges[3]: destination 4 lies in frame 2, not in event frame 3",
+    ),
+    "node-on-two-tracks": (_edit_edge(1, dst_node=1), "track 2: temporal_edges[1]: node 1 is already on track 1"),
+    "no-appeared-edge": (
+        lambda edges: [e for i, e in enumerate(edges) if i != 12],
+        "track 3: temporal_edges[14]: same-instance edge before the track's appeared edge",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BROKEN_CHAINS)
+def test_temporal_edges_that_break_a_track_chain_are_one_format_error(two_fps_scene, tmp_path, capsys, case):
+    edit, message = BROKEN_CHAINS[case]
+    built = two_fps_scene / "graph.json"
+    if not built.exists():
+        assert cli_main(["build", "--stream", str(two_fps_scene / "stream.jsonl"), "--out", str(built)]) == 0
+    graph = read_graph(built)
+    broken = dataclasses.replace(graph, temporal_edges=tuple(edit(list(graph.temporal_edges))))
+    assert message in validate_graph(broken)
+    path = tmp_path / "graph.json"
+    write_graph(broken, path)
     command = tmp_path / "command.json"
-    write_command_file(scored_scene / "scenario.json", command)
-    for subcommand in ("query", "export"):
-        assert cli_main([subcommand, "--graph", str(graph), "--command", str(command)]) == 1
+    write_command_file(two_fps_scene / "scenario.json", command)
+    truth, scenario = two_fps_scene / "truth.json", two_fps_scene / "scenario.json"
+    capsys.readouterr()
+    for argv in (
+        ["query", "--graph", path, "--command", command],
+        ["export", "--graph", path, "--command", command],
+        ["score", "--graph", path, "--truth", truth, "--scenario", scenario],
+    ):
+        assert cli_main([str(a) for a in argv]) == 1
         out, err = capsys.readouterr()
         (line,) = err.splitlines()
-        message = "track 1: history frames not strictly increasing"
-        assert out == "" and json.loads(line) == {"error": "input-rejected", "message": message}
+        assert out == "" and json.loads(line) == {"error": "format-error", "message": f"graph: {message}"}
 
 
 @pytest.mark.parametrize(
@@ -479,13 +525,14 @@ def test_a_detection_feature_whose_norm_overflows_is_refused_naming_the_detectio
 
 def test_a_graph_file_of_the_previous_schema_is_one_json_error(scored_scene, tmp_path, capsys):
     data = json.loads((scored_scene / "graph.json").read_text())
-    data["schema"] = "stovsg-graph/3"  # which stored each node's frame index and time, and each edge's frames
-    for frame in data["frames"]:
-        time = frame["latency_tag"]["capture_time"] + frame["latency_tag"]["transmission_latency"]
-        for node in frame["nodes"]:
-            node.update(frame_index=frame["frame_index"], obs_time=time)
-    for edge in data["temporal_edges"]:
-        edge.update(src_frame=None, dst_frame=None)
+    data["schema"] = "stovsg-graph/4"  # whose tracks stored their history and their newest node's centroid, label, time
+    tracks = read_graph(scored_scene / "graph.json").tracks
+    for record in data["tracks"]:
+        track = tracks[record["track_id"]]
+        record.update(
+            centroid=track.centroid.tolist(), label=track.label, last_seen_time=track.last_seen_time,
+            history=list(track.history),
+        )
     graph = tmp_path / "graph.json"
     graph.write_text(dumps(data) + "\n")
     command = tmp_path / "command.json"
@@ -495,5 +542,18 @@ def test_a_graph_file_of_the_previous_schema_is_one_json_error(scored_scene, tmp
         assert cli_main([subcommand, "--graph", str(graph), "--command", str(command)]) == 1
         out, err = capsys.readouterr()
         (line,) = err.splitlines()
-        message = "graph: expected schema 'stovsg-graph/4', got 'stovsg-graph/3'"
+        message = "graph: expected schema 'stovsg-graph/5', got 'stovsg-graph/4'"
         assert out == "" and json.loads(line) == {"error": "format-error", "message": message}
+
+
+def test_a_slice_of_the_cli_manifest_sequence_repeats_byte_for_byte(tmp_path):
+    one_scene = {"families": ("target_moved",), "seeds": (0,), "replay": ("--delays", "1.0", "--trials", "1")}
+    for run in ("first", "second"):
+        run_sequence(tmp_path / run, **one_scene)
+    manifest = (tmp_path / "first" / "MANIFEST.sha256").read_text()
+    assert manifest == (tmp_path / "second" / "MANIFEST.sha256").read_text()
+    assert "  target_moved-0/graph.json\n" in manifest and "  log.jsonl\n" in manifest
+    log = [json.loads(line) for line in (tmp_path / "first" / "log.jsonl").read_text().splitlines()]
+    refused = [record for record in log if record["exit"] != 0]
+    assert len(log) == 41 and len(refused) == 8  # each --as-of 0.01 cutoff is before every frame
+    assert all(json.loads(record["stderr"])["error"] == "no-aligned-frame" for record in refused)

@@ -267,7 +267,7 @@ def test_previous_graph_schema_is_refused(tmp_path, config):
             node.update(box=[0.0, 0.0, 4.0, 4.0], mask_rle=[[0, 0, 4]])
     path = tmp_path / "graph.json"
     path.write_text(dumps(data))
-    with pytest.raises(FormatError, match="expected schema 'stovsg-graph/4', got 'stovsg-graph/2'"):
+    with pytest.raises(FormatError, match="expected schema 'stovsg-graph/5', got 'stovsg-graph/2'"):
         read_graph(path)
 
 
@@ -377,7 +377,7 @@ def _read_whole(path):
     """The reference reader: the whole file through ``json.loads``, then ``graph_from_dict``."""
     try:
         data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a syntax error, or an integer of more digits than Python reads
         raise FormatError(f"graph {path}: {exc}") from exc
     return graph_from_dict(data)
 
@@ -582,6 +582,7 @@ _SCALARS = st.one_of(
     st.sampled_from(_EDGE_FLOATS),
     st.floats(),
     st.integers(-(2**200), 2**200),
+    st.integers(4300, 4400).map(lambda n: (-1) ** n * 10**n),  # more digits than Python prints
     st.sampled_from(list(_Level)),
     st.floats(width=32).map(np.float32),
     st.floats().map(np.float64),
@@ -594,7 +595,7 @@ _SCALARS = st.one_of(
     st.sampled_from([object(), {1}, b"raw"]),
     hnp.arrays(
         st.sampled_from([np.float64, np.float32, np.int64, np.bool_]),
-        hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=3),
+        hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=3),
     ),
 )
 _KEYS = st.one_of(st.text(), st.sampled_from(_ODD_TEXT), st.integers(), st.floats(), st.booleans(), st.none())
@@ -674,8 +675,8 @@ def _target_moved_stream(path):
 
 # SHA-256 of the graph.json that ``stovsg build`` writes for each stream
 GOLDEN_GRAPHS = {
-    "target_moved": (_target_moved_stream, "9008a88f4beaea42db1502e3c327004049db30b2ef09ba03388e5a8932c817bb"),
-    "dense": (_dense_stream, "2e63f434649b91d31a34788e1444c0da10909235da81fff16090703d517a8159"),
+    "target_moved": (_target_moved_stream, "9dcc11bd60050b627d43e7eaff9cf454a245d25a16473618fe69f8bb570e6d89"),
+    "dense": (_dense_stream, "0f4d9b3fd2cde0fc367972b066b1da958c15a45ee56b363271af1ae690fcb785"),
 }
 
 
@@ -747,6 +748,21 @@ def test_parse_subgraph_rejects_other_documents():
         parse_subgraph('{"schema":"stovsg-graph/1"}')
     with pytest.raises(FormatError):
         parse_subgraph("{broken")
+
+
+def test_json_readers_refuse_json_that_python_reads_but_cannot_convert(built_graph_text, tmp_path):
+    big, deep = "9" * 5000, "[" * 100_000 + "]" * 100_000  # more digits than Python reads; deeper than it recurses
+    with pytest.raises(FormatError, match="^subgraph: Exceeds the limit"):
+        parse_subgraph(f'{{"schema":"{SUBGRAPH_SCHEMA}","aligned_frame_index":{big}}}')
+    with pytest.raises(FormatError, match="^subgraph: maximum recursion depth exceeded"):
+        parse_subgraph(f'{{"schema":"{SUBGRAPH_SCHEMA}","nodes":{deep}}}')
+    path = tmp_path / "graph.json"
+    # the record scanner, and the whole-file reader of a file that does not start with its schema
+    for value, message in ((big, "Exceeds the limit"), (deep, "maximum recursion depth exceeded")):
+        for text in (built_graph_text.replace('"next_node_id":', f'"next_node_id":{value}', 1), f"[{value}]"):
+            path.write_text(text)
+            with pytest.raises(FormatError, match=f"^graph {re.escape(str(path))}: {message}"):
+                read_graph(path)
 
 
 def test_parse_subgraph_refuses_a_version_1_payload():
@@ -918,8 +934,9 @@ def _key_paths(doc) -> list[str]:
 
 # Key order of every written file, captured from the hand-written writers that
 # preceded the record tables, minus the removed engine options, track velocity,
-# node boxes and masks, frame image sizes, the graph camera, and the nodes' and
-# temporal edges' copies of their frames' indices and times.  Round trips
+# node boxes and masks, frame image sizes, the graph camera, the nodes' and
+# temporal edges' copies of their frames' indices and times, and what tracks
+# held that their temporal edges give.  Round trips
 # cannot catch a reordered table, since the writer and reader share it.
 KEY_PATHS = {
     "graph": """
@@ -938,8 +955,7 @@ KEY_PATHS = {
         temporal_edges[].relation temporal_edges[].track_id temporal_edges[].event_frame
         temporal_edges[].src_node temporal_edges[].dst_node
         tracks
-        tracks[].track_id tracks[].centroid tracks[].descriptor tracks[].label
-        tracks[].last_seen_time tracks[].status tracks[].history
+        tracks[].track_id tracks[].descriptor tracks[].status
     """.split(),
     "stream": """
         frame_index latency_tag

@@ -19,7 +19,9 @@ from hypothesis import strategies as st
 from stovsg import command_to_dict, commands_from_scenario, dumps, read_scenario
 from stovsg.cli import main
 
-SPLICED = (None, True, 2**70, 1e308, -0.0)
+# JSON text that ``json.dumps`` cannot write, spliced in by name: an integer of more digits than Python reads, and NaN
+SPLICED_TEXT = {"<long integer>": "9" * 5000, "<NaN>": "NaN"}
+SPLICED = (None, True, 2**70, 1e308, -0.0, *SPLICED_TEXT)
 
 
 def run(*argv) -> tuple[int, str]:
@@ -69,7 +71,10 @@ def mutate(text: str, groups: dict, data) -> str:
         value.reverse()
     else:
         holder[key] = (0 if isinstance(value, str) else "x") if how == "retype" else data.draw(st.sampled_from(SPLICED))
-    return json.dumps(root[0])
+    text = json.dumps(root[0])
+    for name, token in SPLICED_TEXT.items():
+        text = text.replace(json.dumps(name), token)
+    return text
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,6 @@ import json
 import math
 from contextlib import nullcontext
 from dataclasses import replace
-from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -325,6 +324,7 @@ def test_validate_graph_flags_an_event_frame_that_is_not_stored(config):
     assert validate_graph(broken) == [
         "temporal_edges[1].event_frame: 2 is before 7 (temporal edges must be in event-frame order)",
         "temporal edge (appeared, track 1): event frame 7 not in graph",
+        "track 1: temporal_edges[0]: destination 1 lies in frame 1, not in event frame 7",
     ]
     with pytest.raises(NotFound, match="frame 7"):
         lifecycle_events(broken, 0.0, 10.0)
@@ -363,20 +363,3 @@ def test_frame_of_is_the_frame_holding_each_node_of_a_graph_read_back(tmp_path):
     assert newer.frame_of(newest_id) is newer.frames[3]
     with pytest.raises(NotFound, match=f"node {newest_id} not in graph"):
         older.frame_of(newest_id)
-
-
-def _with_history(graph, track_id, history):
-    track = graph.tracks[track_id]
-    return replace(graph, tracks=MappingProxyType({**graph.tracks, track_id: replace(track, history=history)}))
-
-
-def test_validate_graph_flags_a_node_on_no_track_or_on_two():
-    inputs, _ = generate_stream(make_scenario("target_moved", {"seed": 0}))
-    graph = ingest_sequence(empty_graph(), inputs, EngineConfig())
-    assert validate_graph(graph) == []
-    assert graph.track_of(3) == 1 and graph.frame_of(3).frame_index == 2
-    dropped = _with_history(graph, 1, tuple(nid for nid in graph.tracks[1].history if nid != 3))
-    assert validate_graph(dropped) == ["frame 2 node 3: on no track"]
-    assert dropped.track_of(3) is None
-    shared = _with_history(graph, 2, (3,) + tuple(graph.tracks[2].history))
-    assert "frame 2 node 3: on tracks [1, 2]" in validate_graph(shared)

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -10,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stovsg import (
+    APPEARED,
     BoundingBox2D,
     Command,
     EngineConfig,
@@ -33,6 +33,7 @@ from stovsg import (
     make_scenario,
     read_graph,
     score_nodes,
+    validate_graph,
     write_graph,
 )
 from stovsg import query
@@ -276,9 +277,11 @@ def test_grounding_follows_the_track_to_the_present(config):
 
 def test_a_winner_on_no_track_is_not_found(config):
     graph = mug_scene(config)
-    mug = graph.tracks[1]
-    assert tuple(mug.history) == (1, 3, 5)
-    orphaned = replace(graph, tracks=MappingProxyType({**graph.tracks, 1: replace(mug, history=(3, 5))}))
+    assert tuple(graph.tracks[1].history) == (1, 3, 5)
+    # without the edge that opened the mug's track, node 1 is on no track
+    edges = tuple(e for e in graph.temporal_edges if (e.relation, e.dst_node) != (APPEARED, 1))
+    orphaned = replace(graph, temporal_edges=edges)
+    assert orphaned.track_of(1) is None and "frame 1 node 1: on no track" in validate_graph(orphaned)
     with pytest.raises(NotFound, match="^'node 1 is on no track'$"):
         ground_command(orphaned, mug_command(1.6))
     with pytest.raises(NotFound, match="^'node 1 is on no track'$"):

@@ -442,8 +442,9 @@ def test_graphs_without_a_log_start_one_on_first_ingest(config):
     inputs = _scene_inputs(9)
     g8 = ingest_sequence(empty_graph(), inputs[:8], config)
     expected = _text(ingest_frame(g8, inputs[8], config))
-    for start in (graph_from_dict(graph_to_dict(g8)), replace(g8, frames_dropped=0)):
-        assert start.log is None
+    read_back, replaced = graph_from_dict(graph_to_dict(g8)), replace(g8, frames_dropped=0)
+    assert read_back.log is not None and replaced.log is None  # a graph read back is built on its log
+    for start in (read_back, replaced):
         after = ingest_frame(start, inputs[8], config)
         assert start.log is after.log  # the new log is the start's own, extended in place
         assert _text(after) == expected
@@ -478,6 +479,9 @@ def test_an_outcome_extending_one_track_twice_is_refused(config):
     twice = AssociationOutcome(accepted=((1, 3, 0.1), (1, 4, 0.2)), new_nodes=(), disappeared=())
     with pytest.raises(InputRejected, match="outcome extends track 1 twice"):
         apply_outcome(graph, twice, frame, config, 5)
+    both = AssociationOutcome(accepted=((1, 3, 0.1),), new_nodes=(4,), disappeared=(1,))
+    with pytest.raises(InputRejected, match="outcome both extends and loses track 1"):
+        apply_outcome(graph, both, frame, config, 5)
     once = AssociationOutcome(accepted=((1, 3, 0.1),), new_nodes=(4,), disappeared=(2,))
     after = apply_outcome(graph, once, frame, config, 5)
     assert after.log is graph.log and after.tracks[1].history == (1, 3) and after.track_of(4) == 3
