@@ -800,18 +800,18 @@ command_to_dict = COMMAND.encode
 
 
 def _snapshot(file: SceneGraph4D) -> SceneGraph4D:
-    """The snapshot a decoded graph file stands for, built on a log; ``file.tracks`` holds the track records.
+    """The snapshot a decoded graph file stands for, on the file's log; ``file.tracks`` holds the track records.
 
-    A file whose frames or edges are out of time order, or whose edges do
-    not chain its tracks, is a format error.
+    A file whose frames or edges are out of time order, or whose edges or
+    track ids break a rule of :func:`~stovsg.model.chain_problems`, is a
+    format error.
     """
     for path, message in time_order_problems(file):
         raise FormatError(f"graph: {path}: {message}")
     for track_id, message in chain_problems(file):
         raise FormatError(f"graph: track {track_id}: {message}")
-    log = file.own_log()
-    tracks = MappingProxyType({tid: log.track(tid, t.descriptor, t.status) for tid, t in file.tracks.items()})
-    return SceneGraph4D.on_log(log, tracks, file.next_node_id, file.next_track_id, file.frames_dropped)
+    tracks = {tid: file.log.track(tid, t.descriptor, t.status) for tid, t in file.tracks.items()}
+    return dataclasses.replace(file, tracks=MappingProxyType(tracks))
 
 
 def graph_from_dict(data: Any) -> SceneGraph4D:

@@ -282,7 +282,11 @@ class TrackStatus(str, Enum):
 
 @dataclass(frozen=True, eq=False)
 class Track:
-    """Persistent object identity with its running appearance summary."""
+    """Persistent object identity with its running appearance summary.
+
+    Its nodes are the destinations of its temporal edges: see
+    :class:`GraphLog` for them, oldest first.
+    """
 
     track_id: int
     centroid: np.ndarray  # last observed 3D centroid
@@ -290,7 +294,6 @@ class Track:
     label: str
     last_seen_time: float  # operator-visible time of the newest observation
     status: TrackStatus
-    history: Sequence[int]  # node ids, oldest first
 
     def __post_init__(self):
         object.__setattr__(self, "centroid", freeze_array(self.centroid))
@@ -326,19 +329,17 @@ class FrameGraph:
 
 
 class LogView(Sequence):
-    """The first ``n`` items of a list that only grows at its end.
+    """The first ``n`` items of one of ``log``'s lists, which only grow at their end.
 
-    Snapshots on one log read it through views of their own length, so
-    appending to the log changes no view already handed out.  A view of a
-    view reads the same list.  Views equal tuples (and views) with the same
-    items, as the tuples they stand in for did.
+    Snapshots read their log through views of their own length, so
+    appending to the log changes no view already handed out.  A prefix of
+    a view is a view of the same list.
     """
 
-    __slots__ = ("_items", "_n")
+    __slots__ = ("log", "_items", "_n")
 
-    def __init__(self, items: Sequence, n: int):
-        self._items = items._items if isinstance(items, LogView) else items
-        self._n = n
+    def __init__(self, log: GraphLog, items: list, n: int):
+        self.log, self._items, self._n = log, items, n
 
     def __len__(self) -> int:
         return self._n
@@ -347,7 +348,7 @@ class LogView(Sequence):
         if isinstance(k, slice):
             start, stop, step = k.indices(self._n)
             if start == 0 and step == 1:
-                return LogView(self._items, stop)
+                return LogView(self.log, self._items, stop)
             return tuple(self._items[i] for i in range(start, stop, step))
         if k < 0:
             k += self._n
@@ -358,23 +359,13 @@ class LogView(Sequence):
     def __iter__(self) -> Iterator:
         return islice(self._items, self._n)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (LogView, tuple)):
-            return NotImplemented
-        return len(other) == self._n and all(a == b for a, b in zip(self, other))
 
-    def __repr__(self) -> str:
-        return repr(tuple(self))
+def view_parts(view: LogView) -> tuple[list, int]:
+    """The list a view reads and how many of its items it shows.
 
-
-def view_parts(seq: Sequence) -> tuple[Sequence, int]:
-    """The sequence a view reads and how many of its items it shows; any other sequence is itself.
-
-    Bisecting and slicing that sequence directly keeps indexing in C.
+    Bisecting and slicing that list directly keeps indexing in C.
     """
-    if isinstance(seq, LogView):
-        return seq._items, seq._n
-    return seq, len(seq)
+    return view._items, view._n
 
 
 class GraphLog:
@@ -425,12 +416,15 @@ class GraphLog:
                 self.histories.setdefault(edge.track_id, []).append(edge.dst_node)
                 self.track_ids[edge.dst_node] = edge.track_id
 
+    def views(self) -> tuple[LogView, LogView]:
+        """Views of all the frames and of all the temporal edges the log holds now."""
+        return LogView(self, self.frames, len(self.frames)), LogView(self, self.edges, len(self.edges))
+
     def track(self, track_id: int, descriptor: np.ndarray, status: TrackStatus) -> Track:
-        """The track as its edges leave it: its history, and its newest node's centroid, label and observed time."""
-        history = self.histories[track_id]
-        newest = self.nodes[history[-1]]
-        seen_at, view = self.frames[self.positions[newest.node_id]].obs_time, LogView(history, len(history))
-        return Track(track_id, newest.centroid, descriptor, newest.label, seen_at, status, view)
+        """The track as its edges leave it: its newest node's centroid, label and observed time."""
+        newest = self.nodes[self.histories[track_id][-1]]
+        seen_at = self.frames[self.positions[newest.node_id]].obs_time
+        return Track(track_id, newest.centroid, descriptor, newest.label, seen_at, status)
 
 
 class NodeIndex(Mapping):
@@ -467,14 +461,15 @@ class NodeIndex(Mapping):
 class SceneGraph4D:
     """The full graph: per-frame graphs, temporal edges, and live tracks.
 
-    Instances are persistent values: ingestion returns a new graph that
-    shares a :class:`GraphLog` with the old one, so readers can keep using
-    any snapshot they already hold.  ``frames``, ``temporal_edges`` and
-    each track's ``history`` are read-only sequences; temporal edges are in
-    event-frame order, and each node's track is read from them.
-    ``dataclasses.replace`` gives a snapshot without a log, which starts its
-    own from its frames and edges the first time it is read or ingested
-    into.
+    Instances are persistent values on an append-only :class:`GraphLog`:
+    ingestion returns a new graph that shares the log with the old one, so
+    readers can keep using any snapshot they already hold.  ``frames`` and
+    ``temporal_edges`` are always views of ``log``; temporal edges are in
+    event-frame order, and each node's track is read from them.  A graph
+    built from views of all that one log holds, as ingestion and the
+    readers build it, takes that log, and so does a ``dataclasses.replace``
+    of the newest snapshot that keeps its frames and edges; any other graph
+    starts a log of its own from its frames and edges when it is built.
     """
 
     frames: Sequence[FrameGraph] = ()
@@ -483,31 +478,29 @@ class SceneGraph4D:
     next_node_id: int = 1
     next_track_id: int = 1
     frames_dropped: int = 0
-    log: GraphLog | None = field(default=None, init=False, repr=False)
+    log: GraphLog = field(init=False, repr=False)
 
-    @staticmethod
-    def on_log(log: GraphLog, tracks: Mapping[int, Track], next_node_id: int, next_track_id: int,
-               frames_dropped: int) -> "SceneGraph4D":
-        """The snapshot of everything ``log`` holds now."""
-        frames, edges = LogView(log.frames, len(log.frames)), LogView(log.edges, len(log.edges))
-        graph = SceneGraph4D(frames, edges, tracks, next_node_id, next_track_id, frames_dropped)
-        object.__setattr__(graph, "log", log)
-        return graph
-
-    def own_log(self) -> GraphLog:
-        """The log this snapshot reads: the one it was ingested on, else one started from its fields."""
-        if self.log is None:
-            object.__setattr__(self, "log", GraphLog(self.frames, self.temporal_edges))
-        return self.log
+    def __post_init__(self):
+        frames, edges = self.frames, self.temporal_edges
+        log = frames.log if isinstance(frames, LogView) else None
+        if not (
+            isinstance(edges, LogView) and edges.log is log
+            and len(frames) == len(log.frames) and len(edges) == len(log.edges)
+        ):
+            log = GraphLog(frames, edges)
+            frames, edges = log.views()
+            object.__setattr__(self, "frames", frames)
+            object.__setattr__(self, "temporal_edges", edges)
+        object.__setattr__(self, "log", log)
 
     def log_to_extend(self) -> GraphLog:
         """The log this snapshot is the newest on: its own, or a copy of its prefix."""
-        log = self.own_log()
+        log = self.log
         return log if len(log.frames) == len(self.frames) else GraphLog(self.frames, self.temporal_edges)
 
     @cached_property
     def node_index(self) -> Mapping[int, ObjectNode]:
-        return NodeIndex(self.own_log(), len(self.frames))
+        return NodeIndex(self.log, len(self.frames))
 
     def node(self, node_id: int) -> ObjectNode:
         try:
@@ -519,15 +512,15 @@ class SceneGraph4D:
         """Id of the track whose appeared or same-instance edge ends at the node; ``None`` when none does."""
         if node_id not in self.node_index:
             raise NotFound(f"node {node_id} not in graph")
-        return self.own_log().track_ids[node_id]
+        return self.log.track_ids[node_id]
 
     def frame_of(self, node_id: int) -> FrameGraph:
         """The frame that holds the node: its index and times are the node's."""
-        index = self.node_index  # reading its log and length directly keeps this as cheap as ``node``
-        pos = index._log.positions.get(node_id, index._n)
-        if not pos < index._n:
+        log, n = self.log, len(self.frames)
+        pos = log.positions.get(node_id, n)
+        if not pos < n:
             raise NotFound(f"node {node_id} not in graph")
-        return index._log.frames[pos]
+        return log.frames[pos]
 
     def frame(self, frame_index: int) -> FrameGraph:
         pos = frame_index - self.frames_dropped - 1
@@ -611,7 +604,10 @@ def time_order_problems(
 def chain_problems(graph: SceneGraph4D) -> Iterator[tuple[int, str]]:
     """Which track's temporal edges fail to chain its nodes, and why, as (track id, message).
 
-    A track is its edges.  Each track in ``graph.tracks`` starts with
+    A track is its edges.  Every edge is a same-instance, appeared or
+    disappeared edge; an appeared edge has no source, and a disappeared
+    edge no destination and an event frame in the graph.  Each track in
+    ``graph.tracks`` has an id below ``next_track_id`` and starts with
     exactly one appeared edge, and every appeared edge's track is one of
     them (only their ids are read).  Each same-instance or disappeared edge
     leaves from its track's newest node so far.  Each appeared or
@@ -621,13 +617,16 @@ def chain_problems(graph: SceneGraph4D) -> Iterator[tuple[int, str]]:
     """
     newest: dict[int, tuple[int, int]] = {}  # track id -> its newest node so far and that node's frame index
     holders: dict[int, int] = {}  # node id -> the track it is on
-    index = graph.node_index
+    log, index, frames = graph.log, graph.node_index, graph.frames
     for k, edge in enumerate(graph.temporal_edges):
         track_id, dst, where = edge.track_id, edge.dst_node, f"temporal_edges[{k}]"
         prev = newest.get(track_id)
         if edge.relation not in _TEMPORAL_RELATIONS:
-            continue  # validate_graph reports it, and the log puts no node on a track for it
+            yield track_id, f"{where}: unknown relation {edge.relation!r}"
+            continue
         if edge.relation == APPEARED:
+            if edge.src_node is not None:
+                yield track_id, f"{where}: appeared edge has source {edge.src_node}"
             if prev is not None:
                 yield track_id, f"{where}: a second appeared edge"
             elif track_id not in graph.tracks:
@@ -637,11 +636,16 @@ def chain_problems(graph: SceneGraph4D) -> Iterator[tuple[int, str]]:
         elif edge.src_node != prev[0]:
             yield track_id, f"{where}: source {edge.src_node} is not the track's newest node {prev[0]}"
         if edge.relation == DISAPPEARED:
+            if dst is not None:
+                yield track_id, f"{where}: disappeared edge has destination {dst}"
+            pos = edge.event_frame - graph.frames_dropped - 1  # where graph.frame looks for it
+            if not (0 <= pos < len(frames) and frames[pos].frame_index == edge.event_frame):
+                yield track_id, f"{where}: event frame {edge.event_frame} is not in the graph"
             continue
         if dst not in index:
             yield track_id, f"{where}: destination {dst} is not in the graph"
             continue
-        frame = graph.frame_of(dst).frame_index
+        frame = log.frames[log.positions[dst]].frame_index
         if frame != edge.event_frame:
             yield track_id, f"{where}: destination {dst} lies in frame {frame}, not in event frame {edge.event_frame}"
         if edge.relation == SAME_INSTANCE and prev is not None and not frame > prev[1]:
@@ -653,6 +657,8 @@ def chain_problems(graph: SceneGraph4D) -> Iterator[tuple[int, str]]:
     for track_id in graph.tracks:
         if track_id not in newest:
             yield track_id, "no appeared edge"
+        if track_id >= graph.next_track_id:
+            yield track_id, f"id not below next_track_id {graph.next_track_id}"
 
 
 def feature_problems(name: str, vec: np.ndarray, dim: int) -> Iterator[str]:
@@ -719,18 +725,6 @@ def validate_graph(graph: SceneGraph4D) -> list[str]:
             if edge.src not in frame_ids or edge.dst not in frame_ids:
                 out.append(f"{etag}: endpoint not in frame")
 
-    stored_frames = {fg.frame_index for fg in graph.frames}
-    for edge in graph.temporal_edges:
-        etag = f"temporal edge ({edge.relation}, track {edge.track_id})"
-        if edge.relation not in _TEMPORAL_RELATIONS:
-            out.append(f"{etag}: unknown relation")
-            continue
-        if edge.event_frame not in stored_frames:
-            out.append(f"{etag}: event frame {edge.event_frame} not in graph")
-        if edge.relation == APPEARED and edge.src_node is not None:
-            out.append(f"{etag}: appearance edge must not have a source")
-        if edge.relation == DISAPPEARED and edge.dst_node is not None:
-            out.append(f"{etag}: disappearance edge must not have a destination")
     out.extend(f"track {track_id}: {message}" for track_id, message in chain_problems(graph))
 
     for track_id, track in graph.tracks.items():
@@ -739,7 +733,5 @@ def validate_graph(graph: SceneGraph4D) -> list[str]:
             out.append(f"{ttag}: key does not match track_id {track.track_id}")
         if not isinstance(track.status, TrackStatus):
             out.append(f"{ttag}: bad status {track.status!r}")
-        if track_id >= graph.next_track_id:
-            out.append(f"{ttag}: id not below next_track_id {graph.next_track_id}")
 
     return out

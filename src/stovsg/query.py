@@ -132,7 +132,7 @@ def _track_window(graph: SceneGraph4D, node_id: int, newest: FrameGraph) -> tupl
     track_id = graph.track_of(node_id)
     if track_id is None:
         raise NotFound(f"node {node_id} is on no track")
-    log = graph.own_log()
+    log = graph.log
     ids = log.histories[track_id]
 
     def frame_index(nid: int) -> int:
@@ -184,10 +184,10 @@ def extract_subgraph(
     edges = tuple(
         e for e in aligned.spatial_edges if e.src in included and e.dst in included
     )
-    history = {}
+    log, history = graph.log, {}
     for nid in picked:
-        _, window = _track_window(graph, nid, newest)
-        history[nid] = tuple((graph.frame_of(wid).obs_time, graph.node(wid).centroid) for wid in window)
+        _, window = _track_window(graph, nid, newest)  # its nodes all lie in the snapshot, up to ``newest``
+        history[nid] = tuple((log.frames[log.positions[wid]].obs_time, log.nodes[wid].centroid) for wid in window)
     dynamics = lifecycle_events(graph, aligned.capture_time, newest.capture_time)
     return TaskSubgraph(
         command=command,

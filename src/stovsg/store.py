@@ -8,12 +8,13 @@ new graph is assembled, so a rejected frame leaves the caller's graph
 untouched.  The graph only grows: every frame stays, so a command can be
 grounded on any frame the operator saw however old.
 
-Snapshots along one line of ingests share a :class:`~stovsg.model.GraphLog`
-and each sees its own prefix of it.  Ingesting into the newest snapshot
-appends in place, so a frame costs the same however long the graph is;
-ingesting into an older one first copies its prefix into a new log.  Time
-lookups bisect on capture time, which strictly increases with the frame
-index.
+Every snapshot is built on a :class:`~stovsg.model.GraphLog`, an empty or
+``dataclasses.replace``-made one too, and snapshots along one line of
+ingests share one log, each seeing its own prefix of it.  Ingesting into
+the newest snapshot appends in place, so a frame costs the same however
+long the graph is; ingesting into an older one first copies its prefix into
+a new log.  Time lookups bisect on capture time, which strictly increases
+with the frame index.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass, replace
 from itertools import chain
 from operator import attrgetter
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -39,6 +40,7 @@ from .model import (
     Detection,
     FrameGraph,
     LatencyTag,
+    LogView,
     ObjectNode,
     RelationCandidate,
     SceneGraph4D,
@@ -221,7 +223,7 @@ def apply_outcome(
     log.append((frame,), new_edges)  # nothing above touched the log
     for track_id, descriptor in descriptors.items():
         tracks[track_id] = log.track(track_id, descriptor, TrackStatus.ACTIVE)
-    return SceneGraph4D.on_log(log, MappingProxyType(tracks), next_node_id, next_track_id, graph.frames_dropped)
+    return SceneGraph4D(*log.views(), MappingProxyType(tracks), next_node_id, next_track_id, graph.frames_dropped)
 
 
 def ingest_sequence(
@@ -237,7 +239,7 @@ _CAPTURE_TIME = attrgetter("capture_time")
 _EVENT_FRAME = attrgetter("event_frame")
 
 
-def captured_by(frames: Sequence[FrameGraph], time: float) -> int:
+def captured_by(frames: LogView, time: float) -> int:
     """How many of ``frames`` (in capture order) were captured at or before ``time``."""
     items, n = view_parts(frames)
     return 0 if math.isnan(time) else bisect_right(items, time, 0, n, key=_CAPTURE_TIME)

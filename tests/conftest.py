@@ -109,7 +109,6 @@ def make_track(
     label: str = "red mug",
     last_seen_time: float = 0.0,
     status: TrackStatus = TrackStatus.ACTIVE,
-    history: tuple[int, ...] = (1,),
 ) -> Track:
     return Track(
         track_id=track_id,
@@ -118,7 +117,6 @@ def make_track(
         label=label,
         last_seen_time=last_seen_time,
         status=status,
-        history=history,
     )
 
 

@@ -330,11 +330,20 @@ def lifecycle_events_oracle(frames, temporal_edges, start: float, end: float) ->
     return tuple(events)
 
 
-def history_window_oracle(frames, tracks, node_id: int, aligned_index: int, newest_index: int) -> tuple:
+def histories_oracle(temporal_edges) -> dict[int, tuple[int, ...]]:
+    """Each track's node ids, oldest first: the destinations of its appeared and same-instance edges, in edge order."""
+    out: dict[int, list[int]] = {}
+    for edge in temporal_edges:
+        if edge.relation in ("appeared", "same-instance") and edge.dst_node is not None:
+            out.setdefault(edge.track_id, []).append(edge.dst_node)
+    return {track_id: tuple(ids) for track_id, ids in out.items()}
+
+
+def history_window_oracle(frames, temporal_edges, node_id: int, aligned_index: int, newest_index: int) -> tuple:
     """(obs time, centroid) of ``node_id``'s track in every frame from ``aligned_index`` to ``newest_index``, by a full scan."""
-    holders = [track for track in tracks.values() if node_id in list(track.history)]
+    holders = [ids for ids in histories_oracle(temporal_edges).values() if node_id in ids]
     assert len(holders) == 1, f"node {node_id} is on {len(holders)} tracks"
-    on_track = set(holders[0].history)
+    on_track = set(holders[0])
     window = []
     for fg in frames:
         if aligned_index <= fg.frame_index <= newest_index:

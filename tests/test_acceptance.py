@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from stovsg import (
+    APPEARED,
     BoundingBox2D,
     CameraModel,
     EngineConfig,
@@ -164,7 +165,7 @@ def test_criterion_04_association_partitions_nodes_and_tracks():
         inputs, _ = generate_stream(spec)
         graph = empty_graph()
         for frame_input in inputs:
-            before = graph.tracks
+            before, seen = graph.tracks, len(graph.temporal_edges)
             graph = ingest_frame(graph, frame_input, config)
             frame = graph.frames[-1]
             now = frame.latency_tag.observed_time
@@ -181,11 +182,12 @@ def test_criterion_04_association_partitions_nodes_and_tracks():
                 and sorted(matched_n + list(outcome.new_nodes)) == node_ids
                 and not set(matched_n) & set(outcome.new_nodes)
             )
-            # the stored graph must agree with the recomputed outcome
+            # the stored graph must agree with the recomputed outcome: the frame's edges extend and open its tracks
+            added = [(e.relation, e.track_id, e.dst_node) for e in graph.temporal_edges[seen:]]
             for tid, nid, _ in outcome.accepted:
-                ok = ok and graph.tracks[tid].history[-1] == nid
+                ok = ok and (SAME_INSTANCE, tid, nid) in added
             for nid in outcome.new_nodes:
-                ok = ok and any(t.history == (nid,) for t in graph.tracks.values())
+                ok = ok and any(relation == APPEARED and dst == nid for relation, _, dst in added)
             violations += 0 if ok else 1
             frames_checked += 1
     assert violations == 0

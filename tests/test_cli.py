@@ -15,9 +15,12 @@ from stovsg import (
     command_to_dict,
     commands_from_scenario,
     dumps,
+    empty_graph,
     ground_command,
+    ingest_sequence,
     load_config,
     make_scenario,
+    parse_stream,
     parse_subgraph,
     read_graph,
     read_scenario,
@@ -441,11 +444,16 @@ def test_temporal_edges_that_break_a_track_chain_are_one_format_error(two_fps_sc
     graph = read_graph(built)
     broken = dataclasses.replace(graph, temporal_edges=tuple(edit(list(graph.temporal_edges))))
     assert message in validate_graph(broken)
+    _assert_each_graph_reader_refuses(broken, two_fps_scene, tmp_path, capsys, message)
+
+
+def _assert_each_graph_reader_refuses(broken, scene, tmp_path, capsys, message):
+    """``query``, ``export`` and ``score`` each refuse ``broken``, written as a file, as one ``graph: {message}``."""
     path = tmp_path / "graph.json"
     write_graph(broken, path)
     command = tmp_path / "command.json"
-    write_command_file(two_fps_scene / "scenario.json", command)
-    truth, scenario = two_fps_scene / "truth.json", two_fps_scene / "scenario.json"
+    write_command_file(scene / "scenario.json", command)
+    truth, scenario = scene / "truth.json", scene / "scenario.json"
     capsys.readouterr()
     for argv in (
         ["query", "--graph", path, "--command", command],
@@ -456,6 +464,58 @@ def test_temporal_edges_that_break_a_track_chain_are_one_format_error(two_fps_sc
         out, err = capsys.readouterr()
         (line,) = err.splitlines()
         assert out == "" and json.loads(line) == {"error": "format-error", "message": f"graph: {message}"}
+
+
+@pytest.fixture(scope="module")
+def delayed_scenes(tmp_path_factory):
+    """The occlusion_after_command and same_class_distractor scenes (seed 0, delay 1.0), through ``cli_main``."""
+    d = tmp_path_factory.mktemp("delayed")
+    for family in ("occlusion_after_command", "same_class_distractor"):
+        scene = ["--family", family, "--seed", "0", "--delay", "1.0", "--out-dir", str(d / family)]
+        assert cli_main(["simulate", *scene]) == 0
+    return d
+
+
+def _first_frames(scene, count):
+    """The graph of the scene's first ``count`` frames."""
+    _, inputs = parse_stream(scene / "stream.jsonl")
+    return ingest_sequence(empty_graph(), inputs[:count], EngineConfig())
+
+
+def _edge_changed(k, **changes):
+    def edit(graph):
+        edges = list(graph.temporal_edges)
+        edges[k] = dataclasses.replace(edges[k], **changes)
+        return dataclasses.replace(graph, temporal_edges=tuple(edges))
+
+    return edit
+
+
+# Edge 62 of the occlusion graph is its first disappeared edge: track 1 leaves node 58 in frame 21.
+# The distractor appears in frame 21 of its scene, so its first 20 frames hold tracks 1 and 2 only.
+EDGE_AND_TRACK_ID_FAULTS = {
+    "unknown-relation": (
+        "occlusion_after_command", 56, _edge_changed(62, relation="teleported"),
+        "track 1: temporal_edges[62]: unknown relation 'teleported'",
+    ),
+    "disappeared-with-destination": (
+        "occlusion_after_command", 56, _edge_changed(62, dst_node=58),
+        "track 1: temporal_edges[62]: disappeared edge has destination 58",
+    ),
+    "track-id-not-below-next": (
+        "same_class_distractor", 20, lambda graph: dataclasses.replace(graph, next_track_id=1),
+        "track 1: id not below next_track_id 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", EDGE_AND_TRACK_ID_FAULTS)
+def test_an_edge_or_track_id_that_breaks_a_rule_is_one_format_error(delayed_scenes, tmp_path, capsys, case):
+    family, frames, edit, message = EDGE_AND_TRACK_ID_FAULTS[case]
+    scene = delayed_scenes / family
+    broken = edit(_first_frames(scene, frames))
+    assert message in validate_graph(broken)
+    _assert_each_graph_reader_refuses(broken, scene, tmp_path, capsys, message)
 
 
 @pytest.mark.parametrize(
@@ -526,12 +586,13 @@ def test_a_detection_feature_whose_norm_overflows_is_refused_naming_the_detectio
 def test_a_graph_file_of_the_previous_schema_is_one_json_error(scored_scene, tmp_path, capsys):
     data = json.loads((scored_scene / "graph.json").read_text())
     data["schema"] = "stovsg-graph/4"  # whose tracks stored their history and their newest node's centroid, label, time
-    tracks = read_graph(scored_scene / "graph.json").tracks
+    built = read_graph(scored_scene / "graph.json")
     for record in data["tracks"]:
-        track = tracks[record["track_id"]]
+        track_id = record["track_id"]
+        track = built.tracks[track_id]
         record.update(
             centroid=track.centroid.tolist(), label=track.label, last_seen_time=track.last_seen_time,
-            history=list(track.history),
+            history=built.log.histories[track_id],
         )
     graph = tmp_path / "graph.json"
     graph.write_text(dumps(data) + "\n")

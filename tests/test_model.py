@@ -323,11 +323,25 @@ def test_validate_graph_flags_an_event_frame_that_is_not_stored(config):
     broken = replace(graph, temporal_edges=(replace(appeared, event_frame=7), same))
     assert validate_graph(broken) == [
         "temporal_edges[1].event_frame: 2 is before 7 (temporal edges must be in event-frame order)",
-        "temporal edge (appeared, track 1): event frame 7 not in graph",
         "track 1: temporal_edges[0]: destination 1 lies in frame 1, not in event frame 7",
     ]
     with pytest.raises(NotFound, match="frame 7"):
         lifecycle_events(broken, 0.0, 10.0)
+
+
+def test_validate_graph_reports_each_temporal_edge_and_track_id_rule_once(config):
+    # edges: track 1 appears at node 1, goes on to node 2, and disappears in frame 3
+    graph = ingest_frame(_two_frame_graph(config), make_frame_input(3.0), config)
+    for k, changes, message in [
+        (2, {"relation": "teleported"}, "track 1: temporal_edges[2]: unknown relation 'teleported'"),
+        (0, {"src_node": 2}, "track 1: temporal_edges[0]: appeared edge has source 2"),
+        (2, {"dst_node": 2}, "track 1: temporal_edges[2]: disappeared edge has destination 2"),
+        (2, {"event_frame": 7}, "track 1: temporal_edges[2]: event frame 7 is not in the graph"),
+    ]:
+        edges = list(graph.temporal_edges)
+        edges[k] = replace(edges[k], **changes)
+        assert validate_graph(replace(graph, temporal_edges=tuple(edges))) == [message]
+    assert validate_graph(replace(graph, next_track_id=1)) == ["track 1: id not below next_track_id 1"]
 
 
 def test_graph_lookup_helpers(config):

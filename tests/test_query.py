@@ -43,6 +43,7 @@ from oracles import (
     exact_cosine_oracle,
     frame_at_operator_time_oracle,
     frames_as_of_oracle,
+    histories_oracle,
     history_window_oracle,
     node_score_oracle,
     score_nodes_oracle,
@@ -277,7 +278,7 @@ def test_grounding_follows_the_track_to_the_present(config):
 
 def test_a_winner_on_no_track_is_not_found(config):
     graph = mug_scene(config)
-    assert tuple(graph.tracks[1].history) == (1, 3, 5)
+    assert histories_oracle(graph.temporal_edges)[1] == (1, 3, 5)
     # without the edge that opened the mug's track, node 1 is on no track
     edges = tuple(e for e in graph.temporal_edges if (e.relation, e.dst_node) != (APPEARED, 1))
     orphaned = replace(graph, temporal_edges=edges)
@@ -514,6 +515,6 @@ def test_subgraph_history_matches_the_scanning_oracle(latencies, data):
         assert sub.aligned_frame_index == aligned.frame_index
         assert sorted(sub.history) == sorted(node.node_id for node, _ in sub.nodes)
         for nid, entries in sub.history.items():
-            want = history_window_oracle(cut, graph.tracks, nid, aligned.frame_index, cut[-1].frame_index)
+            want = history_window_oracle(cut, graph.temporal_edges, nid, aligned.frame_index, cut[-1].frame_index)
             assert [t for t, _ in entries] == [t for t, _ in want]
             assert all(np.array_equal(got, c) for (_, got), (_, c) in zip(entries, want))

@@ -41,7 +41,7 @@ from stovsg.query import _align
 from stovsg.store import apply_outcome
 
 from conftest import axis, in_plane, make_detection, make_frame_input, make_node
-from oracles import frame_at_operator_time_oracle, frames_as_of_oracle, lifecycle_events_oracle
+from oracles import frame_at_operator_time_oracle, frames_as_of_oracle, histories_oracle, lifecycle_events_oracle
 
 
 def edges_of(graph, relation):
@@ -61,7 +61,7 @@ def test_persistent_object_builds_one_track(config):
     assert list(graph.tracks) == [1]
     track = graph.tracks[1]
     assert track.status is TrackStatus.ACTIVE
-    assert track.history == (1, 2)
+    assert histories_oracle(graph.temporal_edges) == {1: (1, 2)}
     appeared = edges_of(graph, APPEARED)
     linked = edges_of(graph, SAME_INSTANCE)
     assert len(appeared) == 1 and appeared[0].dst_node == 1
@@ -255,10 +255,10 @@ def test_reappearance_within_grace_bridges_the_gap(config):
     assert list(graph.tracks) == [1]
     track = graph.tracks[1]
     assert track.status is TrackStatus.ACTIVE
-    assert track.history == (1, 2, 3)
+    assert histories_oracle(graph.temporal_edges) == {1: (1, 2, 3)}
     spans = [(graph.frame_of(e.src_node).frame_index, e.dst_frame) for e in edges_of(graph, SAME_INSTANCE)]
     assert spans == [(1, 2), (2, 4)]  # second link jumps the occluded frame
-    assert [graph.frame_of(nid).frame_index for nid in track.history] == [1, 2, 4]
+    assert [graph.frame_of(nid).frame_index for nid in (1, 2, 3)] == [1, 2, 4]
     assert validate_graph(graph) == []
 
 
@@ -438,17 +438,41 @@ def test_branching_from_an_older_snapshot_matches_independent_builds(config):
     assert validate_graph(g12) == [] and validate_graph(b12) == []
 
 
-def test_graphs_without_a_log_start_one_on_first_ingest(config):
+@pytest.mark.parametrize(
+    "made, shares",
+    [
+        (lambda g: replace(g, frames_dropped=0), True),
+        (lambda g: replace(g, frames=tuple(g.frames)), False),
+        (lambda g: replace(g, temporal_edges=list(g.temporal_edges)), False),
+        (lambda g: graph_from_dict(graph_to_dict(g)), False),
+    ],
+    ids=["replace-scalar", "replace-frames", "replace-edges", "read-back"],
+)
+def test_every_snapshot_is_built_on_a_log(config, made, shares):
     inputs = _scene_inputs(9)
+    expected = _text(ingest_sequence(empty_graph(), inputs, config))
     g8 = ingest_sequence(empty_graph(), inputs[:8], config)
-    expected = _text(ingest_frame(g8, inputs[8], config))
-    read_back, replaced = graph_from_dict(graph_to_dict(g8)), replace(g8, frames_dropped=0)
-    assert read_back.log is not None and replaced.log is None  # a graph read back is built on its log
-    for start in (read_back, replaced):
-        after = ingest_frame(start, inputs[8], config)
-        assert start.log is after.log  # the new log is the start's own, extended in place
-        assert _text(after) == expected
+    start = made(g8)
+    assert (start.log is g8.log) is shares  # only a graph whose views cover all of one log takes that log
+    assert start.frames.log is start.log and start.temporal_edges.log is start.log
+    after = ingest_frame(start, inputs[8], config)
+    assert after.log is start.log  # the start is the newest on its log, which is extended in place
+    assert _text(after) == expected
     assert _text(g8) == _text(ingest_sequence(empty_graph(), inputs[:8], config))
+
+
+def test_reading_a_snapshot_never_changes_its_log(config):
+    inputs = _scene_inputs(6)
+    g5 = ingest_sequence(empty_graph(), inputs[:5], config)
+    g6 = ingest_frame(g5, inputs[5], config)
+    for graph in (empty_graph(), g5, g6, replace(g5, next_track_id=9), replace(g6, frames=tuple(g6.frames))):
+        log = graph.log
+        held = (len(log.frames), len(log.edges), len(log.nodes))
+        for node_id in graph.node_index:
+            graph.node(node_id), graph.track_of(node_id), graph.frame_of(node_id)
+        list(graph.tracks.values())
+        validate_graph(graph)
+        assert graph.log is log and (len(log.frames), len(log.edges), len(log.nodes)) == held
 
 
 def test_rejected_frame_leaves_the_log_to_the_snapshot(config):
@@ -484,7 +508,8 @@ def test_an_outcome_extending_one_track_twice_is_refused(config):
         apply_outcome(graph, both, frame, config, 5)
     once = AssociationOutcome(accepted=((1, 3, 0.1),), new_nodes=(4,), disappeared=(2,))
     after = apply_outcome(graph, once, frame, config, 5)
-    assert after.log is graph.log and after.tracks[1].history == (1, 3) and after.track_of(4) == 3
+    assert after.log is graph.log and after.track_of(3) == 1 and after.track_of(4) == 3
+    assert histories_oracle(after.temporal_edges) == {1: (1, 3), 2: (2,), 3: (4,)}
 
 
 # --- time lookups against full-scan oracles -----------------------------------
