@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -58,25 +59,22 @@ def lift_mask(depth: DepthImage, mask: PixelMask, camera: CameraModel) -> np.nda
 
     Pixels whose depth is zero or non-finite are dropped; the result keeps
     the mask's pixel order.  Out-of-bounds pixels reject the whole call.
+    A mask of a few dozen pixels costs mostly NumPy calls, so this makes
+    few: one min and one max for the bounds, no filtering copy when every
+    reading is valid, and no stacking.
     """
     _check_camera(camera)
     if not mask.in_bounds(depth.width, depth.height):
         raise InputRejected("mask pixel outside depth image bounds")
-    if len(mask) == 0:
-        return np.zeros((0, 3))
-    u = mask.pixels[:, 0]
-    v = mask.pixels[:, 1]
-    d = depth.values[v, u].astype(np.float64)
+    pixels = mask.pixels
+    d = depth.values[pixels[:, 1], pixels[:, 0]].astype(np.float64)
     keep = np.isfinite(d) & (d > 0)
-    u, v, d = u[keep], v[keep], d[keep]
-    cam = np.stack(
-        [
-            d * (u - camera.cx) / camera.fx,
-            d * (v - camera.cy) / camera.fy,
-            d,
-        ],
-        axis=1,
-    )
+    if np.count_nonzero(keep) < len(d):
+        pixels, d = pixels[keep], d[keep]
+    cam = np.empty((len(d), 3))
+    cam[:, 0] = d * (pixels[:, 0] - camera.cx) / camera.fx
+    cam[:, 1] = d * (pixels[:, 1] - camera.cy) / camera.fy
+    cam[:, 2] = d
     return cam @ camera.rotation.T + camera.translation
 
 
@@ -103,6 +101,34 @@ def centroid_and_size(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not np.isfinite(pts).all():
         raise InputRejected("point set contains non-finite values")
     return pts.mean(axis=0), pts.max(axis=0) - pts.min(axis=0)
+
+
+def centroids_and_sizes(clouds: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`centroid_and_size` of each non-empty (N, 3) float64 cloud, bit for bit, as rows.
+
+    All clouds are reduced together, so a frame pays a few NumPy calls in
+    all rather than a few per node.  The extents take one
+    ``np.minimum.reduceat``/``np.maximum.reduceat`` each over the
+    concatenated points; a NaN or an infinity always reaches the min or
+    the max, so non-finite extremes refuse the set as
+    :func:`centroid_and_size` does.  ``np.mean`` over axis 0 adds one point
+    after another, and ``np.add.reduceat`` sums in another order, which
+    would move the last bit of centroids.  So the centroids are one sum
+    over the first axis of a (most points x clouds x 3) array padded with
+    ``-0.0``: it also adds one point of every cloud after another, and
+    adding ``-0.0`` leaves every sum (``-0.0`` too) as it is.
+    """
+    counts = [len(cloud) for cloud in clouds]
+    points = np.concatenate(clouds)
+    starts = [0, *accumulate(counts[:-1])]
+    lo = np.minimum.reduceat(points, starts)
+    hi = np.maximum.reduceat(points, starts)
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise InputRejected("point set contains non-finite values")
+    padded = np.full((max(counts), len(clouds), 3), -0.0)
+    for k, cloud in enumerate(clouds):
+        padded[: len(cloud), k] = cloud
+    return padded.sum(axis=0) / np.array(counts)[:, None], hi - lo
 
 
 def _require_valid(*boxes: BoundingBox2D) -> None:

@@ -113,8 +113,8 @@ class BoundingBox2D:
         return (self.x_min, self.y_min, self.x_max, self.y_max)
 
     def is_valid(self) -> bool:
-        vals = self.as_tuple()
-        return all(math.isfinite(v) for v in vals) and self.x_min < self.x_max and self.y_min < self.y_max
+        """Every edge finite and each min below its max (a NaN fails every comparison)."""
+        return -math.inf < self.x_min < self.x_max < math.inf and -math.inf < self.y_min < self.y_max < math.inf
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,11 +143,11 @@ class PixelMask:
         return int(self.pixels.shape[0])
 
     def in_bounds(self, width: int, height: int) -> bool:
-        if len(self) == 0:
+        """Whether every pixel lies in a ``width`` x ``height`` image: one min and one max over the pixels."""
+        if not len(self.pixels):
             return True
-        u = self.pixels[:, 0]
-        v = self.pixels[:, 1]
-        return bool((u >= 0).all() and (u < width).all() and (v >= 0).all() and (v < height).all())
+        u_max, v_max = self.pixels.max(axis=0).tolist()
+        return bool(self.pixels.min() >= 0) and u_max < width and v_max < height
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,11 +317,28 @@ class FrameGraph:
     def feature_norms(self) -> tuple[tuple[float, float], ...]:
         """Each node's ``(f_txt, f_img)`` :func:`vector_norm`, in node order.
 
-        Taken on first use and kept: a command scores its aligned frame
-        when it is grounded and again when it is exported, and a frame's
-        nodes never change.
+        Kept once taken: a command scores its aligned frame when it is
+        grounded and again when it is exported, and a frame's nodes never
+        change.  An ingested frame has them from :meth:`with_norms`; any
+        other takes them on first use.
         """
         return tuple((vector_norm(node.f_txt), vector_norm(node.f_img)) for node in self.nodes)
+
+    @classmethod
+    def with_norms(
+        cls,
+        frame_index: int,
+        latency_tag: LatencyTag,
+        nodes: tuple[ObjectNode, ...],
+        spatial_edges: tuple[SpatialEdge, ...],
+        feature_norms: tuple[tuple[float, float], ...],
+    ) -> FrameGraph:
+        """A frame whose :attr:`feature_norms` are given: ingestion took them to check the features."""
+        frame = cls(frame_index, latency_tag, nodes, spatial_edges)
+        # an instance attribute hides the cached property, as its own cache does, but
+        # without making the instance's ``__dict__`` a separate object for the collector
+        object.__setattr__(frame, "feature_norms", feature_norms)
+        return frame
 
     @property
     def obs_time(self) -> float:
@@ -661,9 +678,13 @@ def chain_problems(graph: SceneGraph4D) -> Iterator[tuple[int, str]]:
             yield track_id, f"id not below next_track_id {graph.next_track_id}"
 
 
-def feature_problems(name: str, vec: np.ndarray, dim: int) -> Iterator[str]:
-    """Why the feature vector ``name`` could not be compared with a command of ``dim`` numbers."""
-    norm = vector_norm(vec)  # not finite when an entry is not, or when the sum of squares overflows
+def feature_problems(name: str, vec: np.ndarray, dim: int, norm: float | None = None) -> Iterator[str]:
+    """Why the feature vector ``name`` could not be compared with a command of ``dim`` numbers.
+
+    ``norm``, when given, is the caller's :func:`vector_norm` of ``vec``.
+    """
+    if norm is None:
+        norm = vector_norm(vec)  # not finite when an entry is not, or when the sum of squares overflows
     if not math.isfinite(norm):
         yield f"non-finite {name}" if not _finite(vec) else f"{name} norm overflows"
     elif norm == 0.0:  # all zeros, or so small that its square underflows
@@ -727,11 +748,27 @@ def validate_graph(graph: SceneGraph4D) -> list[str]:
 
     out.extend(f"track {track_id}: {message}" for track_id, message in chain_problems(graph))
 
+    newest: dict[int, int] = {}  # track id -> the newest node its edges reach in this snapshot
+    for edge in graph.temporal_edges:
+        if edge.relation in _LINKS and edge.dst_node in graph.node_index:
+            newest[edge.track_id] = edge.dst_node
     for track_id, track in graph.tracks.items():
         ttag = f"track {track_id}"
         if track.track_id != track_id:
             out.append(f"{ttag}: key does not match track_id {track.track_id}")
         if not isinstance(track.status, TrackStatus):
             out.append(f"{ttag}: bad status {track.status!r}")
+        if track_id not in newest:
+            continue  # the chain's problem, reported above
+        # a track holds its newest node's fields; a node's own bad field is the node's problem, reported above
+        node = graph.node(newest[track_id])
+        seen = graph.frame_of(node.node_id).obs_time
+        ntag = f"its newest node {node.node_id}'s"
+        if not np.array_equal(track.centroid, node.centroid) and _finite(node.centroid):
+            out.append(f"{ttag}: centroid {track.centroid.tolist()} is not {ntag} {node.centroid.tolist()}")
+        if track.label != node.label and not any(label_problems(node.label)):
+            out.append(f"{ttag}: label {track.label!r} is not {ntag} {node.label!r}")
+        if track.last_seen_time != seen and not math.isnan(seen):
+            out.append(f"{ttag}: last_seen_time {track.last_seen_time} is not {ntag} observed time {seen}")
 
     return out

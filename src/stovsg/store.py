@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Iterable
 import numpy as np
 
 from .errors import InputRejected, NoAlignedFrame
-from .geometry import DepthImage, centroid_and_size, lift_mask
+from .geometry import DepthImage, centroids_and_sizes, lift_mask
 from .model import (
     APPEARED,
     DISAPPEARED,
@@ -103,6 +103,9 @@ def ingest_frame(graph: SceneGraph4D, frame_input: FrameInput, config: "EngineCo
     detection or candidate, or a frame out of time order, rejects the whole
     frame; detections whose mask has no valid depth reading are silently
     dropped (they cannot be grounded in 3D), with the candidates naming them.
+    The frame's point clouds are reduced together once every detection has
+    passed its own checks, so non-finite points are refused after any
+    other fault of a detection, a later one's too.
     """
     tag = frame_input.latency_tag
     depth = frame_input.depth
@@ -113,7 +116,8 @@ def ingest_frame(graph: SceneGraph4D, frame_input: FrameInput, config: "EngineCo
     feature_dim = first.f_img.shape[0] if first else None
 
     frame_index = graph.frames_dropped + len(graph.frames) + 1
-    nodes: list[ObjectNode] = []
+    kept: list[tuple[int, str, Detection, np.ndarray]] = []  # (node id, label, detection, points) per node
+    norms: list[tuple[float, float]] = []  # each node's (f_txt, f_img) norm
     node_id_of_det: dict[int, int] = {}
     node_boxes: dict[int, BoundingBox2D] = {}
     next_node_id = graph.next_node_id
@@ -126,18 +130,31 @@ def ingest_frame(graph: SceneGraph4D, frame_input: FrameInput, config: "EngineCo
         if len(det.mask) == 0:
             raise InputRejected(f"{where}: empty mask")
         label = normalize_label(det.label)
-        img, txt = feature_problems("f_img", det.f_img, feature_dim), feature_problems("f_txt", det.f_txt, feature_dim)
+        txt_norm, img_norm = vector_norm(det.f_txt), vector_norm(det.f_img)
+        img = feature_problems("f_img", det.f_img, feature_dim, img_norm)
+        txt = feature_problems("f_txt", det.f_txt, feature_dim, txt_norm)
         for problem in chain(img, txt, label_problems(label)):
             raise InputRejected(f"{where}: {problem}")
         points = lift_mask(depth, det.mask, frame_input.camera)
         if len(points) == 0:
             continue  # no depth evidence anywhere under the mask
         points = _subsample(points)
-        centroid, size = centroid_and_size(points)
+        points.setflags(write=False)  # fresh, so the node keeps it uncopied
         node_id_of_det[det_index] = next_node_id
         node_boxes[next_node_id] = det.box
-        nodes.append(ObjectNode(next_node_id, label, det.f_img, det.f_txt, centroid, size, points))
+        kept.append((next_node_id, label, det, points))
+        norms.append((txt_norm, img_norm))
         next_node_id += 1
+
+    nodes: list[ObjectNode] = []
+    if kept:  # one reduction for the whole frame, bit for bit the per-node one
+        centroids, sizes = centroids_and_sizes([points for *_, points in kept])
+        centroids.setflags(write=False)  # fresh, so each node keeps its rows uncopied
+        sizes.setflags(write=False)
+        nodes = [
+            ObjectNode(node_id, label, det.f_img, det.f_txt, centroid, size, points)
+            for (node_id, label, det, points), centroid, size in zip(kept, centroids, sizes)
+        ]
 
     candidates = []
     for cand in frame_input.relation_candidates:
@@ -148,7 +165,7 @@ def ingest_frame(graph: SceneGraph4D, frame_input: FrameInput, config: "EngineCo
             candidates.append(RelationCandidate(src, dst, cand.relation, cand.zone))
     edges = resolve_ambiguous(candidates, node_boxes, config.spatial)
 
-    frame = FrameGraph(frame_index, tag, tuple(nodes), tuple(edges))
+    frame = FrameGraph.with_norms(frame_index, tag, tuple(nodes), tuple(edges), tuple(norms))
     outcome = associate(graph.tracks, nodes, config.temporal, now=tag.observed_time)
     return apply_outcome(graph, outcome, frame, config, next_node_id)
 
@@ -186,18 +203,24 @@ def apply_outcome(
     descriptors: dict[int, np.ndarray] = {}  # id of each track seen in this frame -> its new descriptor
     next_track_id = graph.next_track_id
 
+    extended: dict[int, ObjectNode] = {}  # id of each accepted track -> its new node
     for track_id, node_id, _cost in outcome.accepted:
         if track_id not in tracks:
             raise InputRejected(f"outcome references unknown track {track_id}")
         if node_id not in by_id:
             raise InputRejected(f"outcome references node {node_id} not in frame")
-        if track_id in descriptors:
+        if track_id in extended:
             raise InputRejected(f"outcome extends track {track_id} twice")
-        node = by_id[node_id]
+        extended[track_id] = by_id[node_id]
         new_edges.append(TemporalEdge(SAME_INSTANCE, track_id, frame.frame_index, log.histories[track_id][-1], node_id))
-        blended = (1.0 - alpha) * tracks[track_id].descriptor + alpha * node.f_img
-        norm = vector_norm(blended)
-        descriptors[track_id] = blended / norm if norm > 0 else _unit(node.f_img)
+    if extended:  # one blend for all; each norm per row, since a row-wise norm(axis=1) sums in another order
+        previous = np.array([tracks[track_id].descriptor for track_id in extended])
+        blended = (1.0 - alpha) * previous + alpha * np.array([node.f_img for node in extended.values()])
+        norms = [vector_norm(row) for row in blended]
+        units = blended / np.array([norm if norm > 0 else 1.0 for norm in norms])[:, None]
+        units.setflags(write=False)  # fresh, so each track keeps its row uncopied
+        for (track_id, node), unit, norm in zip(extended.items(), units, norms):
+            descriptors[track_id] = unit if norm > 0 else _unit(node.f_img)
 
     for node_id in outcome.new_nodes:
         if node_id not in by_id:

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from stovsg import (
     BoundingBox2D,
@@ -18,7 +21,8 @@ from stovsg import (
     spatial_cost,
     union_box,
 )
-from stovsg.geometry import _area, _center, _diagonal
+from stovsg.geometry import _area, _center, _diagonal, centroids_and_sizes
+from stovsg.store import MAX_POINTS
 
 from conftest import make_camera, rect_mask
 from oracles import iou_oracle, lift_pixel_oracle, project_point_oracle, random_rotation
@@ -104,6 +108,72 @@ def test_lift_mask_skips_invalid_depths_and_matches_per_pixel_oracle():
         for u in (10, 12, 14, 16, 18, 19)
     ]
     assert np.allclose(points, expected, rtol=1e-12, atol=0.0)
+
+
+@st.composite
+def _masks_on_depth(draw, all_valid: bool):
+    """A random camera pose, a depth image and a mask on it; some readings zero, negative, NaN or infinite unless ``all_valid``."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    camera = make_camera(
+        fx=float(rng.uniform(50, 800)), cx=float(rng.uniform(0, 40)), rotation=random_rotation(rng),
+        translation=rng.uniform(-2, 2, size=3),
+    )
+    values = rng.uniform(0.1, 8.0, size=(24, 32)).astype(np.float32)
+    if not all_valid:
+        bad = rng.random(values.shape) < draw(st.sampled_from([0.1, 0.5, 1.0]))
+        values[bad] = rng.choice(np.array([0.0, -1.0, np.nan, np.inf], dtype=np.float32), size=int(bad.sum()))
+    pixels = rng.integers(0, (32, 24), size=(draw(st.integers(1, 60)), 2))
+    return DepthImage(values), PixelMask.from_pixels(pixels), camera
+
+
+@pytest.mark.parametrize("all_valid", [True, False], ids=["every-depth-valid", "some-depths-invalid"])
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_lift_mask_matches_a_per_pixel_lift_pixel_oracle(all_valid, data):
+    depth, mask, camera = data.draw(_masks_on_depth(all_valid))
+    want = [
+        lift_pixel(float(u), float(v), float(depth.values[v, u]), camera)
+        for u, v in mask.pixels
+        if np.isfinite(depth.values[v, u]) and depth.values[v, u] > 0
+    ]
+    points = lift_mask(depth, mask, camera)
+    assert points.shape == (len(want), 3) and points.dtype == np.float64
+    assert np.allclose(points, np.reshape(want, (-1, 3)), rtol=1e-12, atol=1e-12)
+
+
+_COORDINATE = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def _cloud(draw):
+    """A non-empty (N, 3) cloud: element by element when small, else by a seeded generator with signed zeros."""
+    if draw(st.booleans()):
+        return draw(hnp.arrays(np.float64, st.tuples(st.integers(1, 12), st.just(3)), elements=_COORDINATE))
+    n = draw(st.sampled_from([1, MAX_POINTS]) | st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cloud = rng.normal(scale=10.0 ** draw(st.integers(-3, 3)), size=(n, 3))
+    for zero in (-0.0, 0.0):
+        cloud[rng.random(cloud.shape) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = zero
+    return cloud
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(clouds=st.lists(_cloud(), min_size=1, max_size=6))
+def test_the_frame_reduction_is_centroid_and_size_per_cloud_bit_for_bit(clouds):
+    centroids, sizes = centroids_and_sizes(clouds)
+    for cloud, centroid, size in zip(clouds, centroids, sizes, strict=True):
+        want_centroid, want_size = centroid_and_size(cloud)
+        assert (centroid.view(np.int64) == want_centroid.view(np.int64)).all()
+        assert (size.view(np.int64) == want_size.view(np.int64)).all()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [0, 1, MAX_POINTS - 1])
+def test_the_frame_reduction_refuses_a_non_finite_point_anywhere(value, where):
+    clouds = [np.ones((2, 3)), np.zeros((MAX_POINTS, 3)), np.full((1, 3), -0.0)]
+    clouds[1][where, where % 3] = value
+    with pytest.raises(InputRejected, match="^point set contains non-finite values$"):
+        centroids_and_sizes(clouds)
 
 
 def test_lift_mask_preserves_mask_pixel_order():

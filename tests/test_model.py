@@ -51,6 +51,16 @@ def test_bounding_box_validity():
     assert not BoundingBox2D(0, 0, math.nan, 1).is_valid()
 
 
+@pytest.mark.parametrize("edge", [math.nan, math.inf, -math.inf, 0.0, 1.0, 2.0])
+@pytest.mark.parametrize("k", range(4))
+def test_box_validity_is_finite_edges_with_each_min_below_its_max(k, edge):
+    # 0.0 and 1.0 make a min equal to its max; 2.0 puts a min above it
+    values = [0.0, 0.0, 1.0, 1.0]
+    values[k] = edge
+    finite_rule = all(math.isfinite(v) for v in values) and values[0] < values[2] and values[1] < values[3]
+    assert BoundingBox2D(*values).is_valid() is finite_rule
+
+
 def test_pixel_mask_dedup_keeps_first_occurrence_order():
     mask = PixelMask.from_pixels([[3, 1], [1, 1], [3, 1], [2, 0]])
     assert mask.pixels.tolist() == [[3, 1], [1, 1], [2, 0]]

@@ -36,11 +36,11 @@ from stovsg import (
     make_scenario,
     validate_graph,
 )
-from stovsg.model import AssociationOutcome, FrameGraph, LatencyTag
+from stovsg.model import AssociationOutcome, FrameGraph, LatencyTag, vector_norm
 from stovsg.query import _align
 from stovsg.store import apply_outcome
 
-from conftest import axis, in_plane, make_detection, make_frame_input, make_node
+from conftest import axis, in_plane, make_camera, make_detection, make_frame_input, make_node
 from oracles import frame_at_operator_time_oracle, frames_as_of_oracle, histories_oracle, lifecycle_events_oracle
 
 
@@ -165,6 +165,36 @@ def _without_depth_under(frame, det_index):
     u, v = frame.detections[det_index].mask.pixels.T
     values[v, u] = 0.0
     return replace(frame, depth=DepthImage(values))
+
+
+def test_an_ingested_frame_has_the_norms_its_feature_checks_took(config, monkeypatch):
+    inputs, _ = generate_stream(make_scenario("same_class_distractor", {"seed": 0}))
+    graph = ingest_sequence(empty_graph(), inputs[:20], config)
+    taken = []
+    for where in ("stovsg.model.vector_norm", "stovsg.store.vector_norm"):  # every name ingest could take a norm by
+        monkeypatch.setattr(where, lambda v: taken.append(v) or vector_norm(v))
+    graph = ingest_frame(graph, inputs[20], config)
+    frame = graph.frames[-1]
+    features = [f for det in inputs[20].detections for f in (det.f_txt, det.f_img)]
+    relations = [edge.relation for edge in graph.temporal_edges if edge.event_frame == frame.frame_index]
+    # the feature checks take one norm per feature; then each new descriptor takes one
+    assert all(a is b for a, b in zip(taken, features))
+    assert len(taken) == len(features) + relations.count(SAME_INSTANCE) + relations.count(APPEARED) == 9
+    assert "feature_norms" in vars(frame)  # already kept, not taken on first use
+    assert frame.feature_norms == FrameGraph(frame.frame_index, frame.latency_tag, frame.nodes, ()).feature_norms
+
+
+def test_a_frame_with_two_faults_reports_the_invalid_box_before_the_non_finite_points(config):
+    # detection 0 lifts to infinite points through a focal length of 1e-308; detection 1 has a zero-width box
+    flat = replace(make_detection(30, 10), box=BoundingBox2D(30.0, 10.0, 30.0, 14.0))
+    frame = make_frame_input(1.0, detections=(make_detection(), flat), camera=make_camera(fx=1e-308))
+    # every cloud's centroid and size are taken together, after the loop over the detections
+    with pytest.warns(RuntimeWarning), pytest.raises(InputRejected) as refused:
+        ingest_frame(empty_graph(), frame, config)
+    assert str(refused.value) == "detection 1: invalid box (30.0, 10.0, 30.0, 14.0)"
+    with pytest.warns(RuntimeWarning), pytest.raises(InputRejected) as refused:
+        ingest_frame(empty_graph(), replace(frame, detections=frame.detections[:1]), config)
+    assert str(refused.value) == "point set contains non-finite values"
 
 
 def test_a_candidate_naming_a_detection_without_depth_is_dropped_with_it(config):
