@@ -56,6 +56,7 @@ from .model import (
     SceneGraph4D,
     SpatialEdge,
     TemporalEdge,
+    Track,
     TrackStatus,
     chain_problems,
     freeze_array,
@@ -543,22 +544,13 @@ TEMPORAL_EDGE = record(
 )
 
 
-@dataclasses.dataclass(frozen=True)
-class _TrackRecord:
-    """What a graph file holds of a track: the rest of a :class:`Track` follows from its temporal edges."""
-
-    track_id: int
-    descriptor: np.ndarray
-    status: TrackStatus
-
-
 TRACK = record(
-    _TrackRecord,
+    Track,
     ("track_id", "track_id", INT),
     ("descriptor", "descriptor", VECTOR),
     ("status", "status", STATUS),
 )
-# tracks are written as a list sorted by track id, and read as records by id
+# tracks are written as a list sorted by track id, and read by id
 TRACKS = list_of(
     TRACK,
     lambda tracks: (t for _, t in sorted(tracks.items())),
@@ -800,7 +792,7 @@ command_to_dict = COMMAND.encode
 
 
 def _snapshot(file: SceneGraph4D) -> SceneGraph4D:
-    """The snapshot a decoded graph file stands for, on the file's log; ``file.tracks`` holds the track records.
+    """The decoded graph file, once its time order and its tracks' edges are known to hold.
 
     A file whose frames or edges are out of time order, or whose edges or
     track ids break a rule of :func:`~stovsg.model.chain_problems`, is a
@@ -810,8 +802,7 @@ def _snapshot(file: SceneGraph4D) -> SceneGraph4D:
         raise FormatError(f"graph: {path}: {message}")
     for track_id, message in chain_problems(file):
         raise FormatError(f"graph: track {track_id}: {message}")
-    tracks = {tid: file.log.track(tid, t.descriptor, t.status) for tid, t in file.tracks.items()}
-    return dataclasses.replace(file, tracks=MappingProxyType(tracks))
+    return file
 
 
 def graph_from_dict(data: Any) -> SceneGraph4D:
@@ -909,7 +900,6 @@ def _read_graph_text(text: str) -> SceneGraph4D:
     The walk over the top-level object and its arrays is ``json``'s own, so
     a syntax error is reported as ``json.loads`` reports it.  A fault is
     found in file order: of two faults, the first in the file is reported.
-    The result still holds the track records (see :func:`_snapshot`).
     """
     head = _GRAPH_HEAD.match(text)
     if head is None:

@@ -11,6 +11,7 @@ contracts.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
@@ -282,21 +283,17 @@ class TrackStatus(str, Enum):
 
 @dataclass(frozen=True, eq=False)
 class Track:
-    """Persistent object identity with its running appearance summary.
+    """Persistent object identity with its running appearance summary, as a graph file holds it.
 
-    Its nodes are the destinations of its temporal edges: see
-    :class:`GraphLog` for them, oldest first.
+    Its nodes are the destinations of its temporal edges, oldest first (see
+    :class:`GraphLog`); the newest is :meth:`SceneGraph4D.newest_node`.
     """
 
     track_id: int
-    centroid: np.ndarray  # last observed 3D centroid
     descriptor: np.ndarray  # exponentially averaged image feature, unit norm
-    label: str
-    last_seen_time: float  # operator-visible time of the newest observation
     status: TrackStatus
 
     def __post_init__(self):
-        object.__setattr__(self, "centroid", freeze_array(self.centroid))
         object.__setattr__(self, "descriptor", freeze_array(self.descriptor))
 
 
@@ -437,12 +434,6 @@ class GraphLog:
         """Views of all the frames and of all the temporal edges the log holds now."""
         return LogView(self, self.frames, len(self.frames)), LogView(self, self.edges, len(self.edges))
 
-    def track(self, track_id: int, descriptor: np.ndarray, status: TrackStatus) -> Track:
-        """The track as its edges leave it: its newest node's centroid, label and observed time."""
-        newest = self.nodes[self.histories[track_id][-1]]
-        seen_at = self.frames[self.positions[newest.node_id]].obs_time
-        return Track(track_id, newest.centroid, descriptor, newest.label, seen_at, status)
-
 
 class NodeIndex(Mapping):
     """Node id -> node over a log, limited to a snapshot's first ``n`` frames.
@@ -538,6 +529,17 @@ class SceneGraph4D:
         if not pos < n:
             raise NotFound(f"node {node_id} not in graph")
         return log.frames[pos]
+
+    def newest_node(self, track_id: int) -> ObjectNode:
+        """The track's newest node in this snapshot: the end of its history, or on an older snapshot a bisection."""
+        log, n = self.log, len(self.frames)
+        ids = log.histories.get(track_id, ())
+        k = len(ids)
+        if k and not log.positions.get(ids[-1], n) < n:  # a newer snapshot on the log has extended the track
+            k = bisect_left(ids, n, key=lambda nid: log.positions.get(nid, n))
+        if not k:
+            raise NotFound(f"track {track_id} has no node in graph")
+        return log.nodes[ids[k - 1]]
 
     def frame(self, frame_index: int) -> FrameGraph:
         pos = frame_index - self.frames_dropped - 1
@@ -748,27 +750,11 @@ def validate_graph(graph: SceneGraph4D) -> list[str]:
 
     out.extend(f"track {track_id}: {message}" for track_id, message in chain_problems(graph))
 
-    newest: dict[int, int] = {}  # track id -> the newest node its edges reach in this snapshot
-    for edge in graph.temporal_edges:
-        if edge.relation in _LINKS and edge.dst_node in graph.node_index:
-            newest[edge.track_id] = edge.dst_node
     for track_id, track in graph.tracks.items():
         ttag = f"track {track_id}"
         if track.track_id != track_id:
             out.append(f"{ttag}: key does not match track_id {track.track_id}")
         if not isinstance(track.status, TrackStatus):
             out.append(f"{ttag}: bad status {track.status!r}")
-        if track_id not in newest:
-            continue  # the chain's problem, reported above
-        # a track holds its newest node's fields; a node's own bad field is the node's problem, reported above
-        node = graph.node(newest[track_id])
-        seen = graph.frame_of(node.node_id).obs_time
-        ntag = f"its newest node {node.node_id}'s"
-        if not np.array_equal(track.centroid, node.centroid) and _finite(node.centroid):
-            out.append(f"{ttag}: centroid {track.centroid.tolist()} is not {ntag} {node.centroid.tolist()}")
-        if track.label != node.label and not any(label_problems(node.label)):
-            out.append(f"{ttag}: label {track.label!r} is not {ntag} {node.label!r}")
-        if track.last_seen_time != seen and not math.isnan(seen):
-            out.append(f"{ttag}: last_seen_time {track.last_seen_time} is not {ntag} observed time {seen}")
 
     return out

@@ -45,6 +45,7 @@ from .model import (
     RelationCandidate,
     SceneGraph4D,
     TemporalEdge,
+    Track,
     TrackStatus,
     AssociationOutcome,
     feature_problems,
@@ -166,7 +167,7 @@ def ingest_frame(graph: SceneGraph4D, frame_input: FrameInput, config: "EngineCo
     edges = resolve_ambiguous(candidates, node_boxes, config.spatial)
 
     frame = FrameGraph.with_norms(frame_index, tag, tuple(nodes), tuple(edges), tuple(norms))
-    outcome = associate(graph.tracks, nodes, config.temporal, now=tag.observed_time)
+    outcome = associate(graph, nodes, config.temporal, now=tag.observed_time)
     return apply_outcome(graph, outcome, frame, config, next_node_id)
 
 
@@ -186,8 +187,8 @@ def apply_outcome(
     disappeared for longer than the grace period retire.  Everything is
     checked before the log is appended to, the frame's time order too, so a
     refused outcome changes nothing.  The log takes each track's history
-    from the edges; the tracks seen in this frame are made from it after
-    the append.  ``next_node_id`` is the new graph's.
+    from the edges; a track seen in this frame is its id, its new
+    descriptor and the active status.  ``next_node_id`` is the new graph's.
     """
     for path, message in time_order_problems(graph, frame):
         raise InputRejected(f"{path}: {message}")
@@ -240,12 +241,12 @@ def apply_outcome(
             tracks[track_id] = replace(track, status=TrackStatus.DISAPPEARED)
 
     for track_id, track in tracks.items():
-        if track.status is TrackStatus.DISAPPEARED and not matchable(track, config.temporal, now):
+        if track.status is TrackStatus.DISAPPEARED and not matchable(graph, track, config.temporal, now):
             tracks[track_id] = replace(track, status=TrackStatus.RETIRED)
+    for track_id, descriptor in descriptors.items():
+        tracks[track_id] = Track(track_id, descriptor, TrackStatus.ACTIVE)
 
     log.append((frame,), new_edges)  # nothing above touched the log
-    for track_id, descriptor in descriptors.items():
-        tracks[track_id] = log.track(track_id, descriptor, TrackStatus.ACTIVE)
     return SceneGraph4D(*log.views(), MappingProxyType(tracks), next_node_id, next_track_id, graph.frames_dropped)
 
 

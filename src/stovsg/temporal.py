@@ -11,13 +11,13 @@ marks a disappearance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, NoReturn, Sequence
+from typing import NoReturn, Sequence
 
 import numpy as np
 
 from .assignment import min_cost_assignment
 from .errors import InputRejected
-from .model import AssociationOutcome, ObjectNode, Track, TrackStatus, cosine
+from .model import AssociationOutcome, ObjectNode, SceneGraph4D, Track, TrackStatus, cosine
 
 @dataclass(frozen=True)
 class TemporalWeights:
@@ -40,45 +40,45 @@ class CostMatrix:
     node_ids: tuple[int, ...]
 
 
-def temporal_cost(track: Track, node: ObjectNode, w: TemporalWeights = TemporalWeights()) -> float:
-    """Matching cost between one track and one candidate node: the one-pair block.
+def temporal_cost(track: Track, newest: ObjectNode, node: ObjectNode, w: TemporalWeights = TemporalWeights()) -> float:
+    """Matching cost between a track, whose newest node is ``newest``, and a candidate node: the one-pair block.
 
     Position is the centroid gap normalized by ``d_max`` and clamped to 1, so
     a far-off candidate is penalized no worse than ``w_pos``; appearance is
     one minus the cosine between the track descriptor and the node's image
     feature; a flat ``delta_cls`` is added when labels disagree.
     """
-    return float(_cost_block((track,), (node,), w)[0, 0])
+    return float(_cost_block((track,), (newest,), (node,), w)[0, 0])
 
 
-def matchable(track: Track, w: TemporalWeights, now: float) -> bool:
-    """Whether ``track`` can take a node at ``now``: active, or disappeared within the grace period."""
+def matchable(graph: SceneGraph4D, track: Track, w: TemporalWeights, now: float) -> bool:
+    """Whether ``track`` can take a node at ``now``: active, or disappeared but observed within the grace period."""
     if track.status is TrackStatus.DISAPPEARED:
-        return now - track.last_seen_time <= w.grace_period
+        return now - graph.frame_of(graph.newest_node(track.track_id).node_id).obs_time <= w.grace_period
     return track.status is TrackStatus.ACTIVE
 
 
-def eligible_tracks(tracks: Mapping[int, Track], w: TemporalWeights, now: float) -> list[Track]:
-    """The tracks :func:`matchable` at ``now``, by ascending track id."""
-    return [tracks[tid] for tid in sorted(tracks) if matchable(tracks[tid], w, now)]
+def eligible_tracks(graph: SceneGraph4D, w: TemporalWeights, now: float) -> list[Track]:
+    """The tracks of ``graph`` :func:`matchable` at ``now``, by ascending track id."""
+    return [track for _, track in sorted(graph.tracks.items()) if matchable(graph, track, w, now)]
 
 
 def build_cost_matrix(
-    tracks: Mapping[int, Track],
+    graph: SceneGraph4D,
     nodes: Sequence[ObjectNode],
     w: TemporalWeights,
     now: float,
 ) -> CostMatrix:
-    """Pairwise costs between matchable tracks (rows) and frame nodes (cols).
+    """Pairwise costs between matchable tracks of ``graph`` (rows) and frame nodes (cols).
 
     Rows are the matchable tracks (:func:`eligible_tracks`) by ascending
     track id, columns follow the frame's node order.  Each cell is
     :func:`temporal_cost` of its pair, computed for the whole block at
     once; a block with cells raises what the first failing pair would.
     """
-    rows = eligible_tracks(tracks, w, now)
+    rows = eligible_tracks(graph, w, now)
     if rows and nodes:
-        values = _cost_block(rows, nodes, w)
+        values = _cost_block(rows, [graph.newest_node(t.track_id) for t in rows], nodes, w)
     else:
         values = np.zeros((len(rows), len(nodes)), dtype=np.float64)
     return CostMatrix(
@@ -88,8 +88,10 @@ def build_cost_matrix(
     )
 
 
-def _cost_block(rows: Sequence[Track], nodes: Sequence[ObjectNode], w: TemporalWeights) -> np.ndarray:
-    """The matching cost of every (track, node) pair, as one broadcast."""
+def _cost_block(
+    rows: Sequence[Track], newest: Sequence[ObjectNode], nodes: Sequence[ObjectNode], w: TemporalWeights
+) -> np.ndarray:
+    """The matching cost of every (track, node) pair, as one broadcast; ``newest`` holds each track's newest node."""
     dim = nodes[0].f_img.shape
     if (
         w.d_max <= 0
@@ -104,12 +106,12 @@ def _cost_block(rows: Sequence[Track], nodes: Sequence[ObjectNode], w: TemporalW
         _raise_first_failing_pair(rows, nodes, w)
     # clamped like ``cosine``: rounding can leave [-1, 1] by a hair
     cos = np.minimum(np.maximum(feats[:k] @ feats[k:].T / np.outer(norms[:k], norms[k:]), -1.0), 1.0)
-    centroids = np.array([t.centroid for t in rows] + [n.centroid for n in nodes])
+    centroids = np.array([n.centroid for n in newest] + [n.centroid for n in nodes])
     gap = np.linalg.norm(centroids[:k, None] - centroids[k:], axis=2)
     # integer codes compare labels as Python strings do (NumPy's fixed-width
     # strings would ignore trailing NULs)
     codes: dict[str, int] = {}
-    labels = np.array([codes.setdefault(x.label, len(codes)) for x in (*rows, *nodes)])
+    labels = np.array([codes.setdefault(n.label, len(codes)) for n in (*newest, *nodes)])
     pos = w.w_pos * np.minimum(gap / w.d_max, 1.0)
     vis = w.w_vis * (1.0 - cos)
     cls = w.delta_cls * (labels[:k, None] != labels[k:])
@@ -138,18 +140,18 @@ def solve_assignment(matrix: CostMatrix) -> list[tuple[int, int]]:
 
 
 def associate(
-    tracks: Mapping[int, Track],
+    graph: SceneGraph4D,
     nodes: Sequence[ObjectNode],
     w: TemporalWeights,
     now: float,
 ) -> AssociationOutcome:
-    """Match a frame's nodes against live tracks and gate by threshold.
+    """Match a frame's nodes against the live tracks of ``graph`` and gate by threshold.
 
     Every matchable track lands in exactly one of ``accepted`` or
     ``disappeared``, and every node in exactly one of ``accepted`` or
     ``new_nodes``; assignment pairs at or above ``eta`` are rejected.
     """
-    matrix = build_cost_matrix(tracks, nodes, w, now)
+    matrix = build_cost_matrix(graph, nodes, w, now)
     pairs = solve_assignment(matrix)
 
     accepted: list[tuple[int, int, float]] = []

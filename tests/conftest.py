@@ -1,21 +1,28 @@
 from __future__ import annotations
 
+from types import MappingProxyType
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
 from stovsg import (
+    APPEARED,
     BoundingBox2D,
     CameraModel,
     Detection,
     DepthImage,
     EngineConfig,
+    FrameGraph,
     FrameInput,
     LatencyTag,
     ObjectNode,
     PixelMask,
+    SceneGraph4D,
     Track,
     TrackStatus,
 )
+from stovsg.model import TemporalEdge
 
 DIM = 8
 
@@ -102,22 +109,47 @@ def make_node(
     )
 
 
-def make_track(
-    track_id: int,
-    centroid=(0.0, 0.0, 1.0),
-    descriptor: np.ndarray | None = None,
-    label: str = "red mug",
-    last_seen_time: float = 0.0,
-    status: TrackStatus = TrackStatus.ACTIVE,
-) -> Track:
-    return Track(
-        track_id=track_id,
-        centroid=np.asarray(centroid, dtype=np.float64),
-        descriptor=descriptor if descriptor is not None else axis(1),
-        label=label,
-        last_seen_time=last_seen_time,
-        status=status,
-    )
+class TrackSpec(NamedTuple):
+    """A track for :func:`track_graph`: its record, and its newest node's centroid, label and observed time."""
+
+    track_id: int
+    centroid: tuple = (0.0, 0.0, 1.0)
+    descriptor: np.ndarray | None = None
+    label: str = "red mug"
+    obs_time: float = 0.0
+    status: TrackStatus = TrackStatus.ACTIVE
+
+
+TRACK_NODE_IDS = 10_000  # track k's one node is node TRACK_NODE_IDS + k, clear of the ids the tests give nodes
+
+
+def track_graph(*tracks: TrackSpec) -> SceneGraph4D:
+    """A graph of the given tracks, each one node on an appeared edge, in the order given.
+
+    Each track's node lies in a frame observed at its ``obs_time``, and
+    carries its descriptor as its image feature.  Tracks observed at one
+    time share a frame; frames are captured in order of observed time,
+    each with no transmission latency, so that its observed time is exactly
+    the one given.
+    """
+    descriptors = {t.track_id: t.descriptor if t.descriptor is not None else axis(1) for t in tracks}
+    frames, edges = [], []
+    for index, time in enumerate(sorted({t.obs_time for t in tracks}), 1):
+        on = [t for t in tracks if t.obs_time == time]
+        nodes = tuple(
+            make_node(TRACK_NODE_IDS + t.track_id, t.centroid, t.label, f_img=descriptors[t.track_id]) for t in on
+        )
+        frames.append(FrameGraph(index, LatencyTag(time, 0.0), nodes, ()))
+        edges += [TemporalEdge(APPEARED, t.track_id, index, dst_node=TRACK_NODE_IDS + t.track_id) for t in on]
+    records = {t.track_id: Track(t.track_id, descriptors[t.track_id], t.status) for t in tracks}
+    last = max(records, default=0)
+    return SceneGraph4D(tuple(frames), tuple(edges), MappingProxyType(records), TRACK_NODE_IDS + last + 1, last + 1)
+
+
+def one_track(**fields) -> tuple[Track, ObjectNode]:
+    """Track 1 with the given :class:`TrackSpec` fields, and its newest node."""
+    graph = track_graph(TrackSpec(1, **fields))
+    return graph.tracks[1], graph.newest_node(1)
 
 
 @pytest.fixture

@@ -65,7 +65,7 @@ from stovsg import (
     write_scenario,
     write_stream,
 )
-from conftest import axis, make_node, make_track
+from conftest import axis, make_node, one_track
 from oracles import random_rotation
 
 SWEEP_DELAYS = (0.25, 0.5, 1.0, 2.0, 5.0)
@@ -141,9 +141,9 @@ def test_criterion_03_worked_examples_match_straight_line_arithmetic():
     assert math.isclose(got_cost, want_cost, rel_tol=1e-12)
 
     # identity-matching cost: half of d_max away, orthogonal looks, new label
-    track = make_track(1, centroid=(0.0, 0.0, 1.0), descriptor=axis(1), label="red mug")
+    track = one_track(centroid=(0.0, 0.0, 1.0), descriptor=axis(1), label="red mug")
     node = make_node(7, centroid=(0.5, 0.0, 1.0), f_img=axis(2), label="apple")
-    got_cost = temporal_cost(track, node, TemporalWeights())
+    got_cost = temporal_cost(*track, node, TemporalWeights())
     want_cost = 0.4 * (0.5 / 1.0) + 0.4 * (1.0 - 0.0) + 0.2
     assert math.isclose(got_cost, want_cost, rel_tol=1e-12)
 
@@ -165,7 +165,7 @@ def test_criterion_04_association_partitions_nodes_and_tracks():
         inputs, _ = generate_stream(spec)
         graph = empty_graph()
         for frame_input in inputs:
-            before, seen = graph.tracks, len(graph.temporal_edges)
+            before, seen = graph, len(graph.temporal_edges)  # the newer snapshot extends the log they share
             graph = ingest_frame(graph, frame_input, config)
             frame = graph.frames[-1]
             now = frame.latency_tag.observed_time
@@ -353,7 +353,7 @@ def test_criterion_10_grace_period_controls_track_identity():
 
     # default grace (10 s) comfortably exceeds the 2 s occlusion
     graph = ingest_sequence(empty_graph(), inputs, EngineConfig())
-    mug_tracks = [t for t in graph.tracks.values() if t.label == "red mug"]
+    mug_tracks = [t for t in graph.tracks.values() if graph.newest_node(t.track_id).label == "red mug"]
     assert len(mug_tracks) == 1
     gap_edges = [
         e
@@ -368,7 +368,7 @@ def test_criterion_10_grace_period_controls_track_identity():
         EngineConfig(), temporal=dataclasses.replace(TemporalWeights(), grace_period=0.5)
     )
     graph2 = ingest_sequence(empty_graph(), inputs, short)
-    mug_tracks2 = [t for t in graph2.tracks.values() if t.label == "red mug"]
+    mug_tracks2 = [t for t in graph2.tracks.values() if graph2.newest_node(t.track_id).label == "red mug"]
     assert len(mug_tracks2) == 2
     assert not [
         e

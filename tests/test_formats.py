@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -53,6 +54,7 @@ from stovsg import (
     scenario_to_dict,
     serialize_subgraph,
     SimObject,
+    Track,
     subgraph_payload,
     truth_to_dict,
     validate_graph,
@@ -64,6 +66,7 @@ from stovsg import (
 )
 
 from stovsg.cli import main as cli_main
+from stovsg.formats import TRACK
 
 from conftest import axis, make_detection, make_frame_input
 from oracles import canonical_dumps_oracle
@@ -1006,6 +1009,12 @@ KEY_PATHS = {
         engine.descriptor_alpha engine.centroid_tol
     """.split(),
 }
+
+
+def test_a_track_in_memory_is_the_record_a_graph_file_holds():
+    names = tuple(field.name for field in dataclasses.fields(Track))
+    assert names == ("track_id", "descriptor", "status")
+    assert names == tuple(attr for _, attr, _ in TRACK.fields.rows)
 
 
 def test_written_files_keep_their_key_order(tmp_path):

@@ -4,6 +4,7 @@ import json
 import math
 from contextlib import nullcontext
 from dataclasses import replace
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -19,6 +20,10 @@ from stovsg import (
     LatencyTag,
     NotFound,
     PixelMask,
+    SceneGraph4D,
+    Track,
+    TrackStatus,
+    associate,
     cosine,
     empty_graph,
     generate_stream,
@@ -186,10 +191,26 @@ def test_a_graph_read_back_keeps_the_arrays_its_reader_decoded(config, tmp_path,
     graph = read_graph(path)
     assert seen.copies == 0
     arrays = [a for f in graph.frames for n in f.nodes for a in (n.f_img, n.f_txt, n.centroid, n.size, n.points)]
-    arrays += [a for t in graph.tracks.values() for a in (t.centroid, t.descriptor)]
-    assert len(arrays) == 2 * 5 + 2
+    arrays += [t.descriptor for t in graph.tracks.values()]
+    assert len(arrays) == 2 * 5 + 1
     for arr in arrays:
         assert freeze_array(arr) is arr
+
+
+def test_a_track_with_no_node_in_the_snapshot_is_not_found(config):
+    built = SceneGraph4D(tracks=MappingProxyType({1: Track(1, axis(1), TrackStatus.ACTIVE)}), next_track_id=2)
+    for graph, track_id in ((built, 1), (built, 7), (empty_graph(), 1)):
+        with pytest.raises(NotFound, match=rf"^'track {track_id} has no node in graph'$"):
+            graph.newest_node(track_id)
+    with pytest.raises(NotFound, match="^'track 1 has no node in graph'$"):
+        associate(built, [make_node(5)], config.temporal, now=0.0)
+    # a track a newer snapshot opened on the shared log has no node in the older one
+    older = ingest_frame(empty_graph(), make_frame_input(1.0, detections=(make_detection(),)), config)
+    apple = make_detection(x0=110, label="apple", f_img=axis(3))
+    newer = ingest_frame(older, make_frame_input(2.0, detections=(apple,)), config)
+    assert newer.log is older.log and newer.newest_node(2).label == "apple"
+    with pytest.raises(NotFound, match="^'track 2 has no node in graph'$"):
+        older.newest_node(2)
 
 
 def test_camera_violations():

@@ -76,7 +76,7 @@ def test_distinct_objects_get_distinct_tracks(config):
         empty_graph(), make_frame_input(1.0, detections=(make_detection(), far)), config
     )
     assert sorted(graph.tracks) == [1, 2]
-    assert {t.label for t in graph.tracks.values()} == {"red mug", "apple"}
+    assert {graph.newest_node(tid).label for tid in graph.tracks} == {"red mug", "apple"}
 
 
 def test_node_geometry_comes_from_depth_backprojection(config):
@@ -106,11 +106,11 @@ def test_track_attributes_refresh_on_match(config):
         ],
         config,
     )
-    track = graph.tracks[1]
-    assert track.label == "coffee mug"  # corrected to the newest observation
+    track, newest = graph.tracks[1], graph.newest_node(1)
+    assert newest.label == "coffee mug"  # corrected to the newest observation
     blended = 0.7 * first + 0.3 * second
     np.testing.assert_allclose(track.descriptor, blended / np.linalg.norm(blended), rtol=1e-12)
-    assert track.last_seen_time == 2.5
+    assert graph.frame_of(newest.node_id).obs_time == 2.5
 
 
 def test_relation_candidates_are_rewritten_to_node_ids(config):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,66 +9,70 @@ import pytest
 from stovsg import (
     CostMatrix,
     InputRejected,
+    SceneGraph4D,
     TemporalWeights,
     TrackStatus,
     associate,
     build_cost_matrix,
     eligible_tracks,
+    empty_graph,
+    ingest_frame,
+    ingest_sequence,
     solve_assignment,
     temporal_cost,
 )
 
-from conftest import DIM, axis, in_plane, make_node, make_track
+from conftest import DIM, TrackSpec, axis, in_plane, make_detection, make_frame_input, make_node, one_track, track_graph
 from oracles import brute_force_assignment, temporal_cost_oracle
 
 W = TemporalWeights()  # 0.4 / 0.4 / 0.2, d_max 1, eta 0.5, grace 10
 
 
 def test_zero_cost_for_identical_observation():
-    track = make_track(1, centroid=(0.2, 0.3, 1.0), descriptor=axis(2))
+    track = one_track(centroid=(0.2, 0.3, 1.0), descriptor=axis(2))
     node = make_node(5, centroid=(0.2, 0.3, 1.0), f_img=axis(2))
-    assert temporal_cost(track, node, W) == 0.0
+    assert temporal_cost(*track, node, W) == 0.0
 
 
 def test_frozen_mixed_example():
     # half d_max away, orthogonal appearance, label mismatch:
     # 0.4 * 0.5 + 0.4 * 1.0 + 0.2
-    track = make_track(1, centroid=(0.0, 0.0, 1.0), descriptor=axis(1), label="red mug")
+    track = one_track(centroid=(0.0, 0.0, 1.0), descriptor=axis(1), label="red mug")
     node = make_node(5, centroid=(0.5, 0.0, 1.0), f_img=axis(2), label="apple")
-    assert math.isclose(temporal_cost(track, node, W), 0.8, rel_tol=1e-12)
+    assert math.isclose(temporal_cost(*track, node, W), 0.8, rel_tol=1e-12)
 
 
 def test_motion_term_saturates_at_w_pos():
-    track = make_track(1, centroid=(0.0, 0.0, 0.0))
+    track = one_track(centroid=(0.0, 0.0, 0.0))
     near = make_node(5, centroid=(1.0, 0.0, 0.0))
     far = make_node(6, centroid=(5.0, 0.0, 0.0))
-    assert temporal_cost(track, far, W) == temporal_cost(track, near, W) == pytest.approx(0.4, rel=1e-12)
+    assert temporal_cost(*track, far, W) == temporal_cost(*track, near, W) == pytest.approx(0.4, rel=1e-12)
 
 
 def test_appearance_term_uses_cosine():
-    track = make_track(1, descriptor=axis(0))
+    track = one_track(descriptor=axis(0))
     node = make_node(5, centroid=(0.0, 0.0, 1.0), f_img=in_plane(45.0))
     want = 0.4 * (1.0 - math.cos(math.radians(45.0)))
-    assert math.isclose(temporal_cost(track, node, W), want, rel_tol=1e-12)
+    assert math.isclose(temporal_cost(*track, node, W), want, rel_tol=1e-12)
 
 
 def test_label_mismatch_adds_exactly_the_class_penalty():
-    track = make_track(1, label="red mug")
+    track = one_track(label="red mug")
     same = make_node(5, centroid=(0.0, 0.0, 1.0), label="red mug")
     other = make_node(6, centroid=(0.0, 0.0, 1.0), label="apple")
-    delta = temporal_cost(track, other, W) - temporal_cost(track, same, W)
+    delta = temporal_cost(*track, other, W) - temporal_cost(*track, same, W)
     assert math.isclose(delta, W.delta_cls, rel_tol=1e-12)
 
 
 def test_cost_rejections():
-    track = make_track(1)
+    track = one_track()
     node = make_node(5)
     with pytest.raises(InputRejected):
-        temporal_cost(track, node, TemporalWeights(d_max=0.0))
+        temporal_cost(*track, node, TemporalWeights(d_max=0.0))
     with pytest.raises(InputRejected):
-        temporal_cost(make_track(1, descriptor=np.zeros(DIM)), node, W)
+        temporal_cost(*one_track(descriptor=np.zeros(DIM)), node, W)
     with pytest.raises(InputRejected):
-        temporal_cost(make_track(1, descriptor=np.ones(3)), node, W)
+        temporal_cost(*one_track(descriptor=np.ones(3)), node, W)
 
 
 def test_cost_matches_oracle_on_random_inputs():
@@ -80,51 +85,51 @@ def test_cost_matches_oracle_on_random_inputs():
         nf = rng.normal(size=DIM)
         tl = labels[rng.integers(3)]
         nl = labels[rng.integers(3)]
-        track = make_track(1, centroid=tc, descriptor=td, label=tl)
+        track = one_track(centroid=tc, descriptor=td, label=tl)
         node = make_node(5, centroid=nc, f_img=nf, label=nl)
         want = temporal_cost_oracle(tc, td, tl, nc, nf, nl, W.w_pos, W.w_vis, W.delta_cls, W.d_max)
-        assert math.isclose(temporal_cost(track, node, W), want, rel_tol=1e-12)
+        assert math.isclose(temporal_cost(*track, node, W), want, rel_tol=1e-12)
 
 
 def test_matrix_matches_independent_cost_calls():
-    tracks = {
-        3: make_track(3, centroid=(0.0, 0.0, 1.0), descriptor=axis(1), label="red mug"),
-        1: make_track(1, centroid=(1.0, 0.0, 1.0), descriptor=axis(2), label="apple"),
-    }
+    graph = track_graph(
+        TrackSpec(3, centroid=(0.0, 0.0, 1.0), descriptor=axis(1), label="red mug"),
+        TrackSpec(1, centroid=(1.0, 0.0, 1.0), descriptor=axis(2), label="apple"),
+    )
     nodes = [
         make_node(10, centroid=(0.1, 0.0, 1.0), f_img=axis(1), label="red mug"),
         make_node(11, centroid=(0.9, 0.0, 1.0), f_img=axis(3), label="phone"),
     ]
-    matrix = build_cost_matrix(tracks, nodes, W, now=1.0)
+    matrix = build_cost_matrix(graph, nodes, W, now=1.0)
     assert matrix.track_ids == (1, 3)  # ascending id order regardless of dict order
     assert matrix.node_ids == (10, 11)
     for i, tid in enumerate(matrix.track_ids):
         for j, node in enumerate(nodes):
-            assert matrix.values[i, j] == temporal_cost(tracks[tid], node, W)
+            assert matrix.values[i, j] == temporal_cost(graph.tracks[tid], graph.newest_node(tid), node, W)
 
 
 def test_matrix_empty_sides():
-    assert build_cost_matrix({}, [make_node(1)], W, now=0.0).values.shape == (0, 1)
-    assert build_cost_matrix({1: make_track(1)}, [], W, now=0.0).values.shape == (1, 0)
+    assert build_cost_matrix(track_graph(), [make_node(1)], W, now=0.0).values.shape == (0, 1)
+    assert build_cost_matrix(track_graph(TrackSpec(1)), [], W, now=0.0).values.shape == (1, 0)
     # the cost checks run per cell, so a block without cells passes them
     bad = TemporalWeights(d_max=0.0)
-    zero = make_track(1, descriptor=np.zeros(DIM))
-    assert build_cost_matrix({}, [], bad, now=0.0).values.shape == (0, 0)
-    assert build_cost_matrix({}, [make_node(1), make_node(2)], bad, now=0.0).values.shape == (0, 2)
-    assert build_cost_matrix({1: zero, 2: make_track(2)}, [], bad, now=0.0).values.shape == (2, 0)
+    zero = TrackSpec(1, descriptor=np.zeros(DIM))
+    assert build_cost_matrix(track_graph(), [], bad, now=0.0).values.shape == (0, 0)
+    assert build_cost_matrix(track_graph(), [make_node(1), make_node(2)], bad, now=0.0).values.shape == (0, 2)
+    assert build_cost_matrix(track_graph(zero, TrackSpec(2)), [], bad, now=0.0).values.shape == (2, 0)
 
 
 def _random_block(rng, n_tracks, n_nodes):
     labels = ("red mug", "apple", "yellow block")
-    tracks = {
-        tid: make_track(
+    tracks = [
+        TrackSpec(
             tid,
             centroid=rng.uniform(-1, 1, 3),
             descriptor=rng.normal(size=DIM),
             label=labels[rng.integers(3)],
         )
         for tid in range(1, n_tracks + 1)
-    }
+    ]
     nodes = [
         make_node(
             100 + j,
@@ -144,11 +149,12 @@ def test_matrix_cells_agree_with_cost_calls_on_random_features():
     for n_tracks, n_nodes in ((1, 1), (3, 5), (7, 2), (12, 12)):
         for _ in range(10):
             tracks, nodes = _random_block(rng, n_tracks, n_nodes)
-            matrix = build_cost_matrix(tracks, nodes, W, now=0.0)
+            graph = track_graph(*tracks)
+            matrix = build_cost_matrix(graph, nodes, W, now=0.0)
             assert matrix.values.shape == (n_tracks, n_nodes)
-            for i, track in enumerate(tracks.values()):
+            for i, (tid, track) in enumerate(graph.tracks.items()):
                 for j, node in enumerate(nodes):
-                    assert abs(matrix.values[i, j] - temporal_cost(track, node, W)) <= 1e-15
+                    assert abs(matrix.values[i, j] - temporal_cost(track, graph.newest_node(tid), node, W)) <= 1e-15
 
 
 @pytest.mark.parametrize("where", ["track", "node"])
@@ -158,15 +164,16 @@ def test_one_bad_vector_in_a_block_is_rejected(where, fault):
     tracks, nodes = _random_block(rng, 4, 5)
     bad = np.zeros(DIM) if fault == "zero-norm" else np.ones(DIM + 1)
     if where == "track":
-        tracks[3] = make_track(3, descriptor=bad)
+        tracks[2] = TrackSpec(3, descriptor=bad)
     else:
         nodes[3] = make_node(103, f_img=bad)
+    graph = track_graph(*tracks)
     with pytest.raises(InputRejected) as got:
-        build_cost_matrix(tracks, nodes, W, now=0.0)
+        build_cost_matrix(graph, nodes, W, now=0.0)
     with pytest.raises(InputRejected) as want:  # the first failing pair in row order
-        for track in tracks.values():
+        for tid, track in graph.tracks.items():
             for node in nodes:
-                temporal_cost(track, node, W)
+                temporal_cost(track, graph.newest_node(tid), node, W)
     assert str(got.value) == str(want.value)
 
 
@@ -175,20 +182,45 @@ def test_non_positive_d_max_rejects_a_block_with_cells():
     tracks, nodes = _random_block(rng, 3, 3)
     for d_max in (0.0, -1.0):
         with pytest.raises(InputRejected, match="d_max"):
-            build_cost_matrix(tracks, nodes, TemporalWeights(d_max=d_max), now=0.0)
+            build_cost_matrix(track_graph(*tracks), nodes, TemporalWeights(d_max=d_max), now=0.0)
 
 
 def test_eligibility_honors_grace_period_boundary():
-    tracks = {
-        1: make_track(1, status=TrackStatus.ACTIVE, last_seen_time=0.0),
-        2: make_track(2, status=TrackStatus.DISAPPEARED, last_seen_time=10.0),
-        3: make_track(3, status=TrackStatus.DISAPPEARED, last_seen_time=9.9),
-        4: make_track(4, status=TrackStatus.RETIRED, last_seen_time=19.9),
-    }
+    graph = track_graph(
+        TrackSpec(1, status=TrackStatus.ACTIVE, obs_time=0.0),
+        TrackSpec(2, status=TrackStatus.DISAPPEARED, obs_time=10.0),
+        TrackSpec(3, status=TrackStatus.DISAPPEARED, obs_time=9.9),
+        TrackSpec(4, status=TrackStatus.RETIRED, obs_time=19.9),
+    )
     # grace 10: track 2 sits exactly on the boundary (inclusive), track 3 is
     # 0.1 s past it, retired tracks never come back
-    got = [t.track_id for t in eligible_tracks(tracks, W, now=20.0)]
+    got = [t.track_id for t in eligible_tracks(graph, W, now=20.0)]
     assert got == [1, 2]
+
+
+@pytest.mark.parametrize("now", [3.9, 4.1], ids=["inside-grace", "past-grace"])
+def test_an_older_snapshot_associates_as_its_standalone_rebuild(config, now):
+    config = replace(config, temporal=replace(config.temporal, grace_period=2.5))
+    mug, apple = make_detection(x0=10), make_detection(x0=110, label="apple", f_img=axis(3))
+    # the mug (track 1) is observed at 1.5 and then lost, so its grace period ends at 4.0
+    inputs = [make_frame_input(t, detections=(mug, apple) if t == 1.0 else (apple,)) for t in (1.0, 2.0, 3.0)]
+    older = ingest_sequence(empty_graph(), inputs, config)
+    # a newer snapshot on the same log finds the mug again, moved and relabelled, just inside that period
+    found = make_frame_input(3.5, detections=(make_detection(x0=12, label="coffee mug"), apple))
+    newer = ingest_frame(older, found, config)
+    assert newer.log is older.log and older.tracks[1].status is TrackStatus.DISAPPEARED
+    assert older.newest_node(1).node_id == 1 and newer.newest_node(1).label == "coffee mug"
+    alone = SceneGraph4D(
+        tuple(older.frames), tuple(older.temporal_edges), older.tracks,
+        older.next_node_id, older.next_track_id, older.frames_dropped,
+    )
+    assert alone.log is not older.log
+    nodes, w = newer.frames[-1].nodes, config.temporal
+    got, want = build_cost_matrix(older, nodes, w, now), build_cost_matrix(alone, nodes, w, now)
+    assert (got.track_ids, got.node_ids) == (want.track_ids, want.node_ids)
+    assert got.track_ids == ((1, 2) if now - 1.5 <= 2.5 else (2,))
+    assert got.values.tobytes() == want.values.tobytes()
+    assert associate(older, nodes, w, now) == associate(alone, nodes, w, now)
 
 
 def test_solve_assignment_rejects_negative_entries():
@@ -210,29 +242,29 @@ def test_solve_assignment_prefers_global_optimum_over_greedy():
 
 def test_threshold_is_strict():
     w = TemporalWeights(w_pos=1.0, w_vis=0.0, delta_cls=0.0, d_max=1.0, eta=0.5)
-    tracks = {1: make_track(1, centroid=(0.0, 0.0, 0.0))}
+    graph = track_graph(TrackSpec(1, centroid=(0.0, 0.0, 0.0)))
     nodes = [make_node(5, centroid=(0.5, 0.0, 0.0))]
-    out = associate(tracks, nodes, w, now=1.0)
+    out = associate(graph, nodes, w, now=1.0)
     assert out.accepted == ()  # cost == eta exactly -> rejected
     assert out.new_nodes == (5,)
     assert out.disappeared == (1,)
     looser = TemporalWeights(w_pos=1.0, w_vis=0.0, delta_cls=0.0, d_max=1.0, eta=0.6)
-    out = associate(tracks, nodes, looser, now=1.0)
+    out = associate(graph, nodes, looser, now=1.0)
     assert [(t, n) for t, n, _ in out.accepted] == [(1, 5)]
 
 
 def test_label_term_settles_a_swap_both_sides_would_accept():
     # two co-located tracks and two co-located candidates: either matching
     # clears the threshold, only the label term makes one of them optimal
-    tracks = {
-        1: make_track(1, centroid=(0.0, 0.0, 1.0), label="red mug"),
-        2: make_track(2, centroid=(0.0, 0.0, 1.0), label="apple"),
-    }
+    graph = track_graph(
+        TrackSpec(1, centroid=(0.0, 0.0, 1.0), label="red mug"),
+        TrackSpec(2, centroid=(0.0, 0.0, 1.0), label="apple"),
+    )
     nodes = [
         make_node(10, centroid=(0.1, 0.0, 1.0), label="apple"),
         make_node(11, centroid=(0.1, 0.0, 1.0), label="red mug"),
     ]
-    out = associate(tracks, nodes, W, now=1.0)
+    out = associate(graph, nodes, W, now=1.0)
     assert sorted((t, n) for t, n, _ in out.accepted) == [(1, 11), (2, 10)]
     for _, _, cost in out.accepted:
         assert math.isclose(cost, 0.4 * 0.1, rel_tol=1e-12)
@@ -245,19 +277,20 @@ def test_associate_matches_brute_force_oracle_on_random_scenes():
         now = 20.0
         n_tracks = int(rng.integers(0, 5))
         n_nodes = int(rng.integers(0, 5))
-        tracks = {}
+        tracks = []
         for tid in range(1, n_tracks + 1):
             status = (TrackStatus.ACTIVE, TrackStatus.DISAPPEARED, TrackStatus.RETIRED)[
                 rng.integers(3)
             ]
-            tracks[tid] = make_track(
+            tracks.append(TrackSpec(
                 tid,
                 centroid=rng.uniform(-1, 1, 3),
                 descriptor=rng.normal(size=DIM),
                 label=labels[rng.integers(3)],
                 status=status,
-                last_seen_time=float(rng.uniform(0.0, now)),
-            )
+                obs_time=float(rng.uniform(0.0, now)),
+            ))
+        graph = track_graph(*tracks)
         nodes = [
             make_node(
                 100 + j,
@@ -268,14 +301,14 @@ def test_associate_matches_brute_force_oracle_on_random_scenes():
             for j in range(n_nodes)
         ]
 
-        out = associate(tracks, nodes, W, now=now)
+        out = associate(graph, nodes, W, now=now)
 
-        rows = eligible_tracks(tracks, W, now)
+        rows = eligible_tracks(graph, W, now)
         cost = np.array(
             [
                 [
                     temporal_cost_oracle(
-                        t.centroid, t.descriptor, t.label,
+                        graph.newest_node(t.track_id).centroid, t.descriptor, graph.newest_node(t.track_id).label,
                         n.centroid, n.f_img, n.label,
                         W.w_pos, W.w_vis, W.delta_cls, W.d_max,
                     )
@@ -305,17 +338,17 @@ def test_outcome_partition_invariant():
     labels = ("red mug", "apple")
     for _ in range(60):
         now = 5.0
-        tracks = {
-            tid: make_track(
+        graph = track_graph(*(
+            TrackSpec(
                 tid,
                 centroid=rng.uniform(-1, 1, 3),
                 descriptor=rng.normal(size=DIM),
                 label=labels[rng.integers(2)],
                 status=(TrackStatus.ACTIVE, TrackStatus.DISAPPEARED)[rng.integers(2)],
-                last_seen_time=float(rng.uniform(0.0, now)),
+                obs_time=float(rng.uniform(0.0, now)),
             )
             for tid in range(1, int(rng.integers(1, 6)))
-        }
+        ))
         nodes = [
             make_node(
                 200 + j,
@@ -325,8 +358,8 @@ def test_outcome_partition_invariant():
             )
             for j in range(int(rng.integers(0, 6)))
         ]
-        out = associate(tracks, nodes, W, now=now)
-        eligible = {t.track_id for t in eligible_tracks(tracks, W, now)}
+        out = associate(graph, nodes, W, now=now)
+        eligible = {t.track_id for t in eligible_tracks(graph, W, now)}
         matched_t = {t for t, _, _ in out.accepted}
         matched_n = {n for _, n, _ in out.accepted}
         assert matched_t | set(out.disappeared) == eligible
