@@ -70,7 +70,6 @@ from .model import (
     SceneGraph4D,
     SpatialEdge,
     Track,
-    TrackStatus,
     cosine,
     empty_graph,
     normalize_label,

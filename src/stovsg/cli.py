@@ -72,7 +72,7 @@ def cmd_build(args) -> int:
     nodes = sum(len(f.nodes) for f in graph.frames)
     print(
         f"built graph: {len(graph.frames)} frames, {nodes} nodes, "
-        f"{len(graph.tracks)} tracks, {len(graph.temporal_edges)} temporal edges -> {args.out}"
+        f"{graph.next_track_id - 1} tracks, {len(graph.temporal_edges)} temporal edges -> {args.out}"
     )
     return 0
 

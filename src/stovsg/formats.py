@@ -57,7 +57,6 @@ from .model import (
     SpatialEdge,
     TemporalEdge,
     Track,
-    TrackStatus,
     chain_problems,
     freeze_array,
     time_order_problems,
@@ -78,7 +77,7 @@ from .sim import (
 from .store import FrameInput
 
 STREAM_SCHEMA = "stovsg-stream/1"
-GRAPH_SCHEMA = "stovsg-graph/5"
+GRAPH_SCHEMA = "stovsg-graph/6"
 SCENARIO_SCHEMA = "stovsg-scenario/1"
 SUBGRAPH_SCHEMA = "stovsg-subgraph/2"
 TRUTH_SCHEMA = "stovsg-truth/1"
@@ -455,11 +454,6 @@ MASK = Codec(encode_mask, decode_mask)
 
 _BOX = tuple_of(FLOAT, FLOAT, FLOAT, FLOAT)
 BOX = Codec(lambda box: list(box.as_tuple()), lambda raw: BoundingBox2D(*_BOX.decode(raw)))
-_STATUSES = [status.value for status in TrackStatus]
-STATUS = Codec(
-    lambda status: status.value,
-    lambda raw: TrackStatus(raw) if raw in _STATUSES else _reject("a track status", raw),
-)
 # an unbounded visibility window ends at JSON null
 UNBOUNDED = Codec(
     lambda end: None if math.isinf(end) else end,
@@ -548,9 +542,8 @@ TRACK = record(
     Track,
     ("track_id", "track_id", INT),
     ("descriptor", "descriptor", VECTOR),
-    ("status", "status", STATUS),
 )
-# tracks are written as a list sorted by track id, and read by id
+# the live tracks are written as a list sorted by track id, and read by id
 TRACKS = list_of(
     TRACK,
     lambda tracks: (t for _, t in sorted(tracks.items())),

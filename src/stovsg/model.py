@@ -14,7 +14,6 @@ import math
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import cached_property
 from itertools import islice
 from types import MappingProxyType
@@ -275,23 +274,17 @@ class TemporalEdge:
         return None if self.dst_node is None else self.event_frame
 
 
-class TrackStatus(str, Enum):
-    ACTIVE = "active"
-    DISAPPEARED = "disappeared"
-    RETIRED = "retired"
-
-
 @dataclass(frozen=True, eq=False)
 class Track:
     """Persistent object identity with its running appearance summary, as a graph file holds it.
 
     Its nodes are the destinations of its temporal edges, oldest first (see
     :class:`GraphLog`); the newest is :meth:`SceneGraph4D.newest_node`.
+    Only a live track, active (:attr:`SceneGraph4D.active`) or disappeared, has a record.
     """
 
     track_id: int
     descriptor: np.ndarray  # exponentially averaged image feature, unit norm
-    status: TrackStatus
 
     def __post_init__(self):
         object.__setattr__(self, "descriptor", freeze_array(self.descriptor))
@@ -467,7 +460,7 @@ class NodeIndex(Mapping):
 
 @dataclass(frozen=True, eq=False)
 class SceneGraph4D:
-    """The full graph: per-frame graphs, temporal edges, and live tracks.
+    """The full graph: per-frame graphs, temporal edges, and live tracks' records.
 
     Instances are persistent values on an append-only :class:`GraphLog`:
     ingestion returns a new graph that shares the log with the old one, so
@@ -509,6 +502,12 @@ class SceneGraph4D:
     @cached_property
     def node_index(self) -> Mapping[int, ObjectNode]:
         return NodeIndex(self.log, len(self.frames))
+
+    @cached_property
+    def active(self) -> frozenset[int]:
+        """Ids of the active tracks: those whose newest node lies in the newest frame."""
+        track_ids, nodes = self.log.track_ids, self.frames[-1].nodes if self.frames else ()
+        return frozenset(track_ids[node.node_id] for node in nodes) - {None}
 
     def node(self, node_id: int) -> ObjectNode:
         try:
@@ -625,16 +624,18 @@ def chain_problems(graph: SceneGraph4D) -> Iterator[tuple[int, str]]:
 
     A track is its edges.  Every edge is a same-instance, appeared or
     disappeared edge; an appeared edge has no source, and a disappeared
-    edge no destination and an event frame in the graph.  Each track in
-    ``graph.tracks`` has an id below ``next_track_id`` and starts with
-    exactly one appeared edge, and every appeared edge's track is one of
-    them (only their ids are read).  Each same-instance or disappeared edge
-    leaves from its track's newest node so far.  Each appeared or
-    same-instance edge's destination lies in the edge's event frame, a
-    same-instance edge's in a later frame than that newest node, and no
-    node is on two tracks.
+    edge no destination and an event frame in the graph, after its
+    source's.  Each track, and each record in ``graph.tracks`` (only their
+    ids are read), starts with exactly one appeared edge and has an id
+    below ``next_track_id``.  Each same-instance or disappeared edge leaves
+    from its track's newest node so far.  Each appeared or same-instance
+    edge's destination lies in the edge's event frame, a same-instance
+    edge's in a later frame than that newest node, and no node is on two
+    tracks.  A disappeared edge leaves each newest node older than the
+    newest frame, and a track with no record (retired) is not active.
     """
     newest: dict[int, tuple[int, int]] = {}  # track id -> its newest node so far and that node's frame index
+    lost: set[int] = set()  # the tracks a disappeared edge has left from their newest node so far
     holders: dict[int, int] = {}  # node id -> the track it is on
     log, index, frames = graph.log, graph.node_index, graph.frames
     for k, edge in enumerate(graph.temporal_edges):
@@ -648,8 +649,6 @@ def chain_problems(graph: SceneGraph4D) -> Iterator[tuple[int, str]]:
                 yield track_id, f"{where}: appeared edge has source {edge.src_node}"
             if prev is not None:
                 yield track_id, f"{where}: a second appeared edge"
-            elif track_id not in graph.tracks:
-                yield track_id, f"{where}: the track is not in tracks"
         elif prev is None:
             yield track_id, f"{where}: {edge.relation} edge before the track's appeared edge"
         elif edge.src_node != prev[0]:
@@ -660,6 +659,10 @@ def chain_problems(graph: SceneGraph4D) -> Iterator[tuple[int, str]]:
             pos = edge.event_frame - graph.frames_dropped - 1  # where graph.frame looks for it
             if not (0 <= pos < len(frames) and frames[pos].frame_index == edge.event_frame):
                 yield track_id, f"{where}: event frame {edge.event_frame} is not in the graph"
+            if prev is not None and edge.src_node == prev[0]:
+                lost.add(track_id)
+                if not edge.event_frame > prev[1]:
+                    yield track_id, f"{where}: event frame {edge.event_frame} is not after its source's frame {prev[1]}"
             continue
         if dst not in index:
             yield track_id, f"{where}: destination {dst} is not in the graph"
@@ -673,9 +676,16 @@ def chain_problems(graph: SceneGraph4D) -> Iterator[tuple[int, str]]:
             yield track_id, f"{where}: node {dst} is already on track {holders[dst]}"
         holders[dst] = track_id
         newest[track_id] = dst, frame
-    for track_id in graph.tracks:
-        if track_id not in newest:
+        lost.discard(track_id)
+    last = frames[-1].frame_index if frames else None
+    for track_id in sorted(newest.keys() | graph.tracks.keys()):
+        node, frame = newest.get(track_id, (None, None))
+        if node is None:
             yield track_id, "no appeared edge"
+        elif frame != last and track_id not in lost:
+            yield track_id, f"no disappeared edge leaves newest node {node}, older than the newest frame {last}"
+        elif frame == last and track_id not in graph.tracks:
+            yield track_id, f"no record, but its newest node {node} lies in the newest frame {last}"
         if track_id >= graph.next_track_id:
             yield track_id, f"id not below next_track_id {graph.next_track_id}"
 
@@ -749,12 +759,6 @@ def validate_graph(graph: SceneGraph4D) -> list[str]:
                 out.append(f"{etag}: endpoint not in frame")
 
     out.extend(f"track {track_id}: {message}" for track_id, message in chain_problems(graph))
-
-    for track_id, track in graph.tracks.items():
-        ttag = f"track {track_id}"
-        if track.track_id != track_id:
-            out.append(f"{ttag}: key does not match track_id {track.track_id}")
-        if not isinstance(track.status, TrackStatus):
-            out.append(f"{ttag}: bad status {track.status!r}")
-
+    mismatched = ((key, track.track_id) for key, track in graph.tracks.items() if track.track_id != key)
+    out.extend(f"track {key}: key does not match track_id {track_id}" for key, track_id in mismatched)
     return out

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
 from types import MappingProxyType
@@ -46,7 +46,6 @@ from .model import (
     SceneGraph4D,
     TemporalEdge,
     Track,
-    TrackStatus,
     AssociationOutcome,
     feature_problems,
     label_problems,
@@ -56,7 +55,7 @@ from .model import (
     view_parts,
 )
 from .spatial import resolve_ambiguous
-from .temporal import associate, matchable
+from .temporal import associate, in_grace
 
 if TYPE_CHECKING:  # pragma: no cover
     from .config import EngineConfig
@@ -182,13 +181,13 @@ def apply_outcome(
 
     Accepted pairs extend their track (same-instance edge, exponentially
     refreshed descriptor, label correction); unmatched nodes open tracks
-    with an appearance edge; unmatched tracks transition to disappeared,
-    emitting a disappearance edge only on the first missed frame; tracks
-    disappeared for longer than the grace period retire.  Everything is
-    checked before the log is appended to, the frame's time order too, so a
-    refused outcome changes nothing.  The log takes each track's history
-    from the edges; a track seen in this frame is its id, its new
-    descriptor and the active status.  ``next_node_id`` is the new graph's.
+    with an appearance edge; each active track must be extended or lost,
+    and a lost one gets a disappearance edge; a live track not extended and
+    not :func:`~stovsg.temporal.in_grace` retires, and its record goes.
+    Everything is checked before the log is appended to, the frame's time
+    order too, so a refused outcome changes nothing.  The log takes each
+    track's history from the edges; a track seen in this frame is its id
+    and its new descriptor.  ``next_node_id`` is the new graph's.
     """
     for path, message in time_order_problems(graph, frame):
         raise InputRejected(f"{path}: {message}")
@@ -235,16 +234,17 @@ def apply_outcome(
             raise InputRejected(f"outcome references unknown track {track_id}")
         if track_id in descriptors:
             raise InputRejected(f"outcome both extends and loses track {track_id}")
-        track = tracks[track_id]
-        if track.status is TrackStatus.ACTIVE:
+        if track_id in graph.active:
             new_edges.append(TemporalEdge(DISAPPEARED, track_id, frame.frame_index, log.histories[track_id][-1]))
-            tracks[track_id] = replace(track, status=TrackStatus.DISAPPEARED)
+    missed = graph.active.difference(extended, outcome.disappeared)
+    if missed:
+        raise InputRejected(f"outcome neither extends nor loses active track {min(missed)}")
 
-    for track_id, track in tracks.items():
-        if track.status is TrackStatus.DISAPPEARED and not matchable(graph, track, config.temporal, now):
-            tracks[track_id] = replace(track, status=TrackStatus.RETIRED)
+    for track_id in graph.tracks:
+        if track_id not in descriptors and not in_grace(graph, track_id, config.temporal, now):
+            del tracks[track_id]
     for track_id, descriptor in descriptors.items():
-        tracks[track_id] = Track(track_id, descriptor, TrackStatus.ACTIVE)
+        tracks[track_id] = Track(track_id, descriptor)
 
     log.append((frame,), new_edges)  # nothing above touched the log
     return SceneGraph4D(*log.views(), MappingProxyType(tracks), next_node_id, next_track_id, graph.frames_dropped)

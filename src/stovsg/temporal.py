@@ -17,7 +17,7 @@ import numpy as np
 
 from .assignment import min_cost_assignment
 from .errors import InputRejected
-from .model import AssociationOutcome, ObjectNode, SceneGraph4D, Track, TrackStatus, cosine
+from .model import AssociationOutcome, ObjectNode, SceneGraph4D, Track, cosine
 
 @dataclass(frozen=True)
 class TemporalWeights:
@@ -51,16 +51,18 @@ def temporal_cost(track: Track, newest: ObjectNode, node: ObjectNode, w: Tempora
     return float(_cost_block((track,), (newest,), (node,), w)[0, 0])
 
 
-def matchable(graph: SceneGraph4D, track: Track, w: TemporalWeights, now: float) -> bool:
-    """Whether ``track`` can take a node at ``now``: active, or disappeared but observed within the grace period."""
-    if track.status is TrackStatus.DISAPPEARED:
-        return now - graph.frame_of(graph.newest_node(track.track_id).node_id).obs_time <= w.grace_period
-    return track.status is TrackStatus.ACTIVE
+def in_grace(graph: SceneGraph4D, track_id: int, w: TemporalWeights, now: float) -> bool:
+    """Whether the track's newest node was observed at most ``grace_period`` before ``now``."""
+    return now - graph.frame_of(graph.newest_node(track_id).node_id).obs_time <= w.grace_period
 
 
 def eligible_tracks(graph: SceneGraph4D, w: TemporalWeights, now: float) -> list[Track]:
-    """The tracks of ``graph`` :func:`matchable` at ``now``, by ascending track id."""
-    return [track for _, track in sorted(graph.tracks.items()) if matchable(graph, track, w, now)]
+    """The live tracks of ``graph`` that can take a node at ``now``, by ascending track id.
+
+    These are the active tracks, and the disappeared ones still :func:`in_grace`.
+    """
+    active = graph.active
+    return [track for tid, track in sorted(graph.tracks.items()) if tid in active or in_grace(graph, tid, w, now)]
 
 
 def build_cost_matrix(

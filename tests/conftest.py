@@ -8,6 +8,7 @@ import pytest
 
 from stovsg import (
     APPEARED,
+    DISAPPEARED,
     BoundingBox2D,
     CameraModel,
     Detection,
@@ -20,7 +21,6 @@ from stovsg import (
     PixelMask,
     SceneGraph4D,
     Track,
-    TrackStatus,
 )
 from stovsg.model import TemporalEdge
 
@@ -117,32 +117,35 @@ class TrackSpec(NamedTuple):
     descriptor: np.ndarray | None = None
     label: str = "red mug"
     obs_time: float = 0.0
-    status: TrackStatus = TrackStatus.ACTIVE
+    retired: bool = False  # a retired track keeps its node and edges but has no record
 
 
 TRACK_NODE_IDS = 10_000  # track k's one node is node TRACK_NODE_IDS + k, clear of the ids the tests give nodes
 
 
 def track_graph(*tracks: TrackSpec) -> SceneGraph4D:
-    """A graph of the given tracks, each one node on an appeared edge, in the order given.
+    """A valid graph of the given tracks, each one node on an appeared edge, in the order given.
 
     Each track's node lies in a frame observed at its ``obs_time``, and
     carries its descriptor as its image feature.  Tracks observed at one
     time share a frame; frames are captured in order of observed time,
     each with no transmission latency, so that its observed time is exactly
-    the one given.
+    the one given.  The tracks in the newest frame are active; each other
+    track disappears in the frame after its node's.
     """
     descriptors = {t.track_id: t.descriptor if t.descriptor is not None else axis(1) for t in tracks}
-    frames, edges = [], []
+    frames, edges, before = [], [], []
     for index, time in enumerate(sorted({t.obs_time for t in tracks}), 1):
         on = [t for t in tracks if t.obs_time == time]
         nodes = tuple(
             make_node(TRACK_NODE_IDS + t.track_id, t.centroid, t.label, f_img=descriptors[t.track_id]) for t in on
         )
         frames.append(FrameGraph(index, LatencyTag(time, 0.0), nodes, ()))
+        edges += [TemporalEdge(DISAPPEARED, t.track_id, index, TRACK_NODE_IDS + t.track_id) for t in before]
         edges += [TemporalEdge(APPEARED, t.track_id, index, dst_node=TRACK_NODE_IDS + t.track_id) for t in on]
-    records = {t.track_id: Track(t.track_id, descriptors[t.track_id], t.status) for t in tracks}
-    last = max(records, default=0)
+        before = on
+    records = {t.track_id: Track(t.track_id, descriptors[t.track_id]) for t in tracks if not t.retired}
+    last = max((t.track_id for t in tracks), default=0)
     return SceneGraph4D(tuple(frames), tuple(edges), MappingProxyType(records), TRACK_NODE_IDS + last + 1, last + 1)
 
 

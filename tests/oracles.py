@@ -339,6 +339,63 @@ def histories_oracle(temporal_edges) -> dict[int, tuple[int, ...]]:
     return {track_id: tuple(ids) for track_id, ids in out.items()}
 
 
+def track_states_oracle(frames, grace_period: float) -> tuple[list[tuple], list[dict[int, str]]]:
+    """Temporal edges and per-frame track states of a stream whose objects never match another's track.
+
+    ``frames`` holds each frame's ``(observed time, object ids)``, the ids
+    in detection order; each detection is one node, numbered from 1 across
+    the stream.  An object's detection continues its current track when
+    that track is eligible, and otherwise opens a new track.  The rules are
+    the ones the engine once kept as a stored status, replayed over every
+    track ever opened in every frame: a track is eligible when active, or
+    disappeared and observed within the grace period; an eligible track
+    left unmatched disappears, with a disappeared edge when it was active;
+    then every disappeared track observed more than the grace period ago
+    retires, the one that disappeared in this frame too.  Edges are
+    ``(relation, track id, event frame, source node, destination node)``:
+    same-instance edges by track id, then appeared edges in detection
+    order, then disappeared edges by track id, frame by frame.  The states
+    are each track's ``"active"``, ``"disappeared"`` or ``"retired"`` after
+    each frame.
+    """
+    status: dict[int, str] = {}
+    newest: dict[int, tuple[int, float]] = {}  # track id -> (newest node id, its observed time)
+    current: dict[int, int] = {}  # object id -> its newest track
+    edges: list[tuple] = []
+    states: list[dict[int, str]] = []
+    node_id = 0
+    for frame_index, (now, objects) in enumerate(frames, 1):
+        eligible = {
+            tid for tid, state in status.items()
+            if state == "active" or (state == "disappeared" and now - newest[tid][1] <= grace_period)
+        }
+        linked, opened = [], []
+        for obj in objects:
+            node_id += 1
+            tid = current.get(obj)
+            if tid in eligible:
+                linked.append((tid, node_id))
+            else:
+                opened.append((obj, node_id))
+        for tid, node in sorted(linked):
+            edges.append(("same-instance", tid, frame_index, newest[tid][0], node))
+            newest[tid] = (node, now)
+            status[tid] = "active"
+        for obj, node in opened:
+            tid = len(status) + 1
+            edges.append(("appeared", tid, frame_index, None, node))
+            current[obj], newest[tid], status[tid] = tid, (node, now), "active"
+        for tid in sorted(eligible - {t for t, _ in linked}):
+            if status[tid] == "active":
+                edges.append(("disappeared", tid, frame_index, newest[tid][0], None))
+                status[tid] = "disappeared"
+        for tid in status:
+            if status[tid] == "disappeared" and now - newest[tid][1] > grace_period:
+                status[tid] = "retired"
+        states.append(dict(status))
+    return edges, states
+
+
 def history_window_oracle(frames, temporal_edges, node_id: int, aligned_index: int, newest_index: int) -> tuple:
     """(obs time, centroid) of ``node_id``'s track in every frame from ``aligned_index`` to ``newest_index``, by a full scan."""
     holders = [ids for ids in histories_oracle(temporal_edges).values() if node_id in ids]

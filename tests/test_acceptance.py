@@ -353,7 +353,8 @@ def test_criterion_10_grace_period_controls_track_identity():
 
     # default grace (10 s) comfortably exceeds the 2 s occlusion
     graph = ingest_sequence(empty_graph(), inputs, EngineConfig())
-    mug_tracks = [t for t in graph.tracks.values() if graph.newest_node(t.track_id).label == "red mug"]
+    # every track opened, retired ones too, whose newest node is the mug
+    mug_tracks = [tid for tid in range(1, graph.next_track_id) if graph.newest_node(tid).label == "red mug"]
     assert len(mug_tracks) == 1
     gap_edges = [
         e
@@ -361,15 +362,16 @@ def test_criterion_10_grace_period_controls_track_identity():
         if e.relation == SAME_INSTANCE and e.dst_frame - graph.frame_of(e.src_node).frame_index > 1
     ]
     assert len(gap_edges) == 1
-    assert gap_edges[0].track_id == mug_tracks[0].track_id
+    assert gap_edges[0].track_id == mug_tracks[0]
 
     # grace shorter than the gap: identity must not bridge the occlusion
     short = dataclasses.replace(
         EngineConfig(), temporal=dataclasses.replace(TemporalWeights(), grace_period=0.5)
     )
     graph2 = ingest_sequence(empty_graph(), inputs, short)
-    mug_tracks2 = [t for t in graph2.tracks.values() if graph2.newest_node(t.track_id).label == "red mug"]
+    mug_tracks2 = [tid for tid in range(1, graph2.next_track_id) if graph2.newest_node(tid).label == "red mug"]
     assert len(mug_tracks2) == 2
+    assert mug_tracks2[0] not in graph2.tracks  # the first retired, and its record went
     assert not [
         e
         for e in graph2.temporal_edges

@@ -6,6 +6,7 @@ import json
 import operator
 import subprocess
 import sys
+from types import MappingProxyType
 
 import pytest
 
@@ -34,6 +35,7 @@ from stovsg import (
 from stovsg.cli import main as cli_main
 
 from cli_manifest import run_sequence
+from conftest import axis, make_detection, make_frame_input
 
 
 def run_cli(*args, cwd=None):
@@ -518,6 +520,66 @@ def test_an_edge_or_track_id_that_breaks_a_rule_is_one_format_error(delayed_scen
     _assert_each_graph_reader_refuses(broken, scene, tmp_path, capsys, message)
 
 
+def _mug_and_lost_apple(config):
+    """Two frames: a mug (track 1) in both, and an apple (track 2) that disappears and retires in the second.
+
+    With a 0.5 s grace period the apple, observed at 1.5 s, is past it at
+    2.5 s, so it retires in the frame it disappears in: it keeps its node 2
+    and its edges, and has no record.  The edges are track 1's appeared
+    edge, track 2's, track 1's same-instance edge and track 2's disappeared
+    edge, in that order.
+    """
+    tight = dataclasses.replace(config, temporal=dataclasses.replace(config.temporal, grace_period=0.5))
+    apple = make_detection(x0=110, label="apple", f_img=axis(3))
+    both, mug = (make_detection(), apple), (make_detection(),)
+    frames = [make_frame_input(1.0, detections=both), make_frame_input(2.0, detections=mug)]
+    return ingest_sequence(empty_graph(), frames, tight)
+
+
+def _without_edge(k):
+    def edit(graph):
+        edges = tuple(edge for j, edge in enumerate(graph.temporal_edges) if j != k)
+        return dataclasses.replace(graph, temporal_edges=edges)
+
+    return edit
+
+
+def _lost_in_its_own_frame(graph):
+    app1, app2, same1, lost2 = graph.temporal_edges
+    early = dataclasses.replace(lost2, event_frame=1)  # before track 1's same-instance edge, so in event-frame order
+    return dataclasses.replace(graph, temporal_edges=(app1, app2, early, same1))
+
+
+RETIRED_TRACK_FAULTS = {
+    "retired-but-active": (
+        lambda graph: dataclasses.replace(graph, tracks=MappingProxyType({})),
+        "track 1: no record, but its newest node 3 lies in the newest frame 2",
+    ),
+    "lost-without-disappeared-edge": (
+        _without_edge(3),
+        "track 2: no disappeared edge leaves newest node 2, older than the newest frame 2",
+    ),
+    "disappeared-not-after-source": (
+        _lost_in_its_own_frame,
+        "track 2: temporal_edges[2]: event frame 1 is not after its source's frame 1",
+    ),
+    "retired-id-not-below-next": (
+        lambda graph: dataclasses.replace(graph, next_track_id=2),
+        "track 2: id not below next_track_id 2",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", RETIRED_TRACK_FAULTS)
+def test_a_track_whose_edges_break_a_status_rule_is_one_format_error(delayed_scenes, config, tmp_path, capsys, case):
+    edit, message = RETIRED_TRACK_FAULTS[case]
+    graph = _mug_and_lost_apple(config)
+    assert list(graph.tracks) == [1] and graph.next_track_id == 3 and validate_graph(graph) == []
+    broken = edit(graph)
+    assert validate_graph(broken) == [message]
+    _assert_each_graph_reader_refuses(broken, delayed_scenes / "same_class_distractor", tmp_path, capsys, message)
+
+
 def test_an_older_and_a_newer_snapshot_on_one_log_both_validate(delayed_scenes, config):
     scene = delayed_scenes / "same_class_distractor"
     _, inputs = parse_stream(scene / "stream.jsonl")
@@ -594,16 +656,10 @@ def test_a_detection_feature_whose_norm_overflows_is_refused_naming_the_detectio
 
 def test_a_graph_file_of_the_previous_schema_is_one_json_error(scored_scene, tmp_path, capsys):
     data = json.loads((scored_scene / "graph.json").read_text())
-    data["schema"] = "stovsg-graph/4"  # whose tracks stored their history and their newest node's centroid, label, time
+    data["schema"] = "stovsg-graph/5"  # whose track records stored a status, and stayed once retired
     built = read_graph(scored_scene / "graph.json")
     for record in data["tracks"]:
-        track_id = record["track_id"]
-        newest = built.newest_node(track_id)
-        seen = built.frame_of(newest.node_id).obs_time
-        record.update(
-            centroid=newest.centroid.tolist(), label=newest.label, last_seen_time=seen,
-            history=built.log.histories[track_id],
-        )
+        record["status"] = "active" if record["track_id"] in built.active else "disappeared"
     graph = tmp_path / "graph.json"
     graph.write_text(dumps(data) + "\n")
     command = tmp_path / "command.json"
@@ -613,7 +669,7 @@ def test_a_graph_file_of_the_previous_schema_is_one_json_error(scored_scene, tmp
         assert cli_main([subcommand, "--graph", str(graph), "--command", str(command)]) == 1
         out, err = capsys.readouterr()
         (line,) = err.splitlines()
-        message = "graph: expected schema 'stovsg-graph/5', got 'stovsg-graph/4'"
+        message = "graph: expected schema 'stovsg-graph/6', got 'stovsg-graph/5'"
         assert out == "" and json.loads(line) == {"error": "format-error", "message": message}
 
 

@@ -270,7 +270,7 @@ def test_previous_graph_schema_is_refused(tmp_path, config):
             node.update(box=[0.0, 0.0, 4.0, 4.0], mask_rle=[[0, 0, 4]])
     path = tmp_path / "graph.json"
     path.write_text(dumps(data))
-    with pytest.raises(FormatError, match="expected schema 'stovsg-graph/5', got 'stovsg-graph/2'"):
+    with pytest.raises(FormatError, match="expected schema 'stovsg-graph/6', got 'stovsg-graph/2'"):
         read_graph(path)
 
 
@@ -678,8 +678,8 @@ def _target_moved_stream(path):
 
 # SHA-256 of the graph.json that ``stovsg build`` writes for each stream
 GOLDEN_GRAPHS = {
-    "target_moved": (_target_moved_stream, "9dcc11bd60050b627d43e7eaff9cf454a245d25a16473618fe69f8bb570e6d89"),
-    "dense": (_dense_stream, "0f4d9b3fd2cde0fc367972b066b1da958c15a45ee56b363271af1ae690fcb785"),
+    "target_moved": (_target_moved_stream, "34e9acfc41d286326cfb5bcb3e4c98e6996c571766724fa630574d8abd815e9a"),
+    "dense": (_dense_stream, "475949dc255d43a90cdd19f946b27f0728b807a2af1656289c6f13051c269fc6"),
 }
 
 
@@ -958,7 +958,7 @@ KEY_PATHS = {
         temporal_edges[].relation temporal_edges[].track_id temporal_edges[].event_frame
         temporal_edges[].src_node temporal_edges[].dst_node
         tracks
-        tracks[].track_id tracks[].descriptor tracks[].status
+        tracks[].track_id tracks[].descriptor
     """.split(),
     "stream": """
         frame_index latency_tag
@@ -1013,7 +1013,7 @@ KEY_PATHS = {
 
 def test_a_track_in_memory_is_the_record_a_graph_file_holds():
     names = tuple(field.name for field in dataclasses.fields(Track))
-    assert names == ("track_id", "descriptor", "status")
+    assert names == ("track_id", "descriptor")
     assert names == tuple(attr for _, attr, _ in TRACK.fields.rows)
 
 

@@ -22,7 +22,6 @@ from stovsg import (
     PixelMask,
     SceneGraph4D,
     Track,
-    TrackStatus,
     associate,
     cosine,
     empty_graph,
@@ -198,7 +197,7 @@ def test_a_graph_read_back_keeps_the_arrays_its_reader_decoded(config, tmp_path,
 
 
 def test_a_track_with_no_node_in_the_snapshot_is_not_found(config):
-    built = SceneGraph4D(tracks=MappingProxyType({1: Track(1, axis(1), TrackStatus.ACTIVE)}), next_track_id=2)
+    built = SceneGraph4D(tracks=MappingProxyType({1: Track(1, axis(1))}), next_track_id=2)
     for graph, track_id in ((built, 1), (built, 7), (empty_graph(), 1)):
         with pytest.raises(NotFound, match=rf"^'track {track_id} has no node in graph'$"):
             graph.newest_node(track_id)
@@ -363,15 +362,17 @@ def test_validate_graph_flags_an_event_frame_that_is_not_stored(config):
 def test_validate_graph_reports_each_temporal_edge_and_track_id_rule_once(config):
     # edges: track 1 appears at node 1, goes on to node 2, and disappears in frame 3
     graph = ingest_frame(_two_frame_graph(config), make_frame_input(3.0), config)
-    for k, changes, message in [
-        (2, {"relation": "teleported"}, "track 1: temporal_edges[2]: unknown relation 'teleported'"),
-        (0, {"src_node": 2}, "track 1: temporal_edges[0]: appeared edge has source 2"),
-        (2, {"dst_node": 2}, "track 1: temporal_edges[2]: disappeared edge has destination 2"),
-        (2, {"event_frame": 7}, "track 1: temporal_edges[2]: event frame 7 is not in the graph"),
+    lost = "track 1: no disappeared edge leaves newest node 2, older than the newest frame 3"
+    for k, changes, messages in [
+        # an edge of no known relation is not the disappeared edge the track needs
+        (2, {"relation": "teleported"}, ["track 1: temporal_edges[2]: unknown relation 'teleported'", lost]),
+        (0, {"src_node": 2}, ["track 1: temporal_edges[0]: appeared edge has source 2"]),
+        (2, {"dst_node": 2}, ["track 1: temporal_edges[2]: disappeared edge has destination 2"]),
+        (2, {"event_frame": 7}, ["track 1: temporal_edges[2]: event frame 7 is not in the graph"]),
     ]:
         edges = list(graph.temporal_edges)
         edges[k] = replace(edges[k], **changes)
-        assert validate_graph(replace(graph, temporal_edges=tuple(edges))) == [message]
+        assert validate_graph(replace(graph, temporal_edges=tuple(edges))) == messages
     assert validate_graph(replace(graph, next_track_id=1)) == ["track 1: id not below next_track_id 1"]
 
 

@@ -13,6 +13,7 @@ from stovsg import (
     APPEARED,
     DISAPPEARED,
     SAME_INSTANCE,
+    STATUS_LOST,
     BoundingBox2D,
     Command,
     Detection,
@@ -23,25 +24,34 @@ from stovsg import (
     NotFound,
     QueryConfig,
     RelationCandidate,
-    TrackStatus,
     dumps,
     empty_graph,
     frame_at_operator_time,
     generate_stream,
     graph_from_dict,
     graph_to_dict,
+    ground_command,
     ingest_frame,
     ingest_sequence,
     lifecycle_events,
     make_scenario,
+    read_graph,
     validate_graph,
+    write_graph,
 )
 from stovsg.model import AssociationOutcome, FrameGraph, LatencyTag, vector_norm
 from stovsg.query import _align
 from stovsg.store import apply_outcome
 
+from churn_probe import DIM as CHURN_DIM, FPS, churn_inputs, transient_feature_axis
 from conftest import axis, in_plane, make_camera, make_detection, make_frame_input, make_node
-from oracles import frame_at_operator_time_oracle, frames_as_of_oracle, histories_oracle, lifecycle_events_oracle
+from oracles import (
+    frame_at_operator_time_oracle,
+    frames_as_of_oracle,
+    histories_oracle,
+    lifecycle_events_oracle,
+    track_states_oracle,
+)
 
 
 def edges_of(graph, relation):
@@ -58,9 +68,7 @@ def test_persistent_object_builds_one_track(config):
         config,
     )
     assert len(graph.frames) == 2
-    assert list(graph.tracks) == [1]
-    track = graph.tracks[1]
-    assert track.status is TrackStatus.ACTIVE
+    assert list(graph.tracks) == [1] and graph.active == {1}
     assert histories_oracle(graph.temporal_edges) == {1: (1, 2)}
     appeared = edges_of(graph, APPEARED)
     linked = edges_of(graph, SAME_INSTANCE)
@@ -268,7 +276,7 @@ def test_disappearance_edge_emitted_once(config):
     assert len(gone) == 1
     assert gone[0].event_frame == 2
     assert gone[0].src_node == 1 and graph.frame_of(1).frame_index == 1
-    assert graph.tracks[1].status is TrackStatus.DISAPPEARED
+    assert list(graph.tracks) == [1] and graph.active == set()  # disappeared
 
 
 def test_reappearance_within_grace_bridges_the_gap(config):
@@ -282,9 +290,7 @@ def test_reappearance_within_grace_bridges_the_gap(config):
         ],
         config,
     )
-    assert list(graph.tracks) == [1]
-    track = graph.tracks[1]
-    assert track.status is TrackStatus.ACTIVE
+    assert list(graph.tracks) == [1] and graph.active == {1}
     assert histories_oracle(graph.temporal_edges) == {1: (1, 2, 3)}
     spans = [(graph.frame_of(e.src_node).frame_index, e.dst_frame) for e in edges_of(graph, SAME_INSTANCE)]
     assert spans == [(1, 2), (2, 4)]  # second link jumps the occluded frame
@@ -304,12 +310,66 @@ def test_reappearance_after_grace_opens_a_new_track(config):
         ],
         tight,
     )
-    assert sorted(graph.tracks) == [1, 2]
-    assert graph.tracks[1].status is TrackStatus.RETIRED
-    assert graph.tracks[2].status is TrackStatus.ACTIVE
+    assert list(graph.tracks) == [2] and graph.active == {2}  # track 1 retired, and its record went
+    assert graph.next_track_id == 3 and graph.track_of(1) == 1
     assert edges_of(graph, SAME_INSTANCE) == []
     assert len(edges_of(graph, APPEARED)) == 2
     assert validate_graph(graph) == []
+
+
+def _object(obj: int):
+    """Object ``obj`` (0-3): its own place, label and feature, so it never matches another object's track."""
+    return make_detection(x0=4 + 30 * obj, label=f"object {obj}", f_img=axis(obj), f_txt=axis(obj))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(
+    st.sampled_from((0.5, 1.5, 3.0)),
+    st.lists(
+        st.tuples(st.floats(0.0, 3.0), st.lists(st.integers(0, 3), unique=True, max_size=4)), min_size=1, max_size=14
+    ),
+)
+def test_track_states_match_the_full_scan_oracle(grace, stream):
+    # objects appear, vanish and reappear; uplink latency varies frame to frame, so a
+    # track can disappear and be past its grace period in one frame
+    config = EngineConfig()
+    config = replace(config, temporal=replace(config.temporal, grace_period=grace))
+    want_edges, states = track_states_oracle([(0.5 * k + lat, objs) for k, (lat, objs) in enumerate(stream, 1)], grace)
+    graph = empty_graph()
+    for k, ((lat, objs), state) in enumerate(zip(stream, states), 1):
+        graph = ingest_frame(graph, make_frame_input(0.5 * k, lat, tuple(map(_object, objs))), config)
+        assert set(graph.tracks) == {tid for tid, status in state.items() if status != "retired"}
+        assert graph.active == {tid for tid, status in state.items() if status == "active"}
+    got = [(e.relation, e.track_id, e.event_frame, e.src_node, e.dst_node) for e in graph.temporal_edges]
+    assert got == want_edges
+    assert validate_graph(graph) == []
+
+
+def test_churn_holds_only_the_tracks_that_can_still_match(config, tmp_path):
+    grace = 1.0
+    config = replace(config, temporal=replace(config.temporal, grace_period=grace))
+    inputs = churn_inputs(600)
+    graph = empty_graph()
+    for k, frame_input in enumerate(inputs, 1):
+        graph = ingest_frame(graph, frame_input, config)
+        assert len(graph.tracks) <= grace * FPS + 2
+        if k == 300:
+            write_graph(graph, tmp_path / "half.json")
+    assert graph.next_track_id - 1 == 601  # the static object's track, and one for each transient
+    # transient 5 is seen only in frame 6, as node 12 on track 7, and is long retired
+    assert graph.track_of(12) == 7 and 7 not in graph.tracks
+    seen = inputs[5].latency_tag.observed_time
+    command = Command("the sixth part", axis(transient_feature_axis(5), CHURN_DIM), issue_time=seen + 0.05)
+    result = ground_command(graph, command)
+    assert (result.aligned_frame_index, result.track_id, result.status) == (6, 7, STATUS_LOST)
+    assert result.aligned_node.node_id == result.current_node.node_id == 12
+    lost = inputs[6].latency_tag.capture_time
+    assert (lost, 7, DISAPPEARED) in lifecycle_events(graph, 0.0, lost)
+    # a graph written mid-stream and read back goes on as the uninterrupted one
+    resumed = ingest_sequence(read_graph(tmp_path / "half.json"), inputs[300:], config)
+    write_graph(graph, tmp_path / "whole.json")
+    write_graph(resumed, tmp_path / "resumed.json")
+    assert (tmp_path / "resumed.json").read_bytes() == (tmp_path / "whole.json").read_bytes()
 
 
 def test_frame_at_operator_time_uses_tagged_arrival(config):
@@ -536,6 +596,9 @@ def test_an_outcome_extending_one_track_twice_is_refused(config):
     both = AssociationOutcome(accepted=((1, 3, 0.1),), new_nodes=(4,), disappeared=(1,))
     with pytest.raises(InputRejected, match="outcome both extends and loses track 1"):
         apply_outcome(graph, both, frame, config, 5)
+    silent = AssociationOutcome(accepted=((1, 3, 0.1),), new_nodes=(4,), disappeared=())
+    with pytest.raises(InputRejected, match="outcome neither extends nor loses active track 2"):
+        apply_outcome(graph, silent, frame, config, 5)
     once = AssociationOutcome(accepted=((1, 3, 0.1),), new_nodes=(4,), disappeared=(2,))
     after = apply_outcome(graph, once, frame, config, 5)
     assert after.log is graph.log and after.track_of(3) == 1 and after.track_of(4) == 3

@@ -11,7 +11,6 @@ from stovsg import (
     InputRejected,
     SceneGraph4D,
     TemporalWeights,
-    TrackStatus,
     associate,
     build_cost_matrix,
     eligible_tracks,
@@ -187,15 +186,18 @@ def test_non_positive_d_max_rejects_a_block_with_cells():
 
 def test_eligibility_honors_grace_period_boundary():
     graph = track_graph(
-        TrackSpec(1, status=TrackStatus.ACTIVE, obs_time=0.0),
-        TrackSpec(2, status=TrackStatus.DISAPPEARED, obs_time=10.0),
-        TrackSpec(3, status=TrackStatus.DISAPPEARED, obs_time=9.9),
-        TrackSpec(4, status=TrackStatus.RETIRED, obs_time=19.9),
+        TrackSpec(2, obs_time=10.0),
+        TrackSpec(3, obs_time=9.9),
+        TrackSpec(4, obs_time=8.0, retired=True),
+        TrackSpec(5, obs_time=15.0),
     )
-    # grace 10: track 2 sits exactly on the boundary (inclusive), track 3 is
-    # 0.1 s past it, retired tracks never come back
+    # grace 10: disappeared track 2 sits exactly on the boundary (inclusive),
+    # track 3 is 0.1 s past it, a retired track has no record to come back to
+    assert graph.active == {5} and sorted(graph.tracks) == [2, 3, 5]
     got = [t.track_id for t in eligible_tracks(graph, W, now=20.0)]
-    assert got == [1, 2]
+    assert got == [2, 5]
+    # an active track stays eligible however long ago its newest node was observed
+    assert [t.track_id for t in eligible_tracks(track_graph(TrackSpec(1, obs_time=0.0)), W, now=20.0)] == [1]
 
 
 @pytest.mark.parametrize("now", [3.9, 4.1], ids=["inside-grace", "past-grace"])
@@ -208,7 +210,7 @@ def test_an_older_snapshot_associates_as_its_standalone_rebuild(config, now):
     # a newer snapshot on the same log finds the mug again, moved and relabelled, just inside that period
     found = make_frame_input(3.5, detections=(make_detection(x0=12, label="coffee mug"), apple))
     newer = ingest_frame(older, found, config)
-    assert newer.log is older.log and older.tracks[1].status is TrackStatus.DISAPPEARED
+    assert newer.log is older.log and 1 in older.tracks and older.active == {2} and newer.active == {1, 2}
     assert older.newest_node(1).node_id == 1 and newer.newest_node(1).label == "coffee mug"
     alone = SceneGraph4D(
         tuple(older.frames), tuple(older.temporal_edges), older.tracks,
@@ -279,18 +281,24 @@ def test_associate_matches_brute_force_oracle_on_random_scenes():
         n_nodes = int(rng.integers(0, 5))
         tracks = []
         for tid in range(1, n_tracks + 1):
-            status = (TrackStatus.ACTIVE, TrackStatus.DISAPPEARED, TrackStatus.RETIRED)[
-                rng.integers(3)
-            ]
+            retired = bool(rng.integers(3) == 2)
             tracks.append(TrackSpec(
                 tid,
                 centroid=rng.uniform(-1, 1, 3),
                 descriptor=rng.normal(size=DIM),
                 label=labels[rng.integers(3)],
-                status=status,
                 obs_time=float(rng.uniform(0.0, now)),
+                retired=retired,
             ))
+        # the tracks in the newest frame are active, and never retired
+        newest_time = max((t.obs_time for t in tracks), default=None)
+        tracks = [t._replace(retired=t.retired and t.obs_time != newest_time) for t in tracks]
         graph = track_graph(*tracks)
+        # active, or disappeared and observed within the grace period
+        live = [
+            t.track_id for t in tracks
+            if not t.retired and (t.obs_time == newest_time or now - t.obs_time <= W.grace_period)
+        ]
         nodes = [
             make_node(
                 100 + j,
@@ -304,6 +312,7 @@ def test_associate_matches_brute_force_oracle_on_random_scenes():
         out = associate(graph, nodes, W, now=now)
 
         rows = eligible_tracks(graph, W, now)
+        assert [t.track_id for t in rows] == live
         cost = np.array(
             [
                 [
@@ -344,7 +353,6 @@ def test_outcome_partition_invariant():
                 centroid=rng.uniform(-1, 1, 3),
                 descriptor=rng.normal(size=DIM),
                 label=labels[rng.integers(2)],
-                status=(TrackStatus.ACTIVE, TrackStatus.DISAPPEARED)[rng.integers(2)],
                 obs_time=float(rng.uniform(0.0, now)),
             )
             for tid in range(1, int(rng.integers(1, 6)))
