@@ -50,8 +50,6 @@ from .metrics import (
     MetricsReport,
     evaluate,
     node_truth_map,
-    score_graph,
-    score_grounding,
 )
 from .model import (
     APPEARED,
@@ -85,7 +83,6 @@ from .query import (
     score_nodes,
 )
 from .replay import (
-    build_graph,
     commands_from_scenario,
     format_suite,
     run_suite,

@@ -35,6 +35,14 @@ def _query_setup(args) -> tuple:
     return graph, command, config, as_of
 
 
+def _emit(text: str, out: str | None) -> int:
+    """Write ``text`` and a newline to ``out`` when one is given, then print it."""
+    if out:
+        Path(out).write_text(text + "\n")
+    print(text)
+    return 0
+
+
 def cmd_simulate(args) -> int:
     if args.scenario:
         spec = formats.read_scenario(args.scenario)
@@ -94,11 +102,7 @@ def cmd_query(args) -> int:
         "centroid": result.current_node.centroid.tolist(),
         "size": result.current_node.size.tolist(),
     }
-    text = formats.dumps(payload)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    print(text)
-    return 0
+    return _emit(formats.dumps(payload), args.out)
 
 
 def cmd_export(args) -> int:
@@ -106,11 +110,7 @@ def cmd_export(args) -> int:
     sub = extract_subgraph(
         graph, command, config.query, latency_aware=not args.naive, as_of=as_of
     )
-    text = formats.serialize_subgraph(sub)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    print(text)
-    return 0
+    return _emit(formats.serialize_subgraph(sub), args.out)
 
 
 def cmd_score(args) -> int:
@@ -126,11 +126,7 @@ def cmd_score(args) -> int:
     elif args.scenario:
         commands = commands_from_scenario(formats.read_scenario(args.scenario))
     report = evaluate(graph, truth, commands, config, latency_aware=not args.naive)
-    text = formats.dumps(report.to_dict())
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    print(text)
-    return 0
+    return _emit(formats.dumps(report.to_dict()), args.out)
 
 
 def cmd_replay(args) -> int:

@@ -9,17 +9,22 @@ is reported as an error rather than silently skewing the metrics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import EngineConfig
 from .errors import InputRejected
 from .model import SAME_INSTANCE, Command, SceneGraph4D, normalize_label
-from .query import GroundingResult, ground_command
+from .query import ground_command
 from .sim import DetectionTruth, GroundTruthLog
 
 METRICS_SCHEMA = "stovsg-metrics/1"
+
+
+def rate(hits: int, total: int) -> float | None:
+    """``hits / total``, or None when nothing was counted."""
+    return None if total == 0 else hits / total
 
 
 @dataclass(frozen=True)
@@ -28,10 +33,10 @@ class GroundingRecord:
     intended_id: int
     grounded_true_id: int
     success: bool
+    replay_success: bool  # success, and the execution-time pose within centroid_tol of the truth at arrival
     status: str
     issue_time: float
     arrival_time: float
-    pose_error: float  # metres from the execution-time pose to the truth at arrival
 
 
 @dataclass(frozen=True)
@@ -42,25 +47,27 @@ class MetricsReport:
     spatial_correct: int
     temporal_total: int
     temporal_correct: int
-    grounding: tuple[GroundingRecord, ...] = field(default=())
+    grounding: tuple[GroundingRecord, ...] = ()
 
     @property
     def node_accuracy(self) -> float | None:
-        return None if self.nodes_total == 0 else self.nodes_correct / self.nodes_total
+        return rate(self.nodes_correct, self.nodes_total)
 
     @property
     def spatial_accuracy(self) -> float | None:
-        return None if self.spatial_total == 0 else self.spatial_correct / self.spatial_total
+        return rate(self.spatial_correct, self.spatial_total)
 
     @property
     def temporal_accuracy(self) -> float | None:
-        return None if self.temporal_total == 0 else self.temporal_correct / self.temporal_total
+        return rate(self.temporal_correct, self.temporal_total)
 
     @property
     def grounding_success_rate(self) -> float | None:
-        if not self.grounding:
-            return None
-        return sum(1 for g in self.grounding if g.success) / len(self.grounding)
+        return rate(sum(g.success for g in self.grounding), len(self.grounding))
+
+    @property
+    def replay_success_rate(self) -> float | None:
+        return rate(sum(g.replay_success for g in self.grounding), len(self.grounding))
 
     def to_dict(self) -> dict:
         return {
@@ -110,93 +117,6 @@ def node_truth_map(graph: SceneGraph4D, truth: GroundTruthLog) -> dict[int, Dete
     return mapping
 
 
-def score_graph(
-    graph: SceneGraph4D, truth: GroundTruthLog, centroid_tol: float = 0.05
-) -> MetricsReport:
-    """Node / spatial-edge / temporal-edge accuracy, without grounding."""
-    mapping = node_truth_map(graph, truth)
-    truth_by_index = {ft.frame_index: ft for ft in truth.frames}
-
-    nodes_total = nodes_correct = 0
-    for fg in graph.frames:
-        for node in fg.nodes:
-            det = mapping[node.node_id]
-            nodes_total += 1
-            label_ok = normalize_label(node.label) == normalize_label(det.label)
-            dist = float(np.linalg.norm(node.centroid - det.centroid))
-            if label_ok and dist <= centroid_tol:
-                nodes_correct += 1
-
-    spatial_total = spatial_correct = 0
-    for fg in graph.frames:
-        ft = truth_by_index[fg.frame_index]
-        true_pairs = {frozenset((a, b)) for a, b, _ in ft.relations}
-        for edge in fg.spatial_edges:
-            spatial_total += 1
-            pair = frozenset((mapping[edge.src].true_id, mapping[edge.dst].true_id))
-            if pair in true_pairs:
-                spatial_correct += 1
-
-    temporal_total = temporal_correct = 0
-    for edge in graph.temporal_edges:
-        if edge.relation != SAME_INSTANCE:
-            continue
-        temporal_total += 1
-        if mapping[edge.src_node].true_id == mapping[edge.dst_node].true_id:
-            temporal_correct += 1
-
-    return MetricsReport(
-        nodes_total=nodes_total,
-        nodes_correct=nodes_correct,
-        spatial_total=spatial_total,
-        spatial_correct=spatial_correct,
-        temporal_total=temporal_total,
-        temporal_correct=temporal_correct,
-    )
-
-
-def score_grounding(
-    graph: SceneGraph4D,
-    truth: GroundTruthLog,
-    commands: list[Command],
-    config: EngineConfig,
-    latency_aware: bool = True,
-) -> tuple[GroundingRecord, ...]:
-    """Ground each command at its arrival time and compare against intent.
-
-    Commands pair with truth entries positionally.  Success means the
-    grounded target (followed to its newest node) is the intended object.
-    """
-    if len(commands) != len(truth.commands):
-        raise InputRejected(
-            f"{len(commands)} commands but truth log records {len(truth.commands)}"
-        )
-    mapping = node_truth_map(graph, truth)
-    records = []
-    for command, ct in zip(commands, truth.commands):
-        result: GroundingResult = ground_command(
-            graph,
-            command,
-            config.query,
-            latency_aware=latency_aware,
-            as_of=ct.arrival_time,
-        )
-        grounded = mapping[result.current_node.node_id].true_id
-        records.append(
-            GroundingRecord(
-                command_text=command.text,
-                intended_id=ct.intended_id,
-                grounded_true_id=grounded,
-                success=grounded == ct.intended_id,
-                status=result.status,
-                issue_time=ct.issue_time,
-                arrival_time=ct.arrival_time,
-                pose_error=float(np.linalg.norm(result.current_node.centroid - ct.centroid_at_arrival)),
-            )
-        )
-    return tuple(records)
-
-
 def evaluate(
     graph: SceneGraph4D,
     truth: GroundTruthLog,
@@ -204,10 +124,58 @@ def evaluate(
     config: EngineConfig | None = None,
     latency_aware: bool = True,
 ) -> MetricsReport:
-    """Full report: graph accuracy plus grounding outcomes when commands given."""
+    """Score a run: node, spatial-edge and temporal-edge accuracy, and each command's grounding.
+
+    A node is correct when its label and its centroid (within
+    ``config.centroid_tol``) match its truth detection.  Commands pair with
+    truth entries positionally and are grounded at their arrival time.  A
+    command succeeds when the grounded target, followed to its newest node,
+    is the intended object; it succeeds on replay when, besides, that
+    node's pose lies within ``config.centroid_tol`` of the truth at arrival.
+    """
     config = config if config is not None else EngineConfig()
-    report = score_graph(graph, truth, centroid_tol=config.centroid_tol)
-    if not commands:
-        return report
-    records = score_grounding(graph, truth, commands, config, latency_aware=latency_aware)
-    return replace(report, grounding=records)
+    tol = config.centroid_tol
+    mapping = node_truth_map(graph, truth)
+    relations = {ft.frame_index: {frozenset((a, b)) for a, b, _ in ft.relations} for ft in truth.frames}
+
+    nodes = [node for fg in graph.frames for node in fg.nodes]
+    nodes_correct = sum(
+        normalize_label(node.label) == normalize_label(mapping[node.node_id].label)
+        and float(np.linalg.norm(node.centroid - mapping[node.node_id].centroid)) <= tol
+        for node in nodes
+    )
+    spatial = [(fg.frame_index, edge) for fg in graph.frames for edge in fg.spatial_edges]
+    spatial_correct = sum(
+        frozenset((mapping[edge.src].true_id, mapping[edge.dst].true_id)) in relations[index]
+        for index, edge in spatial
+    )
+    same = [edge for edge in graph.temporal_edges if edge.relation == SAME_INSTANCE]
+    temporal_correct = sum(mapping[edge.src_node].true_id == mapping[edge.dst_node].true_id for edge in same)
+
+    if commands and len(commands) != len(truth.commands):
+        raise InputRejected(
+            f"{len(commands)} commands but truth log records {len(truth.commands)}"
+        )
+    grounding = []
+    for command, ct in zip(commands or (), truth.commands):
+        result = ground_command(
+            graph, command, config.query, latency_aware=latency_aware, as_of=ct.arrival_time
+        )
+        grounded = mapping[result.current_node.node_id].true_id
+        success = grounded == ct.intended_id
+        pose_error = float(np.linalg.norm(result.current_node.centroid - ct.centroid_at_arrival))
+        grounding.append(
+            GroundingRecord(
+                command_text=command.text,
+                intended_id=ct.intended_id,
+                grounded_true_id=grounded,
+                success=success,
+                replay_success=success and pose_error <= tol,
+                status=result.status,
+                issue_time=ct.issue_time,
+                arrival_time=ct.arrival_time,
+            )
+        )
+    return MetricsReport(
+        len(nodes), nodes_correct, len(spatial), spatial_correct, len(same), temporal_correct, tuple(grounding)
+    )

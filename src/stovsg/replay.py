@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 from .config import EngineConfig
 from .errors import InputRejected
-from .metrics import MetricsReport, evaluate
-from .model import Command, SceneGraph4D, empty_graph
-from .sim import FAMILIES, GroundTruthLog, ScenarioSpec, generate_stream, make_scenario
+from .metrics import MetricsReport, evaluate, rate
+from .model import Command, empty_graph
+from .sim import FAMILIES, ScenarioSpec, generate_stream, make_scenario
 from .store import ingest_sequence
 
 
@@ -34,53 +34,16 @@ def commands_from_scenario(spec: ScenarioSpec) -> list[Command]:
     ]
 
 
-def build_graph(spec: ScenarioSpec, config: EngineConfig) -> tuple[SceneGraph4D, GroundTruthLog]:
-    """Generate the scenario's stream and ingest every frame in order."""
-    inputs, truth = generate_stream(spec)
-    return ingest_sequence(empty_graph(), inputs, config), truth
-
-
-@dataclass(frozen=True)
-class TrialResult:
-    family: str
-    seed: int
-    delay: float
-    latency_aware: bool
-    report: MetricsReport
-    pose_matches: tuple[bool, ...]
-
-    @property
-    def grounding_success_rate(self) -> float | None:
-        return self.report.grounding_success_rate
-
-    @property
-    def replay_success_rate(self) -> float | None:
-        """Identity and pose both right, per command."""
-        if not self.report.grounding:
-            return None
-        joint = [
-            g.success and pose for g, pose in zip(self.report.grounding, self.pose_matches)
-        ]
-        return sum(joint) / len(joint)
-
-
 def run_trial(
     spec: ScenarioSpec,
     config: EngineConfig | None = None,
     latency_aware: bool = True,
-) -> TrialResult:
+) -> MetricsReport:
+    """Stream the scenario into an empty graph and score it, grounding each command on arrival."""
     config = config if config is not None else EngineConfig()
-    graph, truth = build_graph(spec, config)
-    commands = commands_from_scenario(spec)
-    report = evaluate(graph, truth, commands, config, latency_aware=latency_aware)
-    return TrialResult(
-        family=spec.family,
-        seed=spec.seed,
-        delay=spec.uplink.delay_at(0.0),
-        latency_aware=latency_aware,
-        report=report,
-        pose_matches=tuple(g.pose_error <= config.centroid_tol for g in report.grounding),
-    )
+    inputs, truth = generate_stream(spec)
+    graph = ingest_sequence(empty_graph(), inputs, config)
+    return evaluate(graph, truth, commands_from_scenario(spec), config, latency_aware=latency_aware)
 
 
 @dataclass(frozen=True)
@@ -108,7 +71,7 @@ def run_suite(
     config: EngineConfig | None = None,
     latency_aware: bool = True,
 ) -> SuiteResult:
-    """Sweep family x delay, averaging the per-trial rates."""
+    """Sweep family x delay: the mean of the trials' success rates and the accuracies of their pooled counts."""
     if trials < 1:
         raise InputRejected(f"trials must be at least 1, got {trials}")
     if base_seed < 0:
@@ -117,29 +80,25 @@ def run_suite(
     rows = []
     for fi, family in enumerate(families):
         for di, delay in enumerate(delays):
-            ground_rates: list[float] = []
-            replay_rates: list[float] = []
-            tmp_num = tmp_den = 0
-            node_num = node_den = 0
-            for trial in range(trials):
-                seed = base_seed + 100_000 * fi + 1_000 * di + trial
-                spec = make_scenario(family, {"seed": seed, "delay": delay})
-                result = run_trial(spec, config, latency_aware=latency_aware)
-                ground_rates.append(result.grounding_success_rate or 0.0)
-                replay_rates.append(result.replay_success_rate or 0.0)
-                tmp_num += result.report.temporal_correct
-                tmp_den += result.report.temporal_total
-                node_num += result.report.nodes_correct
-                node_den += result.report.nodes_total
+            reports = [
+                run_trial(
+                    make_scenario(family, {"seed": base_seed + 100_000 * fi + 1_000 * di + trial, "delay": delay}),
+                    config,
+                    latency_aware=latency_aware,
+                )
+                for trial in range(trials)
+            ]
             rows.append(
                 SuiteRow(
                     family=family,
                     delay=delay,
                     trials=trials,
-                    grounding_success_rate=sum(ground_rates) / len(ground_rates),
-                    replay_success_rate=sum(replay_rates) / len(replay_rates),
-                    temporal_accuracy=None if tmp_den == 0 else tmp_num / tmp_den,
-                    node_accuracy=None if node_den == 0 else node_num / node_den,
+                    grounding_success_rate=sum(r.grounding_success_rate or 0.0 for r in reports) / trials,
+                    replay_success_rate=sum(r.replay_success_rate or 0.0 for r in reports) / trials,
+                    temporal_accuracy=rate(
+                        sum(r.temporal_correct for r in reports), sum(r.temporal_total for r in reports)
+                    ),
+                    node_accuracy=rate(sum(r.nodes_correct for r in reports), sum(r.nodes_total for r in reports)),
                 )
             )
     return SuiteResult(latency_aware=latency_aware, rows=tuple(rows))

@@ -16,11 +16,16 @@ from stovsg import (
     EngineConfig,
     FrameGraph,
     FrameInput,
+    GroundTruthLog,
     LatencyTag,
     ObjectNode,
     PixelMask,
+    ScenarioSpec,
     SceneGraph4D,
     Track,
+    empty_graph,
+    generate_stream,
+    ingest_sequence,
 )
 from stovsg.model import TemporalEdge
 
@@ -153,6 +158,12 @@ def one_track(**fields) -> tuple[Track, ObjectNode]:
     """Track 1 with the given :class:`TrackSpec` fields, and its newest node."""
     graph = track_graph(TrackSpec(1, **fields))
     return graph.tracks[1], graph.newest_node(1)
+
+
+def ingested(spec: ScenarioSpec, config: EngineConfig) -> tuple[SceneGraph4D, GroundTruthLog]:
+    """The scenario's stream ingested in order into an empty graph, and its truth log."""
+    inputs, truth = generate_stream(spec)
+    return ingest_sequence(empty_graph(), inputs, config), truth
 
 
 @pytest.fixture

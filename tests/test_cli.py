@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import hashlib
 import json
 import operator
 import subprocess
@@ -684,3 +685,36 @@ def test_a_slice_of_the_cli_manifest_sequence_repeats_byte_for_byte(tmp_path):
     refused = [record for record in log if record["exit"] != 0]
     assert len(log) == 41 and len(refused) == 8  # each --as-of 0.01 cutoff is before every frame
     assert all(json.loads(record["stderr"])["error"] == "no-aligned-frame" for record in refused)
+
+
+# SHA-256 of (the --out file, the printed text) of each run below: the bytes `score` and `replay` report
+PINNED_SCORE_AND_REPLAY = {
+    "score": ("750ef247b23db95cf0cc9c4d28203e05379f131cabbabbf2a51f017982efbcb4",) * 2,
+    "score-naive": ("bad025548348b56163a288bdb46ad352e77825068e6720468d39d19694b6123e",) * 2,
+    "replay": (
+        "d90608e5c782710390c0227ba8707d32bd667aeb6775c91e11787666e5827854",
+        "a7a596fcf1d8a79df7f2cfabccc54839e9690e539efd7910d1002ffb23b32c3d",
+    ),
+    "replay-naive": (
+        "0c0dfb98d473418f0c2b5e2c1f69d7a6084f34749b3e75c4241ae58c233a5440",
+        "7fd0fb6fe326bee9a4b58c3aca3b30cdb81158deb20ae7d7d9e918e62c4dcaf8",
+    ),
+}
+
+
+def test_score_and_replay_outputs_are_pinned_byte_for_byte(scored_scene, tmp_path, capsys):
+    files = [f"--{name}={scored_scene / name}.json" for name in ("graph", "truth", "scenario")]
+    tight = tmp_path / "tight.json"  # a 1 mm tolerance: fractional node accuracy, and replay apart from ground
+    save_config(dataclasses.replace(EngineConfig(), centroid_tol=0.001), tight)
+    sweep = ["replay", "--config", str(tight), "--families", "target_moved,occlusion_after_command"]
+    sweep += ["--delays", "0.5,2.0", "--trials", "2"]
+    runs = {"score": ["score", *files], "score-naive": ["score", *files, "--naive"],
+            "replay": sweep, "replay-naive": [*sweep, "--naive"]}
+    capsys.readouterr()
+    digests = {}
+    for name, argv in runs.items():
+        out = tmp_path / f"{name}.json"
+        assert cli_main([*argv, "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        digests[name] = tuple(hashlib.sha256(data).hexdigest() for data in (out.read_bytes(), printed.encode()))
+    assert digests == PINNED_SCORE_AND_REPLAY

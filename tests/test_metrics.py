@@ -13,15 +13,14 @@ from stovsg import (
     ScenarioSpec,
     SimObject,
     SpatialEdge,
-    build_graph,
     commands_from_scenario,
     dumps,
     evaluate,
     make_scenario,
     node_truth_map,
-    score_graph,
-    score_grounding,
 )
+
+from conftest import ingested
 
 
 def _axis16(i: int) -> np.ndarray:
@@ -68,8 +67,8 @@ def two_object_spec(split_at: float | None = None) -> ScenarioSpec:
 
 
 def test_clean_pipeline_scores_perfectly(config):
-    graph, truth = build_graph(two_object_spec(), config)
-    report = score_graph(graph, truth, centroid_tol=config.centroid_tol)
+    graph, truth = ingested(two_object_spec(), config)
+    report = evaluate(graph, truth, config=config)
     assert report.nodes_total == 20 and report.nodes_correct == 20
     assert report.spatial_total == 10 and report.spatial_correct == 10
     assert report.temporal_total == 18 and report.temporal_correct == 18
@@ -79,7 +78,7 @@ def test_clean_pipeline_scores_perfectly(config):
 
 
 def test_single_identity_swap_costs_exactly_one_edge(config):
-    graph, truth = build_graph(two_object_spec(), config)
+    graph, truth = ingested(two_object_spec(), config)
     edges = list(graph.temporal_edges)
     victim = next(
         i
@@ -88,7 +87,7 @@ def test_single_identity_swap_costs_exactly_one_edge(config):
     )
     edges[victim] = replace(edges[victim], dst_node=10)  # point it at the block instead
     tampered = replace(graph, temporal_edges=tuple(edges))
-    report = score_graph(tampered, truth, centroid_tol=config.centroid_tol)
+    report = evaluate(tampered, truth, config=config)
     total = report.temporal_total
     assert total == 18 and report.temporal_correct == 17
     assert report.temporal_accuracy == (total - 1) / total
@@ -104,22 +103,22 @@ def _retag_node(graph, frame_pos: int, node_pos: int, **changes):
 
 
 def test_node_accuracy_checks_label_and_position(config):
-    graph, truth = build_graph(two_object_spec(), config)
+    graph, truth = ingested(two_object_spec(), config)
     wrong_label = _retag_node(graph, 2, 0, label="green plate")
-    report = score_graph(wrong_label, truth, centroid_tol=config.centroid_tol)
+    report = evaluate(wrong_label, truth, config=config)
     assert (report.nodes_total, report.nodes_correct) == (20, 19)
 
     node = graph.frames[4].nodes[1]
     shifted = _retag_node(graph, 4, 1, centroid=node.centroid + np.array([0.06, 0.0, 0.0]))
-    report = score_graph(shifted, truth, centroid_tol=0.05)
+    report = evaluate(shifted, truth, config=replace(config, centroid_tol=0.05))
     assert (report.nodes_total, report.nodes_correct) == (20, 19)
     # a looser tolerance forgives the shift
-    assert score_graph(shifted, truth, centroid_tol=0.2).nodes_correct == 20
+    assert evaluate(shifted, truth, config=replace(config, centroid_tol=0.2)).nodes_correct == 20
 
 
 def test_spatial_accuracy_penalizes_unsupported_edges(config):
-    graph, truth = build_graph(two_object_spec(split_at=0.5), config)
-    clean = score_graph(graph, truth, centroid_tol=config.centroid_tol)
+    graph, truth = ingested(two_object_spec(split_at=0.5), config)
+    clean = evaluate(graph, truth, config=config)
     assert clean.spatial_total == 4 and clean.spatial_correct == 4  # frames 1-4 only
 
     frames = list(graph.frames)
@@ -127,13 +126,13 @@ def test_spatial_accuracy_penalizes_unsupported_edges(config):
     bogus = SpatialEdge(src=last.nodes[0].node_id, dst=last.nodes[1].node_id, relation="near", cost=0.0)
     frames[-1] = replace(last, spatial_edges=(bogus,))
     tampered = replace(graph, frames=tuple(frames))
-    report = score_graph(tampered, truth, centroid_tol=config.centroid_tol)
+    report = evaluate(tampered, truth, config=config)
     assert report.spatial_total == 5 and report.spatial_correct == 4
     assert report.spatial_accuracy == 4 / 5
 
 
 def test_positional_matching_rejects_count_mismatch(config):
-    graph, truth = build_graph(two_object_spec(), config)
+    graph, truth = ingested(two_object_spec(), config)
     first = truth.frames[0]
     chopped = type(truth)(
         frames=(replace(first, detections=first.detections[:1]),) + truth.frames[1:],
@@ -148,10 +147,10 @@ def test_positional_matching_rejects_count_mismatch(config):
 
 def test_grounding_records_compare_against_intent(config):
     spec = make_scenario("occlusion_after_command", {"delay": 1.0})
-    graph, truth = build_graph(spec, config)
+    graph, truth = ingested(spec, config)
     commands = commands_from_scenario(spec)
-    aware = score_grounding(graph, truth, commands, config, latency_aware=True)
-    naive = score_grounding(graph, truth, commands, config, latency_aware=False)
+    aware = evaluate(graph, truth, commands, config, latency_aware=True).grounding
+    naive = evaluate(graph, truth, commands, config, latency_aware=False).grounding
     assert len(aware) == 1
     record = aware[0]
     assert record.intended_id == 1
@@ -163,12 +162,12 @@ def test_grounding_records_compare_against_intent(config):
     assert naive[0].grounded_true_id != 1
 
     with pytest.raises(InputRejected):
-        score_grounding(graph, truth, [], config)
+        evaluate(graph, truth, commands * 2, config)
 
 
 def test_evaluate_combines_graph_and_grounding(config):
     spec = make_scenario("occlusion_after_command", {"delay": 1.0})
-    graph, truth = build_graph(spec, config)
+    graph, truth = ingested(spec, config)
     commands = commands_from_scenario(spec)
     report = evaluate(graph, truth, commands, config)
     assert report.grounding_success_rate == 1.0
@@ -186,6 +185,7 @@ def test_empty_report_rates_are_none():
     assert report.spatial_accuracy is None
     assert report.temporal_accuracy is None
     assert report.grounding_success_rate is None
+    assert report.replay_success_rate is None
     data = report.to_dict()
     assert data["schema"] == "stovsg-metrics/1"
     assert data["node_accuracy"] is None

@@ -1,26 +1,32 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from stovsg import (
     FAMILY_DISTRACTOR,
     FAMILY_TARGET_MOVED,
-    build_graph,
     commands_from_scenario,
+    evaluate,
     format_suite,
     make_scenario,
     run_suite,
     run_trial,
-    score_grounding,
     validate_graph,
 )
 
+from conftest import ingested
 
-def test_build_graph_ingests_every_frame(config):
+
+def test_trial_scores_every_detection_of_the_stream(config):
     spec = make_scenario(FAMILY_DISTRACTOR, {"seed": 4, "delay": 0.5})
-    graph, truth = build_graph(spec, config)
-    assert len(graph.frames) == len(truth.frames)
-    assert validate_graph(graph) == []
+    graph, truth = ingested(spec, config)
+    assert len(graph.frames) == len(truth.frames) and validate_graph(graph) == []
+    report = run_trial(spec, config)
+    assert report.nodes_total == sum(len(frame.detections) for frame in truth.frames) > 0
+    assert report.nodes_correct == report.nodes_total
+    assert len(report.grounding) == len(truth.commands) == 1
 
 
 def test_commands_carry_the_downlink_delay():
@@ -36,18 +42,24 @@ def test_trial_passes_aware_and_fails_naive(config):
     naive = run_trial(spec, config, latency_aware=False)
     assert aware.grounding_success_rate == 1.0
     assert aware.replay_success_rate == 1.0
-    assert aware.pose_matches == (True,)
     assert naive.grounding_success_rate == 0.0
     assert naive.replay_success_rate == 0.0
-    assert aware.delay == 1.0 and aware.family == FAMILY_TARGET_MOVED
+
+
+def test_replay_success_needs_the_pose_within_centroid_tol(config):
+    spec = make_scenario(FAMILY_TARGET_MOVED, {"seed": 2, "delay": 1.0})
+    report = run_trial(spec, replace(config, centroid_tol=1e-3))  # the grounded pose is 1.9 mm off the truth
+    assert report.grounding_success_rate == 1.0
+    assert report.replay_success_rate == 0.0
+    assert run_trial(spec, replace(config, centroid_tol=2e-3)).replay_success_rate == 1.0
 
 
 def test_grounded_true_ids_reports_both_modes(config):
     spec = make_scenario(FAMILY_TARGET_MOVED, {"seed": 2, "delay": 1.0})
-    graph, truth = build_graph(spec, config)
+    graph, truth = ingested(spec, config)
     commands = commands_from_scenario(spec)
-    [aware] = score_grounding(graph, truth, commands, config, latency_aware=True)
-    [naive] = score_grounding(graph, truth, commands, config, latency_aware=False)
+    [aware] = evaluate(graph, truth, commands, config, latency_aware=True).grounding
+    [naive] = evaluate(graph, truth, commands, config, latency_aware=False).grounding
     assert aware.grounded_true_id == 1
     assert naive.grounded_true_id == 3  # the look-alike parked on the target's old spot
 

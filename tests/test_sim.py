@@ -20,13 +20,14 @@ from stovsg import (
     NoiseModel,
     ScenarioSpec,
     SimObject,
-    build_graph,
+    evaluate,
     generate_stream,
     make_random_scenario,
     make_scenario,
     noise_preset,
-    score_graph,
 )
+
+from conftest import ingested
 
 
 def simple_object(**overrides) -> SimObject:
@@ -323,8 +324,8 @@ def test_nearer_object_hides_the_one_behind_it(mug_first):
     mug = on_axis(1, "red mug", 0.12, 1.5)
     box = on_axis(2, "box", 0.3, 2.5)
     config = EngineConfig()
-    graph, truth = build_graph(stacked_spec(*((mug, box) if mug_first else (box, mug))), config)
-    assert score_graph(graph, truth, centroid_tol=config.centroid_tol).node_accuracy == 1.0
+    graph, truth = ingested(stacked_spec(*((mug, box) if mug_first else (box, mug))), config)
+    assert evaluate(graph, truth, config=config).node_accuracy == 1.0
 
 
 def test_object_hidden_entirely_is_not_detected():
