@@ -119,7 +119,6 @@ from .temporal import (
     associate,
     build_cost_matrix,
     eligible_tracks,
-    solve_assignment,
     temporal_cost,
 )
 

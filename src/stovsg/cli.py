@@ -134,7 +134,7 @@ def cmd_replay(args) -> int:
     families = tuple(args.families.split(",")) if args.families else FAMILIES
     for family in families:
         if family not in FAMILIES:
-            raise EngineError(f"unknown family {family!r}; choose from {', '.join(FAMILIES)}")
+            raise InputRejected(f"unknown family {family!r}; choose from {', '.join(FAMILIES)}")
     try:
         delays = tuple(float(d) for d in args.delays.split(","))
     except ValueError:

@@ -152,7 +152,7 @@ def evaluate(
     same = [edge for edge in graph.temporal_edges if edge.relation == SAME_INSTANCE]
     temporal_correct = sum(mapping[edge.src_node].true_id == mapping[edge.dst_node].true_id for edge in same)
 
-    if commands and len(commands) != len(truth.commands):
+    if commands is not None and len(commands) != len(truth.commands):
         raise InputRejected(
             f"{len(commands)} commands but truth log records {len(truth.commands)}"
         )

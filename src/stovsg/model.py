@@ -570,11 +570,9 @@ class Command:
 
 @dataclass(frozen=True)
 class AssociationOutcome:
-    """Result of matching one frame's nodes against existing tracks."""
+    """Result of matching one frame's nodes against existing tracks: the pairs that hold."""
 
-    accepted: tuple[tuple[int, int, float], ...]  # (track_id, node_id, cost)
-    new_nodes: tuple[int, ...]  # node ids that start fresh tracks
-    disappeared: tuple[int, ...]  # eligible track ids left unmatched
+    accepted: tuple[tuple[int, int], ...]  # (track_id, node_id)
 
 
 def _finite(arr: np.ndarray) -> bool:

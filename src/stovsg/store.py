@@ -167,7 +167,7 @@ def ingest_frame(graph: SceneGraph4D, frame_input: FrameInput, config: "EngineCo
 
     frame = FrameGraph.with_norms(frame_index, tag, tuple(nodes), tuple(edges), tuple(norms))
     outcome = associate(graph, nodes, config.temporal, now=tag.observed_time)
-    return apply_outcome(graph, outcome, frame, config, next_node_id)
+    return apply_outcome(graph, outcome, frame, config)
 
 
 def apply_outcome(
@@ -175,19 +175,19 @@ def apply_outcome(
     outcome: AssociationOutcome,
     frame: FrameGraph,
     config: "EngineConfig",
-    next_node_id: int,
 ) -> SceneGraph4D:
     """Commit one frame plus its association outcome to the graph.
 
-    Accepted pairs extend their track (same-instance edge, exponentially
-    refreshed descriptor, label correction); unmatched nodes open tracks
-    with an appearance edge; each active track must be extended or lost,
-    and a lost one gets a disappearance edge; a live track not extended and
-    not :func:`~stovsg.temporal.in_grace` retires, and its record goes.
-    Everything is checked before the log is appended to, the frame's time
-    order too, so a refused outcome changes nothing.  The log takes each
-    track's history from the edges; a track seen in this frame is its id
-    and its new descriptor.  ``next_node_id`` is the new graph's.
+    Each accepted pair extends its track (same-instance edge, exponentially
+    refreshed descriptor); each frame node no pair took opens a track with
+    an appearance edge, in frame order; each active track no pair extended
+    is lost, with a disappearance edge, by ascending track id; a live track
+    not extended and not :func:`~stovsg.temporal.in_grace` retires, and its
+    record goes.  Everything is checked before the log is appended to, the
+    frame's time order too, so a refused outcome changes nothing.  The log
+    takes each track's history from the edges; a track seen in this frame
+    is its id and its new descriptor.  The new graph's next node id follows
+    the larger of the graph's and the frame's.
     """
     for path, message in time_order_problems(graph, frame):
         raise InputRejected(f"{path}: {message}")
@@ -204,15 +204,20 @@ def apply_outcome(
     next_track_id = graph.next_track_id
 
     extended: dict[int, ObjectNode] = {}  # id of each accepted track -> its new node
-    for track_id, node_id, _cost in outcome.accepted:
+    taken: set[int] = set()  # ids of the accepted nodes
+    for track_id, node_id in outcome.accepted:
         if track_id not in tracks:
             raise InputRejected(f"outcome references unknown track {track_id}")
         if node_id not in by_id:
             raise InputRejected(f"outcome references node {node_id} not in frame")
         if track_id in extended:
             raise InputRejected(f"outcome extends track {track_id} twice")
+        if node_id in taken:
+            raise InputRejected(f"outcome puts node {node_id} on two tracks")
         extended[track_id] = by_id[node_id]
-        new_edges.append(TemporalEdge(SAME_INSTANCE, track_id, frame.frame_index, log.histories[track_id][-1], node_id))
+        taken.add(node_id)
+        newest = graph.newest_node(track_id).node_id
+        new_edges.append(TemporalEdge(SAME_INSTANCE, track_id, frame.frame_index, newest, node_id))
     if extended:  # one blend for all; each norm per row, since a row-wise norm(axis=1) sums in another order
         previous = np.array([tracks[track_id].descriptor for track_id in extended])
         blended = (1.0 - alpha) * previous + alpha * np.array([node.f_img for node in extended.values()])
@@ -222,23 +227,13 @@ def apply_outcome(
         for (track_id, node), unit, norm in zip(extended.items(), units, norms):
             descriptors[track_id] = unit if norm > 0 else _unit(node.f_img)
 
-    for node_id in outcome.new_nodes:
-        if node_id not in by_id:
-            raise InputRejected(f"outcome references node {node_id} not in frame")
-        descriptors[next_track_id] = _unit(by_id[node_id].f_img)
-        new_edges.append(TemporalEdge(APPEARED, next_track_id, frame.frame_index, dst_node=node_id))
-        next_track_id += 1
-
-    for track_id in outcome.disappeared:
-        if track_id not in tracks:
-            raise InputRejected(f"outcome references unknown track {track_id}")
-        if track_id in descriptors:
-            raise InputRejected(f"outcome both extends and loses track {track_id}")
-        if track_id in graph.active:
-            new_edges.append(TemporalEdge(DISAPPEARED, track_id, frame.frame_index, log.histories[track_id][-1]))
-    missed = graph.active.difference(extended, outcome.disappeared)
-    if missed:
-        raise InputRejected(f"outcome neither extends nor loses active track {min(missed)}")
+    for node in frame.nodes:
+        if node.node_id not in taken:
+            descriptors[next_track_id] = _unit(node.f_img)
+            new_edges.append(TemporalEdge(APPEARED, next_track_id, frame.frame_index, dst_node=node.node_id))
+            next_track_id += 1
+    for track_id in sorted(graph.active.difference(extended)):
+        new_edges.append(TemporalEdge(DISAPPEARED, track_id, frame.frame_index, graph.newest_node(track_id).node_id))
 
     for track_id in graph.tracks:
         if track_id not in descriptors and not in_grace(graph, track_id, config.temporal, now):
@@ -247,6 +242,7 @@ def apply_outcome(
         tracks[track_id] = Track(track_id, descriptor)
 
     log.append((frame,), new_edges)  # nothing above touched the log
+    next_node_id = max([graph.next_node_id, *(node_id + 1 for node_id in by_id)])
     return SceneGraph4D(*log.views(), MappingProxyType(tracks), next_node_id, next_track_id, graph.frames_dropped)
 
 

@@ -130,17 +130,6 @@ def _raise_first_failing_pair(rows: Sequence[Track], nodes: Sequence[ObjectNode]
     raise AssertionError("a failing cost block had no failing pair")
 
 
-def solve_assignment(matrix: CostMatrix) -> list[tuple[int, int]]:
-    """Optimal one-to-one (row, col) pairs for a cost block.
-
-    Requires finite, non-negative entries.  Ties between equal-cost optima
-    resolve to the lexicographically smallest pair sequence.
-    """
-    if matrix.values.size and float(matrix.values.min()) < 0:
-        raise InputRejected("cost matrix entries must be non-negative")
-    return min_cost_assignment(matrix.values)
-
-
 def associate(
     graph: SceneGraph4D,
     nodes: Sequence[ObjectNode],
@@ -149,29 +138,18 @@ def associate(
 ) -> AssociationOutcome:
     """Match a frame's nodes against the live tracks of ``graph`` and gate by threshold.
 
-    Every matchable track lands in exactly one of ``accepted`` or
-    ``disappeared``, and every node in exactly one of ``accepted`` or
-    ``new_nodes``; assignment pairs at or above ``eta`` are rejected.
+    The cost block (:func:`build_cost_matrix`) is solved for the optimal
+    one-to-one assignment, ties going to the lexicographically smallest
+    pair sequence; a pair holds only when its cost is strictly below
+    ``eta``.  The pairs come by ascending track id; committing them
+    (:func:`~stovsg.store.apply_outcome`) opens a track for every other node
+    and loses every other active track.
     """
     matrix = build_cost_matrix(graph, nodes, w, now)
-    pairs = solve_assignment(matrix)
-
-    accepted: list[tuple[int, int, float]] = []
-    matched_tracks: set[int] = set()
-    matched_nodes: set[int] = set()
-    for row, col in pairs:
-        cost = float(matrix.values[row, col])
-        if cost < w.eta:
-            tid = matrix.track_ids[row]
-            nid = matrix.node_ids[col]
-            accepted.append((tid, nid, cost))
-            matched_tracks.add(tid)
-            matched_nodes.add(nid)
-
-    new_nodes = tuple(nid for nid in matrix.node_ids if nid not in matched_nodes)
-    disappeared = tuple(tid for tid in matrix.track_ids if tid not in matched_tracks)
-    return AssociationOutcome(
-        accepted=tuple(accepted),
-        new_nodes=new_nodes,
-        disappeared=disappeared,
-    )
+    if matrix.values.size and float(matrix.values.min()) < 0:
+        raise InputRejected("cost matrix entries must be non-negative")
+    return AssociationOutcome(tuple(
+        (matrix.track_ids[row], matrix.node_ids[col])
+        for row, col in min_cost_assignment(matrix.values)
+        if matrix.values[row, col] < w.eta
+    ))

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from stovsg import (
-    APPEARED,
+    DISAPPEARED,
     BoundingBox2D,
     CameraModel,
     EngineConfig,
@@ -37,7 +37,6 @@ from stovsg import (
     TemporalWeights,
     associate,
     commands_from_scenario,
-    eligible_tracks,
     empty_graph,
     extract_subgraph,
     generate_stream,
@@ -170,24 +169,18 @@ def test_criterion_04_association_partitions_nodes_and_tracks():
             frame = graph.frames[-1]
             now = frame.latency_tag.observed_time
             outcome = associate(before, frame.nodes, config.temporal, now=now)
-            eligible = {t.track_id for t in eligible_tracks(before, config.temporal, now)}
-            matched_t = [tid for tid, _, _ in outcome.accepted]
-            matched_n = [nid for _, nid, _ in outcome.accepted]
-            node_ids = sorted(n.node_id for n in frame.nodes)
+            added = graph.temporal_edges[seen:]
+            extended = [(e.track_id, e.dst_node) for e in added if e.relation == SAME_INSTANCE]
+            taken = [e.dst_node for e in added if e.relation != DISAPPEARED]
+            lost = {e.track_id for e in added if e.relation == DISAPPEARED}
+            tracks = {tid for tid, _ in extended}
+            # every node lands on one track; every track active before the frame is extended or lost, not both
             ok = (
-                len(set(matched_t)) == len(matched_t)
-                and len(set(matched_n)) == len(matched_n)
-                and set(matched_t) | set(outcome.disappeared) == eligible
-                and not set(matched_t) & set(outcome.disappeared)
-                and sorted(matched_n + list(outcome.new_nodes)) == node_ids
-                and not set(matched_n) & set(outcome.new_nodes)
+                sorted(taken) == sorted(n.node_id for n in frame.nodes)
+                and not tracks & lost
+                and tracks | lost >= before.active >= lost
+                and tuple(extended) == outcome.accepted
             )
-            # the stored graph must agree with the recomputed outcome: the frame's edges extend and open its tracks
-            added = [(e.relation, e.track_id, e.dst_node) for e in graph.temporal_edges[seen:]]
-            for tid, nid, _ in outcome.accepted:
-                ok = ok and (SAME_INSTANCE, tid, nid) in added
-            for nid in outcome.new_nodes:
-                ok = ok and any(relation == APPEARED and dst == nid for relation, _, dst in added)
             violations += 0 if ok else 1
             frames_checked += 1
     assert violations == 0

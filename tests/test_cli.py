@@ -224,11 +224,11 @@ def test_missing_stream_file_reports_io_error(tmp_path):
     assert "nope.jsonl" in err["message"]
 
 
-def test_unknown_replay_family_reports_engine_error(tmp_path):
+def test_unknown_replay_family_reports_input_rejected(tmp_path):
     proc = run_cli("replay", "--families", "poltergeist", "--delays", "0.5")
     assert proc.returncode == 1
     err = json.loads(proc.stderr)
-    assert err["error"] == "engine-error"
+    assert err["error"] == "input-rejected"
     assert "poltergeist" in err["message"]
 
 
@@ -404,6 +404,18 @@ def test_score_refuses_a_malformed_graph_or_truth_file_as_one_json_error(
     out, err = capsys.readouterr()
     (line,) = err.splitlines()
     assert out == "" and json.loads(line) == {"error": "format-error", "message": message.format(path=path)}
+
+
+def test_score_refuses_a_command_list_of_the_wrong_length_even_an_empty_one(scored_scene, tmp_path, capsys):
+    commands = tmp_path / "commands.json"
+    commands.write_text(json.dumps({"commands": []}) + "\n")
+    files = ("--graph", scored_scene / "graph.json", "--truth", scored_scene / "truth.json", "--commands", commands)
+    capsys.readouterr()
+    assert cli_main(["score", *map(str, files)]) == 1
+    out, err = capsys.readouterr()
+    (line,) = err.splitlines()
+    message = "0 commands but truth log records 1"
+    assert out == "" and json.loads(line) == {"error": "input-rejected", "message": message}
 
 
 def _swap_tails(edges):

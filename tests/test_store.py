@@ -447,7 +447,7 @@ def test_an_outcome_on_a_frame_out_of_time_order_is_refused(config):
     ]:
         frame = FrameGraph(frame_index, tag, (node,), ())
         with pytest.raises(InputRejected, match=rf"^{re.escape(path)}: "):
-            apply_outcome(graph, AssociationOutcome((), (2,), ()), frame, config, 3)
+            apply_outcome(graph, AssociationOutcome(()), frame, config)
         assert len(graph.log.frames) == 1
 
 
@@ -582,27 +582,34 @@ def test_a_node_id_already_in_the_graph_is_refused(config):
         ingest_frame(stale, make_frame_input(3.0, detections=(_mug(),)), config)
 
 
-def test_an_outcome_extending_one_track_twice_is_refused(config):
-    graph = ingest_sequence(empty_graph(), _scene_inputs(1), config)
-    frame = FrameGraph(
+def _second_frame():
+    """Frame 2 after ``_scene_inputs(1)``, whose mug and apple are tracks 1 and 2 (nodes 1 and 2): nodes 3 and 4."""
+    return FrameGraph(
         frame_index=2,
         latency_tag=LatencyTag(capture_time=2.0, transmission_latency=0.5),
         nodes=(make_node(3), make_node(4)),
         spatial_edges=(),
     )
-    twice = AssociationOutcome(accepted=((1, 3, 0.1), (1, 4, 0.2)), new_nodes=(), disappeared=())
+
+
+def test_an_outcome_extending_one_track_twice_is_refused(config):
+    graph = ingest_sequence(empty_graph(), _scene_inputs(1), config)
+    frame = _second_frame()
     with pytest.raises(InputRejected, match="outcome extends track 1 twice"):
-        apply_outcome(graph, twice, frame, config, 5)
-    both = AssociationOutcome(accepted=((1, 3, 0.1),), new_nodes=(4,), disappeared=(1,))
-    with pytest.raises(InputRejected, match="outcome both extends and loses track 1"):
-        apply_outcome(graph, both, frame, config, 5)
-    silent = AssociationOutcome(accepted=((1, 3, 0.1),), new_nodes=(4,), disappeared=())
-    with pytest.raises(InputRejected, match="outcome neither extends nor loses active track 2"):
-        apply_outcome(graph, silent, frame, config, 5)
-    once = AssociationOutcome(accepted=((1, 3, 0.1),), new_nodes=(4,), disappeared=(2,))
-    after = apply_outcome(graph, once, frame, config, 5)
+        apply_outcome(graph, AssociationOutcome(((1, 3), (1, 4))), frame, config)
+    # the node no pair took opens track 3, and the track no pair extended is lost
+    after = apply_outcome(graph, AssociationOutcome(((1, 3),)), frame, config)
     assert after.log is graph.log and after.track_of(3) == 1 and after.track_of(4) == 3
     assert histories_oracle(after.temporal_edges) == {1: (1, 3), 2: (2,), 3: (4,)}
+    assert [(e.track_id, e.src_node) for e in edges_of(after, DISAPPEARED)] == [(2, 2)]
+    assert after.next_node_id == 5 and validate_graph(after) == []
+
+
+def test_an_outcome_putting_one_node_on_two_tracks_is_refused(config):
+    graph = ingest_sequence(empty_graph(), _scene_inputs(1), config)
+    with pytest.raises(InputRejected, match="^outcome puts node 3 on two tracks$"):
+        apply_outcome(graph, AssociationOutcome(((1, 3), (2, 3))), _second_frame(), config)
+    assert len(graph.log.frames) == 1
 
 
 # --- time lookups against full-scan oracles -----------------------------------

@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 from stovsg import (
-    CostMatrix,
+    APPEARED,
+    DISAPPEARED,
+    SAME_INSTANCE,
+    EngineConfig,
     InputRejected,
     SceneGraph4D,
     TemporalWeights,
@@ -17,9 +20,10 @@ from stovsg import (
     empty_graph,
     ingest_frame,
     ingest_sequence,
-    solve_assignment,
     temporal_cost,
 )
+from stovsg.model import FrameGraph, LatencyTag
+from stovsg.store import apply_outcome
 
 from conftest import DIM, TrackSpec, axis, in_plane, make_detection, make_frame_input, make_node, one_track, track_graph
 from oracles import brute_force_assignment, temporal_cost_oracle
@@ -225,34 +229,46 @@ def test_an_older_snapshot_associates_as_its_standalone_rebuild(config, now):
     assert associate(older, nodes, w, now) == associate(alone, nodes, w, now)
 
 
-def test_solve_assignment_rejects_negative_entries():
-    matrix = CostMatrix(values=np.array([[-0.1, 0.2], [0.3, 0.4]]), track_ids=(1, 2), node_ids=(3, 4))
-    with pytest.raises(InputRejected):
-        solve_assignment(matrix)
+def _committed(graph, nodes, w, now):
+    """The outcome of associating ``nodes`` at ``now``, and the edges that commit it as (relation, track, node).
+
+    The node is the destination of a same-instance or appeared edge and the
+    source of a disappeared one.
+    """
+    out = associate(graph, nodes, w, now)
+    frame = FrameGraph(len(graph.frames) + 1, LatencyTag(now, 0.0), tuple(nodes), ())
+    after = apply_outcome(graph, out, frame, replace(EngineConfig(), temporal=w))
+    added = after.temporal_edges[len(graph.temporal_edges):]
+    return out, [(e.relation, e.track_id, e.src_node if e.relation == DISAPPEARED else e.dst_node) for e in added]
 
 
-def test_solve_assignment_prefers_global_optimum_over_greedy():
-    # row 0 would greedily grab column 0, forcing row 1 into the 0.9 cell;
-    # the optimal matching swaps them
-    matrix = CostMatrix(
-        values=np.array([[0.10, 0.20], [0.15, 0.90]]),
-        track_ids=(7, 9),
-        node_ids=(3, 4),
-    )
-    assert solve_assignment(matrix) == [(0, 1), (1, 0)]
+def test_associate_rejects_negative_costs():
+    graph = track_graph(TrackSpec(1, label="red mug"))
+    with pytest.raises(InputRejected, match="^cost matrix entries must be non-negative$"):
+        associate(graph, [make_node(5, label="apple")], TemporalWeights(delta_cls=-0.5), now=1.0)
+
+
+def test_associate_prefers_global_optimum_over_greedy():
+    # costs [[0.1, 0.2], [0.2, 0.5]]: track 1 would greedily grab node 10,
+    # leaving track 2 only the 0.5 cell, which the gate rejects; the optimal
+    # matching swaps them
+    w = TemporalWeights(w_pos=1.0, w_vis=0.0, delta_cls=0.0, d_max=1.0, eta=0.5)
+    graph = track_graph(TrackSpec(1, centroid=(0.0, 0.0, 0.0)), TrackSpec(2, centroid=(0.3, 0.0, 0.0)))
+    nodes = [make_node(10, centroid=(0.1, 0.0, 0.0)), make_node(11, centroid=(-0.2, 0.0, 0.0))]
+    assert associate(graph, nodes, w, now=1.0).accepted == ((1, 11), (2, 10))
 
 
 def test_threshold_is_strict():
     w = TemporalWeights(w_pos=1.0, w_vis=0.0, delta_cls=0.0, d_max=1.0, eta=0.5)
     graph = track_graph(TrackSpec(1, centroid=(0.0, 0.0, 0.0)))
     nodes = [make_node(5, centroid=(0.5, 0.0, 0.0))]
-    out = associate(graph, nodes, w, now=1.0)
+    out, added = _committed(graph, nodes, w, now=1.0)
     assert out.accepted == ()  # cost == eta exactly -> rejected
-    assert out.new_nodes == (5,)
-    assert out.disappeared == (1,)
+    assert added == [(APPEARED, 2, 5), (DISAPPEARED, 1, 10_001)]
     looser = TemporalWeights(w_pos=1.0, w_vis=0.0, delta_cls=0.0, d_max=1.0, eta=0.6)
-    out = associate(graph, nodes, looser, now=1.0)
-    assert [(t, n) for t, n, _ in out.accepted] == [(1, 5)]
+    out, added = _committed(graph, nodes, looser, now=1.0)
+    assert out.accepted == ((1, 5),)
+    assert added == [(SAME_INSTANCE, 1, 5)]
 
 
 def test_label_term_settles_a_swap_both_sides_would_accept():
@@ -267,8 +283,10 @@ def test_label_term_settles_a_swap_both_sides_would_accept():
         make_node(11, centroid=(0.1, 0.0, 1.0), label="red mug"),
     ]
     out = associate(graph, nodes, W, now=1.0)
-    assert sorted((t, n) for t, n, _ in out.accepted) == [(1, 11), (2, 10)]
-    for _, _, cost in out.accepted:
+    assert out.accepted == ((1, 11), (2, 10))
+    matrix = build_cost_matrix(graph, nodes, W, now=1.0)
+    for t, n in out.accepted:
+        cost = matrix.values[matrix.track_ids.index(t), matrix.node_ids.index(n)]
         assert math.isclose(cost, 0.4 * 0.1, rel_tol=1e-12)
 
 
@@ -309,7 +327,7 @@ def test_associate_matches_brute_force_oracle_on_random_scenes():
             for j in range(n_nodes)
         ]
 
-        out = associate(graph, nodes, W, now=now)
+        out, added = _committed(graph, nodes, W, now)
 
         rows = eligible_tracks(graph, W, now)
         assert [t.track_id for t in rows] == live
@@ -332,14 +350,20 @@ def test_associate_matches_brute_force_oracle_on_random_scenes():
             for i, j in pairs
             if cost[i, j] < W.eta
         ]
-        assert [(t, n) for t, n, _ in out.accepted] == [(t, n) for t, n, _ in want]
-        for (_, _, got_c), (_, _, want_c) in zip(out.accepted, want):
-            assert math.isclose(got_c, want_c, rel_tol=1e-12)
+        assert out.accepted == tuple((t, n) for t, n, _ in want)
+        matrix = build_cost_matrix(graph, nodes, W, now)
+        for i, j in pairs:
+            assert math.isclose(matrix.values[i, j], cost[i, j], rel_tol=1e-12)
 
+        # the unmatched nodes open tracks in frame order, the unmatched active tracks are lost by ascending id
         matched_t = {t for t, _, _ in want}
         matched_n = {n for _, n, _ in want}
-        assert out.new_nodes == tuple(n.node_id for n in nodes if n.node_id not in matched_n)
-        assert out.disappeared == tuple(t.track_id for t in rows if t.track_id not in matched_t)
+        assert added == (
+            [(SAME_INSTANCE, t, n) for t, n, _ in want]
+            + [(APPEARED, graph.next_track_id + k, n) for k, n in enumerate(
+                n.node_id for n in nodes if n.node_id not in matched_n)]
+            + [(DISAPPEARED, t, graph.newest_node(t).node_id) for t in sorted(graph.active - matched_t)]
+        )
 
 
 def test_outcome_partition_invariant():
@@ -366,12 +390,14 @@ def test_outcome_partition_invariant():
             )
             for j in range(int(rng.integers(0, 6)))
         ]
-        out = associate(graph, nodes, W, now=now)
-        eligible = {t.track_id for t in eligible_tracks(graph, W, now)}
-        matched_t = {t for t, _, _ in out.accepted}
-        matched_n = {n for _, n, _ in out.accepted}
-        assert matched_t | set(out.disappeared) == eligible
-        assert not matched_t & set(out.disappeared)
-        assert matched_n | set(out.new_nodes) == {n.node_id for n in nodes}
-        assert not matched_n & set(out.new_nodes)
-        assert all(c < W.eta for _, _, c in out.accepted)
+        out, added = _committed(graph, nodes, W, now)
+        pairs = [(t, n) for relation, t, n in added if relation == SAME_INSTANCE]
+        extended = [t for t, _ in pairs]
+        lost = [t for relation, t, _ in added if relation == DISAPPEARED]
+        taken = [n for relation, _, n in added if relation != DISAPPEARED]
+        assert not set(extended) & set(lost) and set(extended) | set(lost) >= graph.active
+        assert set(lost) <= graph.active and len(set(lost)) == len(lost)
+        assert sorted(taken) == sorted(n.node_id for n in nodes)
+        assert pairs == list(out.accepted) and set(extended) <= set(graph.tracks)
+        matrix = build_cost_matrix(graph, nodes, W, now)
+        assert all(matrix.values[matrix.track_ids.index(t), matrix.node_ids.index(n)] < W.eta for t, n in out.accepted)
