@@ -92,15 +92,28 @@ def _lex_min_perfect_matching(adj: list[list[int]], initial: list[int]) -> list[
     fixed_cols: set[int] = set()
 
     def try_augment(r: int, banned: set[int]) -> bool:
-        for j in adj[r]:
-            if j in fixed_cols or j in banned:
+        """Depth first from row ``r`` to a free column; each row tries its unfixed, unbanned columns in order.
+
+        Every column tried stays banned, and only a found path is written, so
+        a failed search changes nothing.  The path is an explicit stack: a
+        chain of re-matched rows may be longer than the recursion limit.
+        """
+        stack, path = [(r, iter(adj[r]))], []  # the rows on the path with their untried columns; the column each took
+        while stack:
+            j = next((j for j in stack[-1][1] if j not in fixed_cols and j not in banned), None)
+            if j is None:  # this row has no column left: back up, past the column that led to it
+                stack.pop()
+                del path[-1:]
                 continue
             banned.add(j)
+            path.append(j)
             owner = col_to_row[j]
-            if owner == -1 or try_augment(owner, banned):
-                row_to_col[r] = j
-                col_to_row[j] = r
+            if owner == -1:
+                for (row, _), col in zip(stack, path):
+                    row_to_col[row] = col
+                    col_to_row[col] = row
                 return True
+            stack.append((owner, iter(adj[owner])))
         return False
 
     for i in range(n):

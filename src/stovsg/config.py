@@ -6,7 +6,7 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-from .errors import FormatError
+from .errors import FormatError, InputRejected
 from .formats import FLOAT, INT, Codec, parse_json
 from .query import QueryConfig
 from .spatial import SpatialWeights
@@ -25,11 +25,12 @@ def _codecs(cls: type) -> dict[str, Codec]:
     return {f.name: _ANNOTATION_CODECS[f.type] for f in fields(cls) if f.name not in _SECTIONS}
 
 
-def _section(data: dict, name: str, codecs: dict[str, Codec]) -> dict:
-    """The section's values, each checked against its field's type."""
+def _section(data: dict, name: str, cls: type, **sections):
+    """The section built as ``cls``: each value checked against its field's type, then by ``cls`` itself."""
     raw = data.get(name, {})
     if not isinstance(raw, dict):
         raise FormatError(f"config section {name!r} must be an object")
+    codecs = _codecs(cls)
     bad = set(raw) - set(codecs)
     if bad:
         raise FormatError(f"unknown keys in config section {name!r}: {sorted(bad)}")
@@ -39,10 +40,10 @@ def _section(data: dict, name: str, codecs: dict[str, Codec]) -> dict:
             values[key] = codecs[key].decode(value)
         except FormatError as exc:
             raise FormatError(f"config section {name!r}: {key}: {exc}") from None
-    return values
-
-
-_SECTION_CODECS = {name: _codecs(cls) for name, cls in _SECTIONS.items()}
+    try:
+        return cls(**sections, **values)
+    except InputRejected as exc:  # a value the settings refuse; the message names the key
+        raise FormatError(f"config section {name!r}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -55,9 +56,15 @@ class EngineConfig:
     descriptor_alpha: float = 0.3  # appearance EMA mixing factor
     centroid_tol: float = 0.05  # metres; node-accuracy gate for scoring
 
+    def __post_init__(self) -> None:
+        if not 0 < self.descriptor_alpha <= 1:  # each rule is written so that NaN fails it
+            raise InputRejected(f"descriptor_alpha must be in (0, 1], got {self.descriptor_alpha}")
+        if not self.centroid_tol > 0:
+            raise InputRejected(f"centroid_tol must be positive, got {self.centroid_tol}")
+
     def to_dict(self) -> dict:
         sections = {name: asdict(getattr(self, name)) for name in _SECTIONS}
-        engine = {key: getattr(self, key) for key in _ENGINE_CODECS}
+        engine = {key: getattr(self, key) for key in _codecs(EngineConfig)}
         return {"schema": CONFIG_SCHEMA, **sections, "engine": engine}
 
     @staticmethod
@@ -70,40 +77,8 @@ class EngineConfig:
         unknown = set(data) - {"schema", "engine", *_SECTIONS}
         if unknown:
             raise FormatError(f"unknown config keys: {sorted(unknown)}")
-        sections = {
-            name: cls(**_section(data, name, _SECTION_CODECS[name]))
-            for name, cls in _SECTIONS.items()
-        }
-        cfg = EngineConfig(**sections, **_section(data, "engine", _ENGINE_CODECS))
-        cfg.validate()
-        return cfg
-
-    def validate(self) -> None:
-        data = self.to_dict()  # every value must read back as its field's type
-        for name, codecs in {**_SECTION_CODECS, "engine": _ENGINE_CODECS}.items():
-            _section(data, name, codecs)
-        t = self.temporal
-        if t.d_max <= 0:
-            raise FormatError(f"temporal.d_max must be positive, got {t.d_max}")
-        if t.grace_period < 0:
-            raise FormatError(f"temporal.grace_period must be non-negative, got {t.grace_period}")
-        if min(t.w_pos, t.w_vis, t.delta_cls) < 0:
-            raise FormatError("temporal weights must be non-negative")
-        if min(self.spatial.w_iou, self.spatial.w_area, self.spatial.w_ctr) < 0:
-            raise FormatError("spatial weights must be non-negative")
-        if self.query.beta < 0:
-            raise FormatError(f"query.beta must be non-negative, got {self.query.beta}")
-        if self.query.top_k < 1:
-            raise FormatError(f"query.top_k must be at least 1, got {self.query.top_k}")
-        if self.query.neighbor_hops < 0:
-            raise FormatError(f"query.neighbor_hops must be non-negative, got {self.query.neighbor_hops}")
-        if not 0 < self.descriptor_alpha <= 1:
-            raise FormatError(f"engine.descriptor_alpha must be in (0, 1], got {self.descriptor_alpha}")
-        if self.centroid_tol <= 0:
-            raise FormatError(f"engine.centroid_tol must be positive, got {self.centroid_tol}")
-
-
-_ENGINE_CODECS = _codecs(EngineConfig)
+        sections = {name: _section(data, name, cls) for name, cls in _SECTIONS.items()}
+        return _section(data, "engine", EngineConfig, **sections)
 
 
 def load_config(path: str | Path | None) -> EngineConfig:

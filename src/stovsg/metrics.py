@@ -121,7 +121,7 @@ def evaluate(
     graph: SceneGraph4D,
     truth: GroundTruthLog,
     commands: list[Command] | None = None,
-    config: EngineConfig | None = None,
+    config: EngineConfig = EngineConfig(),
     latency_aware: bool = True,
 ) -> MetricsReport:
     """Score a run: node, spatial-edge and temporal-edge accuracy, and each command's grounding.
@@ -133,7 +133,6 @@ def evaluate(
     is the intended object; it succeeds on replay when, besides, that
     node's pose lies within ``config.centroid_tol`` of the truth at arrival.
     """
-    config = config if config is not None else EngineConfig()
     tol = config.centroid_tol
     mapping = node_truth_map(graph, truth)
     relations = {ft.frame_index: {frozenset((a, b)) for a, b, _ in ft.relations} for ft in truth.frames}

@@ -759,4 +759,6 @@ def validate_graph(graph: SceneGraph4D) -> list[str]:
     out.extend(f"track {track_id}: {message}" for track_id, message in chain_problems(graph))
     mismatched = ((key, track.track_id) for key, track in graph.tracks.items() if track.track_id != key)
     out.extend(f"track {key}: key does not match track_id {track_id}" for key, track_id in mismatched)
+    for track_id, track in graph.tracks.items():  # a descriptor no frame's features could be matched against
+        out.extend(f"track {track_id}: {p}" for p in feature_problems("descriptor", track.descriptor, feature_dim))
     return out

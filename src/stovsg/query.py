@@ -45,6 +45,14 @@ class QueryConfig:
     top_k: int = 5
     neighbor_hops: int = 1
 
+    def __post_init__(self) -> None:
+        if not self.beta >= 0:  # each rule is written so that NaN fails it
+            raise InputRejected(f"beta must be non-negative, got {self.beta}")
+        if type(self.top_k) is not int or self.top_k < 1:
+            raise InputRejected(f"top_k must be at least 1 (an integer), got {self.top_k!r}")
+        if type(self.neighbor_hops) is not int or self.neighbor_hops < 0:
+            raise InputRejected(f"neighbor_hops must be non-negative (an integer), got {self.neighbor_hops!r}")
+
 
 @dataclass(frozen=True, eq=False)
 class TaskSubgraph:
@@ -84,8 +92,6 @@ def score_nodes(frame: FrameGraph, command: Command, cfg: QueryConfig = QueryCon
     a stacked matrix product sums in another order and would move the last
     bit of the scores that exports carry.
     """
-    if cfg.beta < 0:
-        raise InputRejected(f"beta must be non-negative, got {cfg.beta}")
     embedding = command.embedding
     norm = vector_norm(embedding)
     beta = cfg.beta
@@ -163,7 +169,7 @@ def extract_subgraph(
     """
     aligned, newest, ranked = _align(graph, command, cfg, as_of, latency_aware)
     scores = dict(ranked)
-    seeds = [nid for nid, _ in ranked[: max(cfg.top_k, 0)]]
+    seeds = [nid for nid, _ in ranked[: cfg.top_k]]
 
     # undirected adjacency over the aligned frame's spatial edges
     adjacency: dict[int, set[int]] = {}
@@ -173,7 +179,7 @@ def extract_subgraph(
 
     included = set(seeds)
     frontier = set(seeds)
-    for _ in range(max(cfg.neighbor_hops, 0)):
+    for _ in range(cfg.neighbor_hops):
         frontier = {nxt for nid in frontier for nxt in adjacency.get(nid, ())} - included
         if not frontier:
             break

@@ -36,11 +36,10 @@ def commands_from_scenario(spec: ScenarioSpec) -> list[Command]:
 
 def run_trial(
     spec: ScenarioSpec,
-    config: EngineConfig | None = None,
+    config: EngineConfig = EngineConfig(),
     latency_aware: bool = True,
 ) -> MetricsReport:
     """Stream the scenario into an empty graph and score it, grounding each command on arrival."""
-    config = config if config is not None else EngineConfig()
     inputs, truth = generate_stream(spec)
     graph = ingest_sequence(empty_graph(), inputs, config)
     return evaluate(graph, truth, commands_from_scenario(spec), config, latency_aware=latency_aware)
@@ -68,7 +67,7 @@ def run_suite(
     delays: tuple[float, ...] = (0.25, 0.5, 1.0, 2.0, 5.0),
     trials: int = 1,
     base_seed: int = 0,
-    config: EngineConfig | None = None,
+    config: EngineConfig = EngineConfig(),
     latency_aware: bool = True,
 ) -> SuiteResult:
     """Sweep family x delay: the mean of the trials' success rates and the accuracies of their pooled counts."""
@@ -76,7 +75,6 @@ def run_suite(
         raise InputRejected(f"trials must be at least 1, got {trials}")
     if base_seed < 0:
         raise InputRejected(f"seed must be non-negative, got {base_seed}")
-    config = config if config is not None else EngineConfig()
     rows = []
     for fi, family in enumerate(families):
         for di, delay in enumerate(delays):

@@ -136,25 +136,25 @@ class LatencyProfile:
     steps: tuple[tuple[float, float], ...]  # (from_time, delay), in ascending from_time order
 
     def __post_init__(self):
+        if not self.steps:
+            raise InputRejected("latency profile has no steps")
         starts = [start for start, _ in self.steps]
         if not all(a <= b for a, b in zip(starts, starts[1:])):
             raise InputRejected(f"latency profile steps must be in ascending from_time order, got {starts}")
+        if not all(delay >= 0 for _, delay in self.steps):  # NaN fails too
+            raise InputRejected(f"latency profile delays must be non-negative, got {[d for _, d in self.steps]}")
 
     @staticmethod
     def constant(delay: float) -> "LatencyProfile":
         return LatencyProfile(steps=((0.0, float(delay)),))
 
     def delay_at(self, t: float) -> float:
-        if not self.steps:
-            raise InputRejected("latency profile has no steps")
         delay = self.steps[0][1]
         for start, value in self.steps:
             if start <= t:
                 delay = value
             else:
                 break
-        if delay < 0:
-            raise InputRejected(f"negative delay {delay} at time {t}")
         return delay
 
 

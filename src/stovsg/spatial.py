@@ -26,6 +26,11 @@ class SpatialWeights:
     w_area: float = 0.5
     w_ctr: float = 0.5
 
+    def __post_init__(self) -> None:
+        for key in ("w_iou", "w_area", "w_ctr"):
+            if not getattr(self, key) >= 0:  # NaN fails too
+                raise InputRejected(f"spatial weights must be non-negative, got {key}={getattr(self, key)}")
+
 
 def spatial_cost(u: BoundingBox2D, z: BoundingBox2D, w: SpatialWeights = SpatialWeights()) -> float:
     """Alignment cost between a candidate pair's union box and its zone.

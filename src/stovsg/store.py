@@ -111,8 +111,8 @@ def ingest_frame(graph: SceneGraph4D, frame_input: FrameInput, config: "EngineCo
     depth = frame_input.depth
     width, height = depth.width, depth.height
     detections = frame_input.detections
-    # every feature has the dimension of the first one stored or, in an empty graph, given
-    first = graph.node(next(iter(graph.node_index))) if graph.node_index else next(iter(detections), None)
+    # every feature has the dimension of the first one stored (the log's first node) or, in an empty graph, given
+    first = graph.node(next(iter(graph.log.nodes))) if graph.node_index else next(iter(detections), None)
     feature_dim = first.f_img.shape[0] if first else None
 
     frame_index = graph.frames_dropped + len(graph.frames) + 1

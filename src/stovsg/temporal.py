@@ -30,6 +30,15 @@ class TemporalWeights:
     eta: float = 0.5  # accept a pair only when its cost is strictly below
     grace_period: float = 10.0  # seconds a disappeared track stays matchable
 
+    def __post_init__(self) -> None:
+        for key in ("w_pos", "w_vis", "delta_cls"):  # so no cost is negative
+            if not getattr(self, key) >= 0:  # NaN fails too
+                raise InputRejected(f"temporal weights must be non-negative, got {key}={getattr(self, key)}")
+        if not self.d_max > 0:
+            raise InputRejected(f"d_max must be positive, got {self.d_max}")
+        if not self.grace_period >= 0:
+            raise InputRejected(f"grace_period must be non-negative, got {self.grace_period}")
+
 
 @dataclass(frozen=True, eq=False)
 class CostMatrix:
@@ -95,17 +104,13 @@ def _cost_block(
 ) -> np.ndarray:
     """The matching cost of every (track, node) pair, as one broadcast; ``newest`` holds each track's newest node."""
     dim = nodes[0].f_img.shape
-    if (
-        w.d_max <= 0
-        or any(t.descriptor.shape != dim for t in rows)
-        or any(n.f_img.shape != dim for n in nodes)
-    ):
-        _raise_first_failing_pair(rows, nodes, w)
+    if any(t.descriptor.shape != dim for t in rows) or any(n.f_img.shape != dim for n in nodes):
+        _raise_first_failing_pair(rows, nodes)
     k = len(rows)
     feats = np.array([t.descriptor for t in rows] + [n.f_img for n in nodes])
     norms = np.linalg.norm(feats, axis=1)
     if not norms.all():
-        _raise_first_failing_pair(rows, nodes, w)
+        _raise_first_failing_pair(rows, nodes)
     # clamped like ``cosine``: rounding can leave [-1, 1] by a hair
     cos = np.minimum(np.maximum(feats[:k] @ feats[k:].T / np.outer(norms[:k], norms[k:]), -1.0), 1.0)
     centroids = np.array([n.centroid for n in newest] + [n.centroid for n in nodes])
@@ -120,10 +125,8 @@ def _cost_block(
     return pos + vis + cls
 
 
-def _raise_first_failing_pair(rows: Sequence[Track], nodes: Sequence[ObjectNode], w: TemporalWeights) -> NoReturn:
-    """Raise the first failing pair's refusal in row order: ``d_max``'s, else :func:`cosine`'s."""
-    if w.d_max <= 0:
-        raise InputRejected(f"d_max must be positive, got {w.d_max}")
+def _raise_first_failing_pair(rows: Sequence[Track], nodes: Sequence[ObjectNode]) -> NoReturn:
+    """Raise :func:`cosine`'s refusal of the first failing pair, in row order."""
     for track in rows:
         for node in nodes:
             cosine(track.descriptor, node.f_img)
@@ -146,8 +149,6 @@ def associate(
     and loses every other active track.
     """
     matrix = build_cost_matrix(graph, nodes, w, now)
-    if matrix.values.size and float(matrix.values.min()) < 0:
-        raise InputRejected("cost matrix entries must be non-negative")
     return AssociationOutcome(tuple(
         (matrix.track_ids[row], matrix.node_ids[col])
         for row, col in min_cost_assignment(matrix.values)

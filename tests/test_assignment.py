@@ -140,3 +140,17 @@ def test_tie_heavy_200_square_reaches_the_scipy_optimum():
     assert [i for i, _ in pairs] == list(range(n))
     assert sorted(j for _, j in pairs) == list(range(n))
     assert total(cost, pairs) == float(cost[rows, cols].sum())
+
+
+def test_a_re_matching_chain_longer_than_the_recursion_limit_is_searched_without_recursion():
+    # every shift cell (i, i + 1 mod n) costs 0 and every diagonal cell 1e-12, within the tightness
+    # tolerance, so both are optimal; the lex-min answer is the diagonal, and row 0 taking column 0
+    # re-matches a chain through every other row, deeper than the interpreter's recursion limit
+    def chain(n):
+        cost = np.ones((n, n))
+        cost[np.arange(n), (np.arange(n) + 1) % n] = 0.0
+        cost[np.arange(n), np.arange(n)] = 1e-12
+        return cost
+
+    assert min_cost_assignment(chain(40)) == padded_hungarian_assignment(chain(40)) == [(i, i) for i in range(40)]
+    assert min_cost_assignment(chain(1100)) == [(i, i) for i in range(1100)]

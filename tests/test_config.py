@@ -1,8 +1,9 @@
-"""Engine configuration: defaults, JSON round trips, and validation."""
+"""Engine configuration: defaults, JSON round trips, and the rules each setting keeps."""
 
 import ast
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from stovsg import (
     CONFIG_SCHEMA,
     EngineConfig,
     FormatError,
+    InputRejected,
     QueryConfig,
     SpatialWeights,
     TemporalWeights,
@@ -29,7 +31,6 @@ def test_defaults_match_component_defaults():
     assert cfg.query == QueryConfig()
     assert cfg.descriptor_alpha == 0.3
     assert cfg.centroid_tol == 0.05
-    cfg.validate()  # defaults are always valid
 
 
 def test_shipped_default_file_matches_builtin_defaults():
@@ -123,15 +124,71 @@ def test_from_dict_rejects_invalid_values(overrides, message):
         EngineConfig.from_dict(data)
 
 
-def test_validate_catches_directly_constructed_invalid_config():
-    cases = [
-        (dataclasses.replace(EngineConfig(), descriptor_alpha=2.0), "descriptor_alpha"),
-        (EngineConfig(query=QueryConfig(top_k=2.5)), "top_k"),
-        (EngineConfig(query=QueryConfig(top_k=True)), "top_k"),
-    ]
-    for cfg, key in cases:
-        with pytest.raises(FormatError, match=key):
-            cfg.validate()
+# (settings class, field, refused value, message); NaN fails every rule
+_REFUSED = [
+    *(
+        (SpatialWeights, key, value, f"^spatial weights must be non-negative, got {key}={value}$")
+        for key in ("w_iou", "w_area", "w_ctr")
+        for value in (-0.5, math.nan)
+    ),
+    *(
+        (TemporalWeights, key, value, f"^temporal weights must be non-negative, got {key}={value}$")
+        for key in ("w_pos", "w_vis", "delta_cls")
+        for value in (-0.5, math.nan)
+    ),
+    *((TemporalWeights, "d_max", value, f"^d_max must be positive, got {value}$") for value in (0.0, -1.0, math.nan)),
+    *(
+        (TemporalWeights, "grace_period", value, f"^grace_period must be non-negative, got {value}$")
+        for value in (-1.0, math.nan)
+    ),
+    *((QueryConfig, "beta", value, f"^beta must be non-negative, got {value}$") for value in (-0.5, math.nan)),
+    *(
+        (QueryConfig, "top_k", value, rf"^top_k must be at least 1 \(an integer\), got {value}$")
+        for value in (0, -3, 2.5, True, math.nan)
+    ),
+    *(
+        (QueryConfig, "neighbor_hops", value, rf"^neighbor_hops must be non-negative \(an integer\), got {value}$")
+        for value in (-1, 1.5, True, math.nan)
+    ),
+    *(
+        (EngineConfig, "descriptor_alpha", value, rf"^descriptor_alpha must be in \(0, 1\], got {value}$")
+        for value in (0.0, -0.2, 2.0, math.nan)
+    ),
+    *(
+        (EngineConfig, "centroid_tol", value, f"^centroid_tol must be positive, got {value}$")
+        for value in (0.0, -1.0, math.nan)
+    ),
+]
+
+
+def test_settings_built_in_code_refuse_each_rule():
+    """Each settings class checks its own values when built, so ``dataclasses.replace`` is checked too."""
+    for cls, key, value, message in _REFUSED:
+        with pytest.raises(InputRejected, match=message):
+            cls(**{key: value})
+        with pytest.raises(InputRejected, match=message):
+            dataclasses.replace(cls(), **{key: value})
+    edges = [(SpatialWeights, "w_iou", 0.0), (TemporalWeights, "grace_period", 0.0), (TemporalWeights, "d_max", 1e-9)]
+    edges += [(QueryConfig, "beta", 0.0), (QueryConfig, "top_k", 1), (QueryConfig, "neighbor_hops", 0)]
+    edges += [(EngineConfig, "descriptor_alpha", 1.0), (EngineConfig, "centroid_tol", 1e-9)]
+    for cls, key, value in edges:  # the boundary of each rule is allowed
+        assert getattr(cls(**{key: value}), key) == value
+
+
+@pytest.mark.parametrize(
+    "section,key,value,message",
+    [
+        ("spatial", "w_area", -1.0, "spatial weights must be non-negative, got w_area=-1.0"),
+        ("temporal", "delta_cls", -0.5, "temporal weights must be non-negative, got delta_cls=-0.5"),
+        ("temporal", "d_max", 0.0, "d_max must be positive, got 0.0"),
+        ("query", "top_k", 0, "top_k must be at least 1 (an integer), got 0"),
+        ("engine", "centroid_tol", -1.0, "centroid_tol must be positive, got -1.0"),
+    ],
+)
+def test_a_value_the_settings_refuse_is_one_format_error_naming_its_section(section, key, value, message):
+    with pytest.raises(FormatError) as refused:
+        EngineConfig.from_dict({"schema": CONFIG_SCHEMA, section: {key: value}})
+    assert str(refused.value) == f"config section {section!r}: {message}"
 
 
 def test_load_config_rejects_broken_file(tmp_path):

@@ -504,6 +504,28 @@ def test_scenario_latency_steps_out_of_order_are_format_errors(tmp_path, capsys,
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize(
+    "steps, refusal",
+    [
+        ([[0.0, 0.5], [100.0, -1.0]], r"latency profile delays must be non-negative, got \[0.5, -1.0\]"),
+        ([], "latency profile has no steps"),
+    ],
+    ids=["negative-delay", "no-steps"],
+)
+def test_a_scenario_latency_profile_the_profile_refuses_is_one_format_error_at_read(tmp_path, capsys, steps, refusal):
+    data = scenario_to_dict(make_scenario("target_moved", {"seed": 0}))
+    data["uplink"] = steps
+    path = tmp_path / "scenario.json"
+    path.write_text(dumps(data) + "\n")
+    message = rf"^scenario: uplink: {refusal}$"
+    with pytest.raises(FormatError, match=message):
+        read_scenario(path)
+    assert cli_main(["simulate", "--scenario", str(path), "--out-dir", str(tmp_path / "run")]) == 1
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "format-error" and re.match(message, error["message"])
+    assert not (tmp_path / "run").exists()
+
+
 def test_unbounded_visibility_serializes_as_null():
     spec = make_scenario("occlusion_after_command", {"delay": 1.0})
     data = scenario_to_dict(spec)

@@ -286,6 +286,24 @@ def test_validate_graph_flags_a_zero_norm_feature_read_from_a_graph_file(config,
 
 
 @pytest.mark.parametrize(
+    "descriptor, problem, refusal",
+    [
+        (np.zeros(16), "zero-norm descriptor", "cosine similarity undefined for zero-norm vector"),
+        (np.ones(8), "descriptor dimension 8 != 16", r"feature dimensions differ: \(8,\) vs \(16,\)"),
+    ],
+    ids=["zero-norm", "dimension"],
+)
+def test_validate_graph_names_a_live_track_whose_descriptor_no_frame_could_match(config, descriptor, problem, refusal):
+    inputs, _ = generate_stream(make_scenario(FAMILY_TARGET_MOVED, {"seed": 0}))
+    graph = ingest_sequence(empty_graph(), inputs[:5], config)
+    track_id = min(graph.tracks)
+    broken = replace(graph, tracks=MappingProxyType({**graph.tracks, track_id: Track(track_id, descriptor)}))
+    assert validate_graph(broken) == [f"track {track_id}: {problem}"]
+    with pytest.raises(InputRejected, match=refusal):  # what the next ingest would refuse, naming no track
+        ingest_frame(broken, inputs[5], config)
+
+
+@pytest.mark.parametrize(
     "make, rule, warning",
     [
         (lambda dim: np.full(dim, np.nan), "non-finite {name}", None),

@@ -92,8 +92,8 @@ def test_score_ranks_by_text_and_image_affinity(config):
     assert score_nodes(frame, command, QueryConfig(beta=0.0))[0][0] == 1
     # beta 1: image term lifts node 2 past node 1
     assert score_nodes(frame, command, QueryConfig(beta=1.0))[0][0] == 2
-    with pytest.raises(InputRejected):
-        score_nodes(frame, command, QueryConfig(beta=-0.1))
+    with pytest.raises(InputRejected, match="^beta must be non-negative, got -0.1$"):
+        QueryConfig(beta=-0.1)  # refused when built, before any score
 
 
 def test_score_matches_oracle_on_random_features(config):

@@ -89,10 +89,12 @@ def test_latency_profile_is_piecewise_constant():
     assert profile.delay_at(10.0) == 2.0
     assert profile.delay_at(15.0) == 2.0
     assert profile.delay_at(25.0) == 0.25
-    with pytest.raises(InputRejected):
-        LatencyProfile(steps=()).delay_at(0.0)
-    with pytest.raises(InputRejected):
-        LatencyProfile(steps=((0.0, -1.0),)).delay_at(0.0)
+    # a profile refuses empty steps and a negative or NaN delay when built, so ``delay_at`` only looks up
+    with pytest.raises(InputRejected, match="^latency profile has no steps$"):
+        LatencyProfile(steps=())
+    for steps in (((0.0, -1.0),), ((0.0, 0.5), (100.0, -1.0)), ((0.0, math.nan),)):
+        with pytest.raises(InputRejected, match="^latency profile delays must be non-negative, got "):
+            LatencyProfile(steps=steps)
     # unsorted, the first would read delay_at(3) == 1.0 and delay_at(6) == 9.0
     for steps in (((0.0, 1.0), (5.0, 3.0), (2.0, 9.0)), ((1.0, 1.0), (math.nan, 2.0))):
         with pytest.raises(InputRejected, match="ascending from_time order"):

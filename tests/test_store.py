@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import replace
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ from stovsg import (
     validate_graph,
     write_graph,
 )
-from stovsg.model import AssociationOutcome, FrameGraph, LatencyTag, vector_norm
+from stovsg.model import AssociationOutcome, FrameGraph, LatencyTag, NodeIndex, vector_norm
 from stovsg.query import _align
 from stovsg.store import apply_outcome
 
@@ -423,6 +424,24 @@ def test_empty_frames_are_allowed(config):
     assert len(graph.frames) == 2
     assert graph.tracks == {}
     assert validate_graph(graph) == []
+
+
+def test_the_feature_dimension_probe_walks_no_frame_before_the_first_node(config, monkeypatch):
+    """Ingest reads the stored feature dimension off the log's first node, however many empty frames precede it."""
+    graph = ingest_sequence(empty_graph(), [make_frame_input(0.1 * k) for k in range(1, 51)], config)
+    graph = ingest_frame(graph, make_frame_input(6.0, detections=(make_detection(),)), config)
+    walked: list[int] = []
+
+    def counting_iter(index):
+        for fg in islice(index._log.frames, index._n):
+            walked.append(fg.frame_index)
+            yield from (node.node_id for node in fg.nodes)
+
+    monkeypatch.setattr(NodeIndex, "__iter__", counting_iter)
+    graph = ingest_frame(graph, make_frame_input(7.0, detections=(make_detection(),)), config)
+    with pytest.raises(InputRejected, match="^detection 0: f_img dimension 4 != 8$"):
+        ingest_frame(graph, make_frame_input(8.0, detections=(make_detection(f_img=np.ones(4)),)), config)
+    assert walked == [] and len(graph.frames) == 52
 
 
 @pytest.mark.parametrize(

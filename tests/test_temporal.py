@@ -68,10 +68,9 @@ def test_label_mismatch_adds_exactly_the_class_penalty():
 
 
 def test_cost_rejections():
-    track = one_track()
     node = make_node(5)
-    with pytest.raises(InputRejected):
-        temporal_cost(*track, node, TemporalWeights(d_max=0.0))
+    with pytest.raises(InputRejected, match="^d_max must be positive, got 0.0$"):
+        replace(W, d_max=0.0)  # refused when built, before any cost is taken
     with pytest.raises(InputRejected):
         temporal_cost(*one_track(descriptor=np.zeros(DIM)), node, W)
     with pytest.raises(InputRejected):
@@ -115,11 +114,9 @@ def test_matrix_empty_sides():
     assert build_cost_matrix(track_graph(), [make_node(1)], W, now=0.0).values.shape == (0, 1)
     assert build_cost_matrix(track_graph(TrackSpec(1)), [], W, now=0.0).values.shape == (1, 0)
     # the cost checks run per cell, so a block without cells passes them
-    bad = TemporalWeights(d_max=0.0)
     zero = TrackSpec(1, descriptor=np.zeros(DIM))
-    assert build_cost_matrix(track_graph(), [], bad, now=0.0).values.shape == (0, 0)
-    assert build_cost_matrix(track_graph(), [make_node(1), make_node(2)], bad, now=0.0).values.shape == (0, 2)
-    assert build_cost_matrix(track_graph(zero, TrackSpec(2)), [], bad, now=0.0).values.shape == (2, 0)
+    assert build_cost_matrix(track_graph(), [], W, now=0.0).values.shape == (0, 0)
+    assert build_cost_matrix(track_graph(zero, TrackSpec(2)), [], W, now=0.0).values.shape == (2, 0)
 
 
 def _random_block(rng, n_tracks, n_nodes):
@@ -242,10 +239,16 @@ def _committed(graph, nodes, w, now):
     return out, [(e.relation, e.track_id, e.src_node if e.relation == DISAPPEARED else e.dst_node) for e in added]
 
 
-def test_associate_rejects_negative_costs():
-    graph = track_graph(TrackSpec(1, label="red mug"))
-    with pytest.raises(InputRejected, match="^cost matrix entries must be non-negative$"):
-        associate(graph, [make_node(5, label="apple")], TemporalWeights(delta_cls=-0.5), now=1.0)
+def test_weights_that_could_make_a_negative_cost_are_refused_when_built():
+    for key in ("w_pos", "w_vis", "delta_cls"):
+        with pytest.raises(InputRejected, match=f"^temporal weights must be non-negative, got {key}=-0.5$"):
+            replace(W, **{key: -0.5})
+    # so with any weights the settings accept, no cell of a block is negative
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        w = TemporalWeights(*rng.uniform(0.0, 1.0, 3), d_max=float(rng.uniform(1e-3, 2.0)))
+        tracks, nodes = _random_block(rng, 6, 7)
+        assert build_cost_matrix(track_graph(*tracks), nodes, w, now=0.0).values.min() >= 0.0
 
 
 def test_associate_prefers_global_optimum_over_greedy():
