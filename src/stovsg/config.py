@@ -8,6 +8,7 @@ from pathlib import Path
 
 from .errors import FormatError, InputRejected
 from .formats import FLOAT, INT, Codec, parse_json
+from .model import refuse_infinite
 from .query import QueryConfig
 from .spatial import SpatialWeights
 from .temporal import TemporalWeights
@@ -61,6 +62,7 @@ class EngineConfig:
             raise InputRejected(f"descriptor_alpha must be in (0, 1], got {self.descriptor_alpha}")
         if not self.centroid_tol > 0:
             raise InputRejected(f"centroid_tol must be positive, got {self.centroid_tol}")
+        refuse_infinite(self)
 
     def to_dict(self) -> dict:
         sections = {name: asdict(getattr(self, name)) for name in _SECTIONS}

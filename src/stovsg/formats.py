@@ -199,6 +199,14 @@ def _reject(expected: str, raw: Any) -> NoReturn:
     raise _Invalid(f"expected {expected}, got {'null' if raw is None else type(raw).__name__}")
 
 
+def _build(cls: type, *args, **kwargs):
+    """``cls(*args, **kwargs)``, with a value the class itself refuses read as a decoding failure."""
+    try:
+        return cls(*args, **kwargs)
+    except InputRejected as exc:
+        raise _Invalid(exc.args[0]) from None
+
+
 class Codec(NamedTuple):
     """How one value is written (``None``: as it is) and read back with its type checked.
 
@@ -453,24 +461,14 @@ MASK = Codec(encode_mask, decode_mask)
 # --- value codecs for special shapes ------------------------------------------
 
 _BOX = tuple_of(FLOAT, FLOAT, FLOAT, FLOAT)
-BOX = Codec(lambda box: list(box.as_tuple()), lambda raw: BoundingBox2D(*_BOX.decode(raw)))
+BOX = Codec(lambda box: list(box.as_tuple()), lambda raw: _build(BoundingBox2D, *_BOX.decode(raw)))
 # an unbounded visibility window ends at JSON null
 UNBOUNDED = Codec(
     lambda end: None if math.isinf(end) else end,
     lambda raw: math.inf if raw is None else _decode_float(raw),
 )
 _STEPS = list_of(tuple_of(FLOAT, FLOAT))
-
-
-def _decode_profile(raw: Any) -> LatencyProfile:
-    steps = _STEPS.decode(raw)
-    try:
-        return LatencyProfile(steps)
-    except InputRejected as exc:
-        raise _Invalid(exc.args[0]) from None
-
-
-PROFILE = Codec(lambda profile: _STEPS.encode(profile.steps), _decode_profile)
+PROFILE = Codec(lambda profile: _STEPS.encode(profile.steps), lambda raw: _build(LatencyProfile, _STEPS.decode(raw)))
 
 
 # --- record tables ------------------------------------------------------------

@@ -33,15 +33,8 @@ class DepthImage:
         return int(self.values.shape[1])
 
 
-def _check_camera(camera: CameraModel) -> None:
-    bad = camera.violations
-    if bad:
-        raise InputRejected("; ".join(bad))
-
-
 def lift_pixel(u: float, v: float, depth: float, camera: CameraModel) -> np.ndarray:
     """Back-project one pixel with a metric depth into the world frame."""
-    _check_camera(camera)
     if not (math.isfinite(depth) and depth > 0):
         raise InputRejected(f"depth must be finite and positive, got {depth}")
     x_cam = np.array(
@@ -63,7 +56,6 @@ def lift_mask(depth: DepthImage, mask: PixelMask, camera: CameraModel) -> np.nda
     few: one min and one max for the bounds, no filtering copy when every
     reading is valid, and no stacking.
     """
-    _check_camera(camera)
     if not mask.in_bounds(depth.width, depth.height):
         raise InputRejected("mask pixel outside depth image bounds")
     pixels = mask.pixels
@@ -80,7 +72,6 @@ def lift_mask(depth: DepthImage, mask: PixelMask, camera: CameraModel) -> np.nda
 
 def project_point(point, camera: CameraModel) -> tuple[float, float, float]:
     """World point -> (u, v, camera-frame depth).  Inverse of :func:`lift_pixel`."""
-    _check_camera(camera)
     p = np.asarray(point, dtype=np.float64)
     x_cam = camera.rotation.T @ (p - camera.translation)
     z = float(x_cam[2])
@@ -131,13 +122,6 @@ def centroids_and_sizes(clouds: list[np.ndarray]) -> tuple[np.ndarray, np.ndarra
     return padded.sum(axis=0) / np.array(counts)[:, None], hi - lo
 
 
-def _require_valid(*boxes: BoundingBox2D) -> None:
-    for b in boxes:
-        if not b.is_valid():
-            raise InputRejected(f"invalid box {b.as_tuple()}")
-
-
-# Unchecked formulas: callers validate the boxes first, once each.
 def _area(box: BoundingBox2D) -> float:
     return (box.x_max - box.x_min) * (box.y_max - box.y_min)
 
@@ -150,18 +134,8 @@ def _diagonal(box: BoundingBox2D) -> float:
     return math.hypot(box.x_max - box.x_min, box.y_max - box.y_min)
 
 
-def _iou(a: BoundingBox2D, b: BoundingBox2D) -> float:
-    iw = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
-    ih = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
-    if iw <= 0 or ih <= 0:
-        return 0.0
-    inter = iw * ih
-    return inter / (_area(a) + _area(b) - inter)
-
-
 def union_box(a: BoundingBox2D, b: BoundingBox2D) -> BoundingBox2D:
     """Smallest box covering both inputs."""
-    _require_valid(a, b)
     return BoundingBox2D(
         min(a.x_min, b.x_min),
         min(a.y_min, b.y_min),
@@ -171,6 +145,10 @@ def union_box(a: BoundingBox2D, b: BoundingBox2D) -> BoundingBox2D:
 
 
 def iou(a: BoundingBox2D, b: BoundingBox2D) -> float:
-    """Intersection over union of two valid boxes."""
-    _require_valid(a, b)
-    return _iou(a, b)
+    """Intersection over union of two boxes."""
+    iw = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
+    ih = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
+    if iw <= 0 or ih <= 0:
+        return 0.0
+    inter = iw * ih
+    return inter / (_area(a) + _area(b) - inter)

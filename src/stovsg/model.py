@@ -1,11 +1,11 @@
 """Core value types for the 4D scene graph.
 
 Everything here is an immutable record, apart from the append-only
-:class:`GraphLog` that graph snapshots share: construction never validates beyond
-basic shape coercion, so invalid data can be represented and then reported by
-:func:`validate_graph`.  Operations elsewhere in the package raise
-:class:`~stovsg.errors.InputRejected` when handed data that breaks their own
-contracts.
+:class:`GraphLog` that graph snapshots share.  Boxes, cameras, detections,
+latency tags, tracks and commands refuse their own bad values when built
+(:class:`~stovsg.errors.InputRejected`); a rule that needs the frame or the
+graph stays with the operation that has it.  Nodes, frames and graphs are
+not checked when built, so invalid ones can be reported by :func:`validate_graph`.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import islice
 from types import MappingProxyType
@@ -59,6 +59,22 @@ def as_feature(values) -> np.ndarray:
     if arr.ndim != 1:
         raise InputRejected(f"feature vector must be 1-D, got shape {arr.shape}")
     return arr
+
+
+def checked_feature(name: str, values) -> tuple[np.ndarray, float]:
+    """:func:`as_feature` of ``values`` and its :func:`vector_norm`; refused as :func:`feature_problems` refuses it."""
+    arr = as_feature(values)
+    norm = vector_norm(arr)
+    for problem in feature_problems(name, arr, norm=norm):
+        raise InputRejected(problem)
+    return arr, norm
+
+
+def refuse_infinite(settings) -> None:
+    """Refuse an infinite ``float`` field of a settings dataclass; its class states its other rules first."""
+    for key in (f.name for f in fields(settings) if f.type == "float"):
+        if math.isinf(getattr(settings, key)):
+            raise InputRejected(f"{key} must be finite, got {getattr(settings, key)}")
 
 
 def vector_norm(v: np.ndarray) -> float:
@@ -109,12 +125,13 @@ class BoundingBox2D:
     x_max: float
     y_max: float
 
+    def __post_init__(self):
+        # every edge finite and each min below its max: a NaN fails every comparison
+        if not (-math.inf < self.x_min < self.x_max < math.inf and -math.inf < self.y_min < self.y_max < math.inf):
+            raise InputRejected(f"invalid box {self.as_tuple()}")
+
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.x_min, self.y_min, self.x_max, self.y_max)
-
-    def is_valid(self) -> bool:
-        """Every edge finite and each min below its max (a NaN fails every comparison)."""
-        return -math.inf < self.x_min < self.x_max < math.inf and -math.inf < self.y_min < self.y_max < math.inf
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,27 +179,23 @@ class CameraModel:
     translation: np.ndarray = field(default_factory=lambda: freeze_array(np.zeros(3)))
 
     def __post_init__(self):
-        object.__setattr__(self, "rotation", freeze_array(self.rotation))
-        object.__setattr__(self, "translation", freeze_array(self.translation))
-
-    @cached_property
-    def violations(self) -> tuple[str, ...]:
-        """Why this camera cannot be used; empty when it can.
-
-        Computed once per camera: a frame's detections all share it.
-        """
-        out = []
+        object.__setattr__(self, "rotation", rotation := freeze_array(self.rotation))
+        object.__setattr__(self, "translation", translation := freeze_array(self.translation))
+        out = []  # each rule is written so that NaN fails it
         if not (self.fx > 0 and self.fy > 0):
             out.append(f"camera focal lengths must be positive (fx={self.fx}, fy={self.fy})")
-        if self.rotation.shape != (3, 3):
-            out.append(f"camera rotation must be 3x3, got {self.rotation.shape}")
-        else:
-            err = np.abs(self.rotation.T @ self.rotation - np.eye(3)).max()
-            if err > 1e-9:
-                out.append(f"camera rotation not orthonormal (|R^T R - I| = {err:.3e})")
-        if self.translation.shape != (3,):
-            out.append(f"camera translation must be length 3, got {self.translation.shape}")
-        return tuple(out)
+        if not all(map(math.isfinite, (self.fx, self.fy, self.cx, self.cy))):
+            out.append(f"camera intrinsics must be finite (fx={self.fx}, fy={self.fy}, cx={self.cx}, cy={self.cy})")
+        if rotation.shape != (3, 3):
+            out.append(f"camera rotation must be 3x3, got {rotation.shape}")
+        elif not (err := np.abs(rotation.T @ rotation - np.eye(3)).max()) <= 1e-9:
+            out.append(f"camera rotation not orthonormal (|R^T R - I| = {err:.3e})")
+        if translation.shape != (3,):
+            out.append(f"camera translation must be length 3, got {translation.shape}")
+        elif not _finite(translation):
+            out.append(f"camera translation must be finite, got {translation.tolist()}")
+        if out:
+            raise InputRejected("; ".join(out))
 
 
 @dataclass(frozen=True)
@@ -192,6 +205,12 @@ class LatencyTag:
     capture_time: float
     transmission_latency: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.capture_time):
+            raise InputRejected(f"capture_time {self.capture_time} is not finite")
+        if not 0 <= self.transmission_latency < math.inf:  # NaN fails too
+            raise InputRejected(f"transmission_latency {self.transmission_latency} is negative or not finite")
+
     @property
     def observed_time(self) -> float:
         """When the operator first sees the tagged frame."""
@@ -200,17 +219,25 @@ class LatencyTag:
 
 @dataclass(frozen=True, eq=False)
 class Detection:
-    """A single open-vocabulary detection before 3D lifting."""
+    """A single open-vocabulary detection before 3D lifting, with its features' norms (:func:`checked_feature`)."""
 
     box: BoundingBox2D
     mask: PixelMask
     label: str
     f_img: np.ndarray
     f_txt: np.ndarray
+    img_norm: float = field(init=False, repr=False)
+    txt_norm: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "f_img", as_feature(self.f_img))
-        object.__setattr__(self, "f_txt", as_feature(self.f_txt))
+        if len(self.mask) == 0:
+            raise InputRejected("empty mask")
+        for name, norm_name in (("f_img", "img_norm"), ("f_txt", "txt_norm")):
+            vec, norm = checked_feature(name, getattr(self, name))
+            object.__setattr__(self, name, vec)
+            object.__setattr__(self, norm_name, norm)
+        for problem in label_problems(normalize_label(self.label)):
+            raise InputRejected(problem)
 
 
 @dataclass(frozen=True, eq=False, slots=True)  # slots: a long graph holds thousands of nodes
@@ -287,7 +314,7 @@ class Track:
     descriptor: np.ndarray  # exponentially averaged image feature, unit norm
 
     def __post_init__(self):
-        object.__setattr__(self, "descriptor", freeze_array(self.descriptor))
+        object.__setattr__(self, "descriptor", checked_feature("descriptor", self.descriptor)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,7 +350,7 @@ class FrameGraph:
         spatial_edges: tuple[SpatialEdge, ...],
         feature_norms: tuple[tuple[float, float], ...],
     ) -> FrameGraph:
-        """A frame whose :attr:`feature_norms` are given: ingestion took them to check the features."""
+        """A frame whose :attr:`feature_norms` are given: its detections took them to check their features."""
         frame = cls(frame_index, latency_tag, nodes, spatial_edges)
         # an instance attribute hides the cached property, as its own cache does, but
         # without making the instance's ``__dict__`` a separate object for the collector
@@ -561,7 +588,11 @@ class Command:
     latency: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "embedding", as_feature(self.embedding))
+        object.__setattr__(self, "embedding", checked_feature("embedding", self.embedding)[0])
+        if not math.isfinite(self.issue_time):
+            raise InputRejected(f"issue_time {self.issue_time} is not finite")
+        if not 0 <= self.latency < math.inf:  # NaN fails too
+            raise InputRejected(f"latency {self.latency} is negative or not finite")
 
     @property
     def arrival_time(self) -> float:
@@ -585,9 +616,9 @@ def time_order_problems(
     """Where and why ``graph`` breaks the time order its lookups bisect on, as (key path, message).
 
     Frame indices follow on from ``frames_dropped + 1``, capture times
-    strictly increase, no transmission latency is negative or NaN, and
-    temporal edges are in event-frame order.  With ``appended``, only that
-    frame is checked, as the one after ``graph``'s newest.
+    strictly increase, and temporal edges are in event-frame order.  With
+    ``appended``, only that frame is checked, as the one after ``graph``'s
+    newest.
     """
     frames = graph.frames
     start, checked, prev = 0, frames, -math.inf
@@ -602,10 +633,6 @@ def time_order_problems(
         if not tag.capture_time > prev:
             yield f"frames[{k}].latency_tag.capture_time", (
                 f"{tag.capture_time} is not after {prev} (capture times must strictly increase)"
-            )
-        if not tag.transmission_latency >= 0:
-            yield f"frames[{k}].latency_tag.transmission_latency", (
-                f"{tag.transmission_latency} is negative or NaN (a frame cannot arrive before its capture)"
             )
         prev = tag.capture_time
     edges = graph.temporal_edges if appended is None else ()
@@ -688,8 +715,8 @@ def chain_problems(graph: SceneGraph4D) -> Iterator[tuple[int, str]]:
             yield track_id, f"id not below next_track_id {graph.next_track_id}"
 
 
-def feature_problems(name: str, vec: np.ndarray, dim: int, norm: float | None = None) -> Iterator[str]:
-    """Why the feature vector ``name`` could not be compared with a command of ``dim`` numbers.
+def feature_problems(name: str, vec: np.ndarray, dim: int | None = None, norm: float | None = None) -> Iterator[str]:
+    """Why the feature vector ``name`` could not be compared with another, of ``dim`` numbers when given.
 
     ``norm``, when given, is the caller's :func:`vector_norm` of ``vec``.
     """
@@ -699,7 +726,7 @@ def feature_problems(name: str, vec: np.ndarray, dim: int, norm: float | None = 
         yield f"non-finite {name}" if not _finite(vec) else f"{name} norm overflows"
     elif norm == 0.0:  # all zeros, or so small that its square underflows
         yield f"zero-norm {name}"
-    if vec.shape[0] != dim:
+    if dim is not None and vec.shape[0] != dim:
         yield f"{name} dimension {vec.shape[0]} != {dim}"
 
 
@@ -742,9 +769,9 @@ def validate_graph(graph: SceneGraph4D) -> list[str]:
             if node.points.ndim != 2 or node.points.shape[1] != 3 or len(node.points) == 0:
                 out.append(f"{ntag}: points must be non-empty (N, 3)")
             elif centroid_ok:  # a misshapen centroid cannot be compared with the bounds
-                lo = node.points.min(axis=0) - 1e-6
-                hi = node.points.max(axis=0) + 1e-6
-                if ((node.centroid < lo) | (node.centroid > hi)).any():
+                lo, hi = node.points.min(axis=0), node.points.max(axis=0)
+                slack = 1e-6 + 1e-9 * abs(node.centroid)  # a mean is rounded at its points' magnitude
+                if ((lo - node.centroid > slack) | (node.centroid - hi > slack)).any():
                     out.append(f"{ntag}: centroid outside point bounds")
             if graph.track_of(node.node_id) is None:
                 out.append(f"{ntag}: on no track")
@@ -759,6 +786,6 @@ def validate_graph(graph: SceneGraph4D) -> list[str]:
     out.extend(f"track {track_id}: {message}" for track_id, message in chain_problems(graph))
     mismatched = ((key, track.track_id) for key, track in graph.tracks.items() if track.track_id != key)
     out.extend(f"track {key}: key does not match track_id {track_id}" for key, track_id in mismatched)
-    for track_id, track in graph.tracks.items():  # a descriptor no frame's features could be matched against
-        out.extend(f"track {track_id}: {p}" for p in feature_problems("descriptor", track.descriptor, feature_dim))
+    sizes = ((key, t.descriptor.shape[0]) for key, t in graph.tracks.items())  # descriptors no frame could match
+    out.extend(f"track {key}: descriptor dimension {n} != {feature_dim}" for key, n in sizes if n != feature_dim)
     return out

@@ -29,6 +29,7 @@ from .model import (
     SceneGraph4D,
     SpatialEdge,
     _cosine,
+    refuse_infinite,
     vector_norm,
 )
 from .store import captured_by, frame_at_operator_time, lifecycle_events
@@ -52,6 +53,7 @@ class QueryConfig:
             raise InputRejected(f"top_k must be at least 1 (an integer), got {self.top_k!r}")
         if type(self.neighbor_hops) is not int or self.neighbor_hops < 0:
             raise InputRejected(f"neighbor_hops must be non-negative (an integer), got {self.neighbor_hops!r}")
+        refuse_infinite(self)
 
 
 @dataclass(frozen=True, eq=False)

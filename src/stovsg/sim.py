@@ -189,8 +189,6 @@ class ScenarioSpec:
     commands: tuple[SimCommand, ...] = ()
 
     def __post_init__(self):
-        if self.camera.violations:  # else no point projects, and _project_box reads that as behind the camera
-            raise InputRejected("; ".join(self.camera.violations))
         first_with: dict[int, int] = {}  # true id -> index of the first object holding it
         for i, obj in enumerate(self.objects):
             # the truth log tells objects apart by id alone
@@ -260,8 +258,8 @@ def _unit_or_noisy(archetype: np.ndarray, sigma: float, rng: np.random.Generator
     return noisy / norm if norm > 0 else np.asarray(archetype, dtype=np.float64)
 
 
-def _project_box(position: np.ndarray, size, camera: CameraModel) -> tuple[BoundingBox2D, float] | None:
-    """Project a world-space box to pixel bounds plus its center depth."""
+def _project_box(position: np.ndarray, size, camera: CameraModel) -> tuple[tuple, float] | None:
+    """Project a world-space box to its pixel edges ``(u_min, v_min, u_max, v_max)`` plus its center depth."""
     half = np.asarray(size, dtype=np.float64) / 2.0
     corners = position + half * np.array(
         [[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)]
@@ -275,7 +273,7 @@ def _project_box(position: np.ndarray, size, camera: CameraModel) -> tuple[Bound
         us.append(u)
         vs.append(v)
     _, _, z_center = project_point(position, camera)
-    return BoundingBox2D(min(us), min(vs), max(us), max(vs)), z_center
+    return (min(us), min(vs), max(us), max(vs)), z_center
 
 
 def _mask_from_box(box: BoundingBox2D, width: int, height: int) -> PixelMask | None:
@@ -339,12 +337,11 @@ def generate_stream(spec: ScenarioSpec) -> tuple[list[FrameInput], GroundTruthLo
             projected = _project_box(observed, obj.size, spec.camera)
             if projected is None:
                 continue
-            box, z_center = projected
-            box = BoundingBox2D(
-                max(box.x_min, 0.0), max(box.y_min, 0.0), min(box.x_max, float(width)), min(box.y_max, float(height))
-            )
-            if not box.is_valid():
-                continue  # fully outside the image
+            (u0, v0, u1, v1), z_center = projected
+            u0, v0, u1, v1 = max(u0, 0.0), max(v0, 0.0), min(u1, float(width)), min(v1, float(height))
+            if not (u0 < u1 and v0 < v1):  # NaN fails too
+                continue  # of no size, or fully outside the image
+            box = BoundingBox2D(u0, v0, u1, v1)
             mask = _mask_from_box(box, width, height)
             if mask is None:
                 continue

@@ -10,12 +10,13 @@ survives.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import InputRejected
-from .geometry import _area, _center, _diagonal, _iou, _require_valid, union_box
-from .model import BoundingBox2D, RelationCandidate, SpatialEdge
+from .geometry import _area, _center, _diagonal, iou, union_box
+from .model import BoundingBox2D, RelationCandidate, SpatialEdge, refuse_infinite
 
 
 @dataclass(frozen=True)
@@ -30,22 +31,24 @@ class SpatialWeights:
         for key in ("w_iou", "w_area", "w_ctr"):
             if not getattr(self, key) >= 0:  # NaN fails too
                 raise InputRejected(f"spatial weights must be non-negative, got {key}={getattr(self, key)}")
+        refuse_infinite(self)
 
 
 def spatial_cost(u: BoundingBox2D, z: BoundingBox2D, w: SpatialWeights = SpatialWeights()) -> float:
     """Alignment cost between a candidate pair's union box and its zone.
 
     Sum of three penalties: overlap mismatch ``1 - IoU``, absolute log area
-    ratio, and center offset normalized by the zone diagonal.
+    ratio, and center offset normalized by the zone diagonal; a cost that
+    is not finite is refused.
     """
-    _require_valid(u, z)
     cu, cz = _center(u), _center(z)
     offset = math.hypot(cu[0] - cz[0], cu[1] - cz[1])
-    return (
-        w.w_iou * (1.0 - _iou(u, z))
-        + w.w_area * abs(math.log(_area(u) / _area(z)))
-        + w.w_ctr * offset / _diagonal(z)
-    )
+    with suppress(ZeroDivisionError, ValueError):  # raised by an area, or a ratio of areas, that rounds to zero
+        area = abs(math.log(_area(u) / _area(z)))
+        cost = w.w_iou * (1.0 - iou(u, z)) + w.w_area * area + w.w_ctr * offset / _diagonal(z)
+        if math.isfinite(cost):
+            return cost
+    raise InputRejected(f"the cost of box {u.as_tuple()} against zone {z.as_tuple()} is not finite")
 
 
 def resolve_ambiguous(

@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain
 from operator import attrgetter
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable
@@ -47,8 +46,6 @@ from .model import (
     TemporalEdge,
     Track,
     AssociationOutcome,
-    feature_problems,
-    label_problems,
     normalize_label,
     time_order_problems,
     vector_norm,
@@ -99,13 +96,13 @@ def ingest_frame(graph: SceneGraph4D, frame_input: FrameInput, config: "EngineCo
     """Lift one frame into the graph and return the updated graph.
 
     Detections are back-projected through the depth image, scored into
-    spatial edges, and associated against live tracks.  Any malformed
-    detection or candidate, or a frame out of time order, rejects the whole
-    frame; detections whose mask has no valid depth reading are silently
-    dropped (they cannot be grounded in 3D), with the candidates naming them.
-    The frame's point clouds are reduced together once every detection has
-    passed its own checks, so non-finite points are refused after any
-    other fault of a detection, a later one's too.
+    spatial edges, and associated against live tracks.  A box or mask outside
+    the image, a feature of another dimension than the graph's, a candidate
+    naming a missing detection, or a frame out of time order rejects the
+    whole frame; detections whose mask has no valid depth reading are dropped
+    (they cannot be grounded in 3D), with the candidates naming them.  The
+    frame's clouds are reduced together once every detection has passed its
+    checks, so non-finite points are refused after any other fault.
     """
     tag = frame_input.latency_tag
     depth = frame_input.depth
@@ -122,19 +119,11 @@ def ingest_frame(graph: SceneGraph4D, frame_input: FrameInput, config: "EngineCo
     node_boxes: dict[int, BoundingBox2D] = {}
     next_node_id = graph.next_node_id
     for det_index, det in enumerate(detections):
-        where = f"detection {det_index}"
-        if not det.box.is_valid():
-            raise InputRejected(f"{where}: invalid box {det.box.as_tuple()}")
         if det.box.x_min < 0 or det.box.y_min < 0 or det.box.x_max > width or det.box.y_max > height:
-            raise InputRejected(f"{where}: box outside {width}x{height} image")
-        if len(det.mask) == 0:
-            raise InputRejected(f"{where}: empty mask")
-        label = normalize_label(det.label)
-        txt_norm, img_norm = vector_norm(det.f_txt), vector_norm(det.f_img)
-        img = feature_problems("f_img", det.f_img, feature_dim, img_norm)
-        txt = feature_problems("f_txt", det.f_txt, feature_dim, txt_norm)
-        for problem in chain(img, txt, label_problems(label)):
-            raise InputRejected(f"{where}: {problem}")
+            raise InputRejected(f"detection {det_index}: box outside {width}x{height} image")
+        for name, vec in (("f_img", det.f_img), ("f_txt", det.f_txt)):
+            if vec.shape[0] != feature_dim:
+                raise InputRejected(f"detection {det_index}: {name} dimension {vec.shape[0]} != {feature_dim}")
         points = lift_mask(depth, det.mask, frame_input.camera)
         if len(points) == 0:
             continue  # no depth evidence anywhere under the mask
@@ -142,8 +131,8 @@ def ingest_frame(graph: SceneGraph4D, frame_input: FrameInput, config: "EngineCo
         points.setflags(write=False)  # fresh, so the node keeps it uncopied
         node_id_of_det[det_index] = next_node_id
         node_boxes[next_node_id] = det.box
-        kept.append((next_node_id, label, det, points))
-        norms.append((txt_norm, img_norm))
+        kept.append((next_node_id, normalize_label(det.label), det, points))
+        norms.append((det.txt_norm, det.img_norm))
         next_node_id += 1
 
     nodes: list[ObjectNode] = []

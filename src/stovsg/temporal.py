@@ -11,13 +11,13 @@ marks a disappearance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NoReturn, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .assignment import min_cost_assignment
 from .errors import InputRejected
-from .model import AssociationOutcome, ObjectNode, SceneGraph4D, Track, cosine
+from .model import AssociationOutcome, ObjectNode, SceneGraph4D, Track, refuse_infinite
 
 @dataclass(frozen=True)
 class TemporalWeights:
@@ -36,8 +36,11 @@ class TemporalWeights:
                 raise InputRejected(f"temporal weights must be non-negative, got {key}={getattr(self, key)}")
         if not self.d_max > 0:
             raise InputRejected(f"d_max must be positive, got {self.d_max}")
+        if not self.eta > 0:
+            raise InputRejected(f"eta must be positive, got {self.eta}")
         if not self.grace_period >= 0:
             raise InputRejected(f"grace_period must be non-negative, got {self.grace_period}")
+        refuse_infinite(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,7 +88,8 @@ def build_cost_matrix(
     Rows are the matchable tracks (:func:`eligible_tracks`) by ascending
     track id, columns follow the frame's node order.  Each cell is
     :func:`temporal_cost` of its pair, computed for the whole block at
-    once; a block with cells raises what the first failing pair would.
+    once; a block with cells refuses its first vector (descriptors, then
+    image features) of another size than the first node's, or of zero norm.
     """
     rows = eligible_tracks(graph, w, now)
     if rows and nodes:
@@ -103,14 +107,21 @@ def _cost_block(
     rows: Sequence[Track], newest: Sequence[ObjectNode], nodes: Sequence[ObjectNode], w: TemporalWeights
 ) -> np.ndarray:
     """The matching cost of every (track, node) pair, as one broadcast; ``newest`` holds each track's newest node."""
-    dim = nodes[0].f_img.shape
-    if any(t.descriptor.shape != dim for t in rows) or any(n.f_img.shape != dim for n in nodes):
-        _raise_first_failing_pair(rows, nodes)
     k = len(rows)
-    feats = np.array([t.descriptor for t in rows] + [n.f_img for n in nodes])
+    vectors = [t.descriptor for t in rows] + [n.f_img for n in nodes]
+    dim = nodes[0].f_img.shape
+
+    def holder(i: int) -> tuple[str, str]:  # who holds the i-th vector, and which of its vectors it is
+        return (f"track {rows[i].track_id}", "descriptor") if i < k else (f"node {nodes[i - k].node_id}", "f_img")
+    for i, vec in enumerate(vectors):
+        if vec.shape != dim:
+            who, name = holder(i)
+            raise InputRejected(f"{who}: {name} dimension {vec.shape[0]} != {dim[0]}")
+    feats = np.array(vectors)
     norms = np.linalg.norm(feats, axis=1)
     if not norms.all():
-        _raise_first_failing_pair(rows, nodes)
+        who, name = holder(int(np.flatnonzero(norms == 0)[0]))
+        raise InputRejected(f"{who}: zero-norm {name}")
     # clamped like ``cosine``: rounding can leave [-1, 1] by a hair
     cos = np.minimum(np.maximum(feats[:k] @ feats[k:].T / np.outer(norms[:k], norms[k:]), -1.0), 1.0)
     centroids = np.array([n.centroid for n in newest] + [n.centroid for n in nodes])
@@ -123,14 +134,6 @@ def _cost_block(
     vis = w.w_vis * (1.0 - cos)
     cls = w.delta_cls * (labels[:k, None] != labels[k:])
     return pos + vis + cls
-
-
-def _raise_first_failing_pair(rows: Sequence[Track], nodes: Sequence[ObjectNode]) -> NoReturn:
-    """Raise :func:`cosine`'s refusal of the first failing pair, in row order."""
-    for track in rows:
-        for node in nodes:
-            cosine(track.descriptor, node.f_img)
-    raise AssertionError("a failing cost block had no failing pair")
 
 
 def associate(

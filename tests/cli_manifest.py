@@ -10,9 +10,11 @@ again from each written scenario file; builds each stream; queries and
 exports every scenario command, latency-aware and ``--naive``, to
 ``--out`` and to stdout, at the default cutoff and at three ``--as-of``
 times (issue + 0.3 s, 0.01 s and arrival + 3 s); scores each graph, aware
-and ``--naive``; and replays a short sweep, aware and ``--naive``.  Each
-command runs in this process through ``stovsg.cli.main``, from inside
-``OUT_DIR`` and with relative paths, so no output names where it ran.
+and ``--naive``; replays a short sweep, aware and ``--naive``; and, on
+the first scene's files, runs five inputs the engine must refuse (see
+:func:`_refusals`).  Each command runs in this process through
+``stovsg.cli.main``, from inside ``OUT_DIR`` and with relative paths, so
+no output names where it ran.
 
 ``OUT_DIR/log.jsonl`` records each command's arguments, exit status,
 stdout and stderr (an exception that escapes ``main`` is recorded, not
@@ -66,6 +68,55 @@ def _queries(scene: str, log) -> None:
                     _run([*argv, "--out", f"{scene}/{subcommand}-{k}-{name}-{mode}.json"], log)
 
 
+def _edit_json(path: str, out: str, edit) -> None:
+    """Write ``out``: the JSON document at ``path`` after ``edit``."""
+    data = json.loads(Path(path).read_text())
+    edit(data)
+    Path(out).write_text(dumps(data) + "\n")
+
+
+def _edit_stream(path: str, out: str, edit) -> None:
+    """Write ``out`` beside the stream at ``path`` (so its depth files resolve) after ``edit`` of a frame record.
+
+    The record edited is the first that holds a detection.
+    """
+    header, *frames = Path(path).read_text().splitlines()
+    k = next(k for k, line in enumerate(frames) if json.loads(line)["detections"])
+    record = json.loads(frames[k])
+    edit(record)
+    frames[k] = dumps(record)
+    Path(out).write_text("\n".join([header, *frames]) + "\n")
+
+
+def _zeroed(record: dict, key: str) -> None:
+    record[key] = [0.0] * len(record[key])
+
+
+def _refusals(scene: str, log) -> None:
+    """Five inputs, each one value edited in the scene's own files, that the engine must refuse.
+
+    An inverted box, a zero ``f_txt`` and a camera ``fx`` of 0 in a stream;
+    a negative transmission latency in a graph file; and a zero embedding
+    in a command file.  Each leaves no output, so only its log line records
+    the refusal's error kind and words.
+    """
+    streams = {
+        "box": lambda frame: frame["detections"][0].update(box=[5.0, 5.0, 5.0, 9.0]),
+        "f-txt": lambda frame: _zeroed(frame["detections"][0], "f_txt"),
+        "camera": lambda frame: frame["camera"].update(fx=0.0),
+    }
+    for name, edit in streams.items():
+        _edit_stream(f"{scene}/stream.jsonl", f"{scene}/refuse-{name}.jsonl", edit)
+        _run(["build", "--stream", f"{scene}/refuse-{name}.jsonl", "--out", f"{scene}/refuse-{name}.graph.json"], log)
+    latency = f"{scene}/refuse-latency.graph.json"
+    negative = {"transmission_latency": -0.5}
+    _edit_json(f"{scene}/graph.json", latency, lambda graph: graph["frames"][0]["latency_tag"].update(negative))
+    _run(["query", "--graph", latency, "--command", f"{scene}/command-0.json"], log)
+    embedding = f"{scene}/refuse-embedding.json"
+    _edit_json(f"{scene}/command-0.json", embedding, lambda command: _zeroed(command, "embedding"))
+    _run(["query", "--graph", f"{scene}/graph.json", "--command", embedding], log)
+
+
 def run_sequence(out_dir: str | Path, families=FAMILIES, seeds=SEEDS, replay=REPLAY) -> None:
     """Run the sequence in ``out_dir`` and write its log and manifest there."""
     out_dir = Path(out_dir)
@@ -93,6 +144,7 @@ def run_sequence(out_dir: str | Path, families=FAMILIES, seeds=SEEDS, replay=REP
             families_arg = ["--families", ",".join(families)]
             _run(["replay", *families_arg, *replay, "--out", "replay.json"], log)
             _run(["replay", *families_arg, *replay, "--naive", "--out", "replay-naive.json"], log)
+            _refusals(f"{families[0]}-{seeds[0]}", log)
         files = sorted(p for p in Path(".").rglob("*") if p.is_file())
         lines = [f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.as_posix()}\n" for p in files]
         Path("MANIFEST.sha256").write_text("".join(lines))

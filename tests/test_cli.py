@@ -305,7 +305,7 @@ def test_bad_numbers_are_refused_as_one_json_error(tmp_path, args, message):
         (("image_width",), -5, "image_width: expected a positive integer, got -5"),
         (("image_width",), 0, "image_width: expected a positive integer, got 0"),
         (("feature_dim",), 0, "feature_dim: expected a positive integer, got 0"),
-        (("camera", "fx"), 0.0, "camera focal lengths must be positive (fx=0.0, fy=130.0)"),
+        (("camera", "fx"), 0.0, "camera: camera focal lengths must be positive (fx=0.0, fy=130.0)"),
         (("objects", 1, "img_archetype"), [0.25] * 8, "objects[1]: img_archetype dimension 8 != 16"),
         (("feature_dim",), 8, "objects[0]: txt_archetype dimension 16 != 8"),
         (("objects", 2, "txt_archetype"), [0.0] * 16, "objects[2]: zero-norm txt_archetype"),
@@ -664,7 +664,8 @@ def test_a_detection_feature_whose_norm_overflows_is_refused_naming_the_detectio
     assert _build_edited(two_fps_scene, "huge", edit) == 1
     out, err = capsys.readouterr()
     (line,) = err.splitlines()
-    assert out == "" and json.loads(line) == {"error": "input-rejected", "message": "detection 0: f_img norm overflows"}
+    message = f"stream {two_fps_scene / 'huge.jsonl'}:2: detections[0]: f_img norm overflows"
+    assert out == "" and json.loads(line) == {"error": "format-error", "message": message}
 
 
 def test_a_graph_file_of_the_previous_schema_is_one_json_error(scored_scene, tmp_path, capsys):
@@ -694,9 +695,22 @@ def test_a_slice_of_the_cli_manifest_sequence_repeats_byte_for_byte(tmp_path):
     assert manifest == (tmp_path / "second" / "MANIFEST.sha256").read_text()
     assert "  target_moved-0/graph.json\n" in manifest and "  log.jsonl\n" in manifest
     log = [json.loads(line) for line in (tmp_path / "first" / "log.jsonl").read_text().splitlines()]
+    log, refusals = log[:-5], log[-5:]  # the refusal sequence runs last
     refused = [record for record in log if record["exit"] != 0]
     assert len(log) == 41 and len(refused) == 8  # each --as-of 0.01 cutoff is before every frame
     assert all(json.loads(record["stderr"])["error"] == "no-aligned-frame" for record in refused)
+    stream = "stream target_moved-0/refuse"
+    messages = [  # each one format error, at its key path
+        f"{stream}-box.jsonl:2: detections[0].box: invalid box (5.0, 5.0, 5.0, 9.0)",
+        f"{stream}-f-txt.jsonl:2: detections[0]: zero-norm f_txt",
+        f"{stream}-camera.jsonl:2: camera: camera focal lengths must be positive (fx=0.0, fy=130.0)",
+        "graph: frames[0].latency_tag: transmission_latency -0.5 is negative or not finite",
+        "command target_moved-0/refuse-embedding.json: zero-norm embedding",
+    ]
+    assert [(record["exit"], record["stdout"]) for record in refusals] == [(1, "")] * 5
+    assert [json.loads(record["stderr"]) for record in refusals] == [
+        {"error": "format-error", "message": message} for message in messages
+    ]
 
 
 # SHA-256 of (the --out file, the printed text) of each run below: the bytes `score` and `replay` report

@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -138,6 +139,10 @@ _REFUSED = [
     ),
     *((TemporalWeights, "d_max", value, f"^d_max must be positive, got {value}$") for value in (0.0, -1.0, math.nan)),
     *(
+        (TemporalWeights, "eta", value, f"^eta must be positive, got {value}$")
+        for value in (0.0, -0.5, -math.inf, math.nan)
+    ),
+    *(
         (TemporalWeights, "grace_period", value, f"^grace_period must be non-negative, got {value}$")
         for value in (-1.0, math.nan)
     ),
@@ -171,8 +176,31 @@ def test_settings_built_in_code_refuse_each_rule():
     edges = [(SpatialWeights, "w_iou", 0.0), (TemporalWeights, "grace_period", 0.0), (TemporalWeights, "d_max", 1e-9)]
     edges += [(QueryConfig, "beta", 0.0), (QueryConfig, "top_k", 1), (QueryConfig, "neighbor_hops", 0)]
     edges += [(EngineConfig, "descriptor_alpha", 1.0), (EngineConfig, "centroid_tol", 1e-9)]
+    edges += [(TemporalWeights, "eta", 1e-9), (TemporalWeights, "eta", 1e300), (TemporalWeights, "grace_period", 1e300)]
     for cls, key, value in edges:  # the boundary of each rule is allowed
         assert getattr(cls(**{key: value}), key) == value
+
+
+def test_every_float_setting_refuses_an_infinity():
+    """An infinite weight, gate, grace period or tolerance gives NaN costs or scores, or retires no track."""
+    floats = [
+        (cls, f.name)
+        for cls in (SpatialWeights, TemporalWeights, QueryConfig, EngineConfig)
+        for f in dataclasses.fields(cls)
+        if f.type == "float"
+    ]
+    assert len(floats) == 12
+    words = {(cls, key): message for cls, key, _, message in _REFUSED}
+    for cls, key in floats:
+        for value in (math.inf, -math.inf):
+            with pytest.raises(InputRejected) as refused:
+                cls(**{key: value})
+            with pytest.raises(InputRejected, match=f"^{re.escape(str(refused.value))}$"):
+                dataclasses.replace(cls(), **{key: value})
+            if value > 0 and key != "descriptor_alpha":  # refused by the finiteness rule alone
+                assert str(refused.value) == f"{key} must be finite, got inf"
+            else:  # refused by the setting's sign or range rule, in its words
+                assert re.match(words[cls, key].replace("nan", "-?inf"), str(refused.value))
 
 
 @pytest.mark.parametrize(

@@ -294,7 +294,7 @@ def _swap_first_edge_with_a_later_frames(data):
         ),
         (
             lambda data: data["frames"][0]["latency_tag"].update(transmission_latency=-0.25),
-            r"graph: frames\[0\]\.latency_tag\.transmission_latency: -0\.25 is negative",
+            r"graph: frames\[0\]\.latency_tag: transmission_latency -0\.25 is negative or not finite$",
         ),
         (
             _swap_first_edge_with_a_later_frames,
@@ -342,8 +342,6 @@ def _break_time_order(graph, kind: str, pick: int, amount: float):
         frames[k] = replace(frames[k], latency_tag=repeated)
     elif kind == "lower-capture":
         frames[k] = replace(frames[k], latency_tag=replace(tag, capture_time=tag.capture_time - amount))
-    elif kind == "negative-latency":
-        frames[k] = replace(frames[k], latency_tag=replace(tag, transmission_latency=-amount))
     else:  # swap two edges
         i, j = pick % len(edges), (pick // len(edges)) % len(edges)
         edges[i], edges[j] = edges[j], edges[i]
@@ -351,7 +349,7 @@ def _break_time_order(graph, kind: str, pick: int, amount: float):
 
 
 BREAKS = st.tuples(
-    st.sampled_from(["shift-index", "repeat-capture", "lower-capture", "negative-latency", "swap-edges"]),
+    st.sampled_from(["shift-index", "repeat-capture", "lower-capture", "swap-edges"]),
     st.integers(0, 10**6),
     st.floats(0.01, 5.0),
 )
@@ -937,6 +935,58 @@ def test_format_errors_name_the_key_path(tmp_path):
     path = _stream_with_line(tmp_path, _set("detections", 0, "label", value=[1]))
     with pytest.raises(FormatError, match=r"detections\[0\]\.label: expected a string, got list"):
         parse_stream(path)
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (_set("detections", 0, "box", value=[5, 5, 5, 9]), "detections[0].box: invalid box (5.0, 5.0, 5.0, 9.0)"),
+        (
+            _set("relation_candidates", 0, "zone", value=[9, 0, 1, 5]),
+            "relation_candidates[0].zone: invalid box (9.0, 0.0, 1.0, 5.0)",
+        ),
+        (_set("camera", "fx", value=0.0), "camera: camera focal lengths must be positive (fx=0.0, fy=130.0)"),
+        (
+            _set("camera", "rotation", value=[[2, 0, 0], [0, 1, 0], [0, 0, 1]]),
+            "camera: camera rotation not orthonormal (|R^T R - I| = 3.000e+00)",
+        ),
+        (_set("detections", 0, "mask_rle", value=[]), "detections[0]: empty mask"),
+        (_set("detections", 0, "f_txt", value=[0.0] * 16), "detections[0]: zero-norm f_txt"),
+        (_set("detections", 0, "label", value=" "), "detections[0]: empty label"),
+        (
+            _set("latency_tag", "transmission_latency", value=-0.5),
+            "latency_tag: transmission_latency -0.5 is negative or not finite",
+        ),
+    ],
+    ids=["box", "zone", "camera-fx", "camera-rotation", "empty-mask", "zero-f-txt", "empty-label", "negative-latency"],
+)
+def test_a_record_a_stream_line_cannot_hold_is_one_format_error_at_its_key_path(tmp_path, capsys, mutate, message):
+    """A box, camera, detection or latency tag refuses itself when it is read, before any frame is ingested."""
+    path = _stream_with_line(tmp_path, mutate)
+    with pytest.raises(FormatError) as refused:
+        parse_stream(path)
+    assert str(refused.value) == f"stream {path}:2: {message}"
+    assert cli_main(["build", "--stream", str(path), "--out", str(tmp_path / "g.json")]) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "format-error", "message": str(refused.value)}
+
+
+def test_a_track_or_command_a_file_cannot_hold_is_one_format_error_at_its_key_path(tmp_path, config):
+    data = graph_to_dict(occluded_graph(config))
+    data["tracks"][0]["descriptor"] = [0.0] * len(data["tracks"][0]["descriptor"])
+    path = tmp_path / "graph.json"
+    path.write_text(dumps(data) + "\n")
+    with pytest.raises(FormatError, match=r"^graph: tracks\[0\]: zero-norm descriptor$"):
+        read_graph(path)
+    command = command_to_dict(Command(text="pick up the red mug", embedding=axis(0), issue_time=2.0))
+    for key, value, problem in [("embedding", [0.0] * 8, "zero-norm embedding"),
+                                ("latency", -1.0, "latency -1.0 is negative or not finite")]:
+        path = tmp_path / "command.json"
+        path.write_text(dumps({**command, key: value}))
+        with pytest.raises(FormatError, match=f"^command {re.escape(str(path))}: {problem}$"):
+            read_command(path)
+        path.write_text(dumps({"commands": [command, {**command, key: value}]}))
+        with pytest.raises(FormatError, match=rf"^commands {re.escape(str(path))}\[1\]: {problem}$"):
+            read_commands(path)
 
 
 def _key_paths(doc) -> list[str]:

@@ -1,23 +1,62 @@
-"""Fuzzing the command line with mutated input files.
+"""Fuzzing the command line with mutated input files, and the library with records built in code.
 
-Each example takes one valid input file (a graph, truth log, command,
-command list, scenario or config file, or one line of a stream file),
-mutates it once at a drawn path, and runs a command that reads it through
-``stovsg.cli.main``.  The command must succeed, or refuse with exit status 1
-and exactly one ``{"error", "message"}`` object on stderr; any other
-exception is a traceback the user would see.
+Each command-line example takes one valid input file (a graph, truth log,
+command, command list, scenario or config file, or one line of a stream
+file), mutates it once at a drawn path, and runs a command that reads it
+through ``stovsg.cli.main``.  The command must succeed, or refuse with exit
+status 1 and exactly one ``{"error", "message"}`` object on stderr; any
+other exception is a traceback the user would see.
+
+Each library example builds settings, boxes, cameras, detections, latency
+tags and commands from extreme floats, then ingests, grounds, exports,
+writes and reads back whatever builds.  Only the engine's refusals
+(``InputRejected``, ``NoAlignedFrame``, ``NotFound``) may escape, and every
+graph the engine builds must validate, write and read back unchanged.
 """
 
 import contextlib
 import io
 import json
+import math
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from stovsg import command_to_dict, commands_from_scenario, dumps, read_scenario
+from stovsg import (
+    BoundingBox2D,
+    CameraModel,
+    Command,
+    DepthImage,
+    Detection,
+    EngineConfig,
+    FrameInput,
+    InputRejected,
+    LatencyTag,
+    NoAlignedFrame,
+    NotFound,
+    QueryConfig,
+    RelationCandidate,
+    SpatialWeights,
+    TemporalWeights,
+    command_to_dict,
+    commands_from_scenario,
+    dumps,
+    empty_graph,
+    extract_subgraph,
+    graph_to_dict,
+    ground_command,
+    ingest_frame,
+    read_graph,
+    read_scenario,
+    serialize_subgraph,
+    validate_graph,
+    write_graph,
+)
 from stovsg.cli import main
+
+from conftest import DIM, rect_mask
 
 # JSON text that ``json.dumps`` cannot write, spliced in by name: an integer of more digits than Python reads, and NaN
 SPLICED_TEXT = {"<long integer>": "9" * 5000, "<NaN>": "NaN"}
@@ -139,3 +178,135 @@ def test_a_mutated_input_file_gives_a_result_or_one_json_error(name, files):
                 assert set(json.loads(err)) == {"error", "message"}, err
 
     check()
+
+
+# --- library fuzzing: records and settings built in code ------------------------------------
+
+EXTREMES = (math.nan, math.inf, -math.inf, 0.0, -1.0, 1e300, -1e300, 1e-300)
+WIDTH, HEIGHT = 128, 96
+ALLOWED = (InputRejected, NoAlignedFrame, NotFound)
+
+
+def mostly(typical, *others):
+    """``typical`` in about four draws of five, else one of ``others``."""
+    return st.sampled_from([typical] * (4 * len(others)) + list(others))
+
+
+def extreme():
+    """One of :data:`EXTREMES` in about seven draws of eight, else any float."""
+    return st.integers(0, 7).flatmap(lambda k: st.sampled_from(EXTREMES) if k else st.floats())
+
+
+def draw_values(draw, *typical: float) -> tuple[float, ...]:
+    """The ``typical`` values of one record; in about one record of three, each may be extreme instead."""
+    if draw(st.sampled_from([True, True, False])):
+        return typical
+    return tuple(draw(st.one_of(st.just(value), extreme())) for value in typical)
+
+
+def draw_feature(draw) -> np.ndarray:
+    """A drawn float on one axis and zero elsewhere, of the engine's dimension or one short."""
+    vec = np.zeros(draw(mostly(DIM, DIM - 1)))
+    vec[draw(st.integers(0, DIM - 2))] = draw_values(draw, 1.0)[0]
+    return vec
+
+
+def draw_detection(draw, k: int) -> tuple:
+    """A detection's values: box edges, mask column offset and width, label and features."""
+    x0 = 4 + 30 * k
+    box = draw_values(draw, x0, 10, x0 + 6, 16)
+    mask = (x0 + draw(mostly(0, -40, 200)), draw(mostly(6, 0, 3)))
+    return box, mask, draw(mostly("red mug", "Red  Mug", " ", "apple")), draw_feature(draw), draw_feature(draw)
+
+
+def draw_frame(draw, time: float) -> tuple:
+    """A frame's values: its tag, camera intrinsics and translation, rotation, depth, detections and zone."""
+    tag = draw_values(draw, time, 0.5)
+    camera = draw_values(draw, 100.0, 100.0, 64.0, 48.0, 0.0, 0.0, 0.0)
+    rotation = draw(mostly(np.eye(3), np.eye(3)[[1, 0, 2]], np.full((3, 3), math.nan), 2 * np.eye(3)))
+    detections = [draw_detection(draw, k) for k in range(draw(mostly(3, 0, 1, 2)))]
+    return tag, camera, rotation, draw_values(draw, 2.0)[0], detections, draw_values(draw, 4, 10, 40, 46)
+
+
+@st.composite
+def plans(draw) -> dict:
+    """The values one example builds its settings, frames and commands from."""
+    sections = {
+        "spatial": draw_values(draw, 1.0, 0.5, 0.5),
+        "temporal": draw_values(draw, 0.4, 0.4, 0.2, 1.0, 0.5, 10.0),
+        "query": (*draw_values(draw, 0.5), draw(mostly(5, 0, 1)), draw(mostly(1, 0, 2))),
+        "engine": draw_values(draw, 0.3, 0.05),
+    }
+    frames = [draw_frame(draw, float(k)) for k in range(1, draw(st.integers(1, 3)) + 1)]
+    commands = [(draw_feature(draw), *draw_values(draw, 1.6, 0.2)) for _ in range(2)]
+    return {"settings": sections, "frames": frames, "commands": commands}
+
+
+def attempt(build, *args):
+    """``build(*args)``, or None when it refuses its values."""
+    try:
+        return build(*args)
+    except InputRejected:
+        return None
+
+
+def build_config(spatial, temporal, query, engine) -> EngineConfig:
+    """The settings of these values; a section that refuses its values keeps its defaults."""
+    sections = (
+        attempt(SpatialWeights, *spatial) or SpatialWeights(),
+        attempt(TemporalWeights, *temporal) or TemporalWeights(),
+        attempt(QueryConfig, *query) or QueryConfig(),
+    )
+    return attempt(EngineConfig, *sections, *engine) or EngineConfig(*sections)
+
+
+def build_detection(box, mask, label, f_img, f_txt) -> Detection | None:
+    (x, width) = mask
+    box = attempt(BoundingBox2D, *box)
+    return box and attempt(Detection, box, rect_mask(x, 10, width, 6), label, f_img, f_txt)
+
+
+def build_frame(tag, camera, rotation, depth, detections, zone) -> FrameInput | None:
+    """The frame of these values; None when its tag or camera refuses them."""
+    tag = attempt(LatencyTag, *tag)
+    fx, fy, cx, cy, *translation = camera
+    camera = attempt(CameraModel, fx, fy, cx, cy, rotation, translation)
+    with np.errstate(over="ignore"):  # a depth beyond float32 is read as infinite, which means no reading
+        depth = DepthImage(np.full((HEIGHT, WIDTH), depth, dtype=np.float32))
+    detections = tuple(filter(None, (build_detection(*values) for values in detections)))
+    zone = attempt(BoundingBox2D, *zone) if len(detections) > 1 else None
+    candidates = (RelationCandidate(0, 1, "near", zone),) if zone else ()
+    return tag and camera and FrameInput(tag, camera, depth, detections, candidates)
+
+
+TYPICAL_CAMERA = (100.0, 100.0, 64.0, 48.0, 0.0, 0.0, 0.0)
+TYPICAL_DETECTION = ((4, 10, 10, 16), (4, 6), "red mug", np.eye(DIM)[1], np.eye(DIM)[0])
+# a frame captured at infinity: an engine that ingested it could write no graph file of it
+CAPTURED_AT_INFINITY = {
+    "settings": {"spatial": (1.0, 0.5, 0.5), "temporal": (0.4, 0.4, 0.2, 1.0, 0.5, 10.0),
+                 "query": (0.5, 5, 1), "engine": (0.3, 0.05)},
+    "frames": [((math.inf, 0.1), TYPICAL_CAMERA, np.eye(3), 2.0, [TYPICAL_DETECTION], (4, 10, 40, 46))],
+    "commands": [(np.eye(DIM)[0], 1.6, 0.2)],
+}
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None, suppress_health_check=list(HealthCheck))
+@example(plan=CAPTURED_AT_INFINITY)
+@given(plan=plans())
+def test_records_and_settings_built_in_code_are_ingested_or_refused_cleanly(plan, tmp_path_factory):
+    path = tmp_path_factory.mktemp("library") / "graph.json"
+    # overflow is refused, not warned of, as by the command line: a feature or depth may exceed the float range
+    with np.errstate(over="ignore"):
+        config = build_config(**plan["settings"])
+        graph = empty_graph()
+        for frame in filter(None, (build_frame(*values) for values in plan["frames"])):
+            with contextlib.suppress(*ALLOWED):
+                graph = ingest_frame(graph, frame, config)
+        for command in filter(None, (attempt(Command, "pick", *values) for values in plan["commands"])):
+            with contextlib.suppress(*ALLOWED):
+                ground_command(graph, command, config.query)
+            with contextlib.suppress(*ALLOWED):
+                serialize_subgraph(extract_subgraph(graph, command, config.query))
+        assert validate_graph(graph) == []
+        write_graph(graph, path)
+        assert graph_to_dict(read_graph(path)) == graph_to_dict(graph)

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import re
 from contextlib import nullcontext
 from dataclasses import replace
 from types import MappingProxyType
@@ -23,8 +25,10 @@ from stovsg import (
     SceneGraph4D,
     Track,
     associate,
+    commands_from_scenario,
     cosine,
     empty_graph,
+    ground_command,
     generate_stream,
     ingest_frame,
     ingest_sequence,
@@ -49,10 +53,12 @@ def test_normalize_label():
 
 
 def test_bounding_box_validity():
-    assert BoundingBox2D(0, 0, 1, 1).is_valid()
-    assert not BoundingBox2D(1, 0, 1, 2).is_valid()  # zero width
-    assert not BoundingBox2D(0, 3, 2, 1).is_valid()
-    assert not BoundingBox2D(0, 0, math.nan, 1).is_valid()
+    box = BoundingBox2D(0, 0, 1, 1)
+    for bad in [(1, 0, 1, 2), (0, 3, 2, 1), (0, 0, math.nan, 1)]:  # zero width, inverted, NaN
+        with pytest.raises(InputRejected, match=f"^{re.escape(f'invalid box {bad}')}$"):
+            BoundingBox2D(*bad)
+    with pytest.raises(InputRejected, match=r"^invalid box \(0, 0, 0.0, 1\)$"):  # also under replace
+        replace(box, x_max=0.0)
 
 
 @pytest.mark.parametrize("edge", [math.nan, math.inf, -math.inf, 0.0, 1.0, 2.0])
@@ -62,7 +68,8 @@ def test_box_validity_is_finite_edges_with_each_min_below_its_max(k, edge):
     values = [0.0, 0.0, 1.0, 1.0]
     values[k] = edge
     finite_rule = all(math.isfinite(v) for v in values) and values[0] < values[2] and values[1] < values[3]
-    assert BoundingBox2D(*values).is_valid() is finite_rule
+    with nullcontext() if finite_rule else pytest.raises(InputRejected, match=r"^invalid box \("):
+        assert BoundingBox2D(*values).as_tuple() == tuple(values)
 
 
 def test_pixel_mask_dedup_keeps_first_occurrence_order():
@@ -213,11 +220,13 @@ def test_a_track_with_no_node_in_the_snapshot_is_not_found(config):
 
 
 def test_camera_violations():
-    assert make_camera().violations == ()
-    bad_rot = make_camera(rotation=np.eye(3) * 2.0)
-    assert any("orthonormal" in v for v in bad_rot.violations)
-    bad_focal = make_camera(fx=-1.0)
-    assert any("focal" in v for v in bad_focal.violations)
+    camera = make_camera()
+    with pytest.raises(InputRejected, match="orthonormal"):
+        make_camera(rotation=np.eye(3) * 2.0)
+    with pytest.raises(InputRejected, match=r"^camera focal lengths must be positive \(fx=-1.0, fy=100.0\)$"):
+        make_camera(fx=-1.0)
+    with pytest.raises(InputRejected, match="focal"):  # also under replace
+        replace(camera, fy=0.0)
 
 
 def _two_frame_graph(config):
@@ -286,20 +295,21 @@ def test_validate_graph_flags_a_zero_norm_feature_read_from_a_graph_file(config,
 
 
 @pytest.mark.parametrize(
-    "descriptor, problem, refusal",
-    [
-        (np.zeros(16), "zero-norm descriptor", "cosine similarity undefined for zero-norm vector"),
-        (np.ones(8), "descriptor dimension 8 != 16", r"feature dimensions differ: \(8,\) vs \(16,\)"),
-    ],
+    "descriptor, problem, built",
+    [(np.zeros(16), "zero-norm descriptor", True), (np.ones(8), "descriptor dimension 8 != 16", False)],
     ids=["zero-norm", "dimension"],
 )
-def test_validate_graph_names_a_live_track_whose_descriptor_no_frame_could_match(config, descriptor, problem, refusal):
+def test_validate_graph_names_a_live_track_whose_descriptor_no_frame_could_match(config, descriptor, problem, built):
     inputs, _ = generate_stream(make_scenario(FAMILY_TARGET_MOVED, {"seed": 0}))
     graph = ingest_sequence(empty_graph(), inputs[:5], config)
     track_id = min(graph.tracks)
+    if built:  # a descriptor no frame of any dimension could match: the track refuses it when built
+        with pytest.raises(InputRejected, match=f"^{problem}$"):
+            Track(track_id, descriptor)
+        return
     broken = replace(graph, tracks=MappingProxyType({**graph.tracks, track_id: Track(track_id, descriptor)}))
     assert validate_graph(broken) == [f"track {track_id}: {problem}"]
-    with pytest.raises(InputRejected, match=refusal):  # what the next ingest would refuse, naming no track
+    with pytest.raises(InputRejected, match=f"^track {track_id}: {problem}$"):  # the next ingest names the track
         ingest_frame(broken, inputs[5], config)
 
 
@@ -323,10 +333,11 @@ def test_each_feature_fault_is_refused_by_one_rule_everywhere(config, make, rule
         for name in ("f_img", "f_txt"):
             text = rule.format(name=name, short=DIM - 1, dim=DIM)
             assert list(feature_problems(name, make(DIM), DIM)) == [text]
-            frame = make_frame_input(3.0, detections=(make_detection(), make_detection(x0=30, **{name: make(DIM)})))
+            # the detection refuses a fault of any dimension when built; ingest, one of the graph's dimension
             with pytest.raises(InputRejected) as refused:
-                ingest_frame(graph, frame, config)
-            assert str(refused.value) == f"detection 1: {text}"
+                bad = make_detection(x0=30, **{name: make(DIM)})
+                ingest_frame(graph, make_frame_input(3.0, detections=(make_detection(), bad)), config)
+            assert str(refused.value) == (f"detection 1: {text}" if "dimension" in text else text)
             broken = replace(f1, nodes=(replace(f1.nodes[0], **{name: make(DIM)}),))
             assert validate_graph(replace(graph, frames=(f0, broken))) == [f"frame 2 node 2: {text}"]
 
@@ -347,10 +358,8 @@ def test_an_empty_label_is_refused_by_one_rule_everywhere(config, label):
     assert list(label_problems(label)) == ["empty label"]
     graph = _two_frame_graph(config)
     f0, f1 = graph.frames
-    frame = make_frame_input(3.0, detections=(make_detection(), make_detection(x0=30, label=label)))
-    with pytest.raises(InputRejected) as refused:
-        ingest_frame(graph, frame, config)
-    assert str(refused.value) == "detection 1: empty label"
+    with pytest.raises(InputRejected, match="^empty label$"):  # when the detection is built
+        make_detection(x0=30, label=label)
     broken = replace(f1, nodes=(replace(f1.nodes[0], label=label),))
     assert validate_graph(replace(graph, frames=(f0, broken))) == ["frame 2 node 2: empty label"]
     spec = make_scenario(FAMILY_TARGET_MOVED)
@@ -427,3 +436,105 @@ def test_frame_of_is_the_frame_holding_each_node_of_a_graph_read_back(tmp_path):
     assert newer.frame_of(newest_id) is newer.frames[3]
     with pytest.raises(NotFound, match=f"node {newest_id} not in graph"):
         older.frame_of(newest_id)
+
+
+# --- records that refuse their own bad values when built ------------------------------------
+
+
+def _nan_rotation() -> np.ndarray:
+    rotation = np.eye(3)
+    rotation[0, 1] = math.nan
+    return rotation
+
+
+# (record, field, bad value, message); each rule is written so that NaN fails it
+_RECORD_FAULTS = [
+    ("box", "x_max", 0.0, "invalid box (0.0, 0.0, 0.0, 4.0)"),
+    ("box", "y_min", math.nan, "invalid box (0.0, nan, 4.0, 4.0)"),
+    ("box", "x_max", math.inf, "invalid box (0.0, 0.0, inf, 4.0)"),
+    ("camera", "fx", 0.0, "camera focal lengths must be positive (fx=0.0, fy=100.0)"),
+    ("camera", "fy", math.inf, "camera intrinsics must be finite (fx=100.0, fy=inf, cx=64.0, cy=48.0)"),
+    ("camera", "cx", math.nan, "camera intrinsics must be finite (fx=100.0, fy=100.0, cx=nan, cy=48.0)"),
+    ("camera", "rotation", _nan_rotation(), "camera rotation not orthonormal (|R^T R - I| = nan)"),
+    ("camera", "rotation", np.eye(2), "camera rotation must be 3x3, got (2, 2)"),
+    ("camera", "translation", [0.0, 0.0, math.inf], "camera translation must be finite, got [0.0, 0.0, inf]"),
+    ("camera", "translation", np.zeros(2), "camera translation must be length 3, got (2,)"),
+    ("detection", "mask", PixelMask.from_pixels([]), "empty mask"),
+    ("detection", "f_img", np.zeros(DIM), "zero-norm f_img"),
+    ("detection", "f_txt", np.full(DIM, math.nan), "non-finite f_txt"),
+    ("detection", "f_img", np.ones((2, DIM)), "feature vector must be 1-D, got shape (2, 8)"),
+    ("detection", "label", " \t", "empty label"),
+    ("tag", "capture_time", math.inf, "capture_time inf is not finite"),
+    ("tag", "capture_time", math.nan, "capture_time nan is not finite"),
+    ("tag", "transmission_latency", -0.25, "transmission_latency -0.25 is negative or not finite"),
+    ("tag", "transmission_latency", math.inf, "transmission_latency inf is negative or not finite"),
+    ("track", "descriptor", np.zeros(DIM), "zero-norm descriptor"),
+    ("track", "descriptor", np.full(DIM, -math.inf), "non-finite descriptor"),
+    ("command", "embedding", np.full(DIM, math.nan), "non-finite embedding"),
+    ("command", "embedding", np.full(DIM, 1e-200), "zero-norm embedding"),
+    ("command", "issue_time", math.nan, "issue_time nan is not finite"),
+    ("command", "latency", -0.5, "latency -0.5 is negative or not finite"),
+    ("command", "latency", math.inf, "latency inf is negative or not finite"),
+]
+
+
+def _valid(record: str):
+    return {
+        "box": lambda: BoundingBox2D(0.0, 0.0, 4.0, 4.0),
+        "camera": make_camera,
+        "detection": make_detection,
+        "tag": lambda: LatencyTag(1.0, 0.5),
+        "track": lambda: Track(1, axis(1)),
+        "command": lambda: Command("pick up the mug", axis(0), 2.0, 0.5),
+    }[record]()
+
+
+@pytest.mark.parametrize("record, key, value, message", _RECORD_FAULTS)
+def test_a_record_refuses_a_bad_value_when_built_in_code_and_under_replace(record, key, value, message):
+    valid = _valid(record)
+    values = {f.name: getattr(valid, f.name) for f in dataclasses.fields(valid) if f.init}
+    with pytest.raises(InputRejected, match=f"^{re.escape(message)}$"):
+        type(valid)(**{**values, key: value})
+    with pytest.raises(InputRejected, match=f"^{re.escape(message)}$"):
+        replace(valid, **{key: value})
+
+
+def test_a_detection_keeps_the_norms_its_check_took():
+    det = make_detection(f_img=np.full(DIM, 3.0), f_txt=axis(2))
+    assert (det.img_norm, det.txt_norm) == (math.sqrt(9.0 * DIM), 1.0)
+    moved = replace(det, f_img=axis(4))  # a replace takes the new feature's norm
+    assert moved.img_norm == 1.0 and moved.txt_norm == 1.0
+
+
+def test_a_command_with_a_nan_embedding_is_refused_rather_than_grounded(config):
+    spec = make_scenario(FAMILY_TARGET_MOVED, {"seed": 0})
+    inputs, _ = generate_stream(spec)
+    graph = ingest_sequence(empty_graph(), inputs, config)
+    (command,) = commands_from_scenario(spec)
+    assert ground_command(graph, command).score > 0  # the command as the scenario gives it grounds
+    with pytest.raises(InputRejected, match="^non-finite embedding$"):
+        ground_command(graph, replace(command, embedding=np.full(spec.feature_dim, math.nan)))
+
+
+def test_a_frame_captured_at_infinity_is_refused_before_a_graph_or_file_holds_it(config, tmp_path):
+    with pytest.raises(InputRejected, match="^capture_time inf is not finite$"):
+        frame = make_frame_input(math.inf, latency=0.1, detections=(make_detection(),))
+        write_graph(ingest_frame(empty_graph(), frame, config), tmp_path / "graph.json")
+    assert not (tmp_path / "graph.json").exists()
+
+
+def test_a_camera_whose_rotation_holds_a_nan_is_refused_in_its_own_words(config):
+    with pytest.raises(InputRejected, match=r"^camera rotation not orthonormal \(\|R\^T R - I\| = nan\)$"):
+        camera = make_camera(rotation=_nan_rotation())
+        ingest_frame(empty_graph(), make_frame_input(1.0, detections=(make_detection(),), camera=camera), config)
+
+
+def test_validate_graph_allows_a_centroid_off_its_points_bounds_by_rounding_only(config):
+    # a camera 1e300 m away: the mean of equal coordinates is rounded once, one unit in the last place off
+    frame = make_frame_input(1.0, detections=(make_detection(),), camera=make_camera(translation=[1e300, 0.0, 0.0]))
+    graph = ingest_frame(empty_graph(), frame, config)
+    (node,) = graph.frames[0].nodes
+    assert node.centroid[0] > node.points[:, 0].max() and validate_graph(graph) == []
+    moved = replace(node, centroid=node.centroid + np.array([1e292, 0.0, 0.0]))  # beyond 1e-9 of its magnitude
+    broken = replace(graph, frames=(replace(graph.frames[0], nodes=(moved,)),))
+    assert validate_graph(broken) == ["frame 1 node 1: centroid outside point bounds"]

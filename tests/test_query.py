@@ -199,17 +199,22 @@ def _refusal(fn, *args) -> str | None:
 )
 def test_score_refusals_match_the_oracle(emb, f_txt, f_img, beta):
     nodes = [make_node(1), make_node(2, f_txt=f_txt, f_img=f_img)]  # refused on the second node
-    command = Command(text="x", embedding=emb, issue_time=2.0)
     with pytest.raises(InputRejected) as refused:
-        score_nodes(_frame_of(nodes), command, QueryConfig(beta=beta))
-    assert str(refused.value) == _refusal(score_nodes_oracle, nodes, emb, beta)
+        score_nodes(_frame_of(nodes), Command(text="x", embedding=emb, issue_time=2.0), QueryConfig(beta=beta))
+    # a zero command refuses itself when built, before any node is scored
+    want = "zero-norm embedding" if not emb.any() else _refusal(score_nodes_oracle, nodes, emb, beta)
+    assert str(refused.value) == want
     for feature in (f_txt, f_img):
         assert _refusal(cosine, emb, feature) == _refusal(exact_cosine_oracle, emb, feature)
 
 
 def test_a_frame_without_nodes_scores_nothing_even_for_a_zero_command():
-    command = Command(text="x", embedding=np.zeros(8), issue_time=2.0)
-    assert score_nodes(_frame_of([]), command) == score_nodes_oracle([], command.embedding, 0.5) == []
+    # the oracle scores a zero command against no node; the engine refuses such a command when it is built
+    assert score_nodes_oracle([], np.zeros(8), 0.5) == []
+    command = Command(text="x", embedding=axis(0), issue_time=2.0)
+    assert score_nodes(_frame_of([]), command) == []
+    with pytest.raises(InputRejected, match="^zero-norm embedding$"):
+        Command(text="x", embedding=np.zeros(8), issue_time=2.0)
 
 
 def test_per_frame_norms_keep_every_score_bit_identical(config, tmp_path):

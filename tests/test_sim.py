@@ -335,3 +335,14 @@ def test_object_hidden_entirely_is_not_detected():
     for frame, frame_truth in zip(inputs, truth.frames):
         assert [d.label for d in frame.detections] == ["box"]
         assert [d.true_id for d in frame_truth.detections] == [1]
+
+
+def test_an_object_of_no_size_is_not_detected_and_the_others_still_are():
+    # it projects to a point: a box of no size, which the renderer skips before building a box
+    spec = make_scenario(FAMILY_TARGET_MOVED, {"seed": 0})
+    first, *others = spec.objects
+    flat = replace(spec, objects=(replace(first, size=(0.0, 0.0, 0.0)), *others))
+    inputs, truth = generate_stream(flat)
+    detected = [d.true_id for frame_truth in truth.frames for d in frame_truth.detections]
+    assert 1 not in detected and len(detected) == sum(len(frame.detections) for frame in inputs) == 59
+    assert len(inputs) == len(generate_stream(spec)[0])

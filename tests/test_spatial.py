@@ -68,16 +68,17 @@ BOXES = {
 
 
 def test_each_box_is_checked_once_per_candidate(monkeypatch):
+    other = BoundingBox2D(2, 0, 3, 1)
     checked = []
-    is_valid = BoundingBox2D.is_valid
-    monkeypatch.setattr(BoundingBox2D, "is_valid", lambda box: checked.append(box) or is_valid(box))
+    check = BoundingBox2D.__post_init__
+    monkeypatch.setattr(BoundingBox2D, "__post_init__", lambda box: checked.append(box.as_tuple()) or check(box))
     spatial_cost(U, Z)
-    assert checked == [U, Z]
-    checked.clear()
+    assert checked == []  # a box is checked once, when it is built, and scoring builds none
     cand = RelationCandidate(src=1, dst=2, relation="next to", zone=Z)
-    resolve_ambiguous([cand], {1: U, 2: BoundingBox2D(2, 0, 3, 1)})
-    # the two node boxes for their union, then the union and the zone
-    assert len(checked) == 4 and checked[-1] is Z
+    resolve_ambiguous([cand], {1: U, 2: other})
+    assert checked == [(0, 0, 3, 2)]  # the union of the two node boxes, and nothing else
+    with pytest.raises(InputRejected, match=r"^invalid box \(3, 0, 3, 1\)$"):
+        RelationCandidate(src=1, dst=2, relation="next to", zone=BoundingBox2D(3, 0, 3, 1))
 
 
 def test_shared_zone_keeps_only_cheapest():
@@ -135,3 +136,14 @@ def test_resolve_rejects_self_links_and_unknown_nodes():
 
 def test_resolve_empty_input():
     assert resolve_ambiguous([], BOXES) == []
+
+
+@pytest.mark.parametrize(
+    "zone",
+    [(0, 0, 1e-300, 1e-300), (0, 0, 1e200, 1e200), (-1e308, 0, 1e308, 2)],
+    ids=["area-underflows", "area-overflows", "width-overflows"],
+)
+def test_a_cost_that_leaves_the_float_range_is_refused(zone):
+    # a zone of valid edges whose area rounds to zero or overflows: a spatial edge could hold no finite cost
+    with pytest.raises(InputRejected, match=r"^the cost of box \(0, 0, 2, 2\) against zone \(.*\) is not finite$"):
+        spatial_cost(U, BoundingBox2D(*zone))

@@ -153,19 +153,18 @@ def test_zero_norm_feature_rejects_the_frame(config, name):
     graph = ingest_frame(empty_graph(), make_frame_input(1.0, detections=(make_detection(),)), config)
     # a norm that underflows to zero is as uncomparable as an all-zero vector
     for zero in (np.zeros(8), np.full(8, 1e-200)):
-        bad = make_detection(x0=30, label="apple", **{name: zero})
-        frame_input = make_frame_input(2.0, detections=(make_detection(), bad))
-        with pytest.raises(InputRejected, match=rf"^detection 1: zero-norm {name}$"):
-            ingest_frame(graph, frame_input, config)
+        with pytest.raises(InputRejected, match=rf"^zero-norm {name}$"):  # the detection refuses it when built
+            bad = make_detection(x0=30, label="apple", **{name: zero})
+            ingest_frame(graph, make_frame_input(2.0, detections=(make_detection(), bad)), config)
 
 
 def test_a_zeroed_detection_in_a_simulated_stream_is_refused_at_ingest(config):
-    """Once ingested, every command aligned to its frame would fail to score."""
+    """Once ingested, every command aligned to its frame would fail to score: the detection refuses it when built."""
     inputs, _ = generate_stream(make_scenario("target_moved", {"seed": 0}))
     first = inputs[0]
     det = first.detections[0]
-    zeroed = replace(first, detections=(replace(det, f_txt=np.zeros_like(det.f_txt)), *first.detections[1:]))
-    with pytest.raises(InputRejected, match=r"^detection 0: zero-norm f_txt$"):
+    with pytest.raises(InputRejected, match=r"^zero-norm f_txt$"):
+        zeroed = replace(first, detections=(replace(det, f_txt=np.zeros_like(det.f_txt)), *first.detections[1:]))
         ingest_sequence(empty_graph(), [zeroed, *inputs[1:]], config)
 
 
@@ -186,21 +185,26 @@ def test_an_ingested_frame_has_the_norms_its_feature_checks_took(config, monkeyp
     frame = graph.frames[-1]
     features = [f for det in inputs[20].detections for f in (det.f_txt, det.f_img)]
     relations = [edge.relation for edge in graph.temporal_edges if edge.event_frame == frame.frame_index]
-    # the feature checks take one norm per feature; then each new descriptor takes one
-    assert all(a is b for a, b in zip(taken, features))
-    assert len(taken) == len(features) + relations.count(SAME_INSTANCE) + relations.count(APPEARED) == 9
+    # each detection took its features' norms when built; each new descriptor takes one norm when
+    # blended or made unit (a new track's from its node's image feature), and one when its track checks it
+    assert sum(any(v is f for f in features) for v in taken) == relations.count(APPEARED)
+    assert len(taken) == 2 * (relations.count(SAME_INSTANCE) + relations.count(APPEARED)) == 6
     assert "feature_norms" in vars(frame)  # already kept, not taken on first use
+    assert frame.feature_norms == tuple((det.txt_norm, det.img_norm) for det in inputs[20].detections)
     assert frame.feature_norms == FrameGraph(frame.frame_index, frame.latency_tag, frame.nodes, ()).feature_norms
 
 
 def test_a_frame_with_two_faults_reports_the_invalid_box_before_the_non_finite_points(config):
-    # detection 0 lifts to infinite points through a focal length of 1e-308; detection 1 has a zero-width box
-    flat = replace(make_detection(30, 10), box=BoundingBox2D(30.0, 10.0, 30.0, 14.0))
-    frame = make_frame_input(1.0, detections=(make_detection(), flat), camera=make_camera(fx=1e-308))
+    # a zero-width box is refused when built, before any frame holds it
+    with pytest.raises(InputRejected, match=r"^invalid box \(30.0, 10.0, 30.0, 14.0\)$"):
+        BoundingBox2D(30.0, 10.0, 30.0, 14.0)
+    # detection 0 lifts to infinite points through a focal length of 1e-308; detection 1's box leaves the image
+    outside = replace(make_detection(30, 10), box=BoundingBox2D(120.0, 10.0, 130.0, 14.0))
+    frame = make_frame_input(1.0, detections=(make_detection(), outside), camera=make_camera(fx=1e-308))
     # every cloud's centroid and size are taken together, after the loop over the detections
     with pytest.warns(RuntimeWarning), pytest.raises(InputRejected) as refused:
         ingest_frame(empty_graph(), frame, config)
-    assert str(refused.value) == "detection 1: invalid box (30.0, 10.0, 30.0, 14.0)"
+    assert str(refused.value) == "detection 1: box outside 128x96 image"
     with pytest.warns(RuntimeWarning), pytest.raises(InputRejected) as refused:
         ingest_frame(empty_graph(), replace(frame, detections=frame.detections[:1]), config)
     assert str(refused.value) == "point set contains non-finite values"
@@ -242,23 +246,21 @@ def test_detection_without_depth_evidence_is_dropped(config):
 
 def test_rejected_frame_leaves_graph_untouched(config):
     graph = ingest_frame(empty_graph(), make_frame_input(1.0, detections=(make_detection(),)), config)
-    bad_inputs = [
-        make_frame_input(0.5, detections=(make_detection(),)),  # capture time going backwards
-        make_frame_input(1.0, detections=(make_detection(),)),  # exactly equal is also stale
-        make_frame_input(2.0, latency=-0.1, detections=(make_detection(),)),
-        make_frame_input(
-            2.0, detections=(replace(make_detection(), box=BoundingBox2D(5, 5, 5, 9)),)
-        ),
-        make_frame_input(
+    bad_inputs = [  # each built inside the check: a tag, box, label or feature refuses itself when built
+        lambda: make_frame_input(0.5, detections=(make_detection(),)),  # capture time going backwards
+        lambda: make_frame_input(1.0, detections=(make_detection(),)),  # exactly equal is also stale
+        lambda: make_frame_input(2.0, latency=-0.1, detections=(make_detection(),)),
+        lambda: make_frame_input(2.0, detections=(replace(make_detection(), box=BoundingBox2D(5, 5, 5, 9)),)),
+        lambda: make_frame_input(
             2.0, detections=(replace(make_detection(), box=BoundingBox2D(120, 90, 130, 98)),)
         ),
-        make_frame_input(2.0, detections=(replace(make_detection(), label="   "),)),
-        make_frame_input(2.0, detections=(make_detection(f_img=np.full(8, np.nan)),)),
-        make_frame_input(2.0, detections=(make_detection(f_img=np.ones(5)),)),  # dim mismatch
+        lambda: make_frame_input(2.0, detections=(replace(make_detection(), label="   "),)),
+        lambda: make_frame_input(2.0, detections=(make_detection(f_img=np.full(8, np.nan)),)),
+        lambda: make_frame_input(2.0, detections=(make_detection(f_img=np.ones(5)),)),  # dim mismatch
     ]
-    for frame_input in bad_inputs:
+    for make_input in bad_inputs:
         with pytest.raises(InputRejected):
-            ingest_frame(graph, frame_input, config)
+            ingest_frame(graph, make_input(), config)
     assert len(graph.frames) == 1 and len(graph.tracks) == 1
     assert validate_graph(graph) == []
 
@@ -449,6 +451,10 @@ def test_the_feature_dimension_probe_walks_no_frame_before_the_first_node(config
 )
 def test_ingest_refuses_a_frame_out_of_time_order_in_the_words_of_validate_graph(config, capture, latency):
     graph = ingest_frame(empty_graph(), make_frame_input(1.0, detections=(make_detection(),)), config)
+    if latency < 0:  # not a rule of time order: the tag refuses it when built
+        with pytest.raises(InputRejected, match=r"^transmission_latency -0.25 is negative or not finite$"):
+            make_frame_input(capture, latency=latency)
+        return
     frame_input = make_frame_input(capture, latency=latency, detections=(make_detection(),))
     with pytest.raises(InputRejected) as refused:
         ingest_frame(graph, frame_input, config)
@@ -462,7 +468,6 @@ def test_an_outcome_on_a_frame_out_of_time_order_is_refused(config):
     for frame_index, tag, path in [
         (7, LatencyTag(3.0, 0.5), "frames[1].frame_index"),
         (2, LatencyTag(1.0, 0.5), "frames[1].latency_tag.capture_time"),
-        (2, LatencyTag(3.0, -0.5), "frames[1].latency_tag.transmission_latency"),
     ]:
         frame = FrameGraph(frame_index, tag, (node,), ())
         with pytest.raises(InputRejected, match=rf"^{re.escape(path)}: "):
@@ -471,18 +476,13 @@ def test_an_outcome_on_a_frame_out_of_time_order_is_refused(config):
 
 
 def test_nan_transmission_latency_is_rejected(config):
-    message = (
-        "frames[0].latency_tag.transmission_latency: nan is negative or NaN (a frame cannot arrive before its capture)"
-    )
-    frame = make_frame_input(1.0, latency=float("nan"), detections=(make_detection(),))
-    with pytest.raises(InputRejected) as refused:
-        ingest_frame(empty_graph(), frame, config)
-    assert str(refused.value) == message
+    # the tag refuses it when built, in code and under replace, so no frame or graph can hold it
+    message = "^transmission_latency nan is negative or not finite$"
+    with pytest.raises(InputRejected, match=message):
+        make_frame_input(1.0, latency=float("nan"), detections=(make_detection(),))
     graph = ingest_frame(empty_graph(), make_frame_input(1.0, detections=(make_detection(),)), config)
-    fg = graph.frames[0]
-    bad = replace(fg, latency_tag=replace(fg.latency_tag, transmission_latency=float("nan")))
-    problems = validate_graph(replace(graph, frames=(bad,)))
-    assert message in problems
+    with pytest.raises(InputRejected, match=message):
+        replace(graph.frames[0].latency_tag, transmission_latency=float("nan"))
 
 
 # --- snapshots on a shared log -------------------------------------------------

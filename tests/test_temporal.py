@@ -113,10 +113,11 @@ def test_matrix_matches_independent_cost_calls():
 def test_matrix_empty_sides():
     assert build_cost_matrix(track_graph(), [make_node(1)], W, now=0.0).values.shape == (0, 1)
     assert build_cost_matrix(track_graph(TrackSpec(1)), [], W, now=0.0).values.shape == (1, 0)
-    # the cost checks run per cell, so a block without cells passes them
-    zero = TrackSpec(1, descriptor=np.zeros(DIM))
+    # the cost checks run on a block with cells, so a block without cells passes them
     assert build_cost_matrix(track_graph(), [], W, now=0.0).values.shape == (0, 0)
-    assert build_cost_matrix(track_graph(zero, TrackSpec(2)), [], W, now=0.0).values.shape == (2, 0)
+    assert build_cost_matrix(track_graph(), [make_node(1, f_img=np.zeros(DIM))], W, now=0.0).values.shape == (0, 1)
+    with pytest.raises(InputRejected, match="^zero-norm descriptor$"):  # a track refuses one when built
+        track_graph(TrackSpec(1, descriptor=np.zeros(DIM)))
 
 
 def _random_block(rng, n_tracks, n_nodes):
@@ -167,14 +168,12 @@ def test_one_bad_vector_in_a_block_is_rejected(where, fault):
         tracks[2] = TrackSpec(3, descriptor=bad)
     else:
         nodes[3] = make_node(103, f_img=bad)
-    graph = track_graph(*tracks)
-    with pytest.raises(InputRejected) as got:
-        build_cost_matrix(graph, nodes, W, now=0.0)
-    with pytest.raises(InputRejected) as want:  # the first failing pair in row order
-        for tid, track in graph.tracks.items():
-            for node in nodes:
-                temporal_cost(track, graph.newest_node(tid), node, W)
-    assert str(got.value) == str(want.value)
+    name = "descriptor" if where == "track" else "f_img"
+    message = f"zero-norm {name}" if fault == "zero-norm" else f"{name} dimension {DIM + 1} != {DIM}"
+    with pytest.raises(InputRejected) as got:  # a zero descriptor is refused when its track is built
+        build_cost_matrix(track_graph(*tracks), nodes, W, now=0.0)
+    built = where == "track" and fault == "zero-norm"
+    assert str(got.value) == (message if built else f"{where} {3 if where == 'track' else 103}: {message}")
 
 
 def test_non_positive_d_max_rejects_a_block_with_cells():
