@@ -1,42 +1,71 @@
 """Minimum-cost linear assignment with deterministic tie-breaking.
 
-The solver is the shortest-augmenting-path Hungarian algorithm of Jonker &
-Volgenant (1987) with row/column potentials (O(k^2 n) for k <= n).  It
-searches only the real rows of the shorter side, transposing tall inputs,
-so exactly ``min(rows, cols)`` real pairs come back.  Because several
-assignments can share the optimal total, the result is then canonicalized
-on the input padded to square with a dummy cost strictly above every real
-entry: complementary slackness says every optimal assignment uses only
-*tight* edges (zero reduced cost under the final potentials), and among
-the perfect matchings of that tight-edge graph we return the
-lexicographically smallest one (lowest row index first, then lowest column
-index).
+The answer is defined on the input padded to square (side ``n = max(rows,
+cols)``) with a dummy cost strictly above every real entry: among the
+optimal assignments of that square, the lexicographically smallest one
+(lowest row index first, then lowest column index), cut back to its real
+pairs.  Two routes reach it.
+
+*Certificate.*  Call the lines of the shorter side (rows, or the columns of
+a tall input) short lines.  If their minima lie in pairwise distinct
+columns (rows), and every short line's second-smallest cost exceeds its
+minimum by more than ``2·n·tol``, where ``tol = 1e-9·(1 + max|padded
+square|)`` is the search's tightness tolerance below, the argmin pairs are
+returned at once.  Proof: every assignment of the padded square pays the
+same pad cells, so it costs a constant plus one cell of each short line.
+The argmin pairs pay each line's minimum, the least possible; any other
+assignment leaves some line's minimum and pays over ``2·n·tol`` more.  The
+search ends with a perfect matching of edges whose reduced cost is at most
+``tol`` under feasible duals, so any matching of its tight edges costs at
+most the optimum plus ``n·tol`` (plus rounding far below ``tol``): only the
+argmin pairs are that cheap, so the search would return them too.
+
+*Search.*  Otherwise the shortest-augmenting-path Hungarian algorithm of
+Jonker & Volgenant (1987) with row/column potentials (O(k^2 n) for k <= n)
+runs over the real short lines only, transposing tall inputs, so exactly
+``min(rows, cols)`` real pairs come back.  It starts from the row reduction
+the certificate computed (each line's potential is its minimum, and each
+column, or row, takes the first line whose minimum it holds) and searches
+the lines left.  Because several assignments can share the optimal total, the
+result is then canonicalized on the padded square: complementary slackness
+says every optimal assignment uses only *tight* edges (zero reduced cost
+under the final potentials, up to ``tol``), and among the perfect matchings
+of that tight-edge graph the lexicographically smallest one is returned.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .errors import InputRejected
 
 
-def _shortest_augmenting_paths(rows: list[list[float]], m: int) -> tuple[list[int], list[float], list[float]]:
+def _shortest_augmenting_paths(
+    rows: list[list[float]], m: int, best: list[int]
+) -> tuple[list[int], list[float], list[float]]:
     """Match each of ``k <= m`` rows to its own column at minimum total cost.
 
-    Jonker-Volgenant shortest augmenting paths: one Dijkstra-like search per
-    row over the ``m`` columns.  Returns (col_of_row, u, v) with dual
-    potentials such that ``rows[i][j] - u[i] - v[j] >= 0`` (up to float
-    noise) on every cell and ``== 0`` on matched cells.  A column only gets
-    a nonzero potential once it is matched, so every column left free keeps
-    ``v[j] == 0``.
+    Jonker-Volgenant shortest augmenting paths from a row reduction.
+    ``best[i]`` is the column of row i's minimum, which is row i's starting
+    potential ``u[i]``; each column takes the first row whose minimum it
+    holds, and one Dijkstra-like search over the ``m`` columns adds each row
+    left.  Returns (col_of_row, u, v) with dual potentials such that
+    ``rows[i][j] - u[i] - v[j] >= 0`` (up to float noise) on every cell and
+    ``== 0`` on matched cells.  A column only gets a nonzero potential once
+    it is matched, and no potential ever rises above 0, so every column left
+    free keeps ``v[j] == 0`` and every other has ``v[j] <= 0``.
     """
-    k = len(rows)
     INF = float("inf")
-    u = [0.0] * k
+    u = [row[j] for row, j in zip(rows, best)]
     v = [0.0] * (m + 1)  # v[m] belongs to the virtual start column
     p = [-1] * (m + 1)  # p[j] = row matched to column j; p[m] is the row being added
+    for i, j in enumerate(best):
+        if p[j] == -1:
+            p[j] = i
     way = [0] * m
-    for i in range(k):
+    for i in [i for i, j in enumerate(best) if p[j] != i]:
         p[m] = i
         j0 = m
         minv = [INF] * m
@@ -70,7 +99,7 @@ def _shortest_augmenting_paths(rows: list[list[float]], m: int) -> tuple[list[in
             j1 = way[j0]
             p[j0] = p[j1]
             j0 = j1
-    col_of_row = [0] * k
+    col_of_row = [0] * len(rows)
     for j in range(m):
         if p[j] != -1:
             col_of_row[p[j]] = j
@@ -148,17 +177,29 @@ def min_cost_assignment(cost: np.ndarray) -> list[tuple[int, int]]:
     r, c = a.shape
     if r == 0 or c == 0:
         return []
-    if not np.isfinite(a).all():
+    bottom, top = float(a.min()), float(a.max())  # NaN where any entry is
+    if not -math.inf < bottom <= top < math.inf:
         raise InputRejected("cost matrix contains non-finite entries")
 
-    # Search the real rows of the shorter side only; a padded row has
-    # nothing but pad columns free, so searching it walks every real column.
     n = max(r, c)
-    pad = float(a.max()) + 1.0
+    pad = top + 1.0
+    # The tightness tolerance: 1e-9 of the padded square's largest magnitude, without building it.
+    tol = 1e-9 * (1.0 + max(top, -bottom, abs(pad) if r != c else 0.0))
     flip = r > c
-    col_of, u_small, v_small = _shortest_augmenting_paths((a.T if flip else a).tolist(), n)
+    b = a.T if flip else a  # one short line per row
+    k = b.shape[0]
+    best = b.argmin(axis=1).tolist()
+    # The certificate (module docstring): distinct minima, each clear of its line's runner-up.
+    if len(set(best)) == k and np.count_nonzero(b <= (b.min(axis=1) + 2 * n * tol)[:, None]) == k:
+        return sorted(zip(best, range(k))) if flip else list(enumerate(best))
+
+    # Otherwise search the real short lines only, from the row reduction; a
+    # padded row has nothing but pad columns free, so searching it walks
+    # every real column.
+    col_of, u_small, v_small = _shortest_augmenting_paths(b.tolist(), n, best)
     # Each pad row takes a column left free at potential ``pad``: that column
-    # kept v == 0, so the pad cell is tight and the duals stay feasible.
+    # kept v == 0, and no column's potential is positive, so the pad cell is
+    # tight and the duals stay feasible.
     taken = set(col_of)
     col_of += [j for j in range(n) if j not in taken]
     u_small += [pad] * (n - len(u_small))
@@ -173,7 +214,6 @@ def min_cost_assignment(cost: np.ndarray) -> list[tuple[int, int]]:
     sq = np.full((n, n), pad, dtype=np.float64)
     sq[:r, :c] = a
     # Edges with zero reduced cost carry every optimal assignment.
-    tol = 1e-9 * (1.0 + float(np.abs(sq).max()))
     tight = sq - np.array(u)[:, None] - np.array(v)[None, :] <= tol
     adj: list[list[int]] = [[] for _ in range(n)]
     for i, j in zip(*(idx.tolist() for idx in np.nonzero(tight))):

@@ -145,10 +145,15 @@ def union_box(a: BoundingBox2D, b: BoundingBox2D) -> BoundingBox2D:
 
 
 def iou(a: BoundingBox2D, b: BoundingBox2D) -> float:
-    """Intersection over union of two boxes."""
+    """Intersection over union of two boxes; refused when the union's area leaves the float range."""
     iw = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
     ih = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
     if iw <= 0 or ih <= 0:
         return 0.0
     inter = iw * ih
-    return inter / (_area(a) + _area(b) - inter)
+    union = _area(a) + _area(b) - inter
+    if not 0.0 < union < math.inf:  # NaN fails too
+        raise InputRejected(
+            f"the IoU of box {a.as_tuple()} and box {b.as_tuple()} is undefined: their union's area is {union}"
+        )
+    return inter / union

@@ -236,8 +236,8 @@ class Detection:
             vec, norm = checked_feature(name, getattr(self, name))
             object.__setattr__(self, name, vec)
             object.__setattr__(self, norm_name, norm)
-        for problem in label_problems(normalize_label(self.label)):
-            raise InputRejected(problem)
+        if not normalize_label(self.label):  # any case and spacing is kept; ingest stores the normal form
+            raise InputRejected("empty label")
 
 
 @dataclass(frozen=True, eq=False, slots=True)  # slots: a long graph holds thousands of nodes

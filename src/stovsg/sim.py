@@ -35,7 +35,6 @@ from .model import (
     as_feature,
     feature_problems,
     freeze_array,
-    label_problems,
     normalize_label,
 )
 from .store import FrameInput
@@ -79,8 +78,8 @@ class SimObject:
             "waypoints",
             tuple((float(t), _position(f"waypoints[{i}]", p)) for i, (t, p) in enumerate(self.waypoints)),
         )
-        for problem in label_problems(normalize_label(self.label)):  # detections carry it normalized
-            raise InputRejected(problem)
+        if not normalize_label(self.label):  # detections carry it normalized
+            raise InputRejected("empty label")
         if len(self.size) != 3:
             raise InputRejected(f"size: expected 3 numbers, got {len(self.size)}")
         if not self.waypoints:
@@ -143,6 +142,8 @@ class LatencyProfile:
             raise InputRejected(f"latency profile steps must be in ascending from_time order, got {starts}")
         if not all(delay >= 0 for _, delay in self.steps):  # NaN fails too
             raise InputRejected(f"latency profile delays must be non-negative, got {[d for _, d in self.steps]}")
+        if math.inf in (delay for _, delay in self.steps):  # a frame would never arrive
+            raise InputRejected(f"latency profile delays must be finite, got {[d for _, d in self.steps]}")
 
     @staticmethod
     def constant(delay: float) -> "LatencyProfile":

@@ -43,7 +43,8 @@ def spatial_cost(u: BoundingBox2D, z: BoundingBox2D, w: SpatialWeights = Spatial
     """
     cu, cz = _center(u), _center(z)
     offset = math.hypot(cu[0] - cz[0], cu[1] - cz[1])
-    with suppress(ZeroDivisionError, ValueError):  # raised by an area, or a ratio of areas, that rounds to zero
+    # raised by an area or a ratio of areas that rounds to zero, and by an IoU whose union leaves the float range
+    with suppress(ZeroDivisionError, ValueError, InputRejected):
         area = abs(math.log(_area(u) / _area(z)))
         cost = w.w_iou * (1.0 - iou(u, z)) + w.w_area * area + w.w_ctr * offset / _diagonal(z)
         if math.isfinite(cost):

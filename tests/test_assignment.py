@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stovsg import InputRejected, min_cost_assignment
+from stovsg import InputRejected, assignment, min_cost_assignment
 
 from oracles import brute_force_assignment, padded_hungarian_assignment
 
@@ -154,3 +156,109 @@ def test_a_re_matching_chain_longer_than_the_recursion_limit_is_searched_without
 
     assert min_cost_assignment(chain(40)) == padded_hungarian_assignment(chain(40)) == [(i, i) for i in range(40)]
     assert min_cost_assignment(chain(1100)) == [(i, i) for i in range(1100)]
+
+
+def searches():
+    """Count the calls of the augmenting-path search that the certificate skips."""
+    return mock.patch.object(
+        assignment, "_shortest_augmenting_paths", wraps=assignment._shortest_augmenting_paths
+    )
+
+
+def clear_block(rows: int, cols: int, seed: int, shift: float) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """A block whose short lines each have their minimum in their own column, 0.1 clear of the runner-up.
+
+    Returns the block and its argmin pairs, sorted by row.  ``shift`` moves every cost, below zero too.
+    """
+    rng = np.random.default_rng(seed)
+    k, m = min(rows, cols), max(rows, cols)
+    lines = rng.uniform(0.5, 1.0, (k, m)) + shift
+    best = rng.permutation(m)[:k]
+    lines[np.arange(k), best] = rng.uniform(0.0, 0.4, k) + shift
+    if rows <= cols:
+        return lines, list(enumerate(best.tolist()))
+    return lines.T, sorted((j, i) for i, j in enumerate(best.tolist()))
+
+
+def margin(cost: np.ndarray) -> float:
+    """``2·n·tol``, with ``tol`` taken from the padded square the oracle builds."""
+    r, c = cost.shape
+    n = max(r, c)
+    sq = np.full((n, n), cost.max() + 1.0)
+    sq[:r, :c] = cost
+    return 2 * n * 1e-9 * (1.0 + float(np.abs(sq).max()))
+
+
+shapes = dict(
+    rows=st.integers(1, 60),
+    cols=st.integers(1, 55),
+    seed=st.integers(0, 2**31),
+    shift=st.sampled_from([0.0, -0.7, -50.0, 30.0]),  # -0.7 straddles zero
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(**shapes)
+@example(rows=1, cols=55, seed=1, shift=-50.0)
+@example(rows=60, cols=1, seed=2, shift=0.0)
+@example(rows=60, cols=55, seed=3, shift=-0.7)
+@example(rows=55, cols=55, seed=4, shift=30.0)
+@example(rows=1, cols=1, seed=5, shift=-50.0)
+def test_a_clear_block_takes_the_certificate_and_matches_the_padded_reference(rows, cols, seed, shift):
+    cost, pairs = clear_block(rows, cols, seed, shift)
+    with searches() as search:
+        assert min_cost_assignment(cost) == pairs == padded_hungarian_assignment(cost)
+    assert search.call_count == 0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(**shapes, tied=st.booleans())
+@example(rows=2, cols=55, seed=1, shift=-50.0, tied=True)
+@example(rows=60, cols=2, seed=2, shift=0.0, tied=False)
+@example(rows=60, cols=55, seed=3, shift=-0.7, tied=True)
+def test_a_block_with_a_repeated_minimum_is_searched_and_matches_the_padded_reference(rows, cols, seed, shift, tied):
+    if min(rows, cols) < 2:
+        rows, cols = max(rows, 2), max(cols, 2)
+    cost, pairs = clear_block(rows, cols, seed, shift)
+    # the second short line's minimum moves into the first line's column: below its own, or tied with it
+    (i0, j0), (i1, j1) = pairs[0], pairs[1]
+    if rows <= cols:
+        cost[i1, j0] = cost[i1, j1] - (0.0 if tied else 0.05)
+    else:
+        cost[i0, j1] = cost[i1, j1] - (0.0 if tied else 0.05)
+    with searches() as search:
+        assert min_cost_assignment(cost) == padded_hungarian_assignment(cost)
+    assert search.call_count == 1
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(**shapes, above=st.booleans())
+@example(rows=1, cols=55, seed=1, shift=-50.0, above=False)
+@example(rows=60, cols=1, seed=2, shift=30.0, above=True)
+@example(rows=60, cols=55, seed=3, shift=-0.7, above=False)
+def test_a_runner_up_just_past_the_margin_decides_the_route_but_not_the_pairs(rows, cols, seed, shift, above):
+    if max(rows, cols) < 2:
+        cols = 2
+    cost, pairs = clear_block(rows, cols, seed, shift)
+    # one short line's runner-up sits 1 % above or below its minimum plus 2·n·tol; it is set to the
+    # minimum first, so that the margin is taken with the block's largest entries as they end up
+    i, j = pairs[-1]
+    runner_up = (i, (j + 1) % cols) if rows <= cols else ((i + 1) % rows, j)
+    cost[runner_up] = cost[i, j]
+    cost[runner_up] += margin(cost) * (1.01 if above else 0.99)
+    with searches() as search:
+        assert min_cost_assignment(cost) == pairs == padded_hungarian_assignment(cost)
+    assert search.call_count == (0 if above else 1)
+
+
+def test_a_clear_55_by_50_block_skips_the_search_and_one_shared_minimum_brings_it_back():
+    cost, pairs = clear_block(55, 50, seed=27, shift=0.0)
+    with searches() as search:
+        assert min_cost_assignment(cost) == pairs
+    assert search.call_count == 0
+    # column 1 now has its minimum in the row of column 0's minimum
+    (row0, _), = (p for p in pairs if p[1] == 0)
+    cost[row0, 1] = cost[:, 1].min() - 0.05
+    with searches() as search:
+        assert min_cost_assignment(cost) == padded_hungarian_assignment(cost)
+    assert search.call_count == 1

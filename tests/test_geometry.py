@@ -276,6 +276,23 @@ def test_box_helpers_reject_degenerate_boxes():
         iou(BoundingBox2D(0, 0, 1, 1), BoundingBox2D(0, 0, 0, 0))
 
 
+def test_iou_of_boxes_whose_union_area_leaves_the_float_range_is_refused_naming_both():
+    tiny, wide, huge = (BoundingBox2D(0, 0, e, e) for e in (1e-200, 1e154, 1e160))
+    # the intersection and both areas underflow to 0, so the ratio is 0 / 0
+    with pytest.raises(
+        InputRejected,
+        match=r"^the IoU of box \(0, 0, 1e-200, 1e-200\) and box \(0, 0, 1e-200, 1e-200\) is undefined: "
+        r"their union's area is 0.0$",
+    ):
+        iou(tiny, tiny)
+    # both areas are finite but their sum overflows: this read 0.0 for a box against itself
+    with pytest.raises(InputRejected, match=r"^the IoU of box \(0, 0, 1e\+154, 1e\+154\) and box .* is inf$"):
+        iou(wide, wide)
+    # both areas overflow, so the ratio is inf / nan
+    with pytest.raises(InputRejected, match=r"^the IoU of box \(0, 0, 1e\+160, 1e\+160\) and box .* is nan$"):
+        iou(huge, huge)
+
+
 def test_depth_image_requires_2d():
     with pytest.raises(InputRejected):
         DepthImage(np.zeros(5))

@@ -102,6 +102,14 @@ def test_latency_profile_is_piecewise_constant():
     assert LatencyProfile(steps=((0.0, 1.0), (2.0, 2.0), (2.0, 3.0))).delay_at(2.0) == 3.0
 
 
+def test_an_infinite_delay_is_refused_by_its_profile_before_a_scenario_holds_it():
+    # a frame sent over this link would never arrive; the stream used to refuse it only as a latency tag
+    with pytest.raises(InputRejected, match=r"^latency profile delays must be finite, got \[inf\]$"):
+        replace(make_scenario(FAMILY_TARGET_MOVED), uplink=LatencyProfile.constant(math.inf))
+    with pytest.raises(InputRejected, match=r"^latency profile delays must be finite, got \[0.5, inf\]$"):
+        LatencyProfile(steps=((0.0, 0.5), (3.0, math.inf)))
+
+
 def test_stream_is_deterministic():
     spec = make_scenario(FAMILY_TARGET_MOVED, {"seed": 9, "noise": noise_preset(0.6)})
     inputs_a, truth_a = generate_stream(spec)

@@ -147,3 +147,13 @@ def test_a_cost_that_leaves_the_float_range_is_refused(zone):
     # a zone of valid edges whose area rounds to zero or overflows: a spatial edge could hold no finite cost
     with pytest.raises(InputRejected, match=r"^the cost of box \(0, 0, 2, 2\) against zone \(.*\) is not finite$"):
         spatial_cost(U, BoundingBox2D(*zone))
+
+
+@pytest.mark.parametrize("edge", ["1e-200", "1e+154"], ids=["areas-underflow", "union-overflows"])
+def test_a_box_whose_iou_is_refused_gets_the_spatial_cost_refusal_in_its_own_words(edge):
+    # iou(box, box) is refused for both: 0 / 0, and a union of two finite areas that overflows (it read 0.0,
+    # so this cost read 1.0 for a box against itself)
+    box = BoundingBox2D(0, 0, float(edge), float(edge))
+    pattern = rf"\(0, 0, {edge}, {edge}\)".replace("+", r"\+")
+    with pytest.raises(InputRejected, match=rf"^the cost of box {pattern} against zone {pattern} is not finite$"):
+        spatial_cost(box, box)
