@@ -76,7 +76,7 @@ from .sim import (
 )
 from .store import FrameInput
 
-STREAM_SCHEMA = "stovsg-stream/1"
+STREAM_SCHEMA = "stovsg-stream/2"
 GRAPH_SCHEMA = "stovsg-graph/6"
 SCENARIO_SCHEMA = "stovsg-scenario/1"
 SUBGRAPH_SCHEMA = "stovsg-subgraph/2"
@@ -256,15 +256,6 @@ def _decode_positive_int(raw: Any) -> int:
 POSITIVE_INT = Codec(None, _decode_positive_int)
 STR = Codec(None, lambda raw: raw if type(raw) is str else _reject("a string", raw))
 _NUMBERS = {float, int}
-
-
-def _decode_image_side(raw: Any) -> int:
-    if POSITIVE_INT.decode(raw) > MAX_IMAGE_SIDE:
-        raise _Invalid(f"expected at most {MAX_IMAGE_SIDE} pixels, got {raw}")
-    return raw
-
-
-IMAGE_SIDE = Codec(None, _decode_image_side)
 
 
 # Every number's type is checked, since NumPy reads a JSON boolean among
@@ -449,9 +440,14 @@ def decode_mask(runs: Sequence) -> PixelMask:
     if arr is None or arr.dtype.kind != "i":  # object dtype: an integer beyond int64
         raise _Invalid("mask: runs must be [row, col, length] integers")
     v, u0, n = arr[:, 0], arr[:, 1], arr[:, 2]
-    if (n <= 0).any():
-        raise _Invalid(f"mask: non-positive run length {int(n.min())}")
-    offsets = np.arange(int(n.sum())) - np.repeat(np.cumsum(n) - n, n)
+    # a run or a mask no image could hold is refused before any pixel array is made
+    low, high = int(n.min()), int(n.max())
+    if low < 1 or high > MAX_IMAGE_SIDE:
+        raise _Invalid(f"mask: run length {low if low < 1 else high} is not between 1 and {MAX_IMAGE_SIDE}")
+    total = int(n.sum())
+    if total > MAX_IMAGE_SIDE**2:
+        raise _Invalid(f"mask: runs cover {total} pixels, more than an image of {MAX_IMAGE_SIDE}x{MAX_IMAGE_SIDE}")
+    offsets = np.arange(total) - np.repeat(np.cumsum(n) - n, n)
     return PixelMask.from_pixels(np.stack([np.repeat(u0, n) + offsets, np.repeat(v, n)], axis=1))
 
 
@@ -645,7 +641,7 @@ class _StreamLine:
     camera: CameraModel
     detections: tuple[Detection, ...]
     relation_candidates: tuple[RelationCandidate, ...]
-    depth_ref: str | None
+    depth_ref: str
 
 
 STREAM_LINE = record(
@@ -655,7 +651,7 @@ STREAM_LINE = record(
     ("camera", "camera", CAMERA),
     ("detections", "detections", list_of(DETECTION)),
     ("relation_candidates", "relation_candidates", list_of(CANDIDATE)),
-    ("depth_ref", "depth_ref", optional(STR)),
+    ("depth_ref", "depth_ref", STR),
 )
 
 
@@ -676,6 +672,8 @@ def read_depth_file(path: str | Path) -> DepthImage:
     if len(raw) < 8:
         raise FormatError(f"depth file {path}: truncated header")
     width, height = struct.unpack_from("<II", raw)
+    if max(width, height) > MAX_IMAGE_SIDE:
+        raise FormatError(f"depth file {path}: image {width}x{height} is wider or higher than {MAX_IMAGE_SIDE} pixels")
     expected = 8 + 4 * width * height
     if len(raw) != expected:
         raise FormatError(f"depth file {path}: expected {expected} bytes, got {len(raw)}")
@@ -686,33 +684,17 @@ def read_depth_file(path: str | Path) -> DepthImage:
 # --- detection stream (line-delimited JSON + depth sidecars) ----------------
 
 
-def _depth_dir_name(stream_path: Path) -> str:
-    return f"{stream_path.name.removesuffix('.jsonl')}_depth"
-
-
 def write_stream(inputs: Sequence[FrameInput], path: str | Path) -> None:
     """Write frames as one JSON record per line plus binary depth sidecars.
 
     Depth images land in ``<name>_depth/frame_NNNNNN.bin`` next to the
     stream file and are referenced by relative path from each record.
-    The header takes the image size from the first frame, so a stream
-    needs at least one.
+    The header line holds only the schema.
     """
-    if not inputs:
-        raise InputRejected("a stream needs at least one frame")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    depth_dir = _depth_dir_name(path)
-    feature_dim = next((int(f.detections[0].f_img.shape[0]) for f in inputs if f.detections), None)
-    width, height = inputs[0].depth.width, inputs[0].depth.height
-
-    header = {
-        "schema": STREAM_SCHEMA,
-        "feature_dim": feature_dim,
-        "image_width": width,
-        "image_height": height,
-    }
-    lines = [dumps(header)]
+    depth_dir = f"{path.name.removesuffix('.jsonl')}_depth"
+    lines = [dumps({"schema": STREAM_SCHEMA})]
     for k, frame in enumerate(inputs, start=1):
         depth_ref = f"{depth_dir}/frame_{k:06d}.bin"
         write_depth_file(frame.depth, path.parent / depth_ref)
@@ -723,19 +705,16 @@ def write_stream(inputs: Sequence[FrameInput], path: str | Path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _read_frame(raw: Any, index: int, folder: Path, width: int, height: int) -> FrameInput:
-    if isinstance(raw, dict):  # a frame record may leave out its candidates and its depth
-        raw = {"relation_candidates": [], "depth_ref": None, **raw}
+def _read_frame(raw: Any, index: int, folder: Path) -> FrameInput:
+    if isinstance(raw, dict):  # a frame record may leave out its candidates
+        raw = {"relation_candidates": [], **raw}
     line = STREAM_LINE.decode(raw)
     if line.frame_index != index:
         raise _Invalid(f"frame_index {line.frame_index} out of order (expected {index})")
-    if line.depth_ref is None:
-        depth = DepthImage(np.zeros((height, width), dtype=np.float32))
-    else:
-        ref = PurePosixPath(line.depth_ref)
-        if ref.is_absolute() or ".." in ref.parts:
-            raise _Invalid(f"depth_ref {line.depth_ref!r} leaves the stream's directory")
-        depth = read_depth_file(folder / ref)
+    ref = PurePosixPath(line.depth_ref)
+    if ref.is_absolute() or ".." in ref.parts:
+        raise _Invalid(f"depth_ref {line.depth_ref!r} leaves the stream's directory")
+    depth = read_depth_file(folder / ref)
     return FrameInput(line.latency_tag, line.camera, depth, line.detections, line.relation_candidates)
 
 
@@ -746,28 +725,16 @@ def parse_stream(path: str | Path) -> tuple[dict, list[FrameInput]]:
     if not lines:
         raise FormatError(f"stream {path}: empty file")
     header = parse_json(lines[0][1], f"stream {path}: bad header")
-    if not isinstance(header, dict) or header.get("schema") != STREAM_SCHEMA:
-        raise FormatError(f"stream {path}: expected schema {STREAM_SCHEMA!r}")
-    # a frame without depth_ref reads as zeros of this size
-    width, height = (
-        _decode(IMAGE_SIDE, header.get(key), f"stream {path} header {key}")
-        for key in ("image_width", "image_height")
-    )
-
-    dim = _decode(optional(POSITIVE_INT), header.get("feature_dim"), f"stream {path} header feature_dim")
-
+    found = header.get("schema") if isinstance(header, dict) else None
+    if found != STREAM_SCHEMA:
+        raise _wrong_schema(STREAM_SCHEMA, found).located(f"stream {path}")
     frames: list[FrameInput] = []
     for lineno, line in lines[1:]:
         raw = parse_json(line, f"stream {path}:{lineno}")
         try:
-            frames.append(_read_frame(raw, len(frames) + 1, path.parent, width, height))
+            frames.append(_read_frame(raw, len(frames) + 1, path.parent))
         except _Invalid as exc:
             raise exc.located(f"stream {path}:{lineno}") from None
-    first = next((len(f.detections[0].f_img) for f in frames if f.detections), dim)
-    if dim not in (None, first):
-        raise FormatError(
-            f"stream {path} header feature_dim: {dim}, but the first detection's f_img has {first} numbers"
-        )
     return header, frames
 
 

@@ -84,6 +84,8 @@ class SimObject:
             raise InputRejected(f"size: expected 3 numbers, got {len(self.size)}")
         if not self.waypoints:
             raise InputRejected("waypoints: expected at least one")
+        if not all(math.isfinite(t) for t, _ in self.waypoints):  # position_at compares t with each time
+            raise InputRejected(f"waypoints: times must be finite, got {[t for t, _ in self.waypoints]}")
 
     def position_at(self, t: float) -> np.ndarray:
         """Piecewise-linear position; duplicate waypoint times act as steps."""
@@ -96,11 +98,8 @@ class SimObject:
                     return wps[i][1]
                 t0, p0 = wps[i]
                 t1, p1 = wps[i + 1]
-                if t1 == t0:
-                    return p0
                 f = (t - t0) / (t1 - t0)
                 return p0 + f * (p1 - p0)
-        return wps[0][1]
 
     def visible_at(self, t: float) -> bool:
         return any(start <= t < end for start, end in self.visibility)

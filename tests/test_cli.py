@@ -6,6 +6,7 @@ import hashlib
 import json
 import operator
 import subprocess
+import struct
 import sys
 from types import MappingProxyType
 
@@ -640,18 +641,26 @@ def _build_edited(scene, name, edit):
     return cli_main(["build", "--stream", str(stream), "--out", str(scene / f"{name}.graph.json")])
 
 
-@pytest.mark.parametrize("key, side", [("image_height", 2**70), ("image_width", 4097)], ids=["height", "width"])
-def test_a_stream_header_image_side_above_the_limit_is_one_json_error(two_fps_scene, capsys, key, side):
+@pytest.mark.parametrize(
+    "width, height, values",
+    [(4097, 1, 4097), (1, 2**32 - 1, 0)],  # the second file holds far fewer bytes than its header claims
+    ids=["width", "height"],
+)
+def test_a_depth_file_side_above_the_limit_is_one_json_error(two_fps_scene, capsys, width, height, values):
+    depth = two_fps_scene / "large_depth" / f"{width}x{height}.bin"
+    depth.parent.mkdir(exist_ok=True)
+    depth.write_bytes(struct.pack("<II", width, height) + bytes(4 * values))
+
     def edit(header, first):
-        header[key] = side
-        del first["depth_ref"]  # read as zeros of the header's size
+        first["depth_ref"] = f"large_depth/{depth.name}"
 
     capsys.readouterr()
     assert _build_edited(two_fps_scene, "large", edit) == 1
     out, err = capsys.readouterr()
     (line,) = err.splitlines()
-    message = f"stream {two_fps_scene / 'large.jsonl'} header {key}: expected at most 4096 pixels, got {side}"
+    message = f"depth file {depth}: image {width}x{height} is wider or higher than 4096 pixels"
     assert out == "" and json.loads(line) == {"error": "format-error", "message": message}
+    assert not (two_fps_scene / "large.graph.json").exists()
 
 
 @pytest.mark.filterwarnings("error")  # the refusal is the only word on it

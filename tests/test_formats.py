@@ -22,7 +22,6 @@ from stovsg import (
     DepthImage,
     EngineConfig,
     FormatError,
-    InputRejected,
     NoiseModel,
     PixelMask,
     QueryConfig,
@@ -66,7 +65,7 @@ from stovsg import (
 )
 
 from stovsg.cli import main as cli_main
-from stovsg.formats import TRACK
+from stovsg.formats import STREAM_SCHEMA, TRACK
 
 from conftest import axis, make_detection, make_frame_input
 from oracles import canonical_dumps_oracle
@@ -100,6 +99,16 @@ def test_mask_codec_rejects_malformed_runs():
         decode_mask([[1, 2, 0]])
     with pytest.raises(FormatError):
         decode_mask([[1, 2, -3]])
+    # a run longer than an image side, or runs covering more pixels than an image holds, make no array
+    assert len(decode_mask([[0, 0, 4096]])) == 4096
+    for runs, message in [
+        ([[0, 0, 4097]], "run length 4097 is not between 1 and 4096"),
+        ([[0, 0, 10**13]], "run length 10000000000000 is not between 1 and 4096"),
+        ([[0, 0, -3], [1, 0, 10**13]], "run length -3 is not between 1 and 4096"),
+        ([[row, 0, 4096] for row in range(4097)], "runs cover 16781312 pixels, more than an image of 4096x4096"),
+    ]:
+        with pytest.raises(FormatError, match=f"^mask: {message}$"):
+            decode_mask(runs)
     # NumPy would read [[true, 0, 3]] as [[1, 0, 3]]
     for runs in ([[True, 0, 3]], [[1, False, 3]], [[1, 0, True]], [[1, 0, 3], [2, 0, 3.0]], [[1, 0, 2**63]]):
         with pytest.raises(FormatError, match=r"^mask: runs must be \[row, col, length\] integers$"):
@@ -162,8 +171,8 @@ def test_stream_round_trips_losslessly(tmp_path):
     path = tmp_path / "stream.jsonl"
     write_stream(inputs, path)
     header, back = parse_stream(path)
-    assert header["image_width"] == spec.image_width
-    assert header["feature_dim"] == spec.feature_dim
+    assert header == {"schema": "stovsg-stream/2"}
+    assert path.read_text().splitlines()[0] == '{"schema":"stovsg-stream/2"}'
     assert len(back) == len(inputs)
     for orig, parsed in zip(inputs, back):
         assert parsed.latency_tag == orig.latency_tag
@@ -844,6 +853,7 @@ def _set(*keys, value):
         _set("detections", 0, "mask_rle", value=[[1, 2]]),
         _set("detections", 0, "mask_rle", value={"row": 1}),
         _set("detections", 0, "mask_rle", 0, 0, value=True),
+        _set("detections", 0, "mask_rle", value=[[0, 0, 10**13]]),  # 73 TiB of pixel indices, were it decoded
         _set("relation_candidates", 0, "src", value=1.5),
         lambda record: record["detections"][0].pop("f_txt"),
         lambda record: record.update(detections=[7]),
@@ -866,6 +876,7 @@ def _set(*keys, value):
         "mask-short-run",
         "mask-object",
         "mask-bool",
+        "mask-run-too-long",
         "candidate-src-float",
         "f-txt-missing",
         "detection-number",
@@ -882,54 +893,39 @@ def test_malformed_stream_records_give_format_errors(tmp_path, capsys, mutate):
     assert not (tmp_path / "g.json").exists()
 
 
-def test_a_stream_without_frames_is_not_written(tmp_path):
-    # its header could give no positive image size for the reader to accept
-    with pytest.raises(InputRejected, match="a stream needs at least one frame"):
-        write_stream([], tmp_path / "stream.jsonl")
-    assert not (tmp_path / "stream.jsonl").exists()
+def test_an_empty_stream_writes_reads_and_builds_an_empty_graph(tmp_path, capsys):
+    path = tmp_path / "stream.jsonl"
+    write_stream([], path)
+    assert path.read_text() == '{"schema":"stovsg-stream/2"}\n'
+    assert parse_stream(path) == ({"schema": STREAM_SCHEMA}, [])
+    assert cli_main(["build", "--stream", str(path), "--out", str(tmp_path / "g.json")]) == 0
+    assert capsys.readouterr().err == ""
+    assert graph_to_dict(read_graph(tmp_path / "g.json")) == graph_to_dict(empty_graph())
 
 
-@pytest.mark.parametrize("key", ["image_width", "image_height"])
-@pytest.mark.parametrize("size", [-5, 0])
-def test_header_image_sizes_must_be_positive(tmp_path, capsys, key, size):
-    # a record without depth_ref reads as zero depth of the header's size
-    path = _stream_with_line(tmp_path, lambda record: record.pop("depth_ref"))
-    header, *records = path.read_text().splitlines()
-    path.write_text("\n".join([dumps({**json.loads(header), key: size}), *records]) + "\n")
-    with pytest.raises(FormatError, match=f"header {key}: expected a positive integer, got {size}$"):
-        parse_stream(path)
+def _build_refuses(path, tmp_path, capsys) -> str:
+    """The message of the one format error that building ``path`` gives; no graph is written."""
     assert cli_main(["build", "--stream", str(path), "--out", str(tmp_path / "g.json")]) == 1
     out, err = capsys.readouterr()
     (line,) = err.splitlines()
-    assert out == "" and json.loads(line)["error"] == "format-error" and key in json.loads(line)["message"]
+    assert out == "" and json.loads(line)["error"] == "format-error"
     assert not (tmp_path / "g.json").exists()
+    return json.loads(line)["message"]
 
 
-@pytest.mark.parametrize(
-    "value, message",
-    [
-        (3, "3, but the first detection's f_img has 16 numbers"),
-        (0, "expected a positive integer, got 0"),
-        ("16", "expected an integer, got str"),
-        (True, "expected an integer, got bool"),
-        (None, None),
-        (16, None),
-    ],
-)
-def test_header_feature_dim_is_null_or_the_first_detections(tmp_path, capsys, value, message):
+def test_a_stream_of_the_previous_schema_is_one_format_error_naming_both(tmp_path, capsys):
+    # its header held an image size and a feature dimension, and a frame could leave out its depth
     path = _stream_with_line(tmp_path, lambda record: None)
     header, *records = path.read_text().splitlines()
-    path.write_text("\n".join([dumps({**json.loads(header), "feature_dim": value}), *records]) + "\n")
-    code = cli_main(["build", "--stream", str(path), "--out", str(tmp_path / "g.json")])
-    out, err = capsys.readouterr()
-    if message is None:
-        assert code == 0 and err == ""
-        return
-    (line,) = err.splitlines()
-    want = {"error": "format-error", "message": f"stream {path} header feature_dim: {message}"}
-    assert code == 1 and out == "" and json.loads(line) == want
-    assert not (tmp_path / "g.json").exists()
+    old = {"schema": "stovsg-stream/1", "feature_dim": 16, "image_width": 160, "image_height": 120}
+    path.write_text("\n".join([dumps(old), *records]) + "\n")
+    message = f"stream {path}: expected schema 'stovsg-stream/2', got 'stovsg-stream/1'"
+    assert _build_refuses(path, tmp_path, capsys) == message
 
+
+def test_a_frame_record_without_depth_ref_is_one_format_error_naming_its_line_and_key(tmp_path, capsys):
+    path = _stream_with_line(tmp_path, lambda record: record.pop("depth_ref"))
+    assert _build_refuses(path, tmp_path, capsys) == f"stream {path}:2: missing key 'depth_ref'"
 
 def test_format_errors_name_the_key_path(tmp_path):
     path = _stream_with_line(tmp_path, _set("detections", 0, "label", value=[1]))

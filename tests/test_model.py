@@ -40,7 +40,7 @@ from stovsg import (
     write_graph,
 )
 from stovsg import model
-from stovsg.model import feature_problems, freeze_array, label_problems
+from stovsg.model import SpatialEdge, chain_problems, feature_problems, freeze_array, label_problems
 
 from conftest import DIM, axis, make_camera, make_detection, make_frame_input, make_node
 from oracles import cosine_oracle
@@ -365,6 +365,26 @@ def test_an_empty_label_is_refused_by_one_rule_everywhere(config, label):
     spec = make_scenario(FAMILY_TARGET_MOVED)
     with pytest.raises(InputRejected, match="^empty label$"):
         replace(spec.objects[1], label=label)
+
+
+@pytest.mark.parametrize(
+    "src, dst, message",
+    [(1, 1, "frame 1 edge 1->1: self loop"), (1, 2, "frame 1 edge 1->2: endpoint not in frame")],
+    ids=["self-loop", "other-frame"],
+)
+def test_validate_graph_flags_a_spatial_edge_that_leaves_its_frame_or_loops(config, src, dst, message):
+    graph = _two_frame_graph(config)
+    f0, f1 = graph.frames
+    broken = replace(f0, spatial_edges=(SpatialEdge(src, dst, "near", 0.5),))
+    assert validate_graph(replace(graph, frames=(broken, f1))) == [message]
+
+
+def test_a_track_record_without_edges_has_no_appeared_edge(config):
+    graph = _two_frame_graph(config)
+    record = Track(2, graph.tracks[1].descriptor)
+    broken = replace(graph, tracks=MappingProxyType({**graph.tracks, 2: record}), next_track_id=3)
+    assert list(chain_problems(broken)) == [(2, "no appeared edge")]
+    assert validate_graph(broken) == ["track 2: no appeared edge"]
 
 
 def test_validate_graph_flags_dangling_temporal_edge(config):

@@ -60,6 +60,13 @@ def test_position_interpolates_and_duplicate_times_step():
     np.testing.assert_allclose(obj.position_at(9.0), [6.0, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf])
+def test_a_waypoint_time_that_is_not_finite_is_refused_when_built(time):
+    # every finite time is at or after the first waypoint's, or before it, so position_at always answers
+    with pytest.raises(InputRejected, match=rf"^waypoints: times must be finite, got \[{time}, 1.0\]$"):
+        simple_object(waypoints=((time, np.zeros(3)), (1.0, np.ones(3))))
+
+
 def test_visibility_intervals_are_half_open():
     obj = simple_object(visibility=((0.0, 2.0), (3.0, math.inf)))
     assert obj.visible_at(0.0)

@@ -25,6 +25,7 @@ from stovsg import (
     NotFound,
     QueryConfig,
     RelationCandidate,
+    centroid_and_size,
     dumps,
     empty_graph,
     frame_at_operator_time,
@@ -35,6 +36,7 @@ from stovsg import (
     ingest_frame,
     ingest_sequence,
     lifecycle_events,
+    lift_mask,
     make_scenario,
     read_graph,
     validate_graph,
@@ -42,7 +44,7 @@ from stovsg import (
 )
 from stovsg.model import AssociationOutcome, FrameGraph, LatencyTag, NodeIndex, vector_norm
 from stovsg.query import _align
-from stovsg.store import apply_outcome
+from stovsg.store import MAX_POINTS, apply_outcome
 
 from churn_probe import DIM as CHURN_DIM, FPS, churn_inputs, transient_feature_axis
 from conftest import axis, in_plane, make_camera, make_detection, make_frame_input, make_node
@@ -99,6 +101,23 @@ def test_node_geometry_comes_from_depth_backprojection(config):
     assert node.centroid[1] == pytest.approx((11.5 - 48.0) * 2.0 / 100.0)
     assert graph.frame_of(node.node_id).obs_time == 1.5
     assert len(node.points) == 16
+
+
+def test_a_node_keeps_every_kth_of_more_points_than_the_cap_and_its_geometry_is_theirs(config):
+    u, v = np.meshgrid(np.arange(128), np.arange(96))
+    values = (1.5 + 0.01 * u + 0.003 * v).astype(np.float32)
+    values[:, 20] = 0.0  # a column without readings: the cap counts the lifted points, not the mask's
+    depth = DepthImage(values)
+    det = make_detection(x0=10, y0=10, w=64, h=40)
+    frame = make_frame_input(1.0, detections=(det,), depth=depth)
+    lifted = lift_mask(depth, det.mask, frame.camera)
+    n = len(lifted)
+    assert n == 64 * 40 - 40 > MAX_POINTS == 2048
+    kept = lifted[np.arange(2048) * n // 2048]
+    node = ingest_frame(empty_graph(), frame, config).frames[0].nodes[0]
+    np.testing.assert_array_equal(node.points, kept)
+    centroid, size = centroid_and_size(kept)
+    assert node.centroid.tobytes() == centroid.tobytes() and node.size.tobytes() == size.tobytes()
 
 
 def test_track_attributes_refresh_on_match(config):
@@ -628,6 +647,18 @@ def test_an_outcome_putting_one_node_on_two_tracks_is_refused(config):
     graph = ingest_sequence(empty_graph(), _scene_inputs(1), config)
     with pytest.raises(InputRejected, match="^outcome puts node 3 on two tracks$"):
         apply_outcome(graph, AssociationOutcome(((1, 3), (2, 3))), _second_frame(), config)
+    assert len(graph.log.frames) == 1
+
+
+@pytest.mark.parametrize(
+    "pair, message",
+    [((7, 3), "outcome references unknown track 7"), ((1, 9), "outcome references node 9 not in frame")],
+    ids=["track", "node"],
+)
+def test_an_outcome_naming_a_track_or_node_it_cannot_pair_is_refused(config, pair, message):
+    graph = ingest_sequence(empty_graph(), _scene_inputs(1), config)
+    with pytest.raises(InputRejected, match=f"^{message}$"):
+        apply_outcome(graph, AssociationOutcome((pair,)), _second_frame(), config)
     assert len(graph.log.frames) == 1
 
 
