@@ -8,7 +8,7 @@ from pathlib import Path
 
 from .errors import FormatError, InputRejected
 from .formats import FLOAT, INT, Codec, parse_json
-from .model import refuse_infinite
+from .model import POSE_TOL, refuse_infinite
 from .query import QueryConfig
 from .spatial import SpatialWeights
 from .temporal import TemporalWeights
@@ -55,7 +55,7 @@ class EngineConfig:
     temporal: TemporalWeights = field(default_factory=TemporalWeights)
     query: QueryConfig = field(default_factory=QueryConfig)
     descriptor_alpha: float = 0.3  # appearance EMA mixing factor
-    centroid_tol: float = 0.05  # metres; node-accuracy gate for scoring
+    centroid_tol: float = POSE_TOL  # metres; node-accuracy gate for scoring
 
     def __post_init__(self) -> None:
         if not 0 < self.descriptor_alpha <= 1:  # each rule is written so that NaN fails it

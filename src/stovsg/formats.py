@@ -79,7 +79,7 @@ from .store import FrameInput
 STREAM_SCHEMA = "stovsg-stream/2"
 GRAPH_SCHEMA = "stovsg-graph/6"
 SCENARIO_SCHEMA = "stovsg-scenario/1"
-SUBGRAPH_SCHEMA = "stovsg-subgraph/2"
+SUBGRAPH_SCHEMA = "stovsg-subgraph/3"
 TRUTH_SCHEMA = "stovsg-truth/1"
 COMMAND_SCHEMA = "stovsg-command/1"
 
@@ -730,11 +730,14 @@ def parse_stream(path: str | Path) -> tuple[dict, list[FrameInput]]:
         raise _wrong_schema(STREAM_SCHEMA, found).located(f"stream {path}")
     frames: list[FrameInput] = []
     for lineno, line in lines[1:]:
-        raw = parse_json(line, f"stream {path}:{lineno}")
+        where = f"stream {path}:{lineno}"
+        raw = parse_json(line, where)
         try:
             frames.append(_read_frame(raw, len(frames) + 1, path.parent))
         except _Invalid as exc:
-            raise exc.located(f"stream {path}:{lineno}") from None
+            raise exc.located(where) from None
+        except OSError as exc:  # the record's depth file: an io-error still, located like every other fault
+            raise OSError(f"{where}: depth_ref {raw['depth_ref']!r}: {exc.strerror or exc}") from None
     return header, frames
 
 
@@ -995,6 +998,7 @@ def serialize_subgraph(sub: TaskSubgraph | Mapping) -> str:
 
 def parse_subgraph(text: str) -> dict:
     data = parse_json(text, "subgraph")
-    if not isinstance(data, dict) or data.get("schema") != SUBGRAPH_SCHEMA:
-        raise FormatError(f"subgraph: expected schema {SUBGRAPH_SCHEMA!r}")
+    found = data.get("schema") if isinstance(data, dict) else None
+    if found != SUBGRAPH_SCHEMA:
+        raise _wrong_schema(SUBGRAPH_SCHEMA, found).located("subgraph")
     return data

@@ -29,6 +29,8 @@ DISAPPEARED = "disappeared"
 _TEMPORAL_RELATIONS = (SAME_INSTANCE, APPEARED, DISAPPEARED)
 _LINKS = (APPEARED, SAME_INSTANCE)  # the relations that put their destination on their track
 
+POSE_TOL = 0.05  # metres: two centroids this close are one pose, to scoring and to a track's keyframes
+
 
 def normalize_label(label: str) -> str:
     """Lower-case and collapse whitespace so label comparisons are stable."""
@@ -408,22 +410,35 @@ class GraphLog:
     ``frames`` and ``edges`` hold the frames and temporal edges in ingest
     order.  The edges are the tracks: ``histories`` holds each track's node
     ids, oldest first, which are the destinations of its appeared and
-    same-instance edges in edge order (see :func:`chain_problems`).  By node
-    id, ``nodes`` holds the node, ``positions`` the position of its frame
-    and ``track_ids`` the id of its track (``None`` for a node on no
-    track); these hold no container per node, so a long graph gives the
-    garbage collector no more to walk than its nodes.  ``node_counts[k]``
+    same-instance edges in edge order (see :func:`chain_problems`).
+    ``keyframes`` holds, for each track, the positions in its history of
+    the nodes a motion history carries: walking the history oldest first,
+    the first node, and each later node whose centroid lies farther than
+    :data:`POSE_TOL` from the last keyframe's.  Counted from the track's
+    start, they do not depend on where a window of the track begins.
+    ``lifecycle`` holds the positions in ``edges`` of the edges that are
+    not same-instance ones.  By node id, ``nodes`` holds the node,
+    ``positions`` the position of its frame and ``track_ids`` the id of
+    its track (``None`` for a node on no track); these hold no container
+    per node, so a long graph gives the garbage collector no more to walk
+    than its nodes.  ``node_counts[k]``
     is the number of nodes in the first ``k`` frames.  A snapshot sees the
     first ``len(snapshot.frames)`` frames; only the newest snapshot on a
     log may append to it.
     """
 
-    __slots__ = ("frames", "edges", "histories", "nodes", "positions", "track_ids", "node_counts")
+    __slots__ = (
+        "frames", "edges", "lifecycle", "histories", "keyframes", "_anchors", "nodes", "positions", "track_ids",
+        "node_counts",
+    )
 
     def __init__(self, frames: Iterable[FrameGraph], edges: Iterable[TemporalEdge]):
         self.frames: list[FrameGraph] = []
         self.edges: list[TemporalEdge] = []
+        self.lifecycle: list[int] = []
         self.histories: dict[int, list[int]] = {}
+        self.keyframes: dict[int, list[int]] = {}
+        self._anchors: dict[int, list[float]] = {}  # track id -> the keyframe centroid its band is taken from
         self.nodes: dict[int, ObjectNode] = {}
         self.positions: dict[int, int] = {}
         self.track_ids: dict[int, int | None] = {}
@@ -434,8 +449,11 @@ class GraphLog:
         """Commit ``frames`` and their temporal ``edges``: the log's one writer.
 
         Each appeared or same-instance edge puts its destination on its
-        track.  Edges that break the chain are taken as they come, never
-        refused, so a broken snapshot can still be read and reported.
+        track, and one distance test decides whether it is a keyframe.
+        Edges that break the chain are taken as they come, never refused,
+        so a broken snapshot can still be read and reported: a destination
+        the log does not hold is no keyframe, and one whose centroid is not
+        three finite numbers is a keyframe that the band is not taken from.
         """
         for frame in frames:
             self.frames.append(frame)
@@ -446,9 +464,25 @@ class GraphLog:
             self.node_counts.append(self.node_counts[-1] + len(frame.nodes))
         for edge in edges:
             self.edges.append(edge)
+            if edge.relation != SAME_INSTANCE:
+                self.lifecycle.append(len(self.edges) - 1)
             if edge.relation in _LINKS and edge.dst_node is not None:
-                self.histories.setdefault(edge.track_id, []).append(edge.dst_node)
+                history = self.histories.setdefault(edge.track_id, [])
+                history.append(edge.dst_node)
                 self.track_ids[edge.dst_node] = edge.track_id
+                node = self.nodes.get(edge.dst_node)
+                if node is not None and self._is_keyframe(edge.track_id, node.centroid):
+                    self.keyframes.setdefault(edge.track_id, []).append(len(history) - 1)
+
+    def _is_keyframe(self, track_id: int, centroid: np.ndarray) -> bool:
+        """Whether a node at ``centroid`` is the track's next keyframe; the band moves to it when it is."""
+        if centroid.shape != (3,) or not all(map(math.isfinite, point := centroid.tolist())):
+            return True
+        anchor = self._anchors.get(track_id)
+        if anchor is not None and not math.dist(point, anchor) > POSE_TOL:
+            return False
+        self._anchors[track_id] = point
+        return True
 
     def views(self) -> tuple[LogView, LogView]:
         """Views of all the frames and of all the temporal edges the log holds now."""

@@ -7,16 +7,19 @@ the winner's track forward to the present to recover an execution-time
 pose.  A compact task subgraph around the winner is what a downstream
 planner consumes: each of its nodes carries only the motion from its own
 observation in the aligned frame to the newest frame, the same window its
-lifecycle events cover, so an export costs the same late in a long stream
-as early in it.  Frames before the aligned one stay reachable through
-``as_of``.
+lifecycle events cover, and within that window only its track's keyframes
+(see :class:`~stovsg.model.GraphLog`), where the track left a
+:data:`~stovsg.model.POSE_TOL` band around its last one.  So an export
+costs what the track's motion costs, not what the window's frames do, and
+a still object's history is its first and last observation.  Frames before
+the aligned one stay reachable through ``as_of``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -65,7 +68,7 @@ class TaskSubgraph:
     latency_tag: LatencyTag
     nodes: tuple[tuple[ObjectNode, float], ...]  # (node, score), best first
     edges: tuple[SpatialEdge, ...]
-    history: Mapping[int, tuple[tuple[float, np.ndarray], ...]]  # node id -> (time, centroid), aligned frame to newest
+    history: Mapping[int, tuple[tuple[float, np.ndarray], ...]]  # node id -> (time, centroid) keyframes, aligned to newest
     dynamics: tuple[tuple[float, int, str], ...]  # (time, track_id, event)
 
 
@@ -129,13 +132,14 @@ def _align(
     return aligned, newest, score_nodes(aligned, command, cfg)
 
 
-def _track_window(graph: SceneGraph4D, node_id: int, newest: FrameGraph) -> tuple[int, Sequence[int]]:
-    """The id of the track holding ``node_id`` and its node ids from ``node_id`` to ``newest``, oldest first.
+def _track_window(graph: SceneGraph4D, node_id: int, newest: FrameGraph) -> tuple[int, list[int], int, int]:
+    """The id of the track holding ``node_id``, its history in the log, and the window's bounds in it.
 
-    Both come from the temporal edges, through the log.  A history follows
-    its track's edges, which reach a later frame each (see
-    :func:`~stovsg.model.chain_problems`), so both ends bisect on frame
-    index, over the log's whole history of the track: O(log track + window).
+    The window ``history[start:end]`` runs from ``node_id`` to ``newest``,
+    oldest first.  All of it comes from the temporal edges, through the
+    log.  A history follows its track's edges, which reach a later frame
+    each (see :func:`~stovsg.model.chain_problems`), so both ends bisect on
+    frame index, over the log's whole history of the track: O(log track).
     """
     track_id = graph.track_of(node_id)
     if track_id is None:
@@ -148,7 +152,7 @@ def _track_window(graph: SceneGraph4D, node_id: int, newest: FrameGraph) -> tupl
 
     start = bisect_left(ids, frame_index(node_id), key=frame_index)
     end = bisect_right(ids, newest.frame_index, start, key=frame_index)
-    return track_id, ids[start:end]
+    return track_id, ids, start, end
 
 
 def extract_subgraph(
@@ -163,11 +167,16 @@ def extract_subgraph(
     Scores the aligned frame, keeps the top-k nodes, pulls in spatial
     neighbors up to ``neighbor_hops`` away, and attaches, over the window
     from the aligned frame to the newest one, each node's motion history
-    and the lifecycle events.  A node's history starts with its own
-    observation, as its frame's obs_time and its centroid, and follows its
-    track to the newest frame.  The result is closed: every edge endpoint
-    is included.  Without latency awareness the anchor is simply the
-    newest frame, so each history is one entry.
+    and the lifecycle events.  A node's history holds (obs_time, centroid)
+    entries of its track, oldest first: its own observation, then the
+    track's keyframes after it up to the newest frame, found by bisection,
+    then the track's newest observation in the window if no keyframe was
+    it (the execution-time pose grounding reports).  So it costs
+    O(log track + keyframes), and, since keyframes count from the track's
+    start, a window's entries after its first do not depend on where it
+    starts.  The result is closed: every edge endpoint is included.
+    Without latency awareness the anchor is simply the newest frame, so
+    each history is one entry.
     """
     aligned, newest, ranked = _align(graph, command, cfg, as_of, latency_aware)
     scores = dict(ranked)
@@ -194,8 +203,13 @@ def extract_subgraph(
     )
     log, history = graph.log, {}
     for nid in picked:
-        _, window = _track_window(graph, nid, newest)  # its nodes all lie in the snapshot, up to ``newest``
-        history[nid] = tuple((log.frames[log.positions[wid]].obs_time, log.nodes[wid].centroid) for wid in window)
+        track_id, ids, start, end = _track_window(graph, nid, newest)  # the window lies in the snapshot
+        keys = log.keyframes.get(track_id, ())
+        kept = [start, *keys[bisect_right(keys, start) : bisect_left(keys, end)]]
+        if kept[-1] != end - 1:
+            kept.append(end - 1)
+        entries = (ids[k] for k in kept)
+        history[nid] = tuple((log.frames[log.positions[wid]].obs_time, log.nodes[wid].centroid) for wid in entries)
     dynamics = lifecycle_events(graph, aligned.capture_time, newest.capture_time)
     return TaskSubgraph(
         command=command,
@@ -229,9 +243,10 @@ def ground_command(
     best_id, best_score = ranked[0]
     aligned_node = graph.node(best_id)
 
-    track_id, window = _track_window(graph, best_id, newest)
+    track_id, ids, _, end = _track_window(graph, best_id, newest)
+    current = ids[end - 1]
     # a target is live exactly when it was observed in the newest visible frame
-    status = STATUS_LIVE if graph.frame_of(window[-1]) is newest else STATUS_LOST
+    status = STATUS_LIVE if graph.frame_of(current) is newest else STATUS_LOST
 
     return GroundingResult(
         command=command,
@@ -240,5 +255,5 @@ def ground_command(
         score=float(best_score),
         track_id=track_id,
         status=status,
-        current_node=graph.node(window[-1]),
+        current_node=graph.node(current),
     )

@@ -283,8 +283,9 @@ def lifecycle_events(
     """Appearance/disappearance events with capture time in [start, end].
 
     Bisects the frames on capture time and the temporal edges, which are in
-    event-frame order, on their event frame, so only the window's edges are
-    read.
+    event-frame order, on their event frame, then the log's positions of
+    the edges that are not same-instance ones on those bounds, so only the
+    window's events are read, and no same-instance edge.
     """
     frames, n = view_parts(graph.frames)
     edges, m = view_parts(graph.temporal_edges)
@@ -295,5 +296,6 @@ def lifecycle_events(
     first = bisect_left(edges, frames[lo].frame_index, 0, m, key=_EVENT_FRAME)
     last = bisect_right(edges, frames[hi - 1].frame_index, first, m, key=_EVENT_FRAME)
     # each edge's frame lies between frames[lo] and frames[hi - 1], so it was captured in [start, end]
-    lifecycle = (edge for edge in edges[first:last] if edge.relation != SAME_INSTANCE)
+    events = graph.log.lifecycle
+    lifecycle = (edges[k] for k in events[bisect_left(events, first) : bisect_left(events, last)])
     return tuple(sorted((graph.frame(e.event_frame).capture_time, e.track_id, e.relation) for e in lifecycle))

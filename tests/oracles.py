@@ -396,16 +396,33 @@ def track_states_oracle(frames, grace_period: float) -> tuple[list[tuple], list[
     return edges, states
 
 
-def history_window_oracle(frames, temporal_edges, node_id: int, aligned_index: int, newest_index: int) -> tuple:
-    """(obs time, centroid) of ``node_id``'s track in every frame from ``aligned_index`` to ``newest_index``, by a full scan."""
+def keyframe_history_oracle(
+    frames, temporal_edges, node_id: int, aligned_index: int, newest_index: int, band: float = 0.05
+) -> tuple:
+    """(obs time, centroid) entries of ``node_id``'s motion history from ``aligned_index`` to ``newest_index``.
+
+    Rescans the node's whole track from its first node, with no log: a
+    node is a keyframe when it is the first, when its centroid is not three
+    finite numbers, or when its centroid lies farther than ``band`` from
+    the last keyframe's whose centroid is.  The history is the window's
+    first node, the keyframes after it in the window, and the window's
+    last node.
+    """
     holders = [ids for ids in histories_oracle(temporal_edges).values() if node_id in ids]
     assert len(holders) == 1, f"node {node_id} is on {len(holders)} tracks"
-    on_track = set(holders[0])
-    window = []
-    for fg in frames:
-        if aligned_index <= fg.frame_index <= newest_index:
-            window.extend((fg.obs_time, node.centroid) for node in fg.nodes if node.node_id in on_track)
-    return tuple(window)
+    where = {node.node_id: (fg, node) for fg in frames for node in fg.nodes}
+    track = [where[nid] for nid in holders[0] if nid in where]
+    keyframes, anchor = set(), None
+    for fg, node in track:
+        c = node.centroid
+        if c.shape != (3,) or not np.isfinite(c).all():
+            keyframes.add(node.node_id)
+        elif anchor is None or float(np.linalg.norm(c - anchor)) > band:
+            keyframes.add(node.node_id)
+            anchor = c
+    window = [(fg, node) for fg, node in track if aligned_index <= fg.frame_index <= newest_index]
+    kept = [k for k, (_, node) in enumerate(window) if k in (0, len(window) - 1) or node.node_id in keyframes]
+    return tuple((window[k][0].obs_time, window[k][1].centroid) for k in kept)
 
 
 def canonical_dumps_oracle(o) -> str:

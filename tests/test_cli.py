@@ -15,6 +15,7 @@ import pytest
 from stovsg import (
     EngineConfig,
     NoiseModel,
+    canonical_dumps,
     command_to_dict,
     commands_from_scenario,
     dumps,
@@ -661,6 +662,49 @@ def test_a_depth_file_side_above_the_limit_is_one_json_error(two_fps_scene, caps
     message = f"depth file {depth}: image {width}x{height} is wider or higher than 4096 pixels"
     assert out == "" and json.loads(line) == {"error": "format-error", "message": message}
     assert not (two_fps_scene / "large.graph.json").exists()
+
+
+@pytest.mark.parametrize(
+    "name, depth_ref, reason",
+    [("missing", "nowhere.bin", "No such file or directory"), ("directory", "stream_depth", "Is a directory")],
+)
+def test_a_depth_ref_that_cannot_be_read_is_one_io_error_naming_its_stream_line(
+    two_fps_scene, capsys, name, depth_ref, reason
+):
+    def edit(header, first):
+        first["depth_ref"] = depth_ref
+
+    capsys.readouterr()
+    assert _build_edited(two_fps_scene, name, edit) == 1
+    out, err = capsys.readouterr()
+    (line,) = err.splitlines()
+    message = f"stream {two_fps_scene / name}.jsonl:2: depth_ref {depth_ref!r}: {reason}"
+    assert out == "" and json.loads(line) == {"error": "io-error", "message": message}
+    assert not (two_fps_scene / f"{name}.graph.json").exists()
+
+
+def test_a_node_centroid_of_two_numbers_is_exported_as_it_stands(scored_scene, tmp_path, capsys):
+    # read_graph does not refuse it (validate_graph and score do); the motion history carries it as a keyframe
+    data = json.loads((scored_scene / "graph.json").read_text())
+    data["frames"][0]["nodes"][0]["centroid"] = [0.1, 0.2]
+    graph = tmp_path / "graph.json"
+    graph.write_text(dumps(data) + "\n")
+    read = read_graph(graph)
+    frames, track = read.frames, read.track_of(data["frames"][0]["nodes"][0]["node_id"])
+    centroids = [next(n.centroid.tolist() for n in fg.nodes if read.track_of(n.node_id) == track) for fg in frames[:2]]
+    command = tmp_path / "command.json"
+    write_command_file(scored_scene / "scenario.json", command)
+    edited = json.loads(command.read_text())
+    edited["issue_time"] = frames[0].obs_time  # the operator saw frame 1
+    command.write_text(dumps(edited) + "\n")
+    capsys.readouterr()
+    for cutoff, naive, entries in ((0, [], [0]), (1, [], [0, 1]), (0, ["--naive"], [0]), (1, ["--naive"], [1])):
+        argv = ["export", "--graph", graph, "--command", command, "--as-of", repr(frames[cutoff].capture_time)]
+        assert cli_main([str(a) for a in [*argv, *naive]]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        (history,) = (node["motion_history"] for node in json.loads(out)["nodes"] if read.track_of(node["id"]) == track)
+        assert history == json.loads(canonical_dumps([[frames[k].obs_time, centroids[k]] for k in entries]))
 
 
 @pytest.mark.filterwarnings("error")  # the refusal is the only word on it

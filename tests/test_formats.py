@@ -742,7 +742,7 @@ def test_golden_subgraph_bytes():
         "scene_dynamics": [{"time": 0.4, "track_id": 2, "event": "appeared"}],
     }
     expected = (
-        '{"schema":"stovsg-subgraph/2","command_text":"pick up the red mug",'
+        '{"schema":"stovsg-subgraph/3","command_text":"pick up the red mug",'
         '"aligned_frame_index":3,"aligned_frame_time":0.3,'
         '"latency_tag":{"capture_time":0.3,"transmission_latency":0.5},'
         '"nodes":[{"id":1,"class":"red mug","centroid":[0.123457,-0.5,1.5],'
@@ -798,9 +798,18 @@ def test_json_readers_refuse_json_that_python_reads_but_cannot_convert(built_gra
 
 
 def test_parse_subgraph_refuses_a_version_1_payload():
-    # version 1 carried each track's whole history; version 2 only the aligned-to-newest window
-    with pytest.raises(FormatError, match="stovsg-subgraph/2"):
+    # version 1 carried each track's whole history; version 2 every frame of the aligned-to-newest window
+    with pytest.raises(FormatError, match="stovsg-subgraph/3"):
         parse_subgraph('{"schema":"stovsg-subgraph/1","nodes":[]}')
+
+
+def test_parse_subgraph_refuses_a_version_2_payload_naming_version_3():
+    # version 3 keeps only the window's keyframes, so a version 2 history means something else
+    message = "^subgraph: expected schema 'stovsg-subgraph/3', got 'stovsg-subgraph/2'$"
+    with pytest.raises(FormatError, match=message):
+        parse_subgraph('{"schema":"stovsg-subgraph/2","nodes":[]}')
+    with pytest.raises(FormatError, match="^subgraph: expected schema 'stovsg-subgraph/3', got None$"):
+        parse_subgraph("[]")
 
 
 def test_dumps_refuses_non_finite():

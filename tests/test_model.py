@@ -28,6 +28,7 @@ from stovsg import (
     commands_from_scenario,
     cosine,
     empty_graph,
+    extract_subgraph,
     ground_command,
     generate_stream,
     ingest_frame,
@@ -43,7 +44,7 @@ from stovsg import model
 from stovsg.model import SpatialEdge, chain_problems, feature_problems, freeze_array, label_problems
 
 from conftest import DIM, axis, make_camera, make_detection, make_frame_input, make_node
-from oracles import cosine_oracle
+from oracles import cosine_oracle, keyframe_history_oracle
 
 
 def test_normalize_label():
@@ -558,3 +559,33 @@ def test_validate_graph_allows_a_centroid_off_its_points_bounds_by_rounding_only
     moved = replace(node, centroid=node.centroid + np.array([1e292, 0.0, 0.0]))  # beyond 1e-9 of its magnitude
     broken = replace(graph, frames=(replace(graph.frames[0], nodes=(moved,)),))
     assert validate_graph(broken) == ["frame 1 node 1: centroid outside point bounds"]
+
+
+def _one_track(centroids, missing=()):
+    """Track 1 through one node a frame at each of ``centroids``, and same-instance edges to the ``missing`` node ids."""
+    frames = tuple(
+        model.FrameGraph(k, LatencyTag(float(k), 0.0), (make_node(k, c),), ()) for k, c in enumerate(centroids, 1)
+    )
+    edges = [model.TemporalEdge(model.APPEARED, 1, 1, dst_node=1)]
+    edges += [model.TemporalEdge(model.SAME_INSTANCE, 1, k, k - 1, k) for k in range(2, len(centroids) + 1)]
+    edges += [model.TemporalEdge(model.SAME_INSTANCE, 1, len(centroids), len(centroids), nid) for nid in missing]
+    return SceneGraph4D(frames, tuple(edges), MappingProxyType({1: Track(1, axis(1))}), 100, 2)
+
+
+def test_a_tracks_keyframes_leave_a_band_of_pose_tol_and_a_broken_centroid_is_one_without_moving_it():
+    band = model.POSE_TOL
+    centroids = [
+        (0.0, 0.0, 1.0),  # the first node: a keyframe, and the band is around it
+        (band, 0.0, 1.0),  # exactly the band away: inside it
+        (math.nan, 0.0, 1.0),  # not finite: a keyframe, and the band stays
+        (1.2 * band, 0.0, 1.0),  # outside the band around the first node: the band moves here
+        (0.1, 0.2),  # two numbers: a keyframe, and the band stays
+        (1.2 * band + 0.8 * band, 0.0, 1.0),  # inside the band around the fourth node
+    ]
+    graph = _one_track(centroids, missing=(999,))  # an edge to a node no frame holds starts no keyframe
+    assert graph.log.histories[1] == [1, 2, 3, 4, 5, 6, 999]
+    assert graph.log.keyframes[1] == [0, 2, 3, 4]
+    intact = _one_track(centroids)
+    sub = extract_subgraph(intact, Command(text="red mug", embedding=axis(0), issue_time=1.0))
+    want = keyframe_history_oracle(intact.frames, intact.temporal_edges, 1, 1, 6)
+    assert [t for t, _ in sub.history[1]] == [t for t, _ in want] == [1.0, 3.0, 4.0, 5.0, 6.0]

@@ -33,10 +33,12 @@ from stovsg import (
     make_scenario,
     read_graph,
     score_nodes,
+    serialize_subgraph,
     validate_graph,
     write_graph,
 )
 from stovsg import query
+from stovsg.model import POSE_TOL
 
 from conftest import axis, in_plane, make_detection, make_frame_input, make_node
 from oracles import (
@@ -44,7 +46,7 @@ from oracles import (
     frame_at_operator_time_oracle,
     frames_as_of_oracle,
     histories_oracle,
-    history_window_oracle,
+    keyframe_history_oracle,
     node_score_oracle,
     score_nodes_oracle,
 )
@@ -443,15 +445,17 @@ def test_subgraph_history_and_dynamics(config):
     sub = extract_subgraph(graph, command)
     assert sub.aligned_frame_index == 1
     (entries,) = sub.history.values()
-    assert [t for t, _ in entries] == [1.5, 2.5, 3.5]  # aligned frame to the newest, oldest first
+    # each step is 2 px, 0.04 m at 2 m: frame 2 lies inside the band around frame 1, frame 3 (0.08 m) outside it
+    assert [t for t, _ in entries] == [1.5, 3.5]  # aligned frame to the newest, oldest first
     xs = [c[0] for _, c in entries]
-    assert xs == sorted(xs)
+    assert xs == sorted(xs) and xs[1] - xs[0] > POSE_TOL
     assert sub.dynamics == ((1.0, 1, "appeared"), (4.0, 1, "disappeared"))
 
     later = extract_subgraph(graph, mug_command(2.6))
     assert later.aligned_frame_index == 2
     (entries,) = later.history.values()
-    assert [t for t, _ in entries] == [2.5, 3.5]  # the frame-1 observation is before the window
+    # the frame-1 observation is before the window; frame 3 is still the keyframe counted from frame 1
+    assert [t for t, _ in entries] == [2.5, 3.5]
     assert later.dynamics == ((4.0, 1, "disappeared"),)
 
 
@@ -468,19 +472,27 @@ def test_history_starts_at_each_nodes_own_observation(config):
         sub = extract_subgraph(graph, mug_command(2.6), latency_aware=latency_aware)
         assert len(sub.nodes) == 2
         for node, _ in sub.nodes:
-            when, centroid = sub.history[node.node_id][0]
+            entries = sub.history[node.node_id]
+            when, centroid = entries[0]
             assert when == graph.frame_of(node.node_id).obs_time and np.array_equal(centroid, node.centroid)
-            assert len(sub.history[node.node_id]) == (4 if latency_aware else 1)
+            newest = graph.newest_node(graph.track_of(node.node_id))
+            assert np.array_equal(entries[-1][1], newest.centroid)
+            # the mug moves 0.2 m a frame, so each of frames 2-5 is a keyframe; the parked apple has
+            # only its first and last observation in the window
+            moving = node.label == "red mug"
+            assert len(entries) == ((4 if moving else 2) if latency_aware else 1)
 
 
 def test_history_length_does_not_grow_with_the_stream(config):
-    graph = ingest_sequence(empty_graph(), _coming_and_going(40, [0.5] * 40), config)
-    # the same command two frames behind the newest one, early (cut at frame 5) and late (frame 37)
+    graph = ingest_sequence(empty_graph(), _coming_and_going(80, [0.5] * 80), config)
+    # the same command two frames behind the newest one, early (cut at frame 5) and late (frame 65),
+    # at the same phase of the mug's five-frame sweep and where the apple is out of view
     early = extract_subgraph(graph, mug_command(3.6), as_of=5.0)
-    late = extract_subgraph(graph, mug_command(35.6), as_of=37.0)
-    assert (early.aligned_frame_index, late.aligned_frame_index) == (3, 35)
-    assert [len(entries) for entries in early.history.values()] == [3]
-    assert [len(entries) for entries in late.history.values()] == [3]
+    late = extract_subgraph(graph, mug_command(63.6), as_of=65.0)
+    assert (early.aligned_frame_index, late.aligned_frame_index) == (3, 63)
+    # the sweep's keyframes, counted from frame 1, are every frame whose index is 1, 3 or 0 modulo 5
+    assert [[t for t, _ in entries] for entries in early.history.values()] == [[3.5, 5.5]]
+    assert [[t for t, _ in entries] for entries in late.history.values()] == [[63.5, 65.5]]
 
 
 def _coming_and_going(count: int, latencies) -> list:
@@ -520,6 +532,38 @@ def test_subgraph_history_matches_the_scanning_oracle(latencies, data):
         assert sub.aligned_frame_index == aligned.frame_index
         assert sorted(sub.history) == sorted(node.node_id for node, _ in sub.nodes)
         for nid, entries in sub.history.items():
-            want = history_window_oracle(cut, graph.temporal_edges, nid, aligned.frame_index, cut[-1].frame_index)
+            want = keyframe_history_oracle(cut, graph.temporal_edges, nid, aligned.frame_index, cut[-1].frame_index)
             assert [t for t, _ in entries] == [t for t, _ in want]
             assert all(np.array_equal(got, c) for (_, got), (_, c) in zip(entries, want))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 12), st.floats(0.0, 3.0)), min_size=1, max_size=14),
+    st.lists(st.floats(0.0, 18.0), min_size=14, max_size=14),
+)
+def test_a_live_export_equals_the_export_as_of_its_newest_frame_on_the_final_graph(steps, issue_times):
+    # the mug steps 0 to 12 px (0 to 0.24 m) a frame, so its keyframes fall anywhere in its track
+    inputs = [
+        make_frame_input(
+            float(k + 1),
+            latency=latency,
+            detections=(make_detection(x0=10 + 8 * (k % 2) + step, f_img=axis(1), f_txt=MUG_TXT),)
+            + ((make_detection(x0=100, label="apple", f_img=axis(3), f_txt=APPLE_TXT),) if k % 3 else ()),
+        )
+        for k, (step, latency) in enumerate(steps)
+    ]
+    graph, answers = empty_graph(), []
+    for frame, issue in zip(inputs, issue_times):  # each export is taken while its snapshot is the newest
+        graph = ingest_frame(graph, frame, EngineConfig())
+        command = mug_command(issue)
+        try:
+            answers.append((command, graph.frames[-1].capture_time, serialize_subgraph(extract_subgraph(graph, command))))
+        except NoAlignedFrame:
+            answers.append((command, graph.frames[-1].capture_time, None))
+    for command, as_of, want in answers:
+        if want is None:
+            with pytest.raises(NoAlignedFrame):
+                extract_subgraph(graph, command, as_of=as_of)
+        else:
+            assert serialize_subgraph(extract_subgraph(graph, command, as_of=as_of)) == want

@@ -440,6 +440,22 @@ def test_lifecycle_events_window(config):
     assert lifecycle_events(graph, math.nan, 10.0) == lifecycle_events(graph, 0.0, math.nan) == ()
 
 
+def test_lifecycle_events_stop_at_the_window_when_the_next_frame_opens_with_an_event(config):
+    # frame 3's first edge, the mug's disappearance, directly follows frame 2's same-instance edge
+    graph = ingest_sequence(
+        empty_graph(),
+        [
+            make_frame_input(1.0, detections=(make_detection(),)),
+            make_frame_input(2.0, detections=(make_detection(),)),
+            make_frame_input(3.0),
+        ],
+        config,
+    )
+    assert [e.relation for e in graph.temporal_edges] == [APPEARED, SAME_INSTANCE, DISAPPEARED]
+    assert lifecycle_events(graph, 0.0, 2.5) == ((1.0, 1, APPEARED),)
+    assert lifecycle_events(graph, 1.5, 2.5) == ()
+
+
 def test_empty_frames_are_allowed(config):
     graph = ingest_sequence(empty_graph(), [make_frame_input(1.0), make_frame_input(2.0)], config)
     assert len(graph.frames) == 2
