@@ -15,7 +15,7 @@ class InputRejected(EngineError, ValueError):
     code = "input-rejected"
 
 
-class NotFound(EngineError, KeyError):
+class NotFound(EngineError):
     """Raised when a referenced entity (track, node, frame) does not exist."""
 
     code = "not-found"

@@ -667,18 +667,22 @@ def write_depth_file(depth: DepthImage, path: str | Path) -> None:
         fh.write(np.ascontiguousarray(depth.values, dtype="<f4").tobytes())
 
 
-def read_depth_file(path: str | Path) -> DepthImage:
-    raw = Path(path).read_bytes()
+def _depth_image(raw: bytes, where: str) -> DepthImage:
+    """The image a depth file's bytes hold; a refusal names the file as ``where``."""
     if len(raw) < 8:
-        raise FormatError(f"depth file {path}: truncated header")
+        raise _Invalid(f"{where}: truncated header")
     width, height = struct.unpack_from("<II", raw)
     if max(width, height) > MAX_IMAGE_SIDE:
-        raise FormatError(f"depth file {path}: image {width}x{height} is wider or higher than {MAX_IMAGE_SIDE} pixels")
+        raise _Invalid(f"{where}: image {width}x{height} is wider or higher than {MAX_IMAGE_SIDE} pixels")
     expected = 8 + 4 * width * height
     if len(raw) != expected:
-        raise FormatError(f"depth file {path}: expected {expected} bytes, got {len(raw)}")
+        raise _Invalid(f"{where}: expected {expected} bytes, got {len(raw)}")
     values = np.frombuffer(raw, dtype="<f4", offset=8).reshape(height, width)
     return DepthImage(values)
+
+
+def read_depth_file(path: str | Path) -> DepthImage:
+    return _depth_image(Path(path).read_bytes(), f"depth file {path}")
 
 
 # --- detection stream (line-delimited JSON + depth sidecars) ----------------
@@ -714,7 +718,7 @@ def _read_frame(raw: Any, index: int, folder: Path) -> FrameInput:
     ref = PurePosixPath(line.depth_ref)
     if ref.is_absolute() or ".." in ref.parts:
         raise _Invalid(f"depth_ref {line.depth_ref!r} leaves the stream's directory")
-    depth = read_depth_file(folder / ref)
+    depth = _depth_image((folder / ref).read_bytes(), f"depth_ref {line.depth_ref!r}")
     return FrameInput(line.latency_tag, line.camera, depth, line.detections, line.relation_candidates)
 
 

@@ -117,8 +117,8 @@ def _align(
     cfg: QueryConfig,
     as_of: float | None,
     latency_aware: bool,
-) -> tuple[FrameGraph, FrameGraph, list[tuple[int, float]]]:
-    """The anchor frame, the newest frame up to ``as_of``, and the anchor's ranked nodes.
+) -> tuple[FrameGraph, int, list[tuple[int, float]]]:
+    """The anchor frame, the log position of the newest frame up to ``as_of``, and the anchor's ranked nodes.
 
     Latency-aware mode anchors on the frame the operator saw at issue time;
     naive mode anchors on the newest frame.
@@ -127,32 +127,25 @@ def _align(
     if not n:
         cutoff = "" if as_of is None else f" captured by the cutoff as_of={as_of}"
         raise NoAlignedFrame(f"graph has no frames{cutoff}")
-    newest = graph.frames[n - 1]
-    aligned = frame_at_operator_time(graph, command.issue_time, as_of) if latency_aware else newest
-    return aligned, newest, score_nodes(aligned, command, cfg)
+    aligned = frame_at_operator_time(graph, command.issue_time, as_of) if latency_aware else graph.frames[n - 1]
+    return aligned, n - 1, score_nodes(aligned, command, cfg)
 
 
-def _track_window(graph: SceneGraph4D, node_id: int, newest: FrameGraph) -> tuple[int, list[int], int, int]:
+def _track_window(graph: SceneGraph4D, node_id: int, newest: int) -> tuple[int, list[int], int, int]:
     """The id of the track holding ``node_id``, its history in the log, and the window's bounds in it.
 
-    The window ``history[start:end]`` runs from ``node_id`` to ``newest``,
-    oldest first.  All of it comes from the temporal edges, through the
-    log.  A history follows its track's edges, which reach a later frame
-    each (see :func:`~stovsg.model.chain_problems`), so both ends bisect on
-    frame index, over the log's whole history of the track: O(log track).
+    The window ``history[start:end]`` runs from ``node_id`` to the frame at
+    log position ``newest``, oldest first.  A history follows its track's
+    edges, which reach a later frame each (see :func:`~stovsg.model.chain_problems`),
+    so both ends bisect on its nodes' log positions: O(log track).  A newer
+    snapshot's nodes on a shared log lie past ``newest``.
     """
     track_id = graph.track_of(node_id)
     if track_id is None:
         raise NotFound(f"node {node_id} is on no track")
-    log = graph.log
-    ids = log.histories[track_id]
-
-    def frame_index(nid: int) -> int:
-        return log.frames[log.positions[nid]].frame_index
-
-    start = bisect_left(ids, frame_index(node_id), key=frame_index)
-    end = bisect_right(ids, newest.frame_index, start, key=frame_index)
-    return track_id, ids, start, end
+    ids, position = graph.log.histories[track_id], graph.log.positions.__getitem__
+    start = bisect_left(ids, position(node_id), key=position)
+    return track_id, ids, start, bisect_right(ids, newest, start, key=position)
 
 
 def extract_subgraph(
@@ -169,12 +162,12 @@ def extract_subgraph(
     from the aligned frame to the newest one, each node's motion history
     and the lifecycle events.  A node's history holds (obs_time, centroid)
     entries of its track, oldest first: its own observation, then the
-    track's keyframes after it up to the newest frame, found by bisection,
-    then the track's newest observation in the window if no keyframe was
-    it (the execution-time pose grounding reports).  So it costs
-    O(log track + keyframes), and, since keyframes count from the track's
-    start, a window's entries after its first do not depend on where it
-    starts.  The result is closed: every edge endpoint is included.
+    track's keyframes after it up to the newest frame, found by bisection
+    on log positions, then the track's newest observation in the window if
+    no keyframe was it (the execution-time pose grounding reports).  So it
+    costs O(log track + keyframes), and, since keyframes count from the
+    track's start, a window's entries after its first do not depend on
+    where it starts.  The result is closed: every edge endpoint is included.
     Without latency awareness the anchor is simply the newest frame, so
     each history is one entry.
     """
@@ -203,14 +196,14 @@ def extract_subgraph(
     )
     log, history = graph.log, {}
     for nid in picked:
-        track_id, ids, start, end = _track_window(graph, nid, newest)  # the window lies in the snapshot
+        track_id, ids, start, end = _track_window(graph, nid, newest)
         keys = log.keyframes.get(track_id, ())
         kept = [start, *keys[bisect_right(keys, start) : bisect_left(keys, end)]]
         if kept[-1] != end - 1:
             kept.append(end - 1)
         entries = (ids[k] for k in kept)
         history[nid] = tuple((log.frames[log.positions[wid]].obs_time, log.nodes[wid].centroid) for wid in entries)
-    dynamics = lifecycle_events(graph, aligned.capture_time, newest.capture_time)
+    dynamics = lifecycle_events(graph, aligned.capture_time, graph.frames[newest].capture_time)
     return TaskSubgraph(
         command=command,
         aligned_frame_index=aligned.frame_index,
@@ -246,7 +239,7 @@ def ground_command(
     track_id, ids, _, end = _track_window(graph, best_id, newest)
     current = ids[end - 1]
     # a target is live exactly when it was observed in the newest visible frame
-    status = STATUS_LIVE if graph.frame_of(current) is newest else STATUS_LOST
+    status = STATUS_LIVE if graph.log.positions[current] == newest else STATUS_LOST
 
     return GroundingResult(
         command=command,

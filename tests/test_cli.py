@@ -14,7 +14,9 @@ import pytest
 
 from stovsg import (
     EngineConfig,
+    FormatError,
     NoiseModel,
+    NotFound,
     canonical_dumps,
     command_to_dict,
     commands_from_scenario,
@@ -26,6 +28,7 @@ from stovsg import (
     make_scenario,
     parse_stream,
     parse_subgraph,
+    read_depth_file,
     read_graph,
     read_scenario,
     save_config,
@@ -224,6 +227,22 @@ def test_missing_stream_file_reports_io_error(tmp_path):
     err = json.loads(proc.stderr)
     assert err["error"] == "io-error"
     assert "nope.jsonl" in err["message"]
+
+
+def test_a_not_found_refusal_prints_its_message_as_it_stands(tmp_path, capsys):
+    assert str(NotFound("x")) == "x"  # not the repr a KeyError gives
+    assert cli_main(["simulate", "--family", "occlusion_after_command", "--seed", "0", "--out-dir", str(tmp_path)]) == 0
+    header, *frames = map(json.loads, (tmp_path / "stream.jsonl").read_text().splitlines())
+    for frame in frames:  # every detection removed, so the aligned frame holds no node
+        frame["detections"], frame["relation_candidates"] = [], []
+    (tmp_path / "empty.jsonl").write_text("\n".join(map(dumps, [header, *frames])) + "\n")
+    assert cli_main(["build", "--stream", str(tmp_path / "empty.jsonl"), "--out", str(tmp_path / "graph.json")]) == 0
+    write_command_file(tmp_path / "scenario.json", tmp_path / "command.json")
+    capsys.readouterr()
+    assert cli_main(["query", "--graph", str(tmp_path / "graph.json"), "--command", str(tmp_path / "command.json")]) == 1
+    out, err = capsys.readouterr()
+    (line,) = err.splitlines()
+    assert out == "" and json.loads(line) == {"error": "not-found", "message": "frame 10 has no nodes to ground against"}
 
 
 def test_unknown_replay_family_reports_input_rejected(tmp_path):
@@ -642,26 +661,46 @@ def _build_edited(scene, name, edit):
     return cli_main(["build", "--stream", str(stream), "--out", str(scene / f"{name}.graph.json")])
 
 
+def _build_with_depth_file(scene, capsys, name, raw):
+    """The one JSON error of building the scene's stream with its first frame's depth file replaced by ``raw``."""
+    depth_ref = f"edited_depth/{name}.bin"
+    (scene / "edited_depth").mkdir(exist_ok=True)
+    (scene / depth_ref).write_bytes(raw)
+
+    def edit(header, first):
+        first["depth_ref"] = depth_ref
+
+    capsys.readouterr()
+    assert _build_edited(scene, name, edit) == 1
+    out, err = capsys.readouterr()
+    (line,) = err.splitlines()
+    assert out == "" and not (scene / f"{name}.graph.json").exists()
+    return json.loads(line), f"stream {scene / name}.jsonl:2: depth_ref {depth_ref!r}"
+
+
 @pytest.mark.parametrize(
     "width, height, values",
     [(4097, 1, 4097), (1, 2**32 - 1, 0)],  # the second file holds far fewer bytes than its header claims
     ids=["width", "height"],
 )
 def test_a_depth_file_side_above_the_limit_is_one_json_error(two_fps_scene, capsys, width, height, values):
-    depth = two_fps_scene / "large_depth" / f"{width}x{height}.bin"
-    depth.parent.mkdir(exist_ok=True)
-    depth.write_bytes(struct.pack("<II", width, height) + bytes(4 * values))
+    raw = struct.pack("<II", width, height) + bytes(4 * values)
+    error, where = _build_with_depth_file(two_fps_scene, capsys, f"{width}x{height}", raw)
+    message = f"{where}: image {width}x{height} is wider or higher than 4096 pixels"
+    assert error == {"error": "format-error", "message": message}
 
-    def edit(header, first):
-        first["depth_ref"] = f"large_depth/{depth.name}"
 
-    capsys.readouterr()
-    assert _build_edited(two_fps_scene, "large", edit) == 1
-    out, err = capsys.readouterr()
-    (line,) = err.splitlines()
-    message = f"depth file {depth}: image {width}x{height} is wider or higher than 4096 pixels"
-    assert out == "" and json.loads(line) == {"error": "format-error", "message": message}
-    assert not (two_fps_scene / "large.graph.json").exists()
+@pytest.mark.parametrize(
+    "cut, reason",
+    [(3, "truncated header"), (-4, "expected 76808 bytes, got 76804")],  # the frames are 160x120
+    ids=["truncated", "length"],
+)
+def test_an_undecodable_depth_file_is_one_format_error_naming_its_stream_line(two_fps_scene, capsys, cut, reason):
+    raw = (two_fps_scene / "stream_depth" / "frame_000001.bin").read_bytes()[:cut]
+    error, where = _build_with_depth_file(two_fps_scene, capsys, f"cut{cut}", raw)
+    assert error == {"error": "format-error", "message": f"{where}: {reason}"}
+    with pytest.raises(FormatError, match=f"^depth file .*: {reason}$"):  # read directly, the file names itself
+        read_depth_file(two_fps_scene / "edited_depth" / f"cut{cut}.bin")
 
 
 @pytest.mark.parametrize(

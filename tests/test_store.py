@@ -712,7 +712,7 @@ def test_time_lookups_match_the_scanning_oracles(latencies, data):
                 _align(graph, command, command_cfg, as_of, True)
         else:
             got_aligned, got_newest, _ = _align(graph, command, command_cfg, as_of, True)
-            assert got_aligned is aligned and got_newest is cut[-1]
+            assert got_aligned is aligned and got_newest == len(cut) - 1  # the newest frame's log position
         if aligned is None:
             with pytest.raises(NoAlignedFrame):
                 frame_at_operator_time(graph, t, as_of)
